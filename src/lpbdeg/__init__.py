@@ -5,6 +5,8 @@ The package is organized bottom-up:
 
 * :mod:`lpbdeg.exact` -- rational scalars, exact linear algebra, univariate
   polynomials and interpolation.
+* :mod:`lpbdeg.sparse` -- the packed-exponent sparse polynomial kernel that
+  every multivariate product below runs on.
 * :mod:`lpbdeg.polyring` -- truncated multivariate polynomial ring used for
   characteristic classes in Chern roots.
 * :mod:`lpbdeg.symfunc` -- partitions and the character-sum route to Segre

@@ -18,7 +18,10 @@ Each record is ``{"n": int, "d": int, "degree": "<decimal>", "engine_version":
 str}``; the degree is a decimal string because values outgrow 64-bit
 integers quickly.  The file is append-only (one atomic write per record)
 and deduplicated on load; two records disagreeing on one (n, d) key are a
-fatal integrity error.  A cache hit is returned directly only for the
+fatal integrity error, and so is a malformed line.  The one exception is an
+unterminated final line that does not parse, the trace of a crash
+mid-append: it is reported on stderr, ignored, and cut away before the next
+append.  A cache hit is returned directly only for the
 default quotient route; the other routes recompute and cross-check against
 the cached value.
 
@@ -79,6 +82,10 @@ class CacheConflictError(InternalInconsistencyError):
     """The degree cache contradicts itself or a fresh computation; exit code 3."""
 
 
+class _MalformedRecord(CacheConflictError):
+    """A cache line that does not parse as a degree record."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so main() owns exit codes."""
 
@@ -94,36 +101,58 @@ class DegreeCache:
             path = os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_PATH)
         self.path = path
         self._entries: dict[tuple[int, int], int] = {}
+        # how the next append must begin: at the byte offset of a torn final
+        # line, cut away first, or on a fresh line after an unterminated one
+        self._torn_at: int | None = None
+        self._needs_newline = False
         self._load()
 
     def _load(self) -> None:
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    n = int(record["n"])
-                    d = int(record["d"])
-                    degree = int(record["degree"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise CacheConflictError(
-                        f"cache file {self.path} line {line_no} is malformed: {exc}"
-                    ) from exc
-                if degree < 0:
-                    raise CacheConflictError(
-                        f"cache file {self.path} line {line_no} holds a negative degree"
-                    )
-                key = (n, d)
-                if key in self._entries and self._entries[key] != degree:
-                    raise CacheConflictError(
-                        f"cache holds conflicting degrees for (n, d) = {key}: "
-                        f"{self._entries[key]} vs {degree}"
-                    )
-                self._entries[key] = degree
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        *lines, tail = data.split(b"\n")
+        for line_no, line in enumerate(lines, 1):
+            self._add(line_no, line)
+        if not tail:
+            return
+        try:
+            self._add(len(lines) + 1, tail)
+        except _MalformedRecord:
+            # an unterminated final line that does not parse is what a crash
+            # mid-append leaves; terminated malformed lines stay fatal
+            print(
+                f"warning: ignoring torn final line {len(lines) + 1} of cache file {self.path}",
+                file=sys.stderr,
+            )
+            self._torn_at = len(data) - len(tail)
+        else:
+            self._needs_newline = True
+
+    def _add(self, line_no: int, line: bytes) -> None:
+        if not line.strip():
+            return
+        try:
+            record = json.loads(line)
+            n = int(record["n"])
+            d = int(record["d"])
+            degree = int(record["degree"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _MalformedRecord(
+                f"cache file {self.path} line {line_no} is malformed: {exc}"
+            ) from exc
+        if degree < 0:
+            raise CacheConflictError(
+                f"cache file {self.path} line {line_no} holds a negative degree"
+            )
+        key = (n, d)
+        if key in self._entries and self._entries[key] != degree:
+            raise CacheConflictError(
+                f"cache holds conflicting degrees for (n, d) = {key}: "
+                f"{self._entries[key]} vs {degree}"
+            )
+        self._entries[key] = degree
 
     def get(self, n: int, d: int) -> int | None:
         return self._entries.get((n, d))
@@ -138,8 +167,16 @@ class DegreeCache:
                 )
             return
         record = {"n": n, "d": d, "degree": str(degree), "engine_version": __version__}
+        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+            if self._torn_at is not None:
+                # once terminated, the torn bytes would be a fatal malformed line
+                fh.truncate(self._torn_at)
+            elif self._needs_newline:
+                line = "\n" + line
+            fh.write(line)
+        self._torn_at = None
+        self._needs_newline = False
         self._entries[key] = degree
 
     def degree_fn(self, n: int) -> Callable[[int], int]:

@@ -2,9 +2,12 @@
 
 A projective 1-form of foliation degree d on P^n is ``sum A_i dZ_i`` with
 each A_i homogeneous of degree d+1 and the radial contraction
-``sum A_i Z_i`` identically zero.  Polynomials here are sparse dicts from
-exponent tuples over Z_0..Z_n to integer or Fraction coefficients, exact
-and untruncated (degrees stay small).
+``sum A_i Z_i`` identically zero.  The public format of a polynomial is a
+sparse dict from exponent tuples over Z_0..Z_n to integer or Fraction
+coefficients, exact and untruncated (degrees stay small).  Products,
+derivatives and substitutions run on the packed-exponent kernel of
+:mod:`lpbdeg.sparse`, with fields sized by the degree of the result, and
+convert back to tuples at the public boundary.
 
 :class:`ProjectiveOneForm` stores the coefficient vector and enforces
 homogeneity but deliberately not the contraction identity, so that
@@ -28,8 +31,10 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
+from . import sparse
 from .exact import Scalar, kernel_basis, matrix_rank
 from .polyring import exponents_of_degree
+from .sparse import Packing
 
 Exponent = tuple[int, ...]
 Poly = dict[Exponent, Scalar]
@@ -41,66 +46,13 @@ def _norm_scalar(c: Scalar) -> Scalar:
     return c
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
+def poly_mul(p: sparse.Poly, q: sparse.Poly) -> sparse.Poly:
+    """Untruncated product of two packed polynomials, the forms hot path.
 
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        v = out.get(e, 0) - c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
-
-
-def poly_scale(p: Poly, c: Scalar) -> Poly:
-    if c == 0:
-        return {}
-    return {e: _norm_scalar(v * c) for e, v in p.items()}
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if len(q) < len(p):
-        p, q = q, p
-    out: Poly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            v = out.get(e, 0) + c1 * c2
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
-
-
-def poly_diff(p: Poly, var: int) -> Poly:
-    """Partial derivative with respect to variable ``var``."""
-    out: Poly = {}
-    for e, c in p.items():
-        k = e[var]
-        if k:
-            out[e[:var] + (k - 1,) + e[var + 1 :]] = c * k
-    return out
-
-
-def poly_mul_var(p: Poly, var: int) -> Poly:
-    """Multiply by the single variable ``Z_var``."""
-    return {e[:var] + (e[var] + 1,) + e[var + 1 :]: c for e, c in p.items()}
-
-
-def poly_is_homogeneous(p: Poly, degree: int) -> bool:
-    return all(sum(e) == degree for e in p)
+    The packing shared by ``p`` and ``q`` must have room for the degree of
+    the product.
+    """
+    return sparse.mul(p, q)
 
 
 def substitute_linear(p: Poly, rows: Sequence[Sequence[Scalar]], nvars_out: int) -> Poly:
@@ -113,36 +65,26 @@ def substitute_linear(p: Poly, rows: Sequence[Sequence[Scalar]], nvars_out: int)
     """
     if any(len(row) != nvars_out for row in rows):
         raise ValueError("substitution rows must have nvars_out entries")
-    lin: list[Poly] = []
-    for row in rows:
-        form: Poly = {}
-        for j, c in enumerate(row):
-            if c != 0:
-                form[tuple(1 if t == j else 0 for t in range(nvars_out))] = c
-        lin.append(form)
-    cache: dict[Exponent, Poly] = {(0,) * len(rows): {(0,) * nvars_out: 1}}
+    if any(len(e) != len(rows) for e in p):
+        raise ValueError("polynomial arity does not match the substitution")
+    bound = max((sum(e) for e in p), default=0)
+    source, ring = Packing(len(rows), bound), Packing(nvars_out, bound)
+    lin = [{ring.var(j): c for j, c in enumerate(row) if c != 0} for row in rows]
+    cache: dict[int, sparse.Poly] = {0: {0: 1}}
 
-    def image(e: Exponent) -> Poly:
-        known = cache.get(e)
+    def image(key: int) -> sparse.Poly:
+        known = cache.get(key)
         if known is not None:
             return known
-        i = next(idx for idx, v in enumerate(e) if v > 0)
-        prev = e[:i] + (e[i] - 1,) + e[i + 1 :]
-        value = poly_mul(image(prev), lin[i])
-        cache[e] = value
+        i = next(v for v in range(len(rows)) if source.exponent(key, v))
+        value = poly_mul(image(key - source.var(i)), lin[i])
+        cache[key] = value
         return value
 
-    out: Poly = {}
+    out: sparse.Poly = {}
     for e, c in p.items():
-        if len(e) != len(rows):
-            raise ValueError("polynomial arity does not match the substitution")
-        for e2, c2 in image(e).items():
-            v = out.get(e2, 0) + c * c2
-            if v:
-                out[e2] = v
-            elif e2 in out:
-                del out[e2]
-    return out
+        out = sparse.add(out, sparse.scale(image(source.pack(e)), c))
+    return ring.unpack_terms(out)
 
 
 @dataclass
@@ -174,8 +116,8 @@ class ProjectiveOneForm:
                 if len(key) != self.n + 1 or any(k < 0 for k in key):
                     raise ValueError(f"bad exponent {key} for ambient dimension {self.n}")
                 if c != 0:
-                    poly[key] = c
-            if not poly_is_homogeneous(poly, self.d + 1):
+                    poly[key] = _norm_scalar(c)
+            if any(sum(e) != self.d + 1 for e in poly):
                 raise ValueError(f"coefficients must be homogeneous of degree {self.d + 1}")
             clean.append(poly)
         self.coeffs = tuple(clean)
@@ -189,7 +131,7 @@ class ProjectiveOneForm:
         return all(not a for a in self.coeffs)
 
     def scale(self, c: Scalar) -> ProjectiveOneForm:
-        return ProjectiveOneForm(self.n, self.d, tuple(poly_scale(a, c) for a in self.coeffs))
+        return ProjectiveOneForm(self.n, self.d, tuple(sparse.scale(a, c) for a in self.coeffs))
 
     def __add__(self, other: ProjectiveOneForm) -> ProjectiveOneForm:
         if not isinstance(other, ProjectiveOneForm):
@@ -197,16 +139,17 @@ class ProjectiveOneForm:
         if (self.n, self.d) != (other.n, other.d):
             raise ValueError("forms live in different spaces")
         return ProjectiveOneForm(
-            self.n, self.d, tuple(poly_add(a, b) for a, b in zip(self.coeffs, other.coeffs))
+            self.n, self.d, tuple(sparse.add(a, b) for a, b in zip(self.coeffs, other.coeffs))
         )
 
 
 def contract_radial(form: ProjectiveOneForm) -> Poly:
     """The radial contraction ``sum A_i Z_i``, zero exactly on form-space members."""
-    out: Poly = {}
+    ring = Packing(form.n + 1, form.d + 2)
+    out: sparse.Poly = {}
     for i, a in enumerate(form.coeffs):
-        out = poly_add(out, poly_mul_var(a, i))
-    return out
+        out = sparse.add(out, sparse.mul_var(ring.pack_terms(a), ring, i))
+    return ring.unpack_terms(out)
 
 
 def integrability_defect(form: ProjectiveOneForm) -> dict[tuple[int, int, int], Poly]:
@@ -218,18 +161,20 @@ def integrability_defect(form: ProjectiveOneForm) -> dict[tuple[int, int, int], 
     when every defect is the zero polynomial.
     """
     nv = form.n + 1
-    partial = [[poly_diff(form.coeffs[t], v) for v in range(nv)] for t in range(nv)]
+    ring = Packing(nv, 2 * form.d + 1)
+    coeffs = [ring.pack_terms(a) for a in form.coeffs]
+    # curl[j, k] = d_j A_k - d_k A_j, formed once per pair
+    curl = {
+        (j, k): sparse.sub(sparse.diff(coeffs[k], ring, j), sparse.diff(coeffs[j], ring, k))
+        for j, k in combinations(range(nv), 2)
+    }
     out: dict[tuple[int, int, int], Poly] = {}
     for i, j, k in combinations(range(nv), 3):
-        term = poly_mul(form.coeffs[i], poly_sub(partial[k][j], partial[j][k]))
-        term = poly_add(term, poly_mul(form.coeffs[j], poly_sub(partial[i][k], partial[k][i])))
-        term = poly_add(term, poly_mul(form.coeffs[k], poly_sub(partial[j][i], partial[i][j])))
-        out[(i, j, k)] = term
+        term = poly_mul(coeffs[i], curl[j, k])
+        term = sparse.sub(term, poly_mul(coeffs[j], curl[i, k]))
+        term = sparse.add(term, poly_mul(coeffs[k], curl[i, j]))
+        out[(i, j, k)] = ring.unpack_terms(term)
     return out
-
-
-def is_integrable(form: ProjectiveOneForm) -> bool:
-    return all(not p for p in integrability_defect(form).values())
 
 
 @dataclass(frozen=True)
@@ -287,7 +232,7 @@ def pullback_linear(proj: LinearProjection, form: ProjectiveOneForm) -> Projecti
         for i in range(3):
             f = proj.rows[i][j]
             if f != 0:
-                a = poly_add(a, poly_scale(composed[i], f))
+                a = sparse.add(a, sparse.scale(composed[i], f))
         coeffs.append(a)
     return ProjectiveOneForm(proj.n, form.d, tuple(coeffs))
 
@@ -316,17 +261,16 @@ def form_space_basis(n: int, d: int) -> tuple[ProjectiveOneForm, ...]:
     result is cached; treat the returned forms as read-only.
     """
     nv = n + 1
+    ring = Packing(nv, d + 2)
     monos = list(exponents_of_degree(nv, d + 1))
-    index = {}
-    for r, e in enumerate(exponents_of_degree(nv, d + 2)):
-        index[e] = r
+    index = {ring.pack(e): r for r, e in enumerate(exponents_of_degree(nv, d + 2))}
     nrows = len(index)
     ncols = nv * len(monos)
     matrix = [[0] * ncols for _ in range(nrows)]
     for i in range(nv):
+        step = ring.var(i)
         for m, e in enumerate(monos):
-            row = index[e[:i] + (e[i] + 1,) + e[i + 1 :]]
-            matrix[row][i * len(monos) + m] = 1
+            matrix[index[ring.pack(e) + step]][i * len(monos) + m] = 1
     basis = []
     for vec in kernel_basis(matrix):
         coeffs = []
@@ -335,7 +279,7 @@ def form_space_basis(n: int, d: int) -> tuple[ProjectiveOneForm, ...]:
             for m, e in enumerate(monos):
                 c = vec[i * len(monos) + m]
                 if c:
-                    poly[e] = _norm_scalar(c)
+                    poly[e] = c
             coeffs.append(poly)
         basis.append(ProjectiveOneForm(n, d, tuple(coeffs)))
     assert len(basis) == dimension_vdn(n, d)
@@ -358,7 +302,7 @@ def random_form(n: int, d: int, seed: int) -> ProjectiveOneForm:
         if w == 0:
             continue
         for i in range(n + 1):
-            coeffs[i] = poly_add(coeffs[i], poly_scale(b.coeffs[i], w))
+            coeffs[i] = sparse.add(coeffs[i], sparse.scale(b.coeffs[i], w))
     return ProjectiveOneForm(n, d, tuple(coeffs))
 
 
@@ -441,7 +385,7 @@ def recover(proj: LinearProjection, mu: ProjectiveOneForm) -> ProjectiveOneForm 
         for i in range(3):
             w = adj[t][i]
             if w != 0:
-                raw[i] = poly_add(raw[i], poly_scale(composed, w))
+                raw[i] = sparse.add(raw[i], sparse.scale(composed, w))
     raw_form = ProjectiveOneForm(2, mu.d, tuple(raw))
     if contract_radial(raw_form):
         return None

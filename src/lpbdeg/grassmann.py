@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import sparse
 from .exact import Scalar
-from .polyring import Exponent, TruncatedPoly, elementary_symmetric
+from .polyring import TruncatedPoly, elementary_symmetric
 
 
 @dataclass(frozen=True)
@@ -60,28 +61,23 @@ class GrassContext:
             raise ValueError(f"class is not homogeneous of degree {self.g}")
         if not cls.is_symmetric():
             raise ValueError("class is not symmetric in the root variables")
-        k = self.k
-        target = tuple(self.m - 1 - i for i in range(k))
-        # expand cls * Vandermonde and accumulate only the target coefficient
-        vandermonde: dict[Exponent, int] = {(0,) * k: 1}
-        for i in range(k):
-            for j in range(i + 1, k):
-                nxt: dict[Exponent, int] = {}
-                for e, c in vandermonde.items():
-                    for idx, sign in ((i, 1), (j, -1)):
-                        e2 = e[:idx] + (e[idx] + 1,) + e[idx + 1 :]
-                        v = nxt.get(e2, 0) + sign * c
-                        if v:
-                            nxt[e2] = v
-                        elif e2 in nxt:
-                            del nxt[e2]
-                vandermonde = nxt
+        if cls.is_zero:
+            # a zero class may have a cap too small to pack the target
+            return 0
+        ring = cls.ring
+        # expand the Vandermonde determinant, then pair each of its k! terms
+        # with the class term completing it to the target monomial.  When
+        # target - key is a class key, all three keys are valid packings, and
+        # field sums equal to degree fields leave no room for a carry, so the
+        # exponents add field by field.
+        vandermonde: sparse.Poly = {0: 1}
+        for i in range(self.k):
+            for j in range(i + 1, self.k):
+                vandermonde = sparse.mul(vandermonde, {ring.var(i): 1, ring.var(j): -1})
+        target = ring.pack(self.m - 1 - i for i in range(self.k))
         total: Scalar = 0
-        for e, c in cls.terms.items():
-            rest = tuple(t - a for t, a in zip(target, e))
-            if any(r < 0 for r in rest):
-                continue
-            total += c * vandermonde.get(rest, 0)
+        for key, c in vandermonde.items():
+            total += c * cls.terms.get(target - key, 0)
         return total
 
     def plucker_degree(self) -> int:

@@ -2,13 +2,16 @@
 
 A :class:`TruncatedPoly` lives in the quotient of ``Q[x_1..x_nvars]`` by the
 ideal of everything of total degree above ``cap``.  Terms are stored sparsely
-as a dict from exponent tuples to nonzero scalars; any product silently drops
-terms beyond the cap, which is exactly the right semantics for working on a
-variety whose cohomology vanishes above its dimension.
+in the packed-exponent format of :mod:`lpbdeg.sparse`, with fields sized by
+``cap``; any product silently drops terms beyond the cap, which is exactly
+the right semantics for working on a variety whose cohomology vanishes above
+its dimension.
 
-The exponent order used for display and serialization is graded
-lexicographic: lower total degree first, ties broken by the exponent tuple.
-Arithmetic itself is order-free.
+Exponent tuples remain the public format: the constructor takes them, and
+:meth:`TruncatedPoly.coefficient` and :meth:`TruncatedPoly.sorted_terms`
+speak them.  The order used for display and serialization is graded
+lexicographic: lower total degree first, ties broken by the exponent tuple,
+which is the integer order of packed keys.  Arithmetic itself is order-free.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import sparse
 from .exact import Scalar
+from .sparse import Packing
 
 Exponent = tuple[int, ...]
 
@@ -65,16 +70,17 @@ class LinearForm:
 
 
 class TruncatedPoly:
-    """Sparse polynomial in ``nvars`` variables, truncated above ``cap``."""
+    """Sparse polynomial in ``nvars`` variables, truncated above ``cap``.
 
-    __slots__ = ("nvars", "cap", "terms")
+    ``terms`` maps packed keys of ``ring``, a :class:`~lpbdeg.sparse.Packing`
+    with bound ``cap``, to nonzero scalars.
+    """
+
+    __slots__ = ("ring", "terms")
 
     def __init__(self, nvars: int, cap: int, terms: Mapping[Exponent, Scalar] | None = None) -> None:
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        if cap < 0:
-            raise ValueError("cap must be nonnegative")
-        clean: dict[Exponent, Scalar] = {}
+        ring = Packing(nvars, cap)
+        clean: dict[int, Scalar] = {}
         for expo, c in (terms or {}).items():
             e = tuple(expo)
             if len(e) != nvars:
@@ -83,26 +89,33 @@ class TruncatedPoly:
                 raise ValueError(f"negative exponent in {e}")
             if c == 0 or sum(e) > cap:
                 continue
-            clean[e] = clean.get(e, 0) + c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+            key = ring.pack(e)
+            clean[key] = clean.get(key, 0) + c
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c != 0})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TruncatedPoly is immutable")
 
     @classmethod
-    def _raw(cls, nvars: int, cap: int, terms: dict[Exponent, Scalar]) -> TruncatedPoly:
+    def _raw(cls, ring: Packing, terms: sparse.Poly) -> TruncatedPoly:
         """Trusted constructor: ``terms`` is already clean and owned."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "nvars", nvars)
-        object.__setattr__(obj, "cap", cap)
+        object.__setattr__(obj, "ring", ring)
         object.__setattr__(obj, "terms", terms)
         return obj
 
+    @property
+    def nvars(self) -> int:
+        return self.ring.nvars
+
+    @property
+    def cap(self) -> int:
+        return self.ring.bound
+
     @classmethod
     def zero(cls, nvars: int, cap: int) -> TruncatedPoly:
-        return cls._raw(nvars, cap, {})
+        return cls._raw(Packing(nvars, cap), {})
 
     @classmethod
     def one(cls, nvars: int, cap: int) -> TruncatedPoly:
@@ -110,32 +123,19 @@ class TruncatedPoly:
 
     @classmethod
     def constant(cls, nvars: int, cap: int, c: Scalar) -> TruncatedPoly:
-        if c == 0:
-            return cls.zero(nvars, cap)
-        return cls._raw(nvars, cap, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, nvars: int, cap: int, index: int) -> TruncatedPoly:
-        if not 0 <= index < nvars:
-            raise ValueError("variable index out of range")
-        if cap < 1:
-            return cls.zero(nvars, cap)
-        expo = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._raw(nvars, cap, {expo: 1})
+        return cls._raw(Packing(nvars, cap), {0: c} if c != 0 else {})
 
     @classmethod
     def linear(cls, form: LinearForm, cap: int) -> TruncatedPoly:
         """The linear form itself as a degree-1 polynomial."""
-        terms: dict[Exponent, Scalar] = {}
+        ring = Packing(form.nvars, cap)
+        terms: sparse.Poly = {}
         if cap >= 1:
-            for i, c in enumerate(form.coeffs):
-                if c:
-                    expo = tuple(1 if j == i else 0 for j in range(form.nvars))
-                    terms[expo] = c
-        return cls._raw(form.nvars, cap, terms)
+            terms = {ring.var(i): c for i, c in enumerate(form.coeffs) if c}
+        return cls._raw(ring, terms)
 
     def _check_compatible(self, other: TruncatedPoly) -> None:
-        if self.nvars != other.nvars or self.cap != other.cap:
+        if self.ring != other.ring:
             raise ValueError("operands live in different truncated rings")
 
     @property
@@ -143,24 +143,26 @@ class TruncatedPoly:
         return not self.terms
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.nvars, 0)
+        return self.terms.get(0, 0)
 
     def coefficient(self, expo: Sequence[int]) -> Scalar:
         """Coefficient of the given exponent tuple (0 when absent)."""
         e = tuple(expo)
         if len(e) != self.nvars:
             raise ValueError(f"exponent {e} does not have {self.nvars} entries")
-        return self.terms.get(e, 0)
+        if any(k < 0 for k in e) or sum(e) > self.cap:
+            return 0
+        return self.terms.get(self.ring.pack(e), 0)
 
     def graded_part(self, degree: int) -> TruncatedPoly:
         """The homogeneous piece of the given total degree."""
         if not 0 <= degree <= self.cap:
             raise ValueError("degree outside [0, cap]")
-        part = {e: c for e, c in self.terms.items() if sum(e) == degree}
-        return TruncatedPoly._raw(self.nvars, self.cap, part)
+        part = {k: c for k, c in self.terms.items() if self.ring.degree(k) == degree}
+        return TruncatedPoly._raw(self.ring, part)
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(sum(e) == degree for e in self.terms)
+        return all(self.ring.degree(k) == degree for k in self.terms)
 
     def is_symmetric(self) -> bool:
         """True when invariant under every permutation of the variables.
@@ -168,51 +170,46 @@ class TruncatedPoly:
         Checking adjacent transpositions suffices since they generate the
         symmetric group.
         """
+        ring, terms = self.ring, self.terms
         for i in range(self.nvars - 1):
-            for e, c in self.terms.items():
-                if e[i] != e[i + 1]:
-                    swapped = e[:i] + (e[i + 1], e[i]) + e[i + 2 :]
-                    if self.terms.get(swapped, 0) != c:
-                        return False
+            # adding (b - a) * step to a key moves b into field i, a into i + 1
+            step = (1 << ring.offset(i)) - (1 << ring.offset(i + 1))
+            for k, c in terms.items():
+                a, b = ring.exponent(k, i), ring.exponent(k, i + 1)
+                if a != b and terms.get(k + (b - a) * step, 0) != c:
+                    return False
         return True
 
     def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in graded lexicographic order, the serialization order."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+        unpack = self.ring.unpack
+        return [(unpack(k), c) for k, c in sorted(self.terms.items())]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.cap == other.cap and self.terms == other.terms
+        return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.cap, tuple(self.sorted_terms())))
+        return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other: TruncatedPoly) -> TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return TruncatedPoly._raw(self.nvars, self.cap, out)
+        return TruncatedPoly._raw(self.ring, sparse.add(self.terms, other.terms))
 
     def __neg__(self) -> TruncatedPoly:
-        return TruncatedPoly._raw(self.nvars, self.cap, {e: -c for e, c in self.terms.items()})
+        return TruncatedPoly._raw(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: TruncatedPoly) -> TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
-        return self + (-other)
+        self._check_compatible(other)
+        return TruncatedPoly._raw(self.ring, sparse.sub(self.terms, other.terms))
 
     def scale(self, c: Scalar) -> TruncatedPoly:
-        if c == 0:
-            return TruncatedPoly.zero(self.nvars, self.cap)
-        return TruncatedPoly._raw(self.nvars, self.cap, {e: c * v for e, v in self.terms.items()})
+        return TruncatedPoly._raw(self.ring, sparse.scale(self.terms, c))
 
     def __mul__(self, other: TruncatedPoly | Scalar) -> TruncatedPoly:
         if isinstance(other, (int, Fraction)):
@@ -220,24 +217,7 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compatible(other)
-        a, b = self.terms, other.terms
-        if len(b) < len(a):
-            a, b = b, a
-        big = [(e, sum(e), c) for e, c in b.items()]
-        out: dict[Exponent, Scalar] = {}
-        cap = self.cap
-        for e1, c1 in a.items():
-            d1 = sum(e1)
-            for e2, d2, c2 in big:
-                if d1 + d2 > cap:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return TruncatedPoly._raw(self.nvars, self.cap, out)
+        return TruncatedPoly._raw(self.ring, sparse.mul(self.terms, other.terms, self.ring.limit))
 
     def __rmul__(self, other: Scalar) -> TruncatedPoly:
         if isinstance(other, (int, Fraction)):
@@ -263,24 +243,6 @@ class TruncatedPoly:
         return f"TruncatedPoly({self.nvars}, {self.cap}, {body})"
 
 
-def _mul_shifted_linear(terms: dict[Exponent, Scalar], form: LinearForm, cap: int) -> dict[Exponent, Scalar]:
-    """Multiply a term dict by ``1 + form``, truncating above ``cap``."""
-    out = dict(terms)
-    for e, c in terms.items():
-        if sum(e) >= cap:
-            continue
-        for i, a in enumerate(form.coeffs):
-            if a == 0:
-                continue
-            e2 = e[:i] + (e[i] + 1,) + e[i + 1 :]
-            v = out.get(e2, 0) + c * a
-            if v:
-                out[e2] = v
-            elif e2 in out:
-                del out[e2]
-    return out
-
-
 def product_shifted_linear(
     factors: Iterable[LinearForm], cap: int, nvars: int | None = None
 ) -> TruncatedPoly:
@@ -299,10 +261,14 @@ def product_shifted_linear(
             raise ValueError("factors over different variable counts")
     elif nvars is None:
         raise ValueError("empty product needs an explicit nvars")
-    terms: dict[Exponent, Scalar] = {(0,) * nvars: 1}
+    ring = Packing(nvars, cap)
+    variables = [ring.var(i) for i in range(nvars)]
+    terms: sparse.Poly = {0: 1}
     for form in forms:
-        terms = _mul_shifted_linear(terms, form, cap)
-    return TruncatedPoly._raw(nvars, cap, terms)
+        shifted = {0: 1}
+        shifted.update((v, a) for v, a in zip(variables, form.coeffs) if a)
+        terms = sparse.mul(terms, shifted, ring.limit)
+    return TruncatedPoly._raw(ring, terms)
 
 
 def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
@@ -315,31 +281,22 @@ def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
     """
     if p.constant_term() != 1:
         raise ValueError("inverse_unit_series needs constant term 1")
-    nvars, cap = p.nvars, p.cap
-    p_grades: list[dict[Exponent, Scalar]] = [dict() for _ in range(cap + 1)]
-    for e, c in p.terms.items():
-        p_grades[sum(e)][e] = c
-    q_grades: list[dict[Exponent, Scalar]] = [{(0,) * nvars: 1}]
+    ring, cap = p.ring, p.cap
+    p_grades: list[sparse.Poly] = [{} for _ in range(cap + 1)]
+    for k, c in p.terms.items():
+        p_grades[ring.degree(k)][k] = c
+    q_grades: list[sparse.Poly] = [{0: 1}]
     for k in range(1, cap + 1):
-        acc: dict[Exponent, Scalar] = {}
+        acc: sparse.Poly = {}
         for j in range(1, k + 1):
-            pj = p_grades[j]
-            if not pj:
-                continue
-            qk = q_grades[k - j]
-            for e1, c1 in pj.items():
-                for e2, c2 in qk.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    v = acc.get(e, 0) + c1 * c2
-                    if v:
-                        acc[e] = v
-                    elif e in acc:
-                        del acc[e]
-        q_grades.append({e: -c for e, c in acc.items()})
-    out: dict[Exponent, Scalar] = {}
+            if p_grades[j]:
+                # grade k <= cap fits the packing, so no limit is needed
+                acc = sparse.sub(acc, sparse.mul(p_grades[j], q_grades[k - j]))
+        q_grades.append(acc)
+    out: sparse.Poly = {}
     for grade in q_grades:
         out.update(grade)
-    return TruncatedPoly._raw(nvars, cap, out)
+    return TruncatedPoly._raw(ring, out)
 
 
 def elementary_symmetric(nvars: int, cap: int, index: int) -> TruncatedPoly:
@@ -350,45 +307,6 @@ def elementary_symmetric(nvars: int, cap: int, index: int) -> TruncatedPoly:
         return TruncatedPoly.one(nvars, cap)
     if index > nvars or index > cap:
         return TruncatedPoly.zero(nvars, cap)
-    terms: dict[Exponent, Scalar] = {}
-    for subset in combinations(range(nvars), index):
-        expo = tuple(1 if i in subset else 0 for i in range(nvars))
-        terms[expo] = 1
-    return TruncatedPoly._raw(nvars, cap, terms)
-
-
-def to_elementary(p: TruncatedPoly) -> dict[Exponent, Scalar]:
-    """Rewrite a symmetric polynomial in the elementary symmetric generators.
-
-    Returns a dict mapping multiplicity tuples ``(m_1, ..., m_nvars)`` to
-    coefficients, meaning ``sum c * e_1^{m_1} * ... * e_nvars^{m_nvars}``.
-    The classical leading-term algorithm is used degree by degree: the
-    lexicographically largest exponent of a symmetric homogeneous polynomial
-    is weakly decreasing, and subtracting the matching product of elementary
-    symmetric polynomials strictly lowers it.  Raises ``ValueError`` when the
-    input is not symmetric.
-    """
-    if not p.is_symmetric():
-        raise ValueError("to_elementary needs a symmetric polynomial")
-    k = p.nvars
-    basis = [elementary_symmetric(k, p.cap, i) for i in range(k + 1)]
-    out: dict[Exponent, Scalar] = {}
-    for degree in range(p.cap + 1):
-        h = {e: c for e, c in p.terms.items() if sum(e) == degree}
-        while h:
-            alpha = max(h)
-            assert all(alpha[i] >= alpha[i + 1] for i in range(k - 1))
-            mults = tuple(alpha[i] - alpha[i + 1] for i in range(k - 1)) + (alpha[-1],)
-            c = h[alpha]
-            out[mults] = out.get(mults, 0) + c
-            prod = TruncatedPoly.one(k, p.cap)
-            for i, m in enumerate(mults):
-                if m:
-                    prod = prod * basis[i + 1] ** m
-            for e, pc in prod.terms.items():
-                v = h.get(e, 0) - c * pc
-                if v:
-                    h[e] = v
-                elif e in h:
-                    del h[e]
-    return {m: c for m, c in out.items() if c != 0}
+    ring = Packing(nvars, cap)
+    terms = {sum(ring.var(i) for i in subset): 1 for subset in combinations(range(nvars), index)}
+    return TruncatedPoly._raw(ring, terms)

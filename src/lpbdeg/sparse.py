@@ -1,0 +1,181 @@
+"""Sparse polynomials over packed exponents: the one multiplication kernel.
+
+A polynomial is a dict from packed exponents to nonzero exact scalars.  A
+packed exponent is a single nonnegative ``int``: every variable owns a
+fixed bit field, variable 0 in the highest one, and above all of them sits
+an unbounded field holding the total degree.  Multiplying two monomials is
+then one integer addition, the packed-monomial representation of Monagan
+and Pearce ("Parallel sparse polynomial multiplication using heaps", ISSAC
+2009).
+
+Every key in a polynomial is *valid*: its degree field equals the sum of
+its variable fields.  Two consequences carry the whole module:
+
+* Integer order of valid keys is graded lexicographic order (lower total
+  degree first, ties broken by the exponent tuple), so sorting keys sorts
+  terms for display.
+* When the field width exceeds the largest exponent a product can reach,
+  ``k1 + k2`` is the valid key of the product monomial.  For a truncated
+  product only the degree needs that much room: a variable field of a
+  product that overflows forces the total degree above the cap, and a
+  carry can only raise the degree field, so the single compare
+  ``k1 + k2 < (cap + 1) << shift`` still keeps exactly the products of
+  degree at most ``cap``.
+
+The caller states a degree bound when it builds a :class:`Packing`; fields
+are wide enough for any exponent up to that bound.  ``add``, ``sub`` and
+``scale`` never look inside a key, so they also serve dicts keyed by
+exponent tuples.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Mapping
+
+from .exact import Scalar
+
+Poly = dict[int, Scalar]
+
+
+class Packing:
+    """Bit layout of packed exponents in ``nvars`` variables.
+
+    Fields are wide enough for any exponent up to ``bound``; ``limit`` is
+    the smallest key of total degree ``bound + 1``, the truncation
+    threshold of a ring capped at ``bound``.
+    """
+
+    __slots__ = ("nvars", "bound", "width", "shift", "mask", "limit")
+
+    def __init__(self, nvars: int, bound: int) -> None:
+        if nvars < 1:
+            raise ValueError("need at least one variable")
+        if bound < 0:
+            raise ValueError("degree bound must be nonnegative")
+        self.nvars = nvars
+        self.bound = bound
+        self.width = max(1, bound.bit_length())
+        self.shift = nvars * self.width
+        self.mask = (1 << self.width) - 1
+        self.limit = (bound + 1) << self.shift
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Packing):
+            return NotImplemented
+        return self.nvars == other.nvars and self.bound == other.bound
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.bound))
+
+    def offset(self, var: int) -> int:
+        """Bit offset of the field of variable ``var``."""
+        return (self.nvars - 1 - var) * self.width
+
+    def var(self, var: int) -> int:
+        """The key of the single variable ``x_var``."""
+        if not 0 <= var < self.nvars:
+            raise ValueError("variable index out of range")
+        return (1 << self.shift) | (1 << self.offset(var))
+
+    def degree(self, key: int) -> int:
+        return key >> self.shift
+
+    def exponent(self, key: int, var: int) -> int:
+        return (key >> self.offset(var)) & self.mask
+
+    def pack(self, expo: Iterable[int]) -> int:
+        """The key of an exponent tuple; each entry must fit its field."""
+        expo = tuple(expo)
+        if len(expo) != self.nvars:
+            raise ValueError(f"exponent has {len(expo)} entries, expected {self.nvars}")
+        key = 0
+        for e in expo:
+            if not 0 <= e <= self.mask:
+                raise ValueError(f"exponent {e} does not fit a {self.width}-bit field")
+            key = (key << self.width) | e
+        return (sum(expo) << self.shift) | key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        width, mask = self.width, self.mask
+        return tuple((key >> (width * i)) & mask for i in range(self.nvars - 1, -1, -1))
+
+    def pack_terms(self, terms: Mapping[tuple[int, ...], Scalar]) -> Poly:
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, p: Poly) -> dict[tuple[int, ...], Scalar]:
+        return {self.unpack(k): c for k, c in p.items()}
+
+
+def add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for k, c in q.items():
+        v = out.get(k, 0) + c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
+def sub(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for k, c in q.items():
+        v = out.get(k, 0) - c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
+def scale(p: dict, c: Scalar) -> dict:
+    if c == 0:
+        return {}
+    return {k: v * c for k, v in p.items()}
+
+
+def mul(p: Poly, q: Poly, limit: int | None = None) -> Poly:
+    """The product ``p * q``, keeping only keys below ``limit`` when given.
+
+    Without a limit the caller's packing must have room for the degree of
+    the product; with ``limit = packing.limit`` the result is the product
+    truncated above the packing's bound.
+    """
+    if len(q) < len(p):
+        p, q = q, p
+    out: Poly = {}
+    get = out.get
+    if limit is None:
+        for k1, c1 in p.items():
+            for k2, c2 in q.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    else:
+        # ascending keys: once one product reaches the limit, the rest do too
+        ordered = sorted(q.items())
+        for k1, c1 in p.items():
+            top = limit - k1
+            for k2, c2 in ordered:
+                if k2 >= top:
+                    break
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def diff(p: Poly, packing: Packing, var: int) -> Poly:
+    """Partial derivative with respect to ``x_var``."""
+    step = packing.var(var)
+    offset, mask = packing.offset(var), packing.mask
+    out: Poly = {}
+    for k, c in p.items():
+        e = (k >> offset) & mask
+        if e:
+            out[k - step] = c * e
+    return out
+
+
+def mul_var(p: Poly, packing: Packing, var: int) -> Poly:
+    """Multiply by the single variable ``x_var``; the packing needs room."""
+    step = packing.var(var)
+    return {k + step: c for k, c in p.items()}

@@ -84,6 +84,41 @@ def test_cache_malformed_line_fails(tmp_cache, capsys):
     assert run(["degree", "--n", "3", "--d", "2"]) == 3
 
 
+_GOOD_RECORD = '{"d":2,"degree":"1320","engine_version":"x","n":3}'
+
+
+def test_cache_torn_final_line_is_ignored(tmp_cache, capsys):
+    # a crash mid-append leaves an unterminated fragment as the last line
+    tmp_cache.write_text(_GOOD_RECORD + '\n{"d":3,"deg')
+    assert run(["degree", "--n", "3", "--d", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "10640\n"
+    assert "torn final line 2" in captured.err
+    lines = tmp_cache.read_text().split("\n")
+    assert lines[0] == _GOOD_RECORD
+    assert json.loads(lines[1])["degree"] == "10640"
+    assert lines[2:] == [""]
+    # the next command loads cleanly and still sees the record before the tear
+    assert run(["degree", "--n", "3", "--d", "2"]) == 0
+    assert capsys.readouterr() == ("1320\n", "")
+
+
+def test_cache_unterminated_record_is_kept(tmp_cache, capsys):
+    tmp_cache.write_text(_GOOD_RECORD)
+    assert run(["degree", "--n", "3", "--d", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    lines = tmp_cache.read_text().splitlines()
+    assert lines[0] == _GOOD_RECORD
+    assert json.loads(lines[1])["degree"] == "10640"
+    assert run(["degree", "--n", "3", "--d", "2"]) == 0
+
+
+def test_cache_terminated_torn_line_fails(tmp_cache, capsys):
+    tmp_cache.write_text(_GOOD_RECORD + '\n{"d":3,"deg\n')
+    assert run(["degree", "--n", "3", "--d", "3"]) == 3
+    assert "line 2 is malformed" in capsys.readouterr().err
+
+
 def test_cache_missing_key_fails(tmp_cache):
     tmp_cache.write_text('{"n":3,"d":2}\n')
     assert run(["degree", "--n", "3", "--d", "2"]) == 3

@@ -1,0 +1,149 @@
+"""Property tests of the packed-exponent kernel against tuple-dict references.
+
+The reference operations below work on dicts from exponent tuples, the
+representation the kernel replaced; they are the oracle and live only here.
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from lpbdeg import sparse
+from lpbdeg.polyring import TruncatedPoly
+from lpbdeg.sparse import Packing
+
+coeffs = st.integers(min_value=-6, max_value=6).filter(bool)
+# caps just below and at powers of two, where a field is exactly full
+caps = st.sampled_from([0, 1, 2, 3, 4, 6, 7, 8])
+
+
+def ref_mul(p, q, cap=None):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if cap is None or sum(e) <= cap:
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_diff(p, var):
+    out = {}
+    for e, c in p.items():
+        if e[var]:
+            out[e[:var] + (e[var] - 1,) + e[var + 1 :]] = c * e[var]
+    return out
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def exponents(draw, nvars, cap):
+    """An exponent of total degree at most cap, often with one entry at cap."""
+    if draw(st.booleans()):
+        e = [0] * nvars
+        e[draw(st.integers(0, nvars - 1))] = cap
+        return tuple(e)
+    e = []
+    left = cap
+    for _ in range(nvars):
+        k = draw(st.integers(0, left))
+        e.append(k)
+        left -= k
+    return tuple(draw(st.permutations(e)))
+
+
+@st.composite
+def rings(draw):
+    """(nvars, cap, p, q): two tuple-dict polynomials of degree at most cap."""
+    nvars = draw(st.integers(1, 4))
+    cap = draw(caps)
+    polys = [
+        draw(st.dictionaries(exponents(nvars, cap), coeffs, max_size=8)) for _ in range(2)
+    ]
+    return nvars, cap, *polys
+
+
+@given(rings())
+def test_pack_round_trip(case):
+    nvars, cap, p, _ = case
+    ring = Packing(nvars, cap)
+    for e in p:
+        key = ring.pack(e)
+        assert ring.unpack(key) == e
+        assert ring.degree(key) == sum(e)
+        assert [ring.exponent(key, i) for i in range(nvars)] == list(e)
+    assert ring.unpack_terms(ring.pack_terms(p)) == p
+
+
+@given(rings())
+def test_key_order_is_graded_lex(case):
+    nvars, cap, p, q = case
+    ring = Packing(nvars, cap)
+    expos = set(p) | set(q)
+    by_key = [ring.unpack(k) for k in sorted(ring.pack(e) for e in expos)]
+    assert by_key == sorted(expos, key=lambda e: (sum(e), e))
+    poly = TruncatedPoly(nvars, cap, p)
+    assert [e for e, _ in poly.sorted_terms()] == sorted(p, key=lambda e: (sum(e), e))
+
+
+@given(rings())
+def test_truncated_mul_matches_reference(case):
+    nvars, cap, p, q = case
+    ring = Packing(nvars, cap)
+    got = sparse.mul(ring.pack_terms(p), ring.pack_terms(q), ring.limit)
+    assert ring.unpack_terms(got) == ref_mul(p, q, cap)
+
+
+@given(rings())
+def test_untruncated_mul_matches_reference(case):
+    nvars, cap, p, q = case
+    degree = max(map(sum, p), default=0) + max(map(sum, q), default=0)
+    ring = Packing(nvars, degree)
+    got = sparse.mul(ring.pack_terms(p), ring.pack_terms(q))
+    assert ring.unpack_terms(got) == ref_mul(p, q)
+
+
+@given(rings(), st.data())
+def test_diff_and_mul_var_match_reference(case, data):
+    nvars, cap, p, _ = case
+    var = data.draw(st.integers(0, nvars - 1))
+    ring = Packing(nvars, cap + 1)
+    packed = ring.pack_terms(p)
+    assert ring.unpack_terms(sparse.diff(packed, ring, var)) == ref_diff(p, var)
+    unit = tuple(1 if i == var else 0 for i in range(nvars))
+    assert ring.unpack_terms(sparse.mul_var(packed, ring, var)) == ref_mul(p, {unit: 1})
+
+
+@given(rings(), coeffs)
+def test_add_sub_scale_match_reference(case, c):
+    nvars, cap, p, q = case
+    ring = Packing(nvars, cap)
+    pp, qq = ring.pack_terms(p), ring.pack_terms(q)
+    assert ring.unpack_terms(sparse.add(pp, qq)) == ref_add(p, q)
+    assert ring.unpack_terms(sparse.sub(pp, qq)) == ref_add(p, q, -1)
+    assert ring.unpack_terms(sparse.scale(pp, c)) == {e: v * c for e, v in p.items()}
+    assert sparse.scale(pp, 0) == {}
+    assert sparse.sub(pp, pp) == {}
+
+
+def test_packing_validation():
+    ring = Packing(2, 3)
+    assert ring.width == 2 and ring.limit == 4 << 4
+    with pytest.raises(ValueError):
+        ring.pack((4, 0))  # does not fit a 2-bit field
+    with pytest.raises(ValueError):
+        ring.pack((-1, 0))
+    with pytest.raises(ValueError):
+        ring.pack((1, 0, 0))
+    with pytest.raises(ValueError):
+        ring.var(2)
+    with pytest.raises(ValueError):
+        Packing(0, 3)
+    with pytest.raises(ValueError):
+        Packing(2, -1)
