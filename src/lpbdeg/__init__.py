@@ -26,7 +26,7 @@ values, and no floating point enters any computation.
 
 __version__ = "0.1.0"
 
-from .exact import UniPoly, kernel_basis, lagrange_interpolate, solve_linear
+from .exact import UniPoly, kernel_basis, lagrange_interpolate
 from .foliation import (
     InternalInconsistencyError,
     LpbInvariants,
@@ -52,5 +52,4 @@ __all__ = [
     "pullback_linear",
     "recover",
     "reference_formula",
-    "solve_linear",
 ]

@@ -22,6 +22,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import TYPE_CHECKING
 
+from .exact import normalize
 from .polyring import LinearForm, TruncatedPoly, inverse_unit_series, product_shifted_linear
 
 if TYPE_CHECKING:
@@ -154,10 +155,12 @@ def chern_roots(expr: VirtualBundleExpr, ctx: GrassContext) -> RootSet:
         base = inner.positive
         roots = Counter()
         for picks in combinations_with_replacement(range(len(base)), expr.power):
-            form = LinearForm((0,) * k)
+            # one form per multiset of roots, summed from its index counts
+            counts = [0] * len(base)
             for i in picks:
-                form = form + base[i]
-            roots[form] += 1
+                counts[i] += 1
+            coeffs = (sum(c * f.coeffs[j] for c, f in zip(counts, base)) for j in range(k))
+            roots[LinearForm(tuple(coeffs))] += 1
         return RootSet.make(roots, Counter())
     if isinstance(expr, Tensor):
         left = chern_roots(expr.left, ctx)
@@ -229,13 +232,8 @@ def chern_character_graded(expr: VirtualBundleExpr, ctx: GrassContext, degree: i
                 elif expo in acc:
                     del acc[expo]
     inv = factorial(degree)
-    terms = {e: _exact_div(c, inv) for e, c in acc.items()}
+    terms = {e: normalize(Fraction(c, inv)) for e, c in acc.items()}
     return TruncatedPoly(ctx.k, cap, terms)
-
-
-def _exact_div(num: int, den: int) -> int | Fraction:
-    q = Fraction(num, den)
-    return int(q) if q.denominator == 1 else q
 
 
 def _power_of_linear(form: LinearForm, degree: int) -> dict[tuple[int, ...], int]:

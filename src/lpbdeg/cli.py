@@ -9,8 +9,10 @@ Subcommands::
     forms check-pullback --n N --d D --trials T --seed S
     selftest
 
-Exit codes: 0 success, 1 usage error, 2 verification mismatch, 3 internal
-inconsistency (non-integer integral, route disagreement, cache conflict).
+Exit codes: 0 success, 1 usage error (a bad command line or an argument
+out of range, which each subcommand checks before any work), 2 verification
+mismatch, 3 internal fault (non-integer integral, route disagreement, cache
+conflict, or any other ``ValueError`` raised once the arguments passed).
 
 Computed degrees are cached in a newline-delimited JSON file whose path
 comes from the LPB_CACHE environment variable (default ./lpb-cache.jsonl).
@@ -205,6 +207,11 @@ class DegreeCache:
         return value
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise UsageError(f"{flag} must be at least {low}")
+
+
 def _check_positive(n: int, d: int, value: int) -> None:
     # the degree of an irreducible projective variety is positive; d < 2 is
     # outside the geometric range and exempt
@@ -260,6 +267,8 @@ def _poly_latex(coeffs: Sequence[Fraction]) -> str:
 
 
 def _cmd_degree(args: argparse.Namespace) -> int:
+    _at_least("--n", args.n, 3)
+    _at_least("--d", args.d, 0)
     cache = DegreeCache()
     value = cache.resolve(args.n, args.d, _METHOD_FLAGS[args.method])
     _check_positive(args.n, args.d, value)
@@ -269,6 +278,8 @@ def _cmd_degree(args: argparse.Namespace) -> int:
 
 
 def _table_rows(n: int, d_min: int, d_max: int) -> list[tuple[int, int, int, bool]]:
+    _at_least("--n", n, 3)
+    _at_least("--d-min", d_min, 0)
     if d_min > d_max:
         raise UsageError("--d-min must not exceed --d-max")
     cache = DegreeCache()
@@ -308,6 +319,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_closed_form(args: argparse.Namespace) -> int:
+    _at_least("--n", args.n, 3)
     cache = DegreeCache()
     poly = closed_form(args.n, cache.degree_fn(args.n))
     coeffs = [poly.coefficient(k) for k in range(poly.degree + 1)]
@@ -349,8 +361,9 @@ def _trial_seed(seed: int, trial: int, salt: int) -> int:
 
 
 def _cmd_check_pullback(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
+    _at_least("--n", args.n, 2)
+    _at_least("--d", args.d, 0)
+    _at_least("--trials", args.trials, 1)
     failures = 0
     for trial in range(args.trials):
         omega = random_form(2, args.d, _trial_seed(args.seed, trial, 0))
@@ -457,11 +470,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        # the handlers have range-checked their arguments, so this is a fault
+        print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
 

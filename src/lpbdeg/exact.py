@@ -12,15 +12,21 @@ every routine here is deterministic for a fixed input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
 
-UNIQUE = "unique"
-UNDERDETERMINED = "underdetermined"
-INCONSISTENT = "inconsistent"
+
+def normalize(c: Scalar) -> Scalar:
+    """``c`` as an ``int`` when it is an integral Fraction, else unchanged.
+
+    Integral Fractions equal their ints, but arithmetic on them stays on the
+    slower Fraction path; normalizing keeps integer work on ints.
+    """
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def _to_matrix(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
@@ -32,17 +38,15 @@ def _to_matrix(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     return out
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduce ``rows`` in place to reduced row echelon form.
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduce the nonempty matrix ``rows`` in place to reduced row echelon form.
 
     Returns the reduced rows together with the list of pivot columns, in
-    increasing order.  Only the first ``ncols`` columns are eligible as
-    pivots; trailing columns (an augmented right-hand side, say) are carried
-    along passively.
+    increasing order.
     """
     pivots: list[int] = []
     r = 0
-    for col in range(ncols):
+    for col in range(len(rows[0])):
         hit = None
         for i in range(r, len(rows)):
             if rows[i][col] != 0:
@@ -65,44 +69,6 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]],
     return rows, pivots
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    """Outcome of solving ``A x = b`` exactly.
-
-    ``status`` is one of ``"unique"``, ``"underdetermined"`` or
-    ``"inconsistent"``.  ``vector`` holds one particular solution (with every
-    free coordinate set to zero) whenever the system is consistent, and is
-    ``None`` otherwise.
-    """
-
-    status: str
-    vector: tuple[Fraction, ...] | None
-
-    @property
-    def is_consistent(self) -> bool:
-        return self.status != INCONSISTENT
-
-
-def solve_linear(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> LinearSolution:
-    """Solve the linear system ``matrix @ x = rhs`` over the rationals."""
-    rows = _to_matrix(matrix)
-    if len(rows) != len(rhs):
-        raise ValueError("right-hand side length does not match the row count")
-    ncols = len(rows[0]) if rows else 0
-    aug = [row + [Fraction(b)] for row, b in zip(rows, rhs)]
-    if not aug:
-        return LinearSolution(UNIQUE if ncols == 0 else UNDERDETERMINED, (Fraction(0),) * ncols)
-    reduced, pivots = _rref(aug, ncols)
-    for row in reduced:
-        if row[-1] != 0 and all(x == 0 for x in row[:ncols]):
-            return LinearSolution(INCONSISTENT, None)
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = reduced[i][-1]
-    status = UNIQUE if len(pivots) == ncols else UNDERDETERMINED
-    return LinearSolution(status, tuple(x))
-
-
 def kernel_basis(matrix: Sequence[Sequence[Scalar]]) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel ``{x : matrix @ x = 0}``.
 
@@ -115,7 +81,7 @@ def kernel_basis(matrix: Sequence[Sequence[Scalar]]) -> list[tuple[Fraction, ...
     if not rows:
         raise ValueError("kernel_basis needs at least one row to fix the column count")
     ncols = len(rows[0])
-    reduced, pivots = _rref(rows, ncols)
+    reduced, pivots = _rref(rows)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -134,7 +100,7 @@ def matrix_rank(matrix: Sequence[Sequence[Scalar]]) -> int:
     rows = _to_matrix(matrix)
     if not rows:
         return 0
-    _, pivots = _rref(rows, len(rows[0]))
+    _, pivots = _rref(rows)
     return len(pivots)
 
 

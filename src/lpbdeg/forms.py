@@ -32,18 +32,12 @@ from math import comb
 from typing import Iterable, Sequence
 
 from . import sparse
-from .exact import Scalar, kernel_basis, matrix_rank
+from .exact import Scalar, kernel_basis, matrix_rank, normalize
 from .polyring import exponents_of_degree
 from .sparse import Packing
 
 Exponent = tuple[int, ...]
 Poly = dict[Exponent, Scalar]
-
-
-def _norm_scalar(c: Scalar) -> Scalar:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 def poly_mul(p: sparse.Poly, q: sparse.Poly) -> sparse.Poly:
@@ -116,15 +110,11 @@ class ProjectiveOneForm:
                 if len(key) != self.n + 1 or any(k < 0 for k in key):
                     raise ValueError(f"bad exponent {key} for ambient dimension {self.n}")
                 if c != 0:
-                    poly[key] = _norm_scalar(c)
+                    poly[key] = normalize(c)
             if any(sum(e) != self.d + 1 for e in poly):
                 raise ValueError(f"coefficients must be homogeneous of degree {self.d + 1}")
             clean.append(poly)
         self.coeffs = tuple(clean)
-
-    @classmethod
-    def zero(cls, n: int, d: int) -> ProjectiveOneForm:
-        return cls(n, d, tuple({} for _ in range(n + 1)))
 
     @property
     def is_zero(self) -> bool:
@@ -188,7 +178,7 @@ class LinearProjection:
     rows: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(_norm_scalar(Fraction(c)) for c in row) for row in self.rows)
+        rows = tuple(tuple(normalize(Fraction(c)) for c in row) for row in self.rows)
         if len(rows) != 3:
             raise ValueError("a projection to the plane needs exactly 3 rows")
         widths = {len(row) for row in rows}
@@ -292,7 +282,7 @@ def random_form(n: int, d: int, seed: int) -> ProjectiveOneForm:
     Combines the cached kernel basis with independent uniform integer
     coefficients in [-9, 9] drawn from ``random.Random(seed)``; the same
     (n, d, seed) always yields the same form, and the radial contraction of
-    the result is identically zero.
+    the result is identically zero.  Needs n >= 2 and d >= 0.
     """
     basis = form_space_basis(n, d)
     rng = random.Random(seed)
@@ -307,7 +297,12 @@ def random_form(n: int, d: int, seed: int) -> ProjectiveOneForm:
 
 
 def random_projection(n: int, seed: int) -> LinearProjection:
-    """Deterministic pseudo-random full-rank projection with entries in [-9, 9]."""
+    """Deterministic pseudo-random full-rank projection with entries in [-9, 9].
+
+    The source is P^n with n >= 2, since the rank must be 3.
+    """
+    if n < 2:
+        raise ValueError("ambient projective dimension must be at least 2")
     rng = random.Random(seed)
     for _ in range(1000):
         rows = tuple(tuple(rng.randint(-9, 9) for _ in range(n + 1)) for _ in range(3))

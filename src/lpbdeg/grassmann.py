@@ -29,8 +29,7 @@ class GrassContext:
 
     ``k`` is the number of Chern root variables used by every class over
     this space; ``g`` is the dimension, which is also the truncation cap
-    needed to integrate; ``box`` is the rectangular partition shape
-    ``(m - k, ..., m - k)`` bounding all Schubert indices.
+    needed to integrate.
     """
 
     k: int
@@ -43,10 +42,6 @@ class GrassContext:
     @property
     def g(self) -> int:
         return self.k * (self.m - self.k)
-
-    @property
-    def box(self) -> tuple[int, ...]:
-        return (self.m - self.k,) * self.k
 
     def integrate(self, cls: TruncatedPoly) -> Scalar:
         """Integral over the Grassmannian of a degree-g symmetric class.

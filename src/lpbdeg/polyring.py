@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import sparse
-from .exact import Scalar
+from .exact import Scalar, normalize
 from .sparse import Packing
 
 Exponent = tuple[int, ...]
@@ -209,7 +209,10 @@ class TruncatedPoly:
         return TruncatedPoly._raw(self.ring, sparse.sub(self.terms, other.terms))
 
     def scale(self, c: Scalar) -> TruncatedPoly:
-        return TruncatedPoly._raw(self.ring, sparse.scale(self.terms, c))
+        """The multiple ``c * self``; integral coefficients come out as ints."""
+        if c == 0:
+            return TruncatedPoly._raw(self.ring, {})
+        return TruncatedPoly._raw(self.ring, {k: normalize(v * c) for k, v in self.terms.items()})
 
     def __mul__(self, other: TruncatedPoly | Scalar) -> TruncatedPoly:
         if isinstance(other, (int, Fraction)):

@@ -10,6 +10,18 @@ bundle:
 with the purely combinatorial weight computed by :func:`weight_w`.  This
 route shares nothing with the Chern class quotient route beyond the root
 data, which makes it a genuine cross-check of the engine.
+
+The sum is evaluated on integers.  Since w(lam) / prod lam_i! = 1/z_lam
+(Macdonald, *Symmetric Functions and Hall Polynomials*, I.2), scaling each
+piece to the power sum p_j = j! ch_j(F*) gives
+
+    k! s_k(F) = sum over lam of (k!/z_lam) * p_{lam_1} * p_{lam_2} * ...
+
+where k!/z_lam, the number of permutations of cycle type lam, is an
+integer.  For integer Chern roots every product then runs on ints, and one
+division by k! ends the sum.  Consecutive partitions in reverse
+lexicographic order share leading parts, so their prefix products are
+shared as well.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 from .polyring import TruncatedPoly
@@ -90,6 +102,12 @@ def weight_w(lam: Partition) -> Fraction:
     return Fraction(num, den)
 
 
+def _class_size(lam: Partition) -> int:
+    """``k!/z_lam`` for a partition of k, which is ``k! w(lam) / prod lam_i!``."""
+    size = factorial(lam.weight) * weight_w(lam) / prod(factorial(part) for part in lam)
+    return size.numerator
+
+
 def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> TruncatedPoly:
     """Degree-k Segre class from graded Chern characters of the dual bundle.
 
@@ -109,10 +127,18 @@ def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> 
             raise ValueError(f"graded piece {j} is not homogeneous of degree {j}")
     if k == 0:
         return TruncatedPoly.one(head.nvars, head.cap)
+    power_sums = [piece.scale(factorial(j)) for j, piece in enumerate(graded_characters[: k + 1])]
     total = TruncatedPoly.zero(head.nvars, head.cap)
+    # products[i] is the product of the first i + 1 parts of ``previous``
+    products: list[TruncatedPoly] = []
+    previous: tuple[int, ...] = ()
     for lam in partitions(k):
-        prod = TruncatedPoly.one(head.nvars, head.cap)
-        for part in lam:
-            prod = prod * graded_characters[part]
-        total = total + prod.scale(weight_w(lam))
-    return total
+        shared = 0
+        while shared < len(previous) and lam.parts[shared] == previous[shared]:
+            shared += 1
+        del products[shared:]
+        for part in lam.parts[shared:]:
+            products.append(products[-1] * power_sums[part] if products else power_sums[part])
+        total = total + products[-1].scale(_class_size(lam))
+        previous = lam.parts
+    return total.scale(Fraction(1, factorial(k)))

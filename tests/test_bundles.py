@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -53,6 +55,28 @@ def test_sym_respects_multiplicity():
     roots = chern_roots(sym(2, doubled), CTX)
     assert len(roots.positive) == 21  # multisets of size 2 from 6 roots
     assert roots.positive.count(LinearForm((1, 1, 0))) == 4
+
+
+def _sym_reference(base, power):
+    # the splitting principle read literally: one root per multiset of roots
+    roots = Counter()
+    for picks in combinations_with_replacement(base, power):
+        form = LinearForm((0, 0, 0))
+        for f in picks:
+            form = form + f
+        roots[form] += 1
+    return RootSet.make(roots, Counter())
+
+
+@given(
+    st.sampled_from(
+        [TAUT, dual(TAUT), Plus(TAUT, dual(TAUT)), Tensor(TAUT, dual(TAUT)), Minus(TAUT, TAUT)]
+    ),
+    st.integers(0, 4),
+)
+def test_sym_roots_match_summed_picks(operand, power):
+    base = chern_roots(operand, CTX).positive
+    assert chern_roots(Sym(power, operand), CTX) == _sym_reference(base, power)
 
 
 def test_sym_of_virtual_rejected():

@@ -310,6 +310,30 @@ def test_domain_errors_exit_one(tmp_cache, capsys):
     assert any("error:" in line for line in err)
 
 
+def test_argument_ranges_exit_one(tmp_cache, capsys):
+    assert run(["table", "--n", "3", "--d-min", "-1", "--d-max", "2"]) == 1
+    assert run(["closed-form", "--n", "2"]) == 1
+    check = ["forms", "check-pullback", "--trials", "1", "--seed", "1"]
+    assert run(check + ["--n", "1", "--d", "1"]) == 1
+    assert run(check + ["--n", "3", "--d", "-1"]) == 1
+    out, err = _lines(capsys)
+    assert out == []
+    assert all(line.startswith("error: ") for line in err)
+    assert not tmp_cache.exists()
+
+
+def test_engine_value_error_exits_three(tmp_cache, monkeypatch, capsys):
+    # a ValueError from inside the engine is a fault, not a usage error
+    def broken(pieces, k):
+        raise ValueError("graded characters live in different rings")
+
+    monkeypatch.setattr(foliation, "segre_via_characters", broken)
+    assert run(["degree", "--n", "3", "--d", "2", "--method", "chchar"]) == 3
+    out, err = _lines(capsys)
+    assert out == []
+    assert err == ["internal error: graded characters live in different rings"]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(["--version"])

@@ -4,16 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lpbdeg.exact import (
-    INCONSISTENT,
-    UNDERDETERMINED,
-    UNIQUE,
-    UniPoly,
-    kernel_basis,
-    lagrange_interpolate,
-    matrix_rank,
-    solve_linear,
-)
+from lpbdeg.exact import UniPoly, kernel_basis, lagrange_interpolate, matrix_rank, normalize
 
 scalars = st.integers(min_value=-9, max_value=9)
 
@@ -27,39 +18,6 @@ def matrices(draw, max_rows=4, max_cols=4):
 
 def _mat_vec(matrix, vec):
     return [sum(a * x for a, x in zip(row, vec)) for row in matrix]
-
-
-def test_solve_unique():
-    sol = solve_linear([[2, 0], [0, 4]], [2, 8])
-    assert sol.status == UNIQUE
-    assert sol.vector == (Fraction(1), Fraction(2))
-    assert sol.is_consistent
-
-
-def test_solve_underdetermined_particular_solution():
-    sol = solve_linear([[1, 1]], [3])
-    assert sol.status == UNDERDETERMINED
-    assert _mat_vec([[1, 1]], sol.vector) == [3]
-
-
-def test_solve_inconsistent():
-    sol = solve_linear([[1], [1]], [1, 2])
-    assert sol.status == INCONSISTENT
-    assert sol.vector is None
-    assert not sol.is_consistent
-
-
-def test_solve_shape_validation():
-    with pytest.raises(ValueError):
-        solve_linear([[1, 2], [3]], [1, 2])
-    with pytest.raises(ValueError):
-        solve_linear([[1, 2]], [1, 2])
-
-
-def test_solve_accepts_fractions():
-    sol = solve_linear([[Fraction(1, 2)]], [Fraction(3, 4)])
-    assert sol.status == UNIQUE
-    assert sol.vector == (Fraction(3, 2),)
 
 
 def test_kernel_of_row():
@@ -78,6 +36,23 @@ def test_kernel_trivial_and_full():
     assert basis[0] == (1, 0, 0)
 
 
+def test_matrix_shape_validation():
+    with pytest.raises(ValueError):
+        kernel_basis([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        matrix_rank([[1], [2, 3]])
+    with pytest.raises(ValueError):
+        kernel_basis([])
+    assert matrix_rank([]) == 0
+
+
+def test_normalize_integral_fractions():
+    assert type(normalize(Fraction(6, 3))) is int
+    assert normalize(Fraction(6, 3)) == 2
+    assert normalize(Fraction(1, 3)) == Fraction(1, 3)
+    assert type(normalize(-4)) is int
+
+
 @given(matrices())
 def test_kernel_vectors_annihilate(matrix):
     basis = kernel_basis(matrix)
@@ -89,16 +64,6 @@ def test_kernel_vectors_annihilate(matrix):
 def test_rank_nullity(matrix):
     cols = len(matrix[0])
     assert matrix_rank(matrix) + len(kernel_basis(matrix)) == cols
-
-
-@given(matrices(), st.data())
-def test_solve_recovers_constructed_rhs(matrix, data):
-    cols = len(matrix[0])
-    x = [data.draw(scalars) for _ in range(cols)]
-    b = _mat_vec(matrix, x)
-    sol = solve_linear(matrix, b)
-    assert sol.is_consistent
-    assert _mat_vec(matrix, sol.vector) == b
 
 
 def test_unipoly_basics():

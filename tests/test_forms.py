@@ -62,7 +62,7 @@ def test_form_prunes_zero_terms():
     assert form.coeffs[0] == {}
     assert form.coeffs[1] == {(0, 1, 0): 2}
     assert not form.is_zero
-    assert ProjectiveOneForm.zero(2, 1).is_zero
+    assert ProjectiveOneForm(2, 1, ({}, {}, {})).is_zero
 
 
 def test_contract_radial_examples():
@@ -142,6 +142,8 @@ def test_random_projection_deterministic_and_full_rank():
     assert a == b
     assert matrix_rank(a.rows) == 3
     assert a.n == 4
+    with pytest.raises(ValueError):
+        random_projection(1, 9)  # no rank-3 map from P^1
 
 
 def test_projection_validation():
@@ -298,8 +300,8 @@ def test_recover_dimension_mismatch():
 
 def test_recover_zero_form():
     proj = random_projection(3, 5)
-    zero = ProjectiveOneForm.zero(3, 2)
-    assert recover(proj, zero) == ProjectiveOneForm.zero(2, 2)
+    zero = ProjectiveOneForm(3, 2, ({},) * 4)
+    assert recover(proj, zero) == ProjectiveOneForm(2, 2, ({},) * 3)
 
 
 def test_form_addition_and_scaling():

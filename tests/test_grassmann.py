@@ -17,9 +17,8 @@ def test_context_validation():
 def test_dimension_and_box():
     ctx = GrassContext(3, 6)
     assert ctx.g == 9
-    assert ctx.box == (3, 3, 3)
     assert GrassContext(3, 4).g == 3
-    assert GrassContext(1, 5).box == (4,)
+    assert GrassContext(1, 5).g == 4
 
 
 def test_plucker_degrees_of_three_plane_grassmannians():

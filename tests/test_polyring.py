@@ -126,6 +126,8 @@ def test_ring_axioms(p, q, r):
 def test_scale_matches_repeated_addition(p):
     assert p.scale(3) == p + p + p
     assert p.scale(Fraction(1, 2)) + p.scale(Fraction(1, 2)) == p
+    # integral results are stored as ints, so later products stay on ints
+    assert all(type(c) is int for _, c in p.scale(Fraction(1, 2)).scale(2).sorted_terms())
     assert p * 0 == TruncatedPoly.zero(NVARS, CAP)
 
 

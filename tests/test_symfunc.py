@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lpbdeg.polyring import LinearForm, TruncatedPoly, inverse_unit_series, product_shifted_linear
-from lpbdeg.symfunc import Partition, partitions, segre_via_characters, weight_w
+from lpbdeg.polyring import (
+    LinearForm,
+    TruncatedPoly,
+    exponents_of_degree,
+    inverse_unit_series,
+    product_shifted_linear,
+)
+from lpbdeg.symfunc import Partition, _class_size, partitions, segre_via_characters, weight_w
 
 
 def test_partition_validation():
@@ -70,6 +76,47 @@ def test_character_sum_matches_inverted_chern_series(form_coeffs, k):
     expected = inverse_unit_series(total_chern).graded_part(k)
     pieces = _graded_characters_of_dual(forms, k, k)
     assert segre_via_characters(pieces, k) == expected
+
+
+def _segre_reference(pieces, k):
+    # the partition-weighted sum read literally, on the unscaled pieces
+    head = pieces[0]
+    total = TruncatedPoly.zero(head.nvars, head.cap)
+    for lam in partitions(k):
+        prod = TruncatedPoly.one(head.nvars, head.cap)
+        for part in lam:
+            prod = prod * pieces[part]
+        total = total + prod.scale(weight_w(lam))
+    return total
+
+
+@st.composite
+def graded_pieces(draw):
+    k = draw(st.integers(0, 6))
+    nvars = draw(st.integers(1, 3))
+    cap = k + draw(st.integers(0, 1))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+    pieces = []
+    for j in range(k + 1):
+        monomials = list(exponents_of_degree(nvars, j))
+        chosen = draw(st.lists(st.sampled_from(monomials), max_size=3, unique=True))
+        pieces.append(TruncatedPoly(nvars, cap, {e: draw(coeffs) for e in chosen}))
+    return pieces, k
+
+
+@given(graded_pieces())
+def test_character_sum_matches_literal_partition_sum(case):
+    # arbitrary Fraction pieces, so j! * c is often not integral and the
+    # integer sum has to fall back to Fractions without changing the value
+    pieces, k = case
+    assert segre_via_characters(pieces, k) == _segre_reference(pieces, k)
+
+
+def test_class_sizes_count_permutations():
+    # k!/z_lam is the size of a conjugacy class of S_k: (3), (2, 1), (1, 1, 1)
+    assert [_class_size(lam) for lam in partitions(3)] == [2, 3, 1]
+    for k in range(8):
+        assert sum(_class_size(lam) for lam in partitions(k)) == factorial(k)
 
 
 def test_character_sum_validation():
