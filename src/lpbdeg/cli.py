@@ -12,7 +12,8 @@ Subcommands::
 Exit codes: 0 success, 1 usage error (a bad command line or an argument
 out of range, which each subcommand checks before any work), 2 verification
 mismatch, 3 internal fault (non-integer integral, route disagreement, cache
-conflict, or any other ``ValueError`` raised once the arguments passed).
+conflict, or any other ``ValueError``, ``ArithmeticError`` or
+``RuntimeError`` raised once the arguments passed).
 
 Computed degrees are cached in a newline-delimited JSON file whose path
 comes from the LPB_CACHE environment variable (default ./lpb-cache.jsonl).
@@ -473,7 +474,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         # the handlers have range-checked their arguments, so this is a fault
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

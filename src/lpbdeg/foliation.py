@@ -16,15 +16,15 @@ Chern roots, so exact agreement is a strong correctness check.
 
 For fixed n the degree is a polynomial in d of degree at most 3g with
 g = 3(n-2); :func:`closed_form` recovers it by exact interpolation with one
-held-out verification node.  :func:`reference_formula` hard-codes the two
-published closed forms (n = 3 and n = 4) for cross-checking.
+held-out verification node.  :func:`reference_polynomial` transcribes the
+two published closed forms (n = 3 and n = 4) for cross-checking, and
+:func:`reference_formula` evaluates them at one d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable
 
 from .bundles import (
@@ -202,33 +202,17 @@ _N4_COFACTOR_DESC = (
 )
 
 
-def _falling_factorial_5(d: Scalar) -> Scalar:
-    """(d+4)(d+3)(d+2)(d+1)d, the polynomial form of (d+4)!/(d-1)!."""
-    out = 1
-    for i in range(5):
-        out = out * (d + i)
-    return out
-
-
 def reference_formula(n: int, d: int) -> int:
     """Exact evaluation of the published closed form for n in {3, 4}.
 
     For n = 4 the published display quotients factorials, so d >= 1 is
     required there; n = 3 accepts any d >= 0.
     """
-    if n == 3:
-        if d < 0:
-            raise ValueError("foliation degree must be nonnegative")
-        value = Fraction(20, 27) * comb(d + 4, 5) * (d * d + 6 * d + 11) * (d * d + 2 * d + 3)
-    elif n == 4:
-        if d < 1:
-            raise ValueError("the published n = 4 form divides by (d-1)!, so d >= 1")
-        cofactor = 0
-        for c in _N4_COFACTOR_DESC:
-            cofactor = cofactor * d + c
-        value = Fraction(_falling_factorial_5(d) * cofactor * (2 + d), 839808)
-    else:
-        raise ValueError("published closed forms exist only for n = 3 and n = 4")
+    if n == 3 and d < 0:
+        raise ValueError("foliation degree must be nonnegative")
+    if n == 4 and d < 1:
+        raise ValueError("the published n = 4 form divides by (d-1)!, so d >= 1")
+    value = reference_polynomial(n)(d)
     if value.denominator != 1:
         raise InternalInconsistencyError(f"published form at (n, d) = ({n}, {d}) is not an integer: {value}")
     return int(value)

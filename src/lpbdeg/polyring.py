@@ -12,13 +12,22 @@ Exponent tuples remain the public format: the constructor takes them, and
 speak them.  The order used for display and serialization is graded
 lexicographic: lower total degree first, ties broken by the exponent tuple,
 which is the integer order of packed keys.  Arithmetic itself is order-free.
+
+Total Chern classes come from :func:`product_shifted_linear`, which never
+multiplies its ``(1 + form)`` factors out: it gathers integer moment sums
+over the distinct forms and recovers the product's graded pieces from the
+power sums by Newton's identities, so its cost is set by the number of
+distinct forms and of monomials below the cap.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import sparse
@@ -246,6 +255,34 @@ class TruncatedPoly:
         return f"TruncatedPoly({self.nvars}, {self.cap}, {body})"
 
 
+@lru_cache(maxsize=None)
+def _moment_table(nvars: int, cap: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
+    """Grade-by-grade recipe for the monomials of degree 1 .. ``cap``.
+
+    Entry ``j - 1`` describes grade j as three parallel tuples: ``steps``
+    of ``(parent, var)``, meaning the monomial is ``x_var`` times the
+    parent's monomial at that index in grade j - 1; the packed ``keys``;
+    and the ``multinomials`` j! / prod alpha_i!.  Each monomial's parent
+    drops one factor of its lowest-index variable, so every monomial
+    appears once.
+    """
+    ring = Packing(nvars, cap)
+    # grade 0 is the empty monomial; a monomial may grow by any variable up
+    # to its lowest-index one, the sole variable its parent pointer drops
+    prev: list[tuple[int, int, int]] = [(0, 1, nvars - 1)]
+    table = []
+    for j in range(1, cap + 1):
+        steps, level = [], []
+        for parent, (key, multinomial, lowest) in enumerate(prev):
+            for var in range(lowest + 1):
+                child = key + ring.var(var)
+                steps.append((parent, var))
+                level.append((child, multinomial * j // ring.exponent(child, var), var))
+        table.append((tuple(steps), tuple(k for k, _, _ in level), tuple(m for _, m, _ in level)))
+        prev = level
+    return tuple(table)
+
+
 def product_shifted_linear(
     factors: Iterable[LinearForm], cap: int, nvars: int | None = None
 ) -> TruncatedPoly:
@@ -253,6 +290,17 @@ def product_shifted_linear(
 
     This is the total Chern class of a bundle whose roots are the forms.  An
     empty factor list yields 1, in which case ``nvars`` must be supplied.
+
+    The product is never multiplied out.  One pass over the distinct forms
+    a, with multiplicities m, gathers the integer moment sums
+    ``M_alpha = sum m * a^alpha`` for every ``|alpha| <= cap``; the power
+    sums of the roots are ``p_j = sum_{|alpha| = j} (j; alpha) M_alpha
+    x^alpha``, and Newton's identities
+    ``k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i`` give the graded pieces
+    e_k of the product (Fulton, *Intersection Theory*, Ch. 3).  The cost is
+    one multiplication per distinct form and monomial, plus a Newton step
+    that depends on ``cap`` alone.  The division by k is exact on integers;
+    a remainder raises ``ArithmeticError``.
     """
     forms = list(factors)
     if forms:
@@ -264,14 +312,34 @@ def product_shifted_linear(
             raise ValueError("factors over different variable counts")
     elif nvars is None:
         raise ValueError("empty product needs an explicit nvars")
-    ring = Packing(nvars, cap)
-    variables = [ring.var(i) for i in range(nvars)]
+    table = _moment_table(nvars, cap)
+    moments = [[0] * len(keys) for _, keys, _ in table]
+    for coeffs, mult in Counter(f.coeffs for f in forms).items():
+        level = [mult]
+        for j, (steps, _, _) in enumerate(table):
+            level = [level[parent] * coeffs[var] for parent, var in steps]
+            moments[j] = list(map(add, moments[j], level))
+    # signed[i] = (-1)^(i-1) p_i, so each Newton step is a plain sum
+    signed: list[sparse.Poly] = [{}]
+    for j, ((_, keys, multinomials), sums) in enumerate(zip(table, moments), 1):
+        sign = 1 if j % 2 else -1
+        signed.append({k: sign * c * s for k, c, s in zip(keys, multinomials, sums) if s})
+    elementary: list[sparse.Poly] = [{0: 1}]
     terms: sparse.Poly = {0: 1}
-    for form in forms:
-        shifted = {0: 1}
-        shifted.update((v, a) for v, a in zip(variables, form.coeffs) if a)
-        terms = sparse.mul(terms, shifted, ring.limit)
-    return TruncatedPoly._raw(ring, terms)
+    for k in range(1, cap + 1):
+        acc: sparse.Poly = {}
+        for i in range(1, k + 1):
+            # grade k <= cap fits the packing, so no limit is needed
+            acc = sparse.add(acc, sparse.mul(elementary[k - i], signed[i]))
+        grade: sparse.Poly = {}
+        for key, c in acc.items():
+            q, r = divmod(c, k)
+            if r:
+                raise ArithmeticError(f"Newton step {k} leaves a remainder {r}")
+            grade[key] = q
+        elementary.append(grade)
+        terms.update(grade)
+    return TruncatedPoly._raw(Packing(nvars, cap), terms)
 
 
 def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:

@@ -33,6 +33,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Iterator, Sequence
 
+from .exact import Scalar
 from .polyring import TruncatedPoly
 
 
@@ -128,7 +129,8 @@ def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> 
     if k == 0:
         return TruncatedPoly.one(head.nvars, head.cap)
     power_sums = [piece.scale(factorial(j)) for j, piece in enumerate(graded_characters[: k + 1])]
-    total = TruncatedPoly.zero(head.nvars, head.cap)
+    # k! s_k, accumulated in place
+    total: dict[int, Scalar] = {}
     # products[i] is the product of the first i + 1 parts of ``previous``
     products: list[TruncatedPoly] = []
     previous: tuple[int, ...] = ()
@@ -139,6 +141,9 @@ def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> 
         del products[shared:]
         for part in lam.parts[shared:]:
             products.append(products[-1] * power_sums[part] if products else power_sums[part])
-        total = total + products[-1].scale(_class_size(lam))
+        size = _class_size(lam)
+        for key, c in products[-1].terms.items():
+            total[key] = total.get(key, 0) + size * c
         previous = lam.parts
-    return total.scale(Fraction(1, factorial(k)))
+    nonzero = {key: c for key, c in total.items() if c}
+    return TruncatedPoly._raw(head.ring, nonzero).scale(Fraction(1, factorial(k)))

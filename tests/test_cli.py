@@ -334,6 +334,30 @@ def test_engine_value_error_exits_three(tmp_cache, monkeypatch, capsys):
     assert err == ["internal error: graded characters live in different rings"]
 
 
+def test_engine_arithmetic_error_exits_three(monkeypatch, capsys):
+    # an ArithmeticError is a fault too, not an uncaught traceback with exit 1
+    def broken(self):
+        raise ArithmeticError("Newton step 3 leaves a remainder 1")
+
+    monkeypatch.setattr(cli.GrassContext, "plucker_degree", broken)
+    assert run(["selftest"]) == 3
+    out, err = _lines(capsys)
+    assert out == []
+    assert err == ["internal error: Newton step 3 leaves a remainder 1"]
+
+
+def test_engine_runtime_error_exits_three(monkeypatch, capsys):
+    def broken(n, seed):
+        raise RuntimeError("no full-rank projection found")
+
+    monkeypatch.setattr(cli, "random_projection", broken)
+    args = ["forms", "check-pullback", "--n", "3", "--d", "2", "--trials", "1", "--seed", "0"]
+    assert run(args) == 3
+    out, err = _lines(capsys)
+    assert out == []
+    assert err == ["internal error: no full-rank projection found"]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run(["--version"])

@@ -1,0 +1,33 @@
+"""The benchmark's degree workloads print exactly their recorded stdout.
+
+`perfbench/golden.json` holds, per workload, the stdout of each command
+line in `perfbench/workloads.py`.  Running the two degree workloads here,
+in-process through `cli.main`, puts the byte-identical-output contract
+into the suite and not only into the benchmark.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from lpbdeg.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["closed-form", "route-check"])
+def test_degree_workload_stdout_matches_golden(workload, tmp_cache, capsys):
+    workloads = _workloads()
+    golden = json.loads((PERFBENCH / "golden.json").read_text())[workload]
+    for argv in workloads.ops(workload, 0):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == golden[workloads.golden_key(argv)], argv

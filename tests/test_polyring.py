@@ -173,6 +173,41 @@ def test_product_shifted_linear_matches_naive(form_coeffs):
     assert fast == slow
 
 
+def _one_factor_at_a_time(forms, nvars, cap):
+    """The truncated product multiplied out one ``(1 + form)`` at a time."""
+    terms = {(0,) * nvars: 1}
+    for form in forms:
+        out = dict(terms)
+        for expo, c in terms.items():
+            if sum(expo) == cap:
+                continue
+            for i, a in enumerate(form.coeffs):
+                raised = expo[:i] + (expo[i] + 1,) + expo[i + 1 :]
+                out[raised] = out.get(raised, 0) + c * a
+        terms = {e: c for e, c in out.items() if c}
+    return terms
+
+
+@st.composite
+def shifted_factors(draw):
+    nvars = draw(st.integers(1, 4))
+    cap = draw(st.integers(0, 9))
+    form = st.one_of(st.just((0,) * nvars), st.tuples(*[coeffs] * nvars))
+    # a small pool, so repeated forms are common
+    pool = draw(st.lists(form, min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return nvars, cap, [LinearForm(c) for c in picks]
+
+
+@given(shifted_factors())
+def test_product_shifted_linear_matches_one_factor_at_a_time(case):
+    nvars, cap, forms = case
+    got = product_shifted_linear(forms, cap, nvars=nvars)
+    assert (got.nvars, got.cap) == (nvars, cap)
+    assert dict(got.sorted_terms()) == _one_factor_at_a_time(forms, nvars, cap)
+    assert all(type(c) is int for _, c in got.sorted_terms())
+
+
 def test_elementary_symmetric_explicit():
     e1 = elementary_symmetric(3, 3, 1)
     assert dict(e1.sorted_terms()) == {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
