@@ -4,29 +4,35 @@ Bundles are built from the tautological subbundle of a Grassmannian of
 k-planes by duals, symmetric powers, tensor products, sums and differences.
 By the splitting principle every such expression has a formal multiset of
 Chern roots, each an integer linear form in the k Chern roots x_1..x_k of
-the *dual* tautological subbundle.  That convention makes the elementary
-symmetric polynomials of the x_i the Schubert hyperplane classes with the
-usual signs: the roots of the tautological subbundle itself are the -x_i.
+the *dual* tautological subbundle, written as its coefficient tuple.  That
+convention makes the elementary symmetric polynomials of the x_i the
+Schubert hyperplane classes with the usual signs: the roots of the
+tautological subbundle itself are the -x_i.
 
-A virtual bundle carries two multisets, positive and negative; common forms
-are cancelled so that a virtual difference whose negative part divides the
-positive part is recognized as an honest bundle.
+A virtual bundle's roots are one map from form to signed multiplicity,
+computed bottom-up over the expression tree: a difference subtracts
+multiplicities and a form whose multiplicity reaches zero is dropped, so a
+virtual difference whose negative part divides the positive part is
+recognized as an honest bundle.  :func:`chern_roots` splits the map by sign.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
+from operator import add
 from typing import TYPE_CHECKING
 
 from .exact import normalize
-from .polyring import LinearForm, TruncatedPoly, inverse_unit_series, product_shifted_linear
+from .polyring import TruncatedPoly, inverse_unit_series, product_shifted_linear
 
 if TYPE_CHECKING:
     from .grassmann import GrassContext
+
+# a Chern root: the integer coefficients of a linear form in x_1..x_k
+Root = tuple[int, ...]
 
 
 class VirtualBundleExpr:
@@ -107,20 +113,14 @@ def sym(power: int, expr: VirtualBundleExpr) -> VirtualBundleExpr:
 class RootSet:
     """Formal Chern roots of a virtual bundle, split by sign.
 
-    Both parts are multisets of linear forms, stored sorted; construction
-    cancels forms shared by the two parts, so ``negative`` is empty exactly
-    when the virtual bundle is (recognizably) an honest bundle.
+    Each part lists integer coefficient tuples, sorted, a root repeated as
+    often as its multiplicity.  A form never appears in both parts, so
+    ``negative`` is empty exactly when the virtual bundle is (recognizably)
+    an honest bundle.
     """
 
-    positive: tuple[LinearForm, ...]
-    negative: tuple[LinearForm, ...]
-
-    @classmethod
-    def make(cls, positive: Counter[LinearForm], negative: Counter[LinearForm]) -> RootSet:
-        common = positive & negative
-        pos = positive - common
-        neg = negative - common
-        return cls(tuple(sorted(pos.elements())), tuple(sorted(neg.elements())))
+    positive: tuple[Root, ...]
+    negative: tuple[Root, ...]
 
     @property
     def virtual_rank(self) -> int:
@@ -137,61 +137,46 @@ def chern_roots(expr: VirtualBundleExpr, ctx: GrassContext) -> RootSet:
     Raises ``ValueError`` for a symmetric power of a properly virtual
     operand, which has no splitting-principle expansion of this shape.
     """
-    k = ctx.k
+    signed = _signed_roots(expr, ctx.k)
+    positive = sorted(f for f, m in signed.items() if m > 0 for _ in range(m))
+    negative = sorted(f for f, m in signed.items() if m < 0 for _ in range(-m))
+    return RootSet(tuple(positive), tuple(negative))
+
+
+def _signed_roots(expr: VirtualBundleExpr, k: int) -> dict[Root, int]:
+    """Map from each Chern root form to its nonzero signed multiplicity."""
     if isinstance(expr, TautologicalSub):
-        roots = Counter(
-            LinearForm(tuple(-1 if j == i else 0 for j in range(k))) for i in range(k)
-        )
-        return RootSet.make(roots, Counter())
+        return {tuple(-1 if j == i else 0 for j in range(k)): 1 for i in range(k)}
     if isinstance(expr, Dual):
-        inner = chern_roots(expr.operand, ctx)
-        return RootSet.make(
-            Counter(-f for f in inner.positive), Counter(-f for f in inner.negative)
-        )
+        return {tuple(-c for c in f): m for f, m in _signed_roots(expr.operand, k).items()}
     if isinstance(expr, Sym):
-        inner = chern_roots(expr.operand, ctx)
-        if not inner.is_honest:
+        inner = _signed_roots(expr.operand, k)
+        if any(m < 0 for m in inner.values()):
             raise ValueError("symmetric power of a properly virtual bundle")
-        base = inner.positive
-        roots = Counter()
+        base = [f for f, m in inner.items() for _ in range(m)]
+        out: dict[Root, int] = {}
         for picks in combinations_with_replacement(range(len(base)), expr.power):
             # one form per multiset of roots, summed from its index counts
             counts = [0] * len(base)
             for i in picks:
                 counts[i] += 1
-            coeffs = (sum(c * f.coeffs[j] for c, f in zip(counts, base)) for j in range(k))
-            roots[LinearForm(tuple(coeffs))] += 1
-        return RootSet.make(roots, Counter())
+            form = tuple(sum(c * f[j] for c, f in zip(counts, base)) for j in range(k))
+            out[form] = out.get(form, 0) + 1
+        return out
     if isinstance(expr, Tensor):
-        left = chern_roots(expr.left, ctx)
-        right = chern_roots(expr.right, ctx)
-        pos: Counter[LinearForm] = Counter()
-        neg: Counter[LinearForm] = Counter()
-        for a in left.positive:
-            for b in right.positive:
-                pos[a + b] += 1
-            for b in right.negative:
-                neg[a + b] += 1
-        for a in left.negative:
-            for b in right.positive:
-                neg[a + b] += 1
-            for b in right.negative:
-                pos[a + b] += 1
-        return RootSet.make(pos, neg)
-    if isinstance(expr, Plus):
-        left = chern_roots(expr.left, ctx)
-        right = chern_roots(expr.right, ctx)
-        return RootSet.make(
-            Counter(left.positive) + Counter(right.positive),
-            Counter(left.negative) + Counter(right.negative),
-        )
-    if isinstance(expr, Minus):
-        left = chern_roots(expr.left, ctx)
-        right = chern_roots(expr.right, ctx)
-        return RootSet.make(
-            Counter(left.positive) + Counter(right.negative),
-            Counter(left.negative) + Counter(right.positive),
-        )
+        right = _signed_roots(expr.right, k).items()
+        out = {}
+        for a, ma in _signed_roots(expr.left, k).items():
+            for b, mb in right:
+                form = tuple(map(add, a, b))
+                out[form] = out.get(form, 0) + ma * mb
+        return {f: m for f, m in out.items() if m}
+    if isinstance(expr, (Plus, Minus)):
+        sign = 1 if isinstance(expr, Plus) else -1
+        out = dict(_signed_roots(expr.left, k))
+        for f, m in _signed_roots(expr.right, k).items():
+            out[f] = out.get(f, 0) + sign * m
+        return {f: m for f, m in out.items() if m}
     raise TypeError(f"not a bundle expression: {expr!r}")
 
 
@@ -214,35 +199,34 @@ def chern_character_graded(expr: VirtualBundleExpr, ctx: GrassContext, degree: i
     """Degree-``degree`` graded piece of the Chern character.
 
     For roots r_i minus roots s_j this is
-    ``(sum r_i^degree - sum s_j^degree) / degree!``, expanded with
-    multinomial coefficients.
+    ``(sum r_i^degree - sum s_j^degree) / degree!``: each distinct form is
+    expanded once with multinomial coefficients and scaled by its signed
+    multiplicity.
     """
     if degree < 0:
         raise ValueError("negative character degree")
     if degree > cap:
         raise ValueError("character degree beyond the ring cap")
-    roots = chern_roots(expr, ctx)
     acc: dict[tuple[int, ...], int] = {}
-    for sign, part in ((1, roots.positive), (-1, roots.negative)):
-        for form in part:
-            for expo, coeff in _power_of_linear(form, degree).items():
-                v = acc.get(expo, 0) + sign * coeff
-                if v:
-                    acc[expo] = v
-                elif expo in acc:
-                    del acc[expo]
+    for form, mult in _signed_roots(expr, ctx.k).items():
+        for expo, coeff in _power_of_linear(form, degree).items():
+            v = acc.get(expo, 0) + mult * coeff
+            if v:
+                acc[expo] = v
+            elif expo in acc:
+                del acc[expo]
     inv = factorial(degree)
     terms = {e: normalize(Fraction(c, inv)) for e, c in acc.items()}
     return TruncatedPoly(ctx.k, cap, terms)
 
 
-def _power_of_linear(form: LinearForm, degree: int) -> dict[tuple[int, ...], int]:
+def _power_of_linear(form: Root, degree: int) -> dict[tuple[int, ...], int]:
     """Expand ``form ** degree`` by the multinomial theorem."""
-    k = form.nvars
+    k = len(form)
     if degree == 0:
         return {(0,) * k: 1}
     out: dict[tuple[int, ...], int] = {}
-    support = [i for i, c in enumerate(form.coeffs) if c]
+    support = [i for i, c in enumerate(form) if c]
     if not support:
         return {}
     for picks in combinations_with_replacement(support, degree):
@@ -254,7 +238,7 @@ def _power_of_linear(form: LinearForm, degree: int) -> dict[tuple[int, ...], int
             if expo[i]:
                 coeff //= factorial(expo[i])
         for i in support:
-            coeff *= form.coeffs[i] ** expo[i]
+            coeff *= form[i] ** expo[i]
         key = tuple(expo)
         v = out.get(key, 0) + coeff
         if v:

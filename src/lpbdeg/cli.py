@@ -13,13 +13,16 @@ Exit codes: 0 success, 1 usage error (a bad command line or an argument
 out of range, which each subcommand checks before any work), 2 verification
 mismatch, 3 internal fault (non-integer integral, route disagreement, cache
 conflict, or any other ``ValueError``, ``ArithmeticError`` or
-``RuntimeError`` raised once the arguments passed).
+``RuntimeError`` raised once the arguments passed) or a cache file that
+cannot be read or written (an ``OSError``, reported as ``error:`` with the
+path).
 
 Computed degrees are cached in a newline-delimited JSON file whose path
 comes from the LPB_CACHE environment variable (default ./lpb-cache.jsonl).
 Each record is ``{"n": int, "d": int, "degree": "<decimal>", "engine_version":
 str}``; the degree is a decimal string because values outgrow 64-bit
-integers quickly.  The file is append-only (one atomic write per record)
+integers quickly, and a record whose fields have other JSON types is
+malformed.  The file is append-only (one atomic write per record)
 and deduplicated on load; two records disagreeing on one (n, d) key are a
 fatal integrity error, and so is a malformed line.  The one exception is an
 unterminated final line that does not parse, the trace of a crash
@@ -138,9 +141,11 @@ class DegreeCache:
             return
         try:
             record = json.loads(line)
-            n = int(record["n"])
-            d = int(record["d"])
-            degree = int(record["degree"])
+            n, d, degree = record["n"], record["d"], record["degree"]
+            # exact types: int() would round 999.7 down and read true as 1
+            if type(n) is not int or type(d) is not int or type(degree) is not str:
+                raise TypeError("n and d must be JSON integers and degree a JSON string")
+            degree = int(degree)
         except (KeyError, TypeError, ValueError) as exc:
             raise _MalformedRecord(
                 f"cache file {self.path} line {line_no} is malformed: {exc}"
@@ -473,6 +478,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        # an unusable cache path; the message names the file
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         # the handlers have range-checked their arguments, so this is a fault

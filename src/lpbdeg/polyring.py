@@ -13,17 +13,17 @@ speak them.  The order used for display and serialization is graded
 lexicographic: lower total degree first, ties broken by the exponent tuple,
 which is the integer order of packed keys.  Arithmetic itself is order-free.
 
-Total Chern classes come from :func:`product_shifted_linear`, which never
-multiplies its ``(1 + form)`` factors out: it gathers integer moment sums
-over the distinct forms and recovers the product's graded pieces from the
-power sums by Newton's identities, so its cost is set by the number of
-distinct forms and of monomials below the cap.
+Total Chern classes come from :func:`product_shifted_linear`, which takes
+its Chern roots as plain integer coefficient tuples and never multiplies
+its ``(1 + form)`` factors out: it gathers integer moment sums over the
+distinct forms and recovers the product's graded pieces from the power
+sums by Newton's identities, so its cost is set by the number of distinct
+forms and of monomials below the cap.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -51,31 +51,6 @@ def exponents_of_degree(nvars: int, degree: int) -> Iterator[Exponent]:
     for first in range(degree, -1, -1):
         for rest in exponents_of_degree(nvars - 1, degree - first):
             yield (first,) + rest
-
-
-@dataclass(frozen=True, order=True)
-class LinearForm:
-    """Integer linear form ``sum coeffs[i] * x_i``, used as a Chern root."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not all(isinstance(c, int) for c in self.coeffs):
-            raise ValueError("LinearForm coefficients must be integers")
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coeffs)
-
-    def __neg__(self) -> LinearForm:
-        return LinearForm(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: LinearForm) -> LinearForm:
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("linear forms over different variable counts")
-        return LinearForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
 
 class TruncatedPoly:
@@ -133,15 +108,6 @@ class TruncatedPoly:
     @classmethod
     def constant(cls, nvars: int, cap: int, c: Scalar) -> TruncatedPoly:
         return cls._raw(Packing(nvars, cap), {0: c} if c != 0 else {})
-
-    @classmethod
-    def linear(cls, form: LinearForm, cap: int) -> TruncatedPoly:
-        """The linear form itself as a degree-1 polynomial."""
-        ring = Packing(form.nvars, cap)
-        terms: sparse.Poly = {}
-        if cap >= 1:
-            terms = {ring.var(i): c for i, c in enumerate(form.coeffs) if c}
-        return cls._raw(ring, terms)
 
     def _check_compatible(self, other: TruncatedPoly) -> None:
         if self.ring != other.ring:
@@ -284,12 +250,16 @@ def _moment_table(nvars: int, cap: int) -> tuple[tuple[tuple, tuple, tuple], ...
 
 
 def product_shifted_linear(
-    factors: Iterable[LinearForm], cap: int, nvars: int | None = None
+    factors: Iterable[tuple[int, ...]], cap: int, nvars: int | None = None
 ) -> TruncatedPoly:
     """The truncated product of ``(1 + form)`` over the given linear forms.
 
-    This is the total Chern class of a bundle whose roots are the forms.  An
-    empty factor list yields 1, in which case ``nvars`` must be supplied.
+    Each factor is the integer coefficient tuple of a linear form, one entry
+    per root, so a repeated root is listed as often as it occurs.  This is
+    the total Chern class of a bundle whose roots are the forms.  An empty
+    factor list yields 1, in which case ``nvars`` must be supplied.
+    Non-integer coefficients or factors over different variable counts
+    raise ``ValueError``.
 
     The product is never multiplied out.  One pass over the distinct forms
     a, with multiplicities m, gathers the integer moment sums
@@ -302,19 +272,21 @@ def product_shifted_linear(
     that depends on ``cap`` alone.  The division by k is exact on integers;
     a remainder raises ``ArithmeticError``.
     """
-    forms = list(factors)
-    if forms:
-        inferred = forms[0].nvars
+    grouped = Counter(factors)
+    if grouped:
+        inferred = len(next(iter(grouped)))
         if nvars is not None and nvars != inferred:
             raise ValueError("nvars disagrees with the factors")
         nvars = inferred
-        if any(f.nvars != nvars for f in forms):
+        if any(len(f) != nvars for f in grouped):
             raise ValueError("factors over different variable counts")
+        if not all(isinstance(c, int) for f in grouped for c in f):
+            raise ValueError("linear form coefficients must be integers")
     elif nvars is None:
         raise ValueError("empty product needs an explicit nvars")
     table = _moment_table(nvars, cap)
     moments = [[0] * len(keys) for _, keys, _ in table]
-    for coeffs, mult in Counter(f.coeffs for f in forms).items():
+    for coeffs, mult in grouped.items():
         level = [mult]
         for j, (steps, _, _) in enumerate(table):
             level = [level[parent] * coeffs[var] for parent, var in steps]

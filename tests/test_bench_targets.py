@@ -1,20 +1,35 @@
-"""Every function the benchmark's traced run rebinds must still exist.
+"""The benchmark's traced run must keep working against the package.
 
-`perfbench/spans.py` lists them by module and attribute path; a rename in
-`lpbdeg` would otherwise fail only the traced benchmark, not the suite.
+`perfbench/spans.py` lists the functions it rebinds by module and attribute
+path, and its count hooks read the results; a rename in `lpbdeg`, or a
+changed return type, would otherwise fail only the traced benchmark, not
+the suite.  These tests read `perfbench/` and never write there.
 """
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+from lpbdeg.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_targets_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+def _load(name, monkeypatch):
+    # no bytecode cache next to the benchmark's sources
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_targets_resolve(monkeypatch):
+    spans = _load("spans", monkeypatch)
     for name, module_name, path, _ in spans.TARGETS:
         owner = importlib.import_module(module_name)
         *outer, attr = path.split(".")
@@ -23,3 +38,30 @@ def test_traced_targets_resolve():
         # the recorder rebinds the attribute where it is defined
         assert attr in vars(owner), f"span {name}: {module_name}.{path} is gone"
         assert callable(vars(owner)[attr]), f"span {name}: {module_name}.{path} is not callable"
+
+
+@pytest.mark.parametrize(
+    "workload, argv",
+    [
+        ("closed-form", ["verify-paper", "--n", "3"]),
+        ("route-check", ["degree", "--n", "5", "--d", "2", "--method", "both"]),
+    ],
+)
+def test_traced_command_passes_self_test(workload, argv, tmp_cache, monkeypatch, capsys):
+    # one op under the recorder: the count hooks must read the results, the
+    # output must not change, and every span the workload expects must fire
+    spans = _load("spans", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    golden = json.loads((PERFBENCH / "golden.json").read_text())[workload]
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        code = main(argv)
+    finally:
+        restored = recorder.restore()
+    assert code == 0
+    assert capsys.readouterr().out == golden[workloads.golden_key(argv)]
+    assert restored
+    stats = recorder.snapshot()
+    silent = [name for name in workloads.EXPECTED_CALLS[workload] if stats[name]["calls"] == 0]
+    assert not silent, f"spans with no calls: {silent}"

@@ -375,3 +375,47 @@ def test_degree_cache_object_roundtrip(tmp_cache):
     assert reloaded.get(3, 2) == 1320
     with pytest.raises(cli.CacheConflictError):
         reloaded.put(3, 2, 1321)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"d":2,"degree":999.7,"engine_version":"x","n":3}',
+        '{"d":2,"degree":1320,"engine_version":"x","n":3}',
+        '{"d":2,"degree":"1320","engine_version":"x","n":true}',
+        '{"d":2,"degree":"1320","engine_version":"x","n":3.0}',
+        '{"d":"2","degree":"1320","engine_version":"x","n":3}',
+        '{"d":false,"degree":"80","engine_version":"x","n":3}',
+    ],
+)
+def test_cache_mistyped_record_fails(tmp_cache, capsys, record):
+    # int() would read 999.7 as 999 and true as 1; only exact JSON types pass
+    tmp_cache.write_text(record + "\n")
+    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    out, err = _lines(capsys)
+    assert out == []
+    assert any("line 1 is malformed" in line for line in err)
+
+
+def test_cache_negative_degree_string_reaches_range_check(tmp_cache, capsys):
+    tmp_cache.write_text('{"d":2,"degree":"-5","engine_version":"x","n":3}\n')
+    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    _, err = _lines(capsys)
+    assert any("negative degree" in line for line in err)
+
+
+def test_cache_path_in_missing_directory_exits_three(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "missing" / "c.jsonl"
+    monkeypatch.setenv(CACHE_ENV_VAR, str(path))
+    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    out, err = _lines(capsys)
+    assert out == []
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+
+def test_cache_path_naming_a_directory_exits_three(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    out, err = _lines(capsys)
+    assert out == []
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0]

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpbdeg.polyring import (
-    LinearForm,
     TruncatedPoly,
     elementary_symmetric,
     exponents_of_degree,
@@ -58,25 +57,23 @@ def test_exponent_enumeration_order_is_stable():
 
 
 def test_truncation_in_products():
-    x = TruncatedPoly.linear(LinearForm((1,)), 2)
+    x = TruncatedPoly(1, 2, {(1,): 1})
     p = (TruncatedPoly.one(1, 2) + x) ** 5
     assert dict(p.sorted_terms()) == {(0,): 1, (1,): 5, (2,): 10}
 
 
 def test_variable_and_linear_constructors():
-    lf = LinearForm((2, 0, -1))
-    p = TruncatedPoly.linear(lf, CAP)
+    p = TruncatedPoly(3, CAP, {(1, 0, 0): 2, (0, 0, 1): -1})
     assert p.coefficient((1, 0, 0)) == 2
     assert p.coefficient((0, 1, 0)) == 0
     assert p.coefficient((0, 0, 1)) == -1
 
 
-def test_linear_form_validation_and_order():
+def test_product_shifted_linear_rejects_non_integer_coefficients():
     with pytest.raises(ValueError):
-        LinearForm((Fraction(1, 2),))
-    assert LinearForm((0, 1)) < LinearForm((1, 0))
-    assert -LinearForm((1, -2)) == LinearForm((-1, 2))
-    assert LinearForm((1, 0)) + LinearForm((0, 1)) == LinearForm((1, 1))
+        product_shifted_linear([(Fraction(1, 2),)], 3)
+    with pytest.raises(ValueError):
+        product_shifted_linear([(1, 0), (0, 1.0)], 3)
 
 
 def test_incompatible_rings_rejected():
@@ -146,9 +143,7 @@ def test_inverse_needs_unit_constant_term():
 
 
 def test_product_shifted_linear_explicit():
-    a = LinearForm((1, 0))
-    b = LinearForm((0, -2))
-    p = product_shifted_linear([a, b], 2)
+    p = product_shifted_linear([(1, 0), (0, -2)], 2)
     # (1 + x)(1 - 2y) = 1 + x - 2y - 2xy
     assert dict(p.sorted_terms()) == {(0, 0): 1, (1, 0): 1, (0, 1): -2, (1, 1): -2}
 
@@ -158,18 +153,18 @@ def test_product_shifted_linear_empty_needs_nvars():
     with pytest.raises(ValueError):
         product_shifted_linear([], 3)
     with pytest.raises(ValueError):
-        product_shifted_linear([LinearForm((1,))], 3, nvars=2)
+        product_shifted_linear([(1,)], 3, nvars=2)
     with pytest.raises(ValueError):
-        product_shifted_linear([LinearForm((1,)), LinearForm((1, 2))], 3)
+        product_shifted_linear([(1,), (1, 2)], 3)
 
 
 @given(st.lists(st.tuples(coeffs, coeffs, coeffs), max_size=4))
 def test_product_shifted_linear_matches_naive(form_coeffs):
-    forms = [LinearForm(c) for c in form_coeffs]
-    fast = product_shifted_linear(forms, CAP, nvars=3)
+    fast = product_shifted_linear(form_coeffs, CAP, nvars=3)
     slow = _one()
-    for f in forms:
-        slow = slow * (_one() + TruncatedPoly.linear(f, CAP))
+    for a, b, c in form_coeffs:
+        factor = {(0, 0, 0): 1, (1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}
+        slow = slow * TruncatedPoly(3, CAP, factor)
     assert fast == slow
 
 
@@ -181,7 +176,7 @@ def _one_factor_at_a_time(forms, nvars, cap):
         for expo, c in terms.items():
             if sum(expo) == cap:
                 continue
-            for i, a in enumerate(form.coeffs):
+            for i, a in enumerate(form):
                 raised = expo[:i] + (expo[i] + 1,) + expo[i + 1 :]
                 out[raised] = out.get(raised, 0) + c * a
         terms = {e: c for e, c in out.items() if c}
@@ -196,7 +191,7 @@ def shifted_factors(draw):
     # a small pool, so repeated forms are common
     pool = draw(st.lists(form, min_size=1, max_size=4))
     picks = draw(st.lists(st.sampled_from(pool), max_size=12))
-    return nvars, cap, [LinearForm(c) for c in picks]
+    return nvars, cap, picks
 
 
 @given(shifted_factors())
