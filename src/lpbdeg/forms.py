@@ -14,6 +14,15 @@ homogeneity but deliberately not the contraction identity, so that
 non-members can be constructed and tested; membership is the statement
 ``contract_radial(form) == {}``.
 
+:func:`integrability_defect` gives the coefficients Omega_ijk of
+``mu ^ d mu``.  For coefficients homogeneous of degree d+1 the Euler
+relation gives ``i_R d mu = (d+2) mu - d(i_R mu)``, so on the radial kernel
+``i_R (mu ^ d mu) = 0``, that is ``sum_l Z_l Omega_ljk = 0`` (Jouanolou,
+*Equations de Pfaff algebriques*, LNM 708).  Once the C(n, 3) triples
+without 0 vanish, ``Z_0 Omega_0jk`` vanishes too, so the check forms only
+(n-2)/(n+1) of the C(n+1, 3) triples of an integrable form whose radial
+contraction is zero, and all of them otherwise.
+
 Linear pullback along a rank-3 matrix F sends a plane form to a form on
 P^n, and :func:`recover` inverts that map exactly: it builds a one-sided
 inverse of F from an invertible column triple, pulls the candidate back and
@@ -145,26 +154,44 @@ def contract_radial(form: ProjectiveOneForm) -> Poly:
 def integrability_defect(form: ProjectiveOneForm) -> dict[tuple[int, int, int], Poly]:
     """The quadratic integrability obstructions, indexed by triples i < j < k.
 
-    For each triple the defect is
+    For each triple the defect is the coefficient of dZ_i dZ_j dZ_k in
+    ``mu ^ d mu``,
     ``A_i (d_j A_k - d_k A_j) + A_j (d_k A_i - d_i A_k) + A_k (d_i A_j - d_j A_i)``
     with d_j the partial derivative in Z_j; the form is integrable exactly
     when every defect is the zero polynomial.
+
+    The C(n, 3) triples without 0 are computed first.  When all of them
+    vanish and the radial contraction is zero, the C(n, 2) triples
+    (0, j, k) are zero too and are stored as ``{}`` without being formed:
+    contracting ``mu ^ d mu`` with the radial field gives
+    ``sum_l Z_l Omega_ljk = 0`` (Jouanolou), so ``Z_0 Omega_0jk`` is a sum of
+    triples without 0.  Otherwise every triple is computed, so the dict is
+    exact for any form.  On integrable forms in the radial kernel this
+    leaves (n-2)/(n+1) of the triples.
     """
     nv = form.n + 1
     ring = Packing(nv, 2 * form.d + 1)
     coeffs = [ring.pack_terms(a) for a in form.coeffs]
-    # curl[j, k] = d_j A_k - d_k A_j, formed once per pair
-    curl = {
-        (j, k): sparse.sub(sparse.diff(coeffs[k], ring, j), sparse.diff(coeffs[j], ring, k))
-        for j, k in combinations(range(nv), 2)
+
+    @lru_cache(maxsize=None)
+    def curl(j: int, k: int) -> sparse.Poly:
+        # d_j A_k - d_k A_j, formed once per pair that a triple reads
+        return sparse.sub(sparse.diff(coeffs[k], ring, j), sparse.diff(coeffs[j], ring, k))
+
+    def defect(i: int, j: int, k: int) -> Poly:
+        term = poly_mul(coeffs[i], curl(j, k))
+        term = sparse.sub(term, poly_mul(coeffs[j], curl(i, k)))
+        term = sparse.add(term, poly_mul(coeffs[k], curl(i, j)))
+        return ring.unpack_terms(term)
+
+    inner = {t: defect(*t) for t in combinations(range(1, nv), 3)}
+    outer_zero = not any(inner.values()) and not contract_radial(form)
+    outer = {
+        (0, j, k): {} if outer_zero else defect(0, j, k)
+        for j, k in combinations(range(1, nv), 2)
     }
-    out: dict[tuple[int, int, int], Poly] = {}
-    for i, j, k in combinations(range(nv), 3):
-        term = poly_mul(coeffs[i], curl[j, k])
-        term = sparse.sub(term, poly_mul(coeffs[j], curl[i, k]))
-        term = sparse.add(term, poly_mul(coeffs[k], curl[i, j]))
-        out[(i, j, k)] = ring.unpack_terms(term)
-    return out
+    # the triples with 0 come first in the order of combinations(range(nv), 3)
+    return {**outer, **inner}
 
 
 @dataclass(frozen=True)
@@ -272,7 +299,9 @@ def form_space_basis(n: int, d: int) -> tuple[ProjectiveOneForm, ...]:
                     poly[e] = c
             coeffs.append(poly)
         basis.append(ProjectiveOneForm(n, d, tuple(coeffs)))
-    assert len(basis) == dimension_vdn(n, d)
+    expected = dimension_vdn(n, d)
+    if len(basis) != expected:
+        raise RuntimeError(f"form space basis has {len(basis)} forms, expected {expected}")
     return tuple(basis)
 
 
@@ -362,7 +391,8 @@ def recover(proj: LinearProjection, mu: ProjectiveOneForm) -> ProjectiveOneForm 
         if det != 0:
             triple = cols
             break
-    assert triple is not None  # rank 3 guarantees an invertible column triple
+    if triple is None:  # rank 3 guarantees an invertible column triple
+        raise RuntimeError("projection of rank 3 has no invertible column triple")
     block = [[proj.rows[r][c] for c in triple] for r in range(3)]
     adj = _adjugate3(block)
     # restrict each relevant coefficient of mu to the chosen variables,

@@ -45,6 +45,10 @@ def test_traced_targets_resolve(monkeypatch):
     [
         ("closed-form", ["verify-paper", "--n", "3"]),
         ("route-check", ["degree", "--n", "5", "--d", "2", "--method", "both"]),
+        (
+            "forms-grid",
+            ["forms", "check-pullback", "--n", "3", "--d", "1", "--trials", "4", "--seed", "301"],
+        ),
     ],
 )
 def test_traced_command_passes_self_test(workload, argv, tmp_cache, monkeypatch, capsys):

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpbdeg import forms, sparse
 from lpbdeg.exact import matrix_rank
 from lpbdeg.forms import (
     LinearProjection,
@@ -104,6 +106,65 @@ def test_integrability_defect_of_contact_form():
     assert any(integrability_defect(form).values())
 
 
+def _all_triples_defect(form):
+    # the oracle: every triple of C(n+1, 3) formed, with no use of the
+    # radial identity
+    nv = form.n + 1
+    ring = Packing(nv, 2 * form.d + 1)
+    coeffs = [ring.pack_terms(a) for a in form.coeffs]
+    curl = {
+        (j, k): sparse.sub(sparse.diff(coeffs[k], ring, j), sparse.diff(coeffs[j], ring, k))
+        for j, k in combinations(range(nv), 2)
+    }
+    out = {}
+    for i, j, k in combinations(range(nv), 3):
+        term = poly_mul(coeffs[i], curl[j, k])
+        term = sparse.sub(term, poly_mul(coeffs[j], curl[i, k]))
+        term = sparse.add(term, poly_mul(coeffs[k], curl[i, j]))
+        out[(i, j, k)] = ring.unpack_terms(term)
+    return out
+
+
+@st.composite
+def _defect_inputs(draw):
+    # three kinds: random members of the radial kernel (generically not
+    # integrable for n >= 3), pullbacks (integrable), and free coefficient
+    # vectors (generically off the radial kernel)
+    kind = draw(st.sampled_from(["kernel", "pullback", "free"]))
+    d = draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "kernel":
+        return random_form(draw(st.integers(2, 5)), d, seed)
+    if kind == "pullback":
+        n = draw(st.integers(2, 5))
+        return pullback_linear(random_projection(n, seed + 1), random_form(2, d, seed))
+    n = draw(st.integers(2, 4))
+    monos = list(exponents_of_degree(n + 1, d + 1))
+    scalars = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+    terms = st.dictionaries(st.sampled_from(monos), scalars, max_size=4)
+    return _form(n, d, *[draw(terms) for _ in range(n + 1)])
+
+
+@given(_defect_inputs())
+def test_integrability_defect_matches_all_triples(form):
+    got = integrability_defect(form)
+    assert list(got.items()) == list(_all_triples_defect(form).items())
+
+
+def test_integrability_defect_off_the_radial_kernel():
+    # Z0 dZ2 + Z2 dZ3 on P^3: contraction Z0 Z2 + Z2 Z3 is nonzero and the
+    # only nonzero triple contains 0, so a reduction that skips the triples
+    # with 0 without testing the contraction reports this form integrable
+    form = _form(3, 0, {}, {}, {(1, 0, 0, 0): 1}, {(0, 0, 1, 0): 1})
+    assert contract_radial(form) == {(1, 0, 1, 0): 1, (0, 0, 1, 1): 1}
+    assert integrability_defect(form) == {
+        (0, 1, 2): {},
+        (0, 1, 3): {},
+        (0, 2, 3): {(0, 0, 1, 0): 1},
+        (1, 2, 3): {},
+    }
+
+
 def test_integrability_of_logarithmic_type_form():
     # G dF - F dG with F = Z0, G = Z1 on n = 3
     form = _form(3, 0, {(0, 1, 0, 0): 1}, {(1, 0, 0, 0): -1}, {}, {})
@@ -125,6 +186,18 @@ def test_form_space_basis_shapes():
         assert len(basis) == dimension_vdn(n, d)
         for b in basis:
             assert contract_radial(b) == {}
+
+
+def test_form_space_basis_size_check_survives_optimization(monkeypatch):
+    # a kernel one vector short is an internal fault, raised even under -O
+    full = forms.kernel_basis
+    monkeypatch.setattr(forms, "kernel_basis", lambda matrix: full(matrix)[1:])
+    form_space_basis.cache_clear()
+    try:
+        with pytest.raises(RuntimeError):
+            form_space_basis(2, 1)
+    finally:
+        form_space_basis.cache_clear()
 
 
 def test_random_form_deterministic():

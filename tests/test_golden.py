@@ -1,9 +1,9 @@
-"""The benchmark's degree workloads print exactly their recorded stdout.
+"""The benchmark's workloads print exactly their recorded stdout.
 
 `perfbench/golden.json` holds, per workload, the stdout of each command
-line in `perfbench/workloads.py`.  Running the two degree workloads here,
-in-process through `cli.main`, puts the byte-identical-output contract
-into the suite and not only into the benchmark.
+line in `perfbench/workloads.py`.  Running the three workloads here at
+seed 0, in-process through `cli.main`, puts the byte-identical-output
+contract into the suite and not only into the benchmark.
 """
 
 import importlib.util
@@ -24,7 +24,7 @@ def _workloads():
     return module
 
 
-@pytest.mark.parametrize("workload", ["closed-form", "route-check"])
+@pytest.mark.parametrize("workload", ["closed-form", "route-check", "forms-grid"])
 def test_degree_workload_stdout_matches_golden(workload, tmp_cache, capsys):
     workloads = _workloads()
     golden = json.loads((PERFBENCH / "golden.json").read_text())[workload]
