@@ -49,6 +49,10 @@ def test_traced_targets_resolve(monkeypatch):
             "forms-grid",
             ["forms", "check-pullback", "--n", "3", "--d", "1", "--trials", "4", "--seed", "301"],
         ),
+        (
+            "forms-grid",
+            ["forms", "check-pullback", "--n", "5", "--d", "2", "--trials", "4", "--seed", "502"],
+        ),
     ],
 )
 def test_traced_command_passes_self_test(workload, argv, tmp_cache, monkeypatch, capsys):

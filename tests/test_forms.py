@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,11 @@ def test_form_validation():
         _form(1, 0, {(1, 0): 1}, {})  # ambient too small
     with pytest.raises(ValueError):
         _form(2, -1, {}, {}, {})
+    # a zero coefficient is dropped only after its exponent is checked
+    with pytest.raises(ValueError, match=r"bad exponent \(1, 0\) for ambient dimension 2"):
+        _form(2, 0, {(1, 0): 0}, {}, {})
+    with pytest.raises(ValueError, match="bad exponent"):
+        _form(2, 0, {}, {(2, -1, 0): 0}, {})
 
 
 def test_form_prunes_zero_terms():
@@ -127,14 +133,20 @@ def _all_triples_defect(form):
 
 @st.composite
 def _defect_inputs(draw):
-    # three kinds: random members of the radial kernel (generically not
-    # integrable for n >= 3), pullbacks (integrable), and free coefficient
+    # four kinds: random members of the radial kernel (generically not
+    # integrable for n >= 3), the same with some coefficients zeroed (pivots
+    # above 1, or none at all), pullbacks (integrable), and free coefficient
     # vectors (generically off the radial kernel)
-    kind = draw(st.sampled_from(["kernel", "pullback", "free"]))
+    kind = draw(st.sampled_from(["kernel", "zeroed", "pullback", "free"]))
     d = draw(st.integers(0, 2))
     seed = draw(st.integers(0, 10**6))
     if kind == "kernel":
         return random_form(draw(st.integers(2, 5)), d, seed)
+    if kind == "zeroed":
+        n = draw(st.integers(2, 5))
+        zeroed = draw(st.sets(st.integers(0, n)))
+        coeffs = random_form(n, d, seed).coeffs
+        return _form(n, d, *({} if i in zeroed else a for i, a in enumerate(coeffs)))
     if kind == "pullback":
         n = draw(st.integers(2, 5))
         return pullback_linear(random_projection(n, seed + 1), random_form(2, d, seed))
@@ -163,6 +175,65 @@ def test_integrability_defect_off_the_radial_kernel():
         (0, 2, 3): {(0, 0, 1, 0): 1},
         (1, 2, 3): {},
     }
+
+
+def test_integrability_defect_skips_a_zero_pivot():
+    # Z4 dZ0 + Z3 dZ2 - Z2 dZ3 - Z0 dZ4 on P^4: the contraction is zero and
+    # A_1 = 0, so every triple through 1 vanishes; a pivot taken without
+    # testing A_p != 0 reports this form integrable
+    form = _form(
+        4,
+        0,
+        {(0, 0, 0, 0, 1): 1},
+        {},
+        {(0, 0, 0, 1, 0): 1},
+        {(0, 0, 1, 0, 0): -1},
+        {(1, 0, 0, 0, 0): -1},
+    )
+    assert contract_radial(form) == {}
+    assert integrability_defect(form) == {
+        (0, 1, 2): {},
+        (0, 1, 3): {},
+        (0, 1, 4): {},
+        (0, 2, 3): {(0, 0, 0, 0, 1): -2},
+        (0, 2, 4): {(0, 0, 0, 1, 0): 2},
+        (0, 3, 4): {(0, 0, 1, 0, 0): -2},
+        (1, 2, 3): {},
+        (1, 2, 4): {},
+        (1, 3, 4): {},
+        (2, 3, 4): {(1, 0, 0, 0, 0): 2},
+    }
+
+
+def _count_products(monkeypatch):
+    calls = []
+    full = forms.poly_mul
+
+    def counted(p, q):
+        calls.append(1)
+        return full(p, q)
+
+    monkeypatch.setattr(forms, "poly_mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, expected", [(3, 3), (4, 9), (5, 18)])
+def test_integrability_of_a_pullback_forms_only_the_pivot_triples(n, expected, monkeypatch):
+    # 3 products for each of the C(n-1, 2) triples without 0 through the pivot
+    mu = pullback_linear(random_projection(n, 7 * n), random_form(2, 2, n))
+    calls = _count_products(monkeypatch)
+    assert not any(integrability_defect(mu).values())
+    assert len(calls) == expected == 3 * comb(n - 1, 2)
+
+
+@pytest.mark.parametrize("d, expected", [(1, 9), (2, 19), (3, 34)])
+def test_pullback_builds_each_monomial_image_once(d, expected, monkeypatch):
+    # one product per monomial of degree 1..d+1 in the 3 plane variables,
+    # shared by the three coefficients
+    omega, proj = random_form(2, d, 40 + d), random_projection(4, 50 + d)
+    calls = _count_products(monkeypatch)
+    pullback_linear(proj, omega)
+    assert len(calls) == expected == comb(d + 4, 3) - 1
 
 
 def test_integrability_of_logarithmic_type_form():
@@ -288,16 +359,32 @@ def test_pullback_is_linear_and_injective():
 
 def test_substitute_linear_validation():
     with pytest.raises(ValueError):
-        substitute_linear({(1,): 1}, [(1, 0), (0, 1)], 2)
+        substitute_linear([{(1,): 1}], [(1, 0), (0, 1)], 2)
     with pytest.raises(ValueError):
-        substitute_linear({(1, 0): 1}, [(1, 0, 0), (0, 1)], 3)
+        substitute_linear([{(1, 0): 1}], [(1, 0, 0), (0, 1)], 3)
+    with pytest.raises(ValueError):
+        substitute_linear([{(1, 0): 1}, {(1,): 1}], [(1, 0), (0, 1)], 2)
 
 
 def test_substitute_linear_expands_products():
-    # p(x, y) = x*y under x -> u+v, y -> u-v becomes u^2 - v^2
-    p = {(1, 1): 1}
-    got = substitute_linear(p, [(1, 1), (1, -1)], 2)
-    assert got == {(2, 0): 1, (0, 2): -1}
+    # x*y and x under x -> u+v, y -> u-v become u^2 - v^2 and u + v
+    got = substitute_linear([{(1, 1): 1}, {(1, 0): 1}], [(1, 1), (1, -1)], 2)
+    assert got == [{(2, 0): 1, (0, 2): -1}, {(1, 0): 1, (0, 1): 1}]
+    assert substitute_linear([], [(1, 1), (1, -1)], 2) == []
+
+
+@settings(max_examples=30)
+@given(
+    st.lists(
+        st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-5, 5), max_size=6),
+        max_size=4,
+    ),
+    st.lists(st.tuples(*[st.integers(-3, 3)] * 4), min_size=3, max_size=3),
+)
+def test_substitute_linear_batch_equals_one_at_a_time(polys, rows):
+    # the shared memo changes nothing: inhomogeneous inputs of different
+    # degrees included
+    assert substitute_linear(polys, rows, 4) == [substitute_linear([p], rows, 4)[0] for p in polys]
 
 
 def test_poly_mul_cancellation():
