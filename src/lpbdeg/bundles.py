@@ -25,6 +25,7 @@ from math import factorial
 from operator import add
 from typing import TYPE_CHECKING
 
+from . import sparse
 from .exact import normalize
 from .polyring import TruncatedPoly, inverse_unit_series, product_shifted_linear
 
@@ -209,12 +210,7 @@ def chern_character_graded(expr: VirtualBundleExpr, ctx: GrassContext, degree: i
         raise ValueError("character degree beyond the ring cap")
     acc: dict[tuple[int, ...], int] = {}
     for form, mult in _signed_roots(expr, ctx.k).items():
-        for expo, coeff in _power_of_linear(form, degree).items():
-            v = acc.get(expo, 0) + mult * coeff
-            if v:
-                acc[expo] = v
-            elif expo in acc:
-                del acc[expo]
+        sparse.add(acc, _power_of_linear(form, degree), mult)
     inv = factorial(degree)
     terms = {e: normalize(Fraction(c, inv)) for e, c in acc.items()}
     return TruncatedPoly(ctx.k, cap, terms)
@@ -239,10 +235,7 @@ def _power_of_linear(form: Root, degree: int) -> dict[tuple[int, ...], int]:
                 coeff //= factorial(expo[i])
         for i in support:
             coeff *= form[i] ** expo[i]
-        key = tuple(expo)
-        v = out.get(key, 0) + coeff
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
+        # each multiset of the support is a distinct exponent, and its
+        # coefficient is nonzero
+        out[tuple(expo)] = coeff
     return out

@@ -92,11 +92,20 @@ class _MalformedRecord(CacheConflictError):
     """A cache line that does not parse as a degree record."""
 
 
+class _Finished(Exception):
+    """``--help`` or ``--version`` has printed; ``args[0]`` is the exit code."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so main() owns exit codes."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
+
+    def exit(self, status: int = 0, message: str | None = None) -> None:  # type: ignore[override]
+        if message:
+            sys.stderr.write(message)
+        raise _Finished(status)
 
 
 class DegreeCache:
@@ -473,6 +482,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
+    except _Finished as done:
+        return done.args[0]
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

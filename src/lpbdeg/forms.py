@@ -28,10 +28,13 @@ zero thus costs C(n-1, 2) of the C(n+1, 3) triples (1, 3 and 6 for n = 3,
 4 and 5), and any other form gets every triple computed.
 
 Linear pullback along a rank-3 matrix F sends a plane form to a form on
-P^n, and :func:`recover` inverts that map exactly: it builds a one-sided
-inverse of F from an invertible column triple, pulls the candidate back and
-accepts only on exact agreement.  All hot paths stay in integer arithmetic;
-rationals appear only in the final rescale.
+P^n, and :func:`recover` inverts that map exactly: the section G of F built
+from an invertible column triple has ``F o G = det * identity``, so the
+candidate ``G^* mu`` is accepted only when ``F^*(G^* mu) = det^(d+2) mu``.
+All three pullbacks run through one routine, a substitution followed by a
+weighting, and every sum accumulates in place with :func:`sparse.add`.  All
+hot paths stay in integer arithmetic; rationals appear only in the final
+rescale.
 """
 
 from __future__ import annotations
@@ -71,6 +74,9 @@ def substitute_linear(
     form replacing variable i.  Monomial images are built incrementally in
     one memo shared by all of ``polys``, so each distinct exponent costs one
     multiplication by a linear polynomial however many inputs contain it.
+    A monomial through a zero row maps to ``{}`` without a product, so a
+    substitution that sends variables to zero costs only the monomials in
+    the others.
     """
     if any(len(row) != nvars_out for row in rows):
         raise ValueError("substitution rows must have nvars_out entries")
@@ -86,7 +92,8 @@ def substitute_linear(
         if known is not None:
             return known
         i = next(v for v in range(len(rows)) if source.exponent(key, v))
-        value = poly_mul(image(key - source.var(i)), lin[i])
+        rest = image(key - source.var(i)) if lin[i] else {}
+        value = poly_mul(rest, lin[i]) if rest else {}
         cache[key] = value
         return value
 
@@ -94,7 +101,7 @@ def substitute_linear(
     for p in polys:
         total: sparse.Poly = {}
         for e, c in p.items():
-            total = sparse.add(total, sparse.scale(image(source.pack(e)), c))
+            sparse.add(total, image(source.pack(e)), c)
         out.append(ring.unpack_terms(total))
     return out
 
@@ -126,7 +133,8 @@ class ProjectiveOneForm:
             poly: Poly = {}
             for e, c in a.items():
                 key = tuple(e)
-                if len(key) != nv or min(key) < 0:
+                # a float or Fraction entry makes the sum a float or Fraction
+                if len(key) != nv or min(key) < 0 or type(sum(key)) is not int:
                     raise ValueError(f"bad exponent {key} for ambient dimension {self.n}")
                 if c != 0:
                     poly[key] = normalize(c)
@@ -148,7 +156,7 @@ class ProjectiveOneForm:
         if (self.n, self.d) != (other.n, other.d):
             raise ValueError("forms live in different spaces")
         return ProjectiveOneForm(
-            self.n, self.d, tuple(sparse.add(a, b) for a, b in zip(self.coeffs, other.coeffs))
+            self.n, self.d, tuple(sparse.add(dict(a), b) for a, b in zip(self.coeffs, other.coeffs))
         )
 
 
@@ -157,7 +165,7 @@ def contract_radial(form: ProjectiveOneForm) -> Poly:
     ring = Packing(form.n + 1, form.d + 2)
     out: sparse.Poly = {}
     for i, a in enumerate(form.coeffs):
-        out = sparse.add(out, sparse.mul_var(ring.pack_terms(a), ring, i))
+        sparse.add(out, sparse.mul_var(ring.pack_terms(a), ring, i))
     return ring.unpack_terms(out)
 
 
@@ -192,12 +200,12 @@ def integrability_defect(form: ProjectiveOneForm) -> dict[tuple[int, int, int], 
     @lru_cache(maxsize=None)
     def curl(j: int, k: int) -> sparse.Poly:
         # d_j A_k - d_k A_j, formed once per pair that a triple reads
-        return sparse.sub(sparse.diff(coeffs[k], ring, j), sparse.diff(coeffs[j], ring, k))
+        return sparse.add(sparse.diff(coeffs[k], ring, j), sparse.diff(coeffs[j], ring, k), -1)
 
     def defect(i: int, j: int, k: int) -> Poly:
         term = poly_mul(coeffs[i], curl(j, k))
-        term = sparse.sub(term, poly_mul(coeffs[j], curl(i, k)))
-        term = sparse.add(term, poly_mul(coeffs[k], curl(i, j)))
+        sparse.add(term, poly_mul(coeffs[j], curl(i, k)), -1)
+        sparse.add(term, poly_mul(coeffs[k], curl(i, j)))
         return ring.unpack_terms(term)
 
     triples = list(combinations(range(1, nv), 3))
@@ -243,10 +251,20 @@ class LinearProjection:
     def n(self) -> int:
         return len(self.rows[0]) - 1
 
-    @classmethod
-    def coordinate(cls, n: int) -> LinearProjection:
-        """The projection onto the first three coordinates."""
-        return cls(tuple(tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(3)))
+
+def _pull_back(rows: Sequence[Sequence[Scalar]], form: ProjectiveOneForm) -> ProjectiveOneForm:
+    """The pullback of ``form`` along the linear map whose row i replaces Z_i.
+
+    Coefficient j of the result is ``sum_i rows[i][j] * (A_i o rows)``; every
+    ``A_i`` is substituted in one call, then weighted by the matrix entries.
+    """
+    width = len(rows[0])
+    coeffs: list[Poly] = [{} for _ in range(width)]
+    for row, composed in zip(rows, substitute_linear(form.coeffs, rows, width)):
+        for j, f in enumerate(row):
+            if f != 0:
+                sparse.add(coeffs[j], composed, f)
+    return ProjectiveOneForm(width - 1, form.d, tuple(coeffs))
 
 
 def pullback_linear(proj: LinearProjection, form: ProjectiveOneForm) -> ProjectiveOneForm:
@@ -262,17 +280,7 @@ def pullback_linear(proj: LinearProjection, form: ProjectiveOneForm) -> Projecti
         raise ValueError("pullback source must be a plane form (n = 2)")
     if contract_radial(form):
         raise ValueError("pullback source must have zero radial contraction")
-    nv = proj.n + 1
-    composed = substitute_linear(form.coeffs, proj.rows, nv)
-    coeffs = []
-    for j in range(nv):
-        a: Poly = {}
-        for i in range(3):
-            f = proj.rows[i][j]
-            if f != 0:
-                a = sparse.add(a, sparse.scale(composed[i], f))
-        coeffs.append(a)
-    return ProjectiveOneForm(proj.n, form.d, tuple(coeffs))
+    return _pull_back(proj.rows, form)
 
 
 def dimension_vdn(n: int, d: int) -> int:
@@ -342,7 +350,7 @@ def random_form(n: int, d: int, seed: int) -> ProjectiveOneForm:
         if w == 0:
             continue
         for i in range(n + 1):
-            coeffs[i] = sparse.add(coeffs[i], sparse.scale(b.coeffs[i], w))
+            sparse.add(coeffs[i], b.coeffs[i], w)
     return ProjectiveOneForm(n, d, tuple(coeffs))
 
 
@@ -359,14 +367,6 @@ def random_projection(n: int, seed: int) -> LinearProjection:
         if matrix_rank(rows) == 3:
             return LinearProjection(rows)
     raise RuntimeError("failed to sample a full-rank projection")
-
-
-def _det3(m: Sequence[Sequence[Scalar]]) -> Scalar:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
 
 
 def _adjugate3(m: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
@@ -394,48 +394,31 @@ def _adjugate3(m: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
 def recover(proj: LinearProjection, mu: ProjectiveOneForm) -> ProjectiveOneForm | None:
     """Invert the linear pullback: find the plane form with the given image.
 
-    Chooses the first column triple of the projection matrix with nonzero
-    determinant; the adjugate of that 3 x 3 block gives a section G of the
-    projection with ``F o G = det * identity``, and pulling mu back along G
-    yields ``det^(d+2)`` times the only possible plane source.  The
-    candidate is accepted only if it has zero radial contraction and its
-    pullback reproduces mu exactly; otherwise the input was not a pullback
-    and the result is ``None``.
+    Takes the first column triple of the projection matrix F whose 3 x 3
+    block is invertible.  The section G of F with the adjugate's rows at the
+    triple and zero rows elsewhere has ``F o G = det * identity``, so the
+    linear pullback ``G^* mu`` is ``det^(d+2)`` times the only possible
+    plane source.  The candidate is accepted only if it has zero radial
+    contraction and ``F^*(G^* mu) = det^(d+2) mu`` exactly; otherwise the
+    input was not a pullback and the result is ``None``.  Both pullbacks
+    take the path of :func:`pullback_linear`, and the substitution along G
+    forms no product for a monomial through a variable outside the triple.
     """
     if mu.n != proj.n:
         raise ValueError("form and projection have different ambient dimensions")
-    triple = None
-    det: Scalar = 0
     for cols in combinations(range(proj.n + 1), 3):
-        block = [[proj.rows[r][c] for c in cols] for r in range(3)]
-        det = _det3(block)
+        block = [[row[c] for c in cols] for row in proj.rows]
+        adj = _adjugate3(block)
+        det = sum(block[0][j] * adj[j][0] for j in range(3))
         if det != 0:
-            triple = cols
             break
-    if triple is None:  # rank 3 guarantees an invertible column triple
+    else:  # rank 3 guarantees an invertible column triple
         raise RuntimeError("projection of rank 3 has no invertible column triple")
-    block = [[proj.rows[r][c] for c in triple] for r in range(3)]
-    adj = _adjugate3(block)
-    # restrict each coefficient of mu at the triple to the chosen variables,
-    # then substitute the adjugate rows; variables outside the triple are 0
-    restricted: list[Poly] = [
-        {
-            tuple(e[v] for v in triple): c
-            for e, c in mu.coeffs[col].items()
-            if not any(e[v] for v in range(len(e)) if v not in triple)
-        }
-        for col in triple
-    ]
-    raw: list[Poly] = [{} for _ in range(3)]
-    for t, composed in enumerate(substitute_linear(restricted, adj, 3)):
-        for i in range(3):
-            w = adj[t][i]
-            if w != 0:
-                raw[i] = sparse.add(raw[i], sparse.scale(composed, w))
-    raw_form = ProjectiveOneForm(2, mu.d, tuple(raw))
-    if contract_radial(raw_form):
+    section = [adj[cols.index(v)] if v in cols else [0, 0, 0] for v in range(proj.n + 1)]
+    raw = _pull_back(section, mu)
+    if contract_radial(raw):
         return None
     factor = det ** (mu.d + 2)
-    if pullback_linear(proj, raw_form).coeffs != mu.scale(factor).coeffs:
+    if _pull_back(proj.rows, raw).coeffs != mu.scale(factor).coeffs:
         return None
-    return raw_form.scale(Fraction(1) / factor)
+    return raw.scale(Fraction(1) / factor)

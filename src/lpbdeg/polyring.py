@@ -172,7 +172,7 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compatible(other)
-        return TruncatedPoly._raw(self.ring, sparse.add(self.terms, other.terms))
+        return TruncatedPoly._raw(self.ring, sparse.add(dict(self.terms), other.terms))
 
     def __neg__(self) -> TruncatedPoly:
         return TruncatedPoly._raw(self.ring, {k: -c for k, c in self.terms.items()})
@@ -181,7 +181,7 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compatible(other)
-        return TruncatedPoly._raw(self.ring, sparse.sub(self.terms, other.terms))
+        return TruncatedPoly._raw(self.ring, sparse.add(dict(self.terms), other.terms, -1))
 
     def scale(self, c: Scalar) -> TruncatedPoly:
         """The multiple ``c * self``; integral coefficients come out as ints."""
@@ -302,7 +302,7 @@ def product_shifted_linear(
         acc: sparse.Poly = {}
         for i in range(1, k + 1):
             # grade k <= cap fits the packing, so no limit is needed
-            acc = sparse.add(acc, sparse.mul(elementary[k - i], signed[i]))
+            sparse.add(acc, sparse.mul(elementary[k - i], signed[i]))
         grade: sparse.Poly = {}
         for key, c in acc.items():
             q, r = divmod(c, k)
@@ -325,16 +325,17 @@ def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
     if p.constant_term() != 1:
         raise ValueError("inverse_unit_series needs constant term 1")
     ring, cap = p.ring, p.cap
+    # the grades of -p, so that each step of the recurrence is a plain sum
     p_grades: list[sparse.Poly] = [{} for _ in range(cap + 1)]
     for k, c in p.terms.items():
-        p_grades[ring.degree(k)][k] = c
+        p_grades[ring.degree(k)][k] = -c
     q_grades: list[sparse.Poly] = [{0: 1}]
     for k in range(1, cap + 1):
         acc: sparse.Poly = {}
         for j in range(1, k + 1):
             if p_grades[j]:
                 # grade k <= cap fits the packing, so no limit is needed
-                acc = sparse.sub(acc, sparse.mul(p_grades[j], q_grades[k - j]))
+                sparse.add(acc, sparse.mul(p_grades[j], q_grades[k - j]))
         q_grades.append(acc)
     out: sparse.Poly = {}
     for grade in q_grades:

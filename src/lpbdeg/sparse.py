@@ -23,9 +23,11 @@ its variable fields.  Two consequences carry the whole module:
   degree at most ``cap``.
 
 The caller states a degree bound when it builds a :class:`Packing`; fields
-are wide enough for any exponent up to that bound.  ``add``, ``sub`` and
-``scale`` never look inside a key, so they also serve dicts keyed by
-exponent tuples.
+are wide enough for any exponent up to that bound.  ``add`` and ``scale``
+never look inside a key, so they also serve dicts keyed by exponent
+tuples; ``add`` accumulates into its first argument in place, so a sum
+over many terms costs their size and not a copy of the running total per
+term.
 """
 
 from __future__ import annotations
@@ -106,26 +108,21 @@ class Packing:
         return {self.unpack(k): c for k, c in p.items()}
 
 
-def add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for k, c in q.items():
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
+def add(acc: dict, q: dict, c: Scalar = 1) -> dict:
+    """Add ``c * q`` into ``acc`` in place and return ``acc``.
 
-
-def sub(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for k, c in q.items():
-        v = out.get(k, 0) - c
-        if v:
-            out[k] = v
+    ``q`` is left unchanged, and terms that cancel leave ``acc``.  A caller
+    that must keep its first operand passes a copy.
+    """
+    get = acc.get
+    for k, v in q.items():
+        # c * v would allocate a copy of every big coefficient for c = 1
+        s = get(k, 0) + (v if c == 1 else c * v)
+        if s:
+            acc[k] = s
         else:
-            out.pop(k, None)
-    return out
+            acc.pop(k, None)
+    return acc
 
 
 def scale(p: dict, c: Scalar) -> dict:

@@ -33,6 +33,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Iterator, Sequence
 
+from . import sparse
 from .exact import Scalar
 from .polyring import TruncatedPoly
 
@@ -142,8 +143,6 @@ def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> 
         for part in lam.parts[shared:]:
             products.append(products[-1] * power_sums[part] if products else power_sums[part])
         size = _class_size(lam)
-        for key, c in products[-1].terms.items():
-            total[key] = total.get(key, 0) + size * c
+        sparse.add(total, products[-1].terms, size)
         previous = lam.parts
-    nonzero = {key: c for key, c in total.items() if c}
-    return TruncatedPoly._raw(head.ring, nonzero).scale(Fraction(1, factorial(k)))
+    return TruncatedPoly._raw(head.ring, total).scale(Fraction(1, factorial(k)))

@@ -359,11 +359,26 @@ def test_engine_runtime_error_exits_three(monkeypatch, capsys):
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run(["--version"])
-    assert excinfo.value.code == 0
-    out, _ = _lines(capsys)
+    # run returns the code: --version must not raise SystemExit
+    assert run(["--version"]) == 0
+    out, err = _lines(capsys)
     assert out == [f"lpbdeg {__version__}"]
+    assert err == []
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["--help"], "usage: lpbdeg [-h] [--version] command ..."),
+        (["degree", "--help"], "usage: lpbdeg degree [-h] --n N --d D"),
+        (["forms", "check-pullback", "--help"], "usage: lpbdeg forms check-pullback [-h] --n N --d D"),
+    ],
+)
+def test_help_returns_zero(argv, usage, capsys):
+    assert run(argv) == 0
+    out, err = _lines(capsys)
+    assert out[0].startswith(usage)
+    assert err == []
 
 
 def test_degree_cache_object_roundtrip(tmp_cache):

@@ -63,6 +63,9 @@ def test_form_validation():
         _form(2, 0, {(1, 0): 0}, {}, {})
     with pytest.raises(ValueError, match="bad exponent"):
         _form(2, 0, {}, {(2, -1, 0): 0}, {})
+    # homogeneous of degree 2, but not integral
+    with pytest.raises(ValueError, match=r"bad exponent \(0.5, 0.5, 1\) for ambient dimension 2"):
+        _form(2, 1, {(0.5, 0.5, 1): 1}, {}, {})
 
 
 def test_form_prunes_zero_terms():
@@ -119,14 +122,14 @@ def _all_triples_defect(form):
     ring = Packing(nv, 2 * form.d + 1)
     coeffs = [ring.pack_terms(a) for a in form.coeffs]
     curl = {
-        (j, k): sparse.sub(sparse.diff(coeffs[k], ring, j), sparse.diff(coeffs[j], ring, k))
+        (j, k): sparse.add(sparse.diff(coeffs[k], ring, j), sparse.diff(coeffs[j], ring, k), -1)
         for j, k in combinations(range(nv), 2)
     }
     out = {}
     for i, j, k in combinations(range(nv), 3):
         term = poly_mul(coeffs[i], curl[j, k])
-        term = sparse.sub(term, poly_mul(coeffs[j], curl[i, k]))
-        term = sparse.add(term, poly_mul(coeffs[k], curl[i, j]))
+        sparse.add(term, poly_mul(coeffs[j], curl[i, k]), -1)
+        sparse.add(term, poly_mul(coeffs[k], curl[i, j]))
         out[(i, j, k)] = ring.unpack_terms(term)
     return out
 
@@ -236,6 +239,18 @@ def test_pullback_builds_each_monomial_image_once(d, expected, monkeypatch):
     assert len(calls) == expected == comb(d + 4, 3) - 1
 
 
+@pytest.mark.parametrize("d, expected", [(1, 18), (2, 38), (3, 68)])
+def test_recover_builds_each_plane_monomial_image_once_per_pullback(d, expected, monkeypatch):
+    # the substitution along the section forms products only for monomials
+    # in the three variables of the chosen column triple; one through a
+    # variable with a zero row maps to zero without a product
+    omega, proj = random_form(2, d, 40 + d), random_projection(4, 50 + d)
+    mu = pullback_linear(proj, omega)
+    calls = _count_products(monkeypatch)
+    assert recover(proj, mu) == omega
+    assert len(calls) == expected == 2 * (comb(d + 4, 3) - 1)
+
+
 def test_integrability_of_logarithmic_type_form():
     # G dF - F dG with F = Z0, G = Z1 on n = 3
     form = _form(3, 0, {(0, 1, 0, 0): 1}, {(1, 0, 0, 0): -1}, {}, {})
@@ -303,7 +318,7 @@ def test_projection_validation():
 
 def test_pullback_along_coordinate_projection():
     omega = random_form(2, 2, 5)
-    proj = LinearProjection.coordinate(4)
+    proj = LinearProjection(((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)))
     mu = pullback_linear(proj, omega)
     assert mu.n == 4 and mu.d == 2
     for i in range(3):
@@ -320,7 +335,7 @@ def test_pullback_along_identity_is_identity():
 
 
 def test_pullback_validation():
-    proj = LinearProjection.coordinate(3)
+    proj = LinearProjection(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
     not_plane = random_form(3, 1, 3)
     with pytest.raises(ValueError):
         pullback_linear(proj, not_plane)
@@ -396,7 +411,7 @@ def test_poly_mul_cancellation():
 
 def test_recover_round_trip_coordinate_case():
     omega = _form(2, 0, {(0, 1, 0): -1}, {(1, 0, 0): 1}, {})
-    proj = LinearProjection.coordinate(3)
+    proj = LinearProjection(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
     mu = pullback_linear(proj, omega)
     assert recover(proj, mu) == omega
 
@@ -419,6 +434,16 @@ def test_recover_round_trip_rational_projection():
             (1, 0, Fraction(1, 5), 0),
         )
     )
+    mu = pullback_linear(proj, omega)
+    assert recover(proj, mu) == omega
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_recover_round_trip_through_a_later_column_triple(d):
+    # the column triples (0, 1, 2) and (0, 1, 3) are singular, so the
+    # section is built at (0, 2, 3)
+    omega = random_form(2, d, 9)
+    proj = LinearProjection(((1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     mu = pullback_linear(proj, omega)
     assert recover(proj, mu) == omega
 
@@ -472,3 +497,16 @@ def test_form_addition_and_scaling():
     assert total.scale(2) == total + total
     with pytest.raises(ValueError):
         a + random_form(2, 2, 1)
+
+
+def test_form_addition_leaves_operands_unchanged():
+    a, b = random_form(2, 1, 1), random_form(2, 1, 2)
+    before = [dict(p) for p in a.coeffs + b.coeffs]
+    a + b
+    assert [dict(p) for p in a.coeffs + b.coeffs] == before
+
+
+def test_random_form_leaves_the_cached_basis_unchanged():
+    before = [[dict(p) for p in b.coeffs] for b in form_space_basis(2, 1)]
+    random_form(2, 1, 5)
+    assert [[dict(p) for p in b.coeffs] for b in form_space_basis(2, 1)] == before

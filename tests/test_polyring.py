@@ -119,6 +119,15 @@ def test_ring_axioms(p, q, r):
     assert p * _one() == p
 
 
+@given(polys(), polys())
+def test_add_and_sub_leave_operands_unchanged(p, q):
+    before = (dict(p.terms), dict(q.terms))
+    total, difference = p + q, p - q
+    assert (dict(p.terms), dict(q.terms)) == before
+    assert total - q == p and difference + q == p
+    assert (dict(p.terms), dict(q.terms)) == before
+
+
 @given(polys())
 def test_scale_matches_repeated_addition(p):
     assert p.scale(3) == p + p + p

@@ -125,11 +125,16 @@ def test_add_sub_scale_match_reference(case, c):
     nvars, cap, p, q = case
     ring = Packing(nvars, cap)
     pp, qq = ring.pack_terms(p), ring.pack_terms(q)
-    assert ring.unpack_terms(sparse.add(pp, qq)) == ref_add(p, q)
-    assert ring.unpack_terms(sparse.sub(pp, qq)) == ref_add(p, q, -1)
+    for factor in (1, -1, c):
+        acc = dict(pp)
+        # add works in place: it returns its first argument and leaves q alone
+        assert sparse.add(acc, qq, factor) is acc
+        assert ring.unpack_terms(acc) == ref_add(p, q, factor)
+        assert qq == ring.pack_terms(q)
+    assert ring.unpack_terms(sparse.add(dict(pp), qq)) == ref_add(p, q)
     assert ring.unpack_terms(sparse.scale(pp, c)) == {e: v * c for e, v in p.items()}
     assert sparse.scale(pp, 0) == {}
-    assert sparse.sub(pp, pp) == {}
+    assert sparse.add(dict(pp), pp, -1) == {}
 
 
 def test_packing_validation():
