@@ -14,20 +14,28 @@ computed bottom-up over the expression tree: a difference subtracts
 multiplicities and a form whose multiplicity reaches zero is dropped, so a
 virtual difference whose negative part divides the positive part is
 recognized as an honest bundle.  :func:`chern_roots` splits the map by sign.
+
+Classes are built in the ring of the Grassmannian, ``Q[x] / (deg > cap,
+x_i^m)`` over G(k, m): the integral reads no monomial with an exponent
+above m - 1, and the monomials beyond that box span an ideal, so the
+products, the inversion and the multinomial expansion here form only
+monomials in the box and the integral is unchanged (see
+:mod:`lpbdeg.polyring`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 from operator import add
 from typing import TYPE_CHECKING
 
 from . import sparse
 from .exact import normalize
-from .polyring import TruncatedPoly, inverse_unit_series, product_shifted_linear
+from .polyring import TruncatedPoly, exponents_of_degree, inverse_unit_series, product_shifted_linear
 
 if TYPE_CHECKING:
     from .grassmann import GrassContext
@@ -182,12 +190,15 @@ def _signed_roots(expr: VirtualBundleExpr, k: int) -> dict[Root, int]:
 
 
 def total_chern(expr: VirtualBundleExpr, ctx: GrassContext, cap: int) -> TruncatedPoly:
-    """Total Chern class ``prod (1 + r) / prod (1 + s)`` over the root sets."""
+    """Total Chern class ``prod (1 + r) / prod (1 + s)`` over the root sets.
+
+    The class lives in the ring with the exponent box of ``ctx``.
+    """
     roots = chern_roots(expr, ctx)
-    num = product_shifted_linear(roots.positive, cap, nvars=ctx.k)
+    num = product_shifted_linear(roots.positive, cap, nvars=ctx.k, box=ctx.box)
     if not roots.negative:
         return num
-    den = product_shifted_linear(roots.negative, cap, nvars=ctx.k)
+    den = product_shifted_linear(roots.negative, cap, nvars=ctx.k, box=ctx.box)
     return num * inverse_unit_series(den)
 
 
@@ -202,7 +213,8 @@ def chern_character_graded(expr: VirtualBundleExpr, ctx: GrassContext, degree: i
     For roots r_i minus roots s_j this is
     ``(sum r_i^degree - sum s_j^degree) / degree!``: each distinct form is
     expanded once with multinomial coefficients and scaled by its signed
-    multiplicity.
+    multiplicity.  The piece lives in the ring with the exponent box of
+    ``ctx``, and no monomial outside the box is expanded.
     """
     if degree < 0:
         raise ValueError("negative character degree")
@@ -210,14 +222,17 @@ def chern_character_graded(expr: VirtualBundleExpr, ctx: GrassContext, degree: i
         raise ValueError("character degree beyond the ring cap")
     acc: dict[tuple[int, ...], int] = {}
     for form, mult in _signed_roots(expr, ctx.k).items():
-        sparse.add(acc, _power_of_linear(form, degree), mult)
+        sparse.add(acc, _power_of_linear(form, degree, ctx.box), mult)
     inv = factorial(degree)
     terms = {e: normalize(Fraction(c, inv)) for e, c in acc.items()}
-    return TruncatedPoly(ctx.k, cap, terms)
+    return TruncatedPoly(ctx.k, cap, terms, box=ctx.box)
 
 
-def _power_of_linear(form: Root, degree: int) -> dict[tuple[int, ...], int]:
-    """Expand ``form ** degree`` by the multinomial theorem."""
+def _power_of_linear(form: Root, degree: int, box: int) -> dict[tuple[int, ...], int]:
+    """Expand ``form ** degree`` by the multinomial theorem.
+
+    Only the exponents with every entry at most ``box`` are listed.
+    """
     k = len(form)
     if degree == 0:
         return {(0,) * k: 1}
@@ -225,17 +240,23 @@ def _power_of_linear(form: Root, degree: int) -> dict[tuple[int, ...], int]:
     support = [i for i, c in enumerate(form) if c]
     if not support:
         return {}
-    for picks in combinations_with_replacement(support, degree):
+    for part, coeff in _multinomials(len(support), degree, box):
         expo = [0] * k
-        for i in picks:
-            expo[i] += 1
-        coeff = factorial(degree)
-        for i in support:
-            if expo[i]:
-                coeff //= factorial(expo[i])
-        for i in support:
-            coeff *= form[i] ** expo[i]
-        # each multiset of the support is a distinct exponent, and its
-        # coefficient is nonzero
+        for i, e in zip(support, part):
+            expo[i] = e
+            coeff *= form[i] ** e
+        # each exponent on the support is distinct, and its coefficient is
+        # nonzero
         out[tuple(expo)] = coeff
     return out
+
+
+@lru_cache(maxsize=None)
+def _multinomials(parts: int, degree: int, box: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Exponents of ``parts`` entries at most ``box`` summing to ``degree``,
+    each with its multinomial coefficient degree! / prod e_i!."""
+    return tuple(
+        (e, factorial(degree) // prod(map(factorial, e)))
+        for e in exponents_of_degree(parts, degree)
+        if max(e) <= box
+    )

@@ -28,8 +28,13 @@ fatal integrity error, and so is a malformed line.  The one exception is an
 unterminated final line that does not parse, the trace of a crash
 mid-append: it is reported on stderr, ignored, and cut away before the next
 append.  A cache hit is returned directly only for the
-default quotient route; the other routes recompute and cross-check against
-the cached value.
+default quotient route, and only when a record of the key carries this
+``__version__``; the other routes, and the quotient route on a key whose
+records all carry another or no ``engine_version``, recompute and
+cross-check against the cached value (a disagreement exits 3).  When a
+recomputation agrees with a record of another version, one record of this
+version is appended, so the key is trusted from then on.  Records of all
+versions take part in the load-time conflict check.
 
 All output is deterministic: orderings are fixed and the arithmetic is
 exact, so a given command line is byte-identical across runs.  JSON is
@@ -116,6 +121,8 @@ class DegreeCache:
             path = os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_PATH)
         self.path = path
         self._entries: dict[tuple[int, int], int] = {}
+        # keys with a record written by this engine version
+        self._current: set[tuple[int, int]] = set()
         # how the next append must begin: at the byte offset of a torn final
         # line, cut away first, or on a fresh line after an unterminated one
         self._torn_at: int | None = None
@@ -170,6 +177,8 @@ class DegreeCache:
                 f"{self._entries[key]} vs {degree}"
             )
         self._entries[key] = degree
+        if record.get("engine_version") == __version__:
+            self._current.add(key)
 
     def get(self, n: int, d: int) -> int | None:
         return self._entries.get((n, d))
@@ -177,11 +186,11 @@ class DegreeCache:
     def put(self, n: int, d: int, degree: int) -> None:
         key = (n, d)
         known = self._entries.get(key)
-        if known is not None:
-            if known != degree:
-                raise CacheConflictError(
-                    f"cache value {known} for (n, d) = {key} disagrees with computed {degree}"
-                )
+        if known is not None and known != degree:
+            raise CacheConflictError(
+                f"cache value {known} for (n, d) = {key} disagrees with computed {degree}"
+            )
+        if key in self._current:
             return
         record = {"n": n, "d": d, "degree": str(degree), "engine_version": __version__}
         line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
@@ -195,6 +204,7 @@ class DegreeCache:
         self._torn_at = None
         self._needs_newline = False
         self._entries[key] = degree
+        self._current.add(key)
 
     def degree_fn(self, n: int) -> Callable[[int], int]:
         """A degree evaluator routed through this cache, for interpolation."""
@@ -208,10 +218,12 @@ class DegreeCache:
         """Degree with caching: hit short-circuits only the quotient route.
 
         Other routes recompute and must agree with any cached value, which
-        turns the cache into one more cross-check instead of a bypass.
+        turns the cache into one more cross-check instead of a bypass.  A
+        hit that no record of this engine version backs is re-verified the
+        same way on the quotient route too.
         """
         hit = self.get(n, d)
-        if hit is not None and method == METHOD_CHERN_QUOTIENT:
+        if hit is not None and method == METHOD_CHERN_QUOTIENT and (n, d) in self._current:
             return hit
         value = degree_lpb(d, n, method=method)
         if hit is not None and hit != value:

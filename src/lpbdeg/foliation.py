@@ -12,7 +12,10 @@ Two independent evaluation routes are implemented for the degree.  The
 default inverts the total Chern class of the bundle; the second assembles
 the Segre class from graded Chern characters of the dual bundle via the
 partition-weighted character sum.  The routes share only the enumeration of
-Chern roots, so exact agreement is a strong correctness check.
+Chern roots and the ring they compute in, ``Q[x] / (deg > g, x_i^(n+1))``,
+whose exponent box is set by :class:`~lpbdeg.grassmann.GrassContext`
+from the monomials its integral reads; a test checks the box against the
+unboxed ring.  Beyond that, exact agreement is a strong correctness check.
 
 For fixed n the degree is a polynomial in d of degree at most 3g with
 g = 3(n-2); :func:`closed_form` recovers it by exact interpolation with one

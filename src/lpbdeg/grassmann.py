@@ -11,6 +11,14 @@ the coefficient of the top Schubert class, i.e. the integral.
 The normalization is pinned by the Pluecker degree of G(k, m) in its
 Pluecker embedding, ``integrate(e_1^g)``, which must come out to the
 classical values (1, 5 and 42 for 3-planes in dimensions 4, 5, 6).
+
+The Vandermonde has every exponent below k, and the target monomial every
+exponent at most m - 1, so the integral reads only class coefficients whose
+exponents are all at most m - 1 (Fulton, *Intersection Theory*, Ch. 14).
+That bound is :attr:`GrassContext.box`.  Classes over this space are
+computed in the ring ``Q[x] / (deg > g, x_i^m)``: the monomials with an
+exponent of m or more span an ideal, so dropping them commutes with every
+ring operation and leaves the integral exact.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ class GrassContext:
 
     ``k`` is the number of Chern root variables used by every class over
     this space; ``g`` is the dimension, which is also the truncation cap
-    needed to integrate.
+    needed to integrate, and ``box`` bounds the exponents it reads.
     """
 
     k: int
@@ -43,15 +51,24 @@ class GrassContext:
     def g(self) -> int:
         return self.k * (self.m - self.k)
 
+    @property
+    def box(self) -> int:
+        """The largest single exponent :meth:`integrate` reads, m - 1."""
+        return self.m - 1
+
     def integrate(self, cls: TruncatedPoly) -> Scalar:
         """Integral over the Grassmannian of a degree-g symmetric class.
 
         The class must be symmetric in the k root variables and homogeneous
         of degree g (the zero polynomial counts as homogeneous of every
-        degree and integrates to 0).
+        degree and integrates to 0), and its ring must keep every exponent
+        up to :attr:`box`: a smaller box has dropped coefficients the
+        integral reads, which raises ``ValueError``.
         """
         if cls.nvars != self.k:
             raise ValueError(f"class has {cls.nvars} variables, expected {self.k}")
+        if cls.box is not None and cls.box < self.box:
+            raise ValueError(f"class ring keeps exponents up to {cls.box}, the integral reads up to {self.box}")
         if not cls.is_homogeneous(self.g):
             raise ValueError(f"class is not homogeneous of degree {self.g}")
         if not cls.is_symmetric():

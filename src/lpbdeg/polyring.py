@@ -7,6 +7,16 @@ in the packed-exponent format of :mod:`lpbdeg.sparse`, with fields sized by
 the right semantics for working on a variety whose cohomology vanishes above
 its dimension.
 
+A ring may also carry an exponent *box*: it is then
+``Q[x] / (deg > cap, x_i^(box + 1))``, and every operation here keeps only
+monomials with each exponent at most ``box``.  The monomials outside the
+box span an ideal, so dropping them commutes with sums, products, the
+series inversion and the Newton step (whose exact division by k holds
+coefficient by coefficient): a boxed result is the unboxed one with the
+out-of-box terms removed, exactly.  Only
+:class:`~lpbdeg.grassmann.GrassContext` picks a box, the largest exponent
+its integral reads; without one every key is kept.
+
 Exponent tuples remain the public format: the constructor takes them, and
 :meth:`TruncatedPoly.coefficient` and :meth:`TruncatedPoly.sorted_terms`
 speak them.  The order used for display and serialization is graded
@@ -57,13 +67,17 @@ class TruncatedPoly:
     """Sparse polynomial in ``nvars`` variables, truncated above ``cap``.
 
     ``terms`` maps packed keys of ``ring``, a :class:`~lpbdeg.sparse.Packing`
-    with bound ``cap``, to nonzero scalars.
+    with bound ``cap`` and exponent box ``box``, to nonzero scalars; terms
+    beyond the cap or outside the box are dropped on construction.
     """
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, nvars: int, cap: int, terms: Mapping[Exponent, Scalar] | None = None) -> None:
-        ring = Packing(nvars, cap)
+    def __init__(
+        self, nvars: int, cap: int, terms: Mapping[Exponent, Scalar] | None = None, box: int | None = None
+    ) -> None:
+        ring = Packing(nvars, cap, box)
+        top = cap if ring.box is None else ring.box
         clean: dict[int, Scalar] = {}
         for expo, c in (terms or {}).items():
             e = tuple(expo)
@@ -71,7 +85,7 @@ class TruncatedPoly:
                 raise ValueError(f"exponent {e} does not have {nvars} entries")
             if any(k < 0 for k in e):
                 raise ValueError(f"negative exponent in {e}")
-            if c == 0 or sum(e) > cap:
+            if c == 0 or sum(e) > cap or max(e) > top:
                 continue
             key = ring.pack(e)
             clean[key] = clean.get(key, 0) + c
@@ -96,6 +110,10 @@ class TruncatedPoly:
     @property
     def cap(self) -> int:
         return self.ring.bound
+
+    @property
+    def box(self) -> int | None:
+        return self.ring.box
 
     @classmethod
     def zero(cls, nvars: int, cap: int) -> TruncatedPoly:
@@ -125,7 +143,8 @@ class TruncatedPoly:
         e = tuple(expo)
         if len(e) != self.nvars:
             raise ValueError(f"exponent {e} does not have {self.nvars} entries")
-        if any(k < 0 for k in e) or sum(e) > self.cap:
+        box = self.cap if self.box is None else self.box
+        if any(k < 0 for k in e) or sum(e) > self.cap or max(e) > box:
             return 0
         return self.terms.get(self.ring.pack(e), 0)
 
@@ -195,7 +214,8 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compatible(other)
-        return TruncatedPoly._raw(self.ring, sparse.mul(self.terms, other.terms, self.ring.limit))
+        ring = self.ring
+        return TruncatedPoly._raw(ring, sparse.mul(self.terms, other.terms, ring.limit, ring.keep))
 
     def __rmul__(self, other: Scalar) -> TruncatedPoly:
         if isinstance(other, (int, Fraction)):
@@ -205,7 +225,7 @@ class TruncatedPoly:
     def __pow__(self, exp: int) -> TruncatedPoly:
         if exp < 0:
             raise ValueError("negative power in a truncated ring")
-        out = TruncatedPoly.one(self.nvars, self.cap)
+        out = TruncatedPoly._raw(self.ring, {0: 1})
         base = self
         while exp:
             if exp & 1:
@@ -215,24 +235,25 @@ class TruncatedPoly:
         return out
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return f"TruncatedPoly({self.nvars}, {self.cap}, 0)"
-        body = " + ".join(f"{c}*x^{list(e)}" for e, c in self.sorted_terms())
-        return f"TruncatedPoly({self.nvars}, {self.cap}, {body})"
+        body = " + ".join(f"{c}*x^{list(e)}" for e, c in self.sorted_terms()) or "0"
+        box = "" if self.box is None else f", box={self.box}"
+        return f"TruncatedPoly({self.nvars}, {self.cap}, {body}{box})"
 
 
 @lru_cache(maxsize=None)
-def _moment_table(nvars: int, cap: int) -> tuple[tuple[tuple, tuple, tuple], ...]:
-    """Grade-by-grade recipe for the monomials of degree 1 .. ``cap``.
+def _moment_table(ring: Packing) -> tuple[tuple[tuple, tuple, tuple], ...]:
+    """Grade-by-grade recipe for the monomials of degree 1 .. ``ring.bound``.
 
     Entry ``j - 1`` describes grade j as three parallel tuples: ``steps``
     of ``(parent, var)``, meaning the monomial is ``x_var`` times the
     parent's monomial at that index in grade j - 1; the packed ``keys``;
     and the ``multinomials`` j! / prod alpha_i!.  Each monomial's parent
     drops one factor of its lowest-index variable, so every monomial
-    appears once.
+    appears once.  Only monomials in the ring's box are listed; the parent
+    of one of them is in the box too.
     """
-    ring = Packing(nvars, cap)
+    nvars, cap = ring.nvars, ring.bound
+    top = cap if ring.box is None else ring.box
     # grade 0 is the empty monomial; a monomial may grow by any variable up
     # to its lowest-index one, the sole variable its parent pointer drops
     prev: list[tuple[int, int, int]] = [(0, 1, nvars - 1)]
@@ -242,15 +263,18 @@ def _moment_table(nvars: int, cap: int) -> tuple[tuple[tuple, tuple, tuple], ...
         for parent, (key, multinomial, lowest) in enumerate(prev):
             for var in range(lowest + 1):
                 child = key + ring.var(var)
+                e = ring.exponent(child, var)
+                if e > top:
+                    continue
                 steps.append((parent, var))
-                level.append((child, multinomial * j // ring.exponent(child, var), var))
+                level.append((child, multinomial * j // e, var))
         table.append((tuple(steps), tuple(k for k, _, _ in level), tuple(m for _, m, _ in level)))
         prev = level
     return tuple(table)
 
 
 def product_shifted_linear(
-    factors: Iterable[tuple[int, ...]], cap: int, nvars: int | None = None
+    factors: Iterable[tuple[int, ...]], cap: int, nvars: int | None = None, box: int | None = None
 ) -> TruncatedPoly:
     """The truncated product of ``(1 + form)`` over the given linear forms.
 
@@ -259,7 +283,8 @@ def product_shifted_linear(
     the total Chern class of a bundle whose roots are the forms.  An empty
     factor list yields 1, in which case ``nvars`` must be supplied.
     Non-integer coefficients or factors over different variable counts
-    raise ``ValueError``.
+    raise ``ValueError``.  The result lives in the ring with exponent box
+    ``box``, and only monomials in the box are ever formed.
 
     The product is never multiplied out.  One pass over the distinct forms
     a, with multiplicities m, gathers the integer moment sums
@@ -284,7 +309,8 @@ def product_shifted_linear(
             raise ValueError("linear form coefficients must be integers")
     elif nvars is None:
         raise ValueError("empty product needs an explicit nvars")
-    table = _moment_table(nvars, cap)
+    ring = Packing(nvars, cap, box)
+    table = _moment_table(ring)
     moments = [[0] * len(keys) for _, keys, _ in table]
     for coeffs, mult in grouped.items():
         level = [mult]
@@ -302,7 +328,7 @@ def product_shifted_linear(
         acc: sparse.Poly = {}
         for i in range(1, k + 1):
             # grade k <= cap fits the packing, so no limit is needed
-            sparse.add(acc, sparse.mul(elementary[k - i], signed[i]))
+            sparse.add(acc, sparse.mul(elementary[k - i], signed[i], keep=ring.keep))
         grade: sparse.Poly = {}
         for key, c in acc.items():
             q, r = divmod(c, k)
@@ -311,7 +337,7 @@ def product_shifted_linear(
             grade[key] = q
         elementary.append(grade)
         terms.update(grade)
-    return TruncatedPoly._raw(Packing(nvars, cap), terms)
+    return TruncatedPoly._raw(ring, terms)
 
 
 def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
@@ -335,7 +361,7 @@ def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
         for j in range(1, k + 1):
             if p_grades[j]:
                 # grade k <= cap fits the packing, so no limit is needed
-                sparse.add(acc, sparse.mul(p_grades[j], q_grades[k - j]))
+                sparse.add(acc, sparse.mul(p_grades[j], q_grades[k - j], keep=ring.keep))
         q_grades.append(acc)
     out: sparse.Poly = {}
     for grade in q_grades:

@@ -23,7 +23,13 @@ its variable fields.  Two consequences carry the whole module:
   degree at most ``cap``.
 
 The caller states a degree bound when it builds a :class:`Packing`; fields
-are wide enough for any exponent up to that bound.  ``add`` and ``scale``
+are wide enough for any exponent up to that bound.  A packing may also carry
+a *box*, a bound on every single exponent: its ``keep`` set holds the valid
+keys of degree at most the bound whose exponents all lie in the box.  The
+monomials outside the box span an ideal, so dropping them after each
+product is a ring homomorphism; :func:`mul` does it pair by pair.  A key
+with a carry between fields is never valid, so membership in ``keep`` also
+enforces the degree bound.  ``add`` and ``scale``
 never look inside a key, so they also serve dicts keyed by exponent
 tuples; ``add`` accumulates into its first argument in place, so a sum
 over many terms costs their size and not a copy of the running total per
@@ -32,6 +38,8 @@ term.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
 from typing import Iterable, Mapping
 
 from .exact import Scalar
@@ -44,30 +52,38 @@ class Packing:
 
     Fields are wide enough for any exponent up to ``bound``; ``limit`` is
     the smallest key of total degree ``bound + 1``, the truncation
-    threshold of a ring capped at ``bound``.
+    threshold of a ring capped at ``bound``.  ``box``, when given below
+    ``bound``, bounds every exponent as well, and ``keep`` is then the
+    frozen set of keys of the ring ``Q[x] / (deg > bound, x_i^(box + 1))``;
+    a box at or above the bound constrains nothing, so ``box`` and
+    ``keep`` are ``None`` there.  The box does not change the layout.
     """
 
-    __slots__ = ("nvars", "bound", "width", "shift", "mask", "limit")
+    __slots__ = ("nvars", "bound", "box", "keep", "width", "shift", "mask", "limit")
 
-    def __init__(self, nvars: int, bound: int) -> None:
+    def __init__(self, nvars: int, bound: int, box: int | None = None) -> None:
         if nvars < 1:
             raise ValueError("need at least one variable")
         if bound < 0:
             raise ValueError("degree bound must be nonnegative")
+        if box is not None and box < 0:
+            raise ValueError("exponent box must be nonnegative")
         self.nvars = nvars
         self.bound = bound
         self.width = max(1, bound.bit_length())
         self.shift = nvars * self.width
         self.mask = (1 << self.width) - 1
         self.limit = (bound + 1) << self.shift
+        self.box = box if box is not None and box < bound else None
+        self.keep = None if self.box is None else _box_keys(nvars, bound, self.box)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Packing):
             return NotImplemented
-        return self.nvars == other.nvars and self.bound == other.bound
+        return (self.nvars, self.bound, self.box) == (other.nvars, other.bound, other.box)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.bound))
+        return hash((self.nvars, self.bound, self.box))
 
     def offset(self, var: int) -> int:
         """Bit offset of the field of variable ``var``."""
@@ -108,6 +124,13 @@ class Packing:
         return {self.unpack(k): c for k, c in p.items()}
 
 
+@lru_cache(maxsize=None)
+def _box_keys(nvars: int, bound: int, box: int) -> frozenset[int]:
+    """Keys of degree at most ``bound`` with every exponent at most ``box``."""
+    ring = Packing(nvars, bound)
+    return frozenset(ring.pack(e) for e in product(range(box + 1), repeat=nvars) if sum(e) <= bound)
+
+
 def add(acc: dict, q: dict, c: Scalar = 1) -> dict:
     """Add ``c * q`` into ``acc`` in place and return ``acc``.
 
@@ -131,18 +154,26 @@ def scale(p: dict, c: Scalar) -> dict:
     return {k: v * c for k, v in p.items()}
 
 
-def mul(p: Poly, q: Poly, limit: int | None = None) -> Poly:
+def mul(p: Poly, q: Poly, limit: int | None = None, keep: frozenset[int] | None = None) -> Poly:
     """The product ``p * q``, keeping only keys below ``limit`` when given.
 
     Without a limit the caller's packing must have room for the degree of
     the product; with ``limit = packing.limit`` the result is the product
-    truncated above the packing's bound.
+    truncated above the packing's bound.  With ``keep = packing.keep`` only
+    keys in that set are formed, which truncates to the bound and the box
+    at once, so ``limit`` is then not consulted.
     """
     if len(q) < len(p):
         p, q = q, p
     out: Poly = {}
     get = out.get
-    if limit is None:
+    if keep is not None:
+        for k1, c1 in p.items():
+            for k2, c2 in q.items():
+                k = k1 + k2
+                if k in keep:
+                    out[k] = get(k, 0) + c1 * c2
+    elif limit is None:
         for k1, c1 in p.items():
             for k2, c2 in q.items():
                 k = k1 + k2

@@ -123,12 +123,12 @@ def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> 
         raise ValueError(f"need graded characters up to degree {k}")
     head = graded_characters[0]
     for j, piece in enumerate(graded_characters[: k + 1]):
-        if piece.nvars != head.nvars or piece.cap != head.cap:
+        if piece.ring != head.ring:
             raise ValueError("graded characters live in different rings")
         if not piece.is_homogeneous(j):
             raise ValueError(f"graded piece {j} is not homogeneous of degree {j}")
     if k == 0:
-        return TruncatedPoly.one(head.nvars, head.cap)
+        return TruncatedPoly._raw(head.ring, {0: 1})
     power_sums = [piece.scale(factorial(j)) for j, piece in enumerate(graded_characters[: k + 1])]
     # k! s_k, accumulated in place
     total: dict[int, Scalar] = {}

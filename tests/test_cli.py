@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -130,15 +134,52 @@ def test_cache_negative_degree_fails(tmp_cache):
 
 
 def test_cache_hit_short_circuits_quotient_only(tmp_cache, capsys):
-    # the default route trusts the cache; any other route recomputes and
-    # cross-checks, so a poisoned record is caught as soon as one runs
-    tmp_cache.write_text('{"d":2,"degree":"999","engine_version":"x","n":3}\n')
+    # the default route trusts a record of this engine version; any other
+    # route recomputes and cross-checks, so a poisoned record is caught as
+    # soon as one runs
+    tmp_cache.write_text(f'{{"d":2,"degree":"999","engine_version":"{__version__}","n":3}}\n')
     assert run(["degree", "--n", "3", "--d", "2"]) == 0
     out, _ = _lines(capsys)
     assert out == ["999"]
     assert run(["degree", "--n", "3", "--d", "2", "--method", "chchar"]) == 3
     _, err = _lines(capsys)
     assert any("disagrees" in line for line in err)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"d":2,"degree":"999","engine_version":"x","n":3}',
+        '{"d":2,"degree":"999","n":3}',
+    ],
+)
+def test_cache_record_of_another_version_is_recomputed(tmp_cache, capsys, record):
+    # a wrong record that this engine version did not write must not reach
+    # stdout, even on the default route
+    tmp_cache.write_text(record + "\n")
+    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    out, err = _lines(capsys)
+    assert out == []
+    assert any("disagrees" in line for line in err)
+    assert tmp_cache.read_text() == record + "\n"
+
+
+def test_cache_record_of_another_version_is_confirmed_once(tmp_cache, monkeypatch, capsys):
+    tmp_cache.write_text(_GOOD_RECORD + "\n")
+    assert run(["degree", "--n", "3", "--d", "2"]) == 0
+    assert capsys.readouterr() == ("1320\n", "")
+    current = {"d": 2, "degree": "1320", "engine_version": __version__, "n": 3}
+    lines = tmp_cache.read_text().splitlines()
+    assert lines[0] == _GOOD_RECORD
+    assert [json.loads(line) for line in lines[1:]] == [current]
+
+    def engine_not_needed(d, n, method):
+        raise RuntimeError("the confirmed record must be a plain hit")
+
+    monkeypatch.setattr(cli, "degree_lpb", engine_not_needed)
+    assert run(["degree", "--n", "3", "--d", "2"]) == 0
+    assert capsys.readouterr() == ("1320\n", "")
+    assert tmp_cache.read_text().splitlines() == lines
 
 
 def test_degree_route_fault_detected(tmp_cache, monkeypatch, capsys):
@@ -364,6 +405,16 @@ def test_version_flag(capsys):
     out, err = _lines(capsys)
     assert out == [f"lpbdeg {__version__}"]
     assert err == []
+
+
+def test_module_entry_point_prints_version():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "lpbdeg", "--version"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"lpbdeg {__version__}\n", "")
+    assert __version__ == "0.1.0"
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ def test_context_validation():
 def test_dimension_and_box():
     ctx = GrassContext(3, 6)
     assert ctx.g == 9
+    assert ctx.box == 5
     assert GrassContext(3, 4).g == 3
     assert GrassContext(1, 5).g == 4
 
@@ -77,3 +78,15 @@ def test_integral_combines_exactly():
     point = elementary_symmetric(3, ctx.g, 3) ** 2
     cls = e1**ctx.g - point.scale(5)
     assert ctx.integrate(cls) == 0
+
+
+def test_integrate_rejects_a_ring_whose_box_drops_read_terms():
+    # the Pluecker class of G(3, 7) in the box of G(3, 6) has lost terms
+    # with an exponent of 6, which the integral over G(3, 7) reads
+    small, large = GrassContext(3, 6), GrassContext(3, 7)
+    terms = dict((elementary_symmetric(3, large.g, 1) ** large.g).sorted_terms())
+    in_small_box = TruncatedPoly(3, large.g, terms, box=small.box)
+    assert in_small_box.box == 5
+    with pytest.raises(ValueError, match="box|exponents"):
+        large.integrate(in_small_box)
+    assert large.integrate(TruncatedPoly(3, large.g, terms, box=large.box)) == large.plucker_degree() == 462

@@ -56,6 +56,20 @@ def test_exponent_enumeration_order_is_stable():
     assert len(set(got)) == 6
 
 
+def test_construction_and_queries_respect_the_box():
+    p = TruncatedPoly(2, 4, {(0, 0): 1, (2, 1): 3, (3, 0): 7, (1, 3): 5}, box=2)
+    assert p.box == 2
+    assert dict(p.sorted_terms()) == {(0, 0): 1, (2, 1): 3}
+    assert p.coefficient((3, 0)) == 0 and p.coefficient((2, 1)) == 3
+    assert p != TruncatedPoly(2, 4, {(0, 0): 1, (2, 1): 3})
+    assert TruncatedPoly(2, 4, box=4) == TruncatedPoly.zero(2, 4)
+    # the box shows, so unequal rings never print alike
+    assert repr(p) == "TruncatedPoly(2, 4, 1*x^[0, 0] + 3*x^[2, 1], box=2)"
+    assert repr(TruncatedPoly.zero(2, 4)) == "TruncatedPoly(2, 4, 0)"
+    with pytest.raises(ValueError):
+        p * TruncatedPoly.one(2, 4)
+
+
 def test_truncation_in_products():
     x = TruncatedPoly(1, 2, {(1,): 1})
     p = (TruncatedPoly.one(1, 2) + x) ** 5

@@ -92,12 +92,18 @@ def test_key_order_is_graded_lex(case):
     assert [e for e, _ in poly.sorted_terms()] == sorted(p, key=lambda e: (sum(e), e))
 
 
-@given(rings())
-def test_truncated_mul_matches_reference(case):
+@given(rings(), st.integers(0, 8))
+def test_truncated_mul_matches_reference(case, box):
     nvars, cap, p, q = case
     ring = Packing(nvars, cap)
     got = sparse.mul(ring.pack_terms(p), ring.pack_terms(q), ring.limit)
     assert ring.unpack_terms(got) == ref_mul(p, q, cap)
+    # the boxed ring forms only products with every exponent in the box
+    boxed = Packing(nvars, cap, box)
+    p_in, q_in = ({e: c for e, c in f.items() if max(e) <= box} for f in (p, q))
+    got = sparse.mul(boxed.pack_terms(p_in), boxed.pack_terms(q_in), boxed.limit, boxed.keep)
+    expected = ref_mul(p_in, q_in, cap)
+    assert boxed.unpack_terms(got) == {e: c for e, c in expected.items() if max(e) <= box}
 
 
 @given(rings())
@@ -152,3 +158,17 @@ def test_packing_validation():
         Packing(0, 3)
     with pytest.raises(ValueError):
         Packing(2, -1)
+    with pytest.raises(ValueError):
+        Packing(2, 3, -1)
+
+
+def test_packing_box():
+    # a box at or above the bound constrains nothing, so it is no box
+    assert Packing(2, 3, 3) == Packing(2, 3) == Packing(2, 3, 7)
+    assert Packing(2, 3, 3).box is None and Packing(2, 3).keep is None
+    boxed = Packing(2, 3, 1)
+    assert boxed != Packing(2, 3) and boxed == Packing(2, 3, 1)
+    assert hash(boxed) == hash(Packing(2, 3, 1))
+    assert sorted(map(boxed.unpack, boxed.keep)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # the box leaves the layout alone
+    assert (boxed.width, boxed.limit) == (Packing(2, 3).width, Packing(2, 3).limit)
