@@ -28,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import factorial, prod
-from operator import add
+from operator import add, mul
 from typing import TYPE_CHECKING
 
 from . import sparse
@@ -163,13 +162,15 @@ def _signed_roots(expr: VirtualBundleExpr, k: int) -> dict[Root, int]:
         if any(m < 0 for m in inner.values()):
             raise ValueError("symmetric power of a properly virtual bundle")
         base = [f for f, m in inner.items() for _ in range(m)]
+        if not base:
+            # Sym^0 of the zero bundle is the trivial line bundle
+            return {(0,) * k: 1} if expr.power == 0 else {}
+        # a multiset of roots is its vector of counts, one entry per root of
+        # the base, and its form is the counts dotted with each column
+        columns = list(zip(*base))
         out: dict[Root, int] = {}
-        for picks in combinations_with_replacement(range(len(base)), expr.power):
-            # one form per multiset of roots, summed from its index counts
-            counts = [0] * len(base)
-            for i in picks:
-                counts[i] += 1
-            form = tuple(sum(c * f[j] for c, f in zip(counts, base)) for j in range(k))
+        for counts in exponents_of_degree(len(base), expr.power):
+            form = tuple([sum(map(mul, counts, column)) for column in columns])
             out[form] = out.get(form, 0) + 1
         return out
     if isinstance(expr, Tensor):
@@ -207,25 +208,32 @@ def total_segre(expr: VirtualBundleExpr, ctx: GrassContext, cap: int) -> Truncat
     return inverse_unit_series(total_chern(expr, ctx, cap))
 
 
-def chern_character_graded(expr: VirtualBundleExpr, ctx: GrassContext, degree: int, cap: int) -> TruncatedPoly:
-    """Degree-``degree`` graded piece of the Chern character.
+def chern_character_graded(
+    expr: VirtualBundleExpr, ctx: GrassContext, degree: int, cap: int
+) -> list[TruncatedPoly]:
+    """Graded pieces ch_0 .. ch_degree of the Chern character.
 
-    For roots r_i minus roots s_j this is
-    ``(sum r_i^degree - sum s_j^degree) / degree!``: each distinct form is
-    expanded once with multinomial coefficients and scaled by its signed
-    multiplicity.  The piece lives in the ring with the exponent box of
-    ``ctx``, and no monomial outside the box is expanded.
+    Entry j of the list is, for roots r minus roots s,
+    ``(sum r^j - sum s^j) / j!``: each distinct form is expanded once per j
+    with multinomial coefficients and scaled by its signed multiplicity.
+    The roots are enumerated once for all the pieces.  The pieces live in
+    the ring with the exponent box of ``ctx``, and no monomial outside the
+    box is expanded.
     """
     if degree < 0:
         raise ValueError("negative character degree")
     if degree > cap:
         raise ValueError("character degree beyond the ring cap")
-    acc: dict[tuple[int, ...], int] = {}
-    for form, mult in _signed_roots(expr, ctx.k).items():
-        sparse.add(acc, _power_of_linear(form, degree, ctx.box), mult)
-    inv = factorial(degree)
-    terms = {e: normalize(Fraction(c, inv)) for e, c in acc.items()}
-    return TruncatedPoly(ctx.k, cap, terms, box=ctx.box)
+    roots = _signed_roots(expr, ctx.k).items()
+    pieces = []
+    for j in range(degree + 1):
+        acc: dict[tuple[int, ...], int] = {}
+        for form, mult in roots:
+            sparse.add(acc, _power_of_linear(form, j, ctx.box), mult)
+        inv = factorial(j)
+        terms = {e: normalize(Fraction(c, inv)) for e, c in acc.items()}
+        pieces.append(TruncatedPoly(ctx.k, cap, terms, box=ctx.box))
+    return pieces
 
 
 def _power_of_linear(form: Root, degree: int, box: int) -> dict[tuple[int, ...], int]:

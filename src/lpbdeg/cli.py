@@ -9,6 +9,10 @@ Subcommands::
     forms check-pullback --n N --d D --trials T --seed S
     selftest
 
+``degree --d`` and ``table --d-max`` accept at most ``MAX_D`` = 1000: the
+work per degree grows about as d^2, and the bound keeps a typo such as
+``--d 100000`` from quietly starting hours of root enumeration.
+
 Exit codes: 0 success, 1 usage error (a bad command line or an argument
 out of range, which each subcommand checks before any work), 2 verification
 mismatch, 3 internal fault (non-integer integral, route disagreement, cache
@@ -77,6 +81,11 @@ from .grassmann import GrassContext
 
 DEFAULT_CACHE_PATH = "./lpb-cache.jsonl"
 CACHE_ENV_VAR = "LPB_CACHE"
+
+# the largest foliation degree the degree commands accept: the quotient
+# route enumerates about 1.5 d^2 Chern roots per degree, and its time grows
+# about as d^2 (d = 400 takes about a second and 50 MB at n = 3)
+MAX_D = 1000
 
 _METHOD_FLAGS = {
     "quotient": METHOD_CHERN_QUOTIENT,
@@ -239,6 +248,11 @@ def _at_least(flag: str, value: int, low: int) -> None:
         raise UsageError(f"{flag} must be at least {low}")
 
 
+def _at_most(flag: str, value: int, high: int) -> None:
+    if value > high:
+        raise UsageError(f"{flag} must be at most {high}")
+
+
 def _check_positive(n: int, d: int, value: int) -> None:
     # the degree of an irreducible projective variety is positive; d < 2 is
     # outside the geometric range and exempt
@@ -296,6 +310,7 @@ def _poly_latex(coeffs: Sequence[Fraction]) -> str:
 def _cmd_degree(args: argparse.Namespace) -> int:
     _at_least("--n", args.n, 3)
     _at_least("--d", args.d, 0)
+    _at_most("--d", args.d, MAX_D)
     cache = DegreeCache()
     value = cache.resolve(args.n, args.d, _METHOD_FLAGS[args.method])
     _check_positive(args.n, args.d, value)
@@ -309,6 +324,7 @@ def _table_rows(n: int, d_min: int, d_max: int) -> list[tuple[int, int, int, boo
     _at_least("--d-min", d_min, 0)
     if d_min > d_max:
         raise UsageError("--d-min must not exceed --d-max")
+    _at_most("--d-max", d_max, MAX_D)
     cache = DegreeCache()
     rows = []
     for d in range(d_min, d_max + 1):

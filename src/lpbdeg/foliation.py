@@ -107,7 +107,7 @@ def degree_lpb(d: int, n: int, method: str = METHOD_CHERN_QUOTIENT) -> int:
         cls = total_segre(expr, ctx, g).graded_part(g)
         results[METHOD_CHERN_QUOTIENT] = ctx.integrate(cls)
     if method in (METHOD_CH_PARTITION, METHOD_BOTH):
-        pieces = [chern_character_graded(dual(expr), ctx, j, g) for j in range(g + 1)]
+        pieces = chern_character_graded(dual(expr), ctx, g, g)
         cls = segre_via_characters(pieces, g)
         results[METHOD_CH_PARTITION] = ctx.integrate(cls)
     if len(results) == 2:

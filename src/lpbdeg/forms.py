@@ -161,12 +161,15 @@ class ProjectiveOneForm:
 
 
 def contract_radial(form: ProjectiveOneForm) -> Poly:
-    """The radial contraction ``sum A_i Z_i``, zero exactly on form-space members."""
-    ring = Packing(form.n + 1, form.d + 2)
-    out: sparse.Poly = {}
+    """The radial contraction ``sum A_i Z_i``, zero exactly on form-space members.
+
+    Multiplying by Z_i raises one entry of each exponent tuple, so the sum
+    is formed on the tuples themselves, with no packing.
+    """
+    out: Poly = {}
     for i, a in enumerate(form.coeffs):
-        sparse.add(out, sparse.mul_var(ring.pack_terms(a), ring, i))
-    return ring.unpack_terms(out)
+        sparse.add(out, {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in a.items()})
+    return out
 
 
 def integrability_defect(form: ProjectiveOneForm) -> dict[tuple[int, int, int], Poly]:

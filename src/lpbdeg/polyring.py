@@ -27,8 +27,9 @@ Total Chern classes come from :func:`product_shifted_linear`, which takes
 its Chern roots as plain integer coefficient tuples and never multiplies
 its ``(1 + form)`` factors out: it gathers integer moment sums over the
 distinct forms and recovers the product's graded pieces from the power
-sums by Newton's identities, so its cost is set by the number of distinct
-forms and of monomials below the cap.
+sums by Newton's identities.  The moments are taken a column at a time
+over fixed blocks of distinct forms, so their cost is one C-level ``map``
+and one ``sum`` per monomial below the cap and per block.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import sparse
@@ -45,6 +46,11 @@ from .exact import Scalar, normalize
 from .sparse import Packing
 
 Exponent = tuple[int, ...]
+
+# distinct forms per block of product_shifted_linear: each block holds one
+# column of a^alpha per monomial of two grades, so the block size bounds
+# the working set whatever the number of forms
+_BLOCK = 64
 
 
 def exponents_of_degree(nvars: int, degree: int) -> Iterator[Exponent]:
@@ -292,10 +298,13 @@ def product_shifted_linear(
     sums of the roots are ``p_j = sum_{|alpha| = j} (j; alpha) M_alpha
     x^alpha``, and Newton's identities
     ``k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i`` give the graded pieces
-    e_k of the product (Fulton, *Intersection Theory*, Ch. 3).  The cost is
-    one multiplication per distinct form and monomial, plus a Newton step
-    that depends on ``cap`` alone.  The division by k is exact on integers;
-    a remainder raises ``ArithmeticError``.
+    e_k of the product (Fulton, *Intersection Theory*, Ch. 3).  The forms
+    are taken in blocks of a fixed size: within a block each monomial's
+    column of values ``m * a^alpha`` is its parent's column times one
+    coefficient column, one C-level ``map``, and its moment is the column's
+    ``sum``.  The cost is one ``map`` and one ``sum`` per monomial and block,
+    plus a Newton step that depends on ``cap`` alone.  The division by k is
+    exact on integers; a remainder raises ``ArithmeticError``.
     """
     grouped = Counter(factors)
     if grouped:
@@ -312,11 +321,15 @@ def product_shifted_linear(
     ring = Packing(nvars, cap, box)
     table = _moment_table(ring)
     moments = [[0] * len(keys) for _, keys, _ in table]
-    for coeffs, mult in grouped.items():
-        level = [mult]
+    distinct = list(grouped.items())
+    for start in range(0, len(distinct), _BLOCK):
+        block = distinct[start : start + _BLOCK]
+        columns = list(zip(*[form for form, _ in block]))
+        # level[i] holds m * a^alpha over the block for monomial i of a grade
+        level = [[mult for _, mult in block]]
         for j, (steps, _, _) in enumerate(table):
-            level = [level[parent] * coeffs[var] for parent, var in steps]
-            moments[j] = list(map(add, moments[j], level))
+            level = [list(map(mul, level[parent], columns[var])) for parent, var in steps]
+            moments[j] = list(map(add, moments[j], map(sum, level)))
     # signed[i] = (-1)^(i-1) p_i, so each Newton step is a plain sum
     signed: list[sparse.Poly] = [{}]
     for j, ((_, keys, multinomials), sums) in enumerate(zip(table, moments), 1):

@@ -201,9 +201,3 @@ def diff(p: Poly, packing: Packing, var: int) -> Poly:
         if e:
             out[k - step] = c * e
     return out
-
-
-def mul_var(p: Poly, packing: Packing, var: int) -> Poly:
-    """Multiply by the single variable ``x_var``; the packing needs room."""
-    step = packing.var(var)
-    return {k + step: c for k, c in p.items()}

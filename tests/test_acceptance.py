@@ -118,7 +118,7 @@ def test_criterion_08_degree_bounds():
 
         points = []
         for d in range(0, 6):
-            ch1 = chern_character_graded(sym(d, dual_taut), ctx, 1, 1)
+            ch1 = chern_character_graded(sym(d, dual_taut), ctx, 1, 1)[1]
             points.append((Fraction(d), Fraction(ch1.coefficient((1, 0, 0)))))
         assert lagrange_interpolate(points).degree == 3
 

@@ -186,10 +186,9 @@ def test_degree_route_fault_detected(tmp_cache, monkeypatch, capsys):
     real = foliation.chern_character_graded
 
     def skewed(expr, ctx, degree, cap):
-        piece = real(expr, ctx, degree, cap)
-        if degree == 1:
-            return piece.scale(2)
-        return piece
+        pieces = real(expr, ctx, degree, cap)
+        pieces[1] = pieces[1].scale(2)
+        return pieces
 
     monkeypatch.setattr(foliation, "chern_character_graded", skewed)
     assert run(["degree", "--n", "3", "--d", "2", "--method", "both"]) == 3
@@ -351,8 +350,14 @@ def test_domain_errors_exit_one(tmp_cache, capsys):
     assert any("error:" in line for line in err)
 
 
-def test_argument_ranges_exit_one(tmp_cache, capsys):
+def test_argument_ranges_exit_one(tmp_cache, monkeypatch, capsys):
+    def engine_not_reached(d, n, method):
+        raise RuntimeError("arguments must be checked before any work")
+
+    monkeypatch.setattr(cli, "degree_lpb", engine_not_reached)
     assert run(["table", "--n", "3", "--d-min", "-1", "--d-max", "2"]) == 1
+    assert run(["degree", "--n", "3", "--d", str(cli.MAX_D + 1)]) == 1
+    assert run(["table", "--n", "3", "--d-min", "2", "--d-max", str(cli.MAX_D + 1)]) == 1
     assert run(["closed-form", "--n", "2"]) == 1
     check = ["forms", "check-pullback", "--trials", "1", "--seed", "1"]
     assert run(check + ["--n", "1", "--d", "1"]) == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpbdeg.bundles import chern_roots
+from lpbdeg.bundles import _signed_roots, chern_roots
 from lpbdeg.exact import UniPoly
 from lpbdeg.foliation import (
     InternalInconsistencyError,
@@ -20,6 +20,7 @@ from lpbdeg.foliation import (
     virtual_rank_check,
 )
 from lpbdeg.grassmann import GrassContext
+from lpbdeg.polyring import exponents_of_degree
 
 
 def test_reference_formula_pinned_values():
@@ -103,6 +104,19 @@ def test_bundle_rank_matches_closed_count():
         assert virtual_rank_check(d, 3) == (d + 1) * (d + 3)
     with pytest.raises(ValueError):
         pullback_forms_bundle(-1)
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_pullback_bundle_roots_are_negated_exponents(d):
+    # the roots of Sym^(d+1) T (x) T are -(beta + e_i), so each gamma with
+    # |gamma| = d + 2 arises once per nonzero entry, and Sym^(d+2) T takes
+    # one of them away
+    expected = {
+        tuple(-g for g in gamma): sum(1 for g in gamma if g) - 1
+        for gamma in exponents_of_degree(3, d + 2)
+        if sum(1 for g in gamma if g) >= 2
+    }
+    assert _signed_roots(pullback_forms_bundle(d), 3) == expected
 
 
 def test_invariants_examples():

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lpbdeg.polyring import (
+    _BLOCK,
     TruncatedPoly,
     elementary_symmetric,
     exponents_of_degree,
@@ -224,6 +226,21 @@ def test_product_shifted_linear_matches_one_factor_at_a_time(case):
     assert (got.nvars, got.cap) == (nvars, cap)
     assert dict(got.sorted_terms()) == _one_factor_at_a_time(forms, nvars, cap)
     assert all(type(c) is int for _, c in got.sorted_terms())
+
+
+@pytest.mark.parametrize("distinct", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("boxed", [False, True])
+def test_product_shifted_linear_across_form_blocks(distinct, boxed):
+    # enough distinct forms to fill several blocks, a last partial one
+    # included, each repeated 1 to 3 times
+    nvars, cap = 3, 5
+    box = cap - 2 if boxed else None
+    pool = list(product(range(-3, 3), repeat=nvars))[:distinct]
+    forms = [f for i, f in enumerate(pool) for _ in range(1 + i % 3)]
+    got = product_shifted_linear(forms, cap, nvars=nvars, box=box)
+    expected = _one_factor_at_a_time(forms, nvars, cap)
+    top = cap if box is None else box
+    assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= top}
 
 
 def test_elementary_symmetric_explicit():
