@@ -3,8 +3,8 @@ spaces, by integration of Segre classes over a Grassmannian.
 
 The package is organized bottom-up:
 
-* :mod:`lpbdeg.exact` -- rational scalars, exact linear algebra, univariate
-  polynomials and interpolation.
+* :mod:`lpbdeg.exact` -- rational scalars, univariate polynomials and
+  interpolation.
 * :mod:`lpbdeg.sparse` -- the packed-exponent sparse polynomial kernel that
   every multivariate product below runs on.
 * :mod:`lpbdeg.polyring` -- truncated multivariate polynomial ring used for
@@ -26,7 +26,7 @@ values, and no floating point enters any computation.
 
 __version__ = "0.1.0"
 
-from .exact import UniPoly, kernel_basis, lagrange_interpolate
+from .exact import UniPoly, lagrange_interpolate
 from .foliation import (
     InternalInconsistencyError,
     LpbInvariants,
@@ -46,7 +46,6 @@ __all__ = [
     "__version__",
     "closed_form",
     "degree_lpb",
-    "kernel_basis",
     "lagrange_interpolate",
     "lpb_invariants",
     "pullback_linear",

@@ -12,6 +12,9 @@ Subcommands::
 ``degree --d`` and ``table --d-max`` accept at most ``MAX_D`` = 1000: the
 work per degree grows about as d^2, and the bound keeps a typo such as
 ``--d 100000`` from quietly starting hours of root enumeration.
+``forms check-pullback`` accepts ``--n`` up to ``MAX_FORMS_N`` = 20,
+``--trials`` up to ``MAX_TRIALS`` = 1000, and (n, d) only while a pulled-back
+coefficient has at most ``MAX_FORM_TERMS`` = 500 terms, C(n+d+1, n).
 
 Exit codes: 0 success, 1 usage error (a bad command line or an argument
 out of range, which each subcommand checks before any work), 2 verification
@@ -53,6 +56,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 from typing import Callable, Sequence
 
 from . import __version__
@@ -86,6 +90,14 @@ CACHE_ENV_VAR = "LPB_CACHE"
 # route enumerates about 1.5 d^2 Chern roots per degree, and its time grows
 # about as d^2 (d = 400 takes about a second and 50 MB at n = 3)
 MAX_D = 1000
+
+# the bounds of forms check-pullback: a trial costs about C(n+d+1, n) terms
+# per coefficient, and its integrability check walks about n^2/2 triples
+# (one trial takes about 1.7 s at (n, d) = (8, 3), 1.2 s at (20, 1) and
+# 5.8 s and 210 MB at (2, 29), the largest d allowed; 2-vCPU host)
+MAX_FORMS_N = 20
+MAX_FORM_TERMS = 500
+MAX_TRIALS = 1000
 
 _METHOD_FLAGS = {
     "quotient": METHOD_CHERN_QUOTIENT,
@@ -405,8 +417,11 @@ def _trial_seed(seed: int, trial: int, salt: int) -> int:
 
 def _cmd_check_pullback(args: argparse.Namespace) -> int:
     _at_least("--n", args.n, 2)
+    _at_most("--n", args.n, MAX_FORMS_N)
     _at_least("--d", args.d, 0)
     _at_least("--trials", args.trials, 1)
+    _at_most("--trials", args.trials, MAX_TRIALS)
+    _at_most("C(n+d+1, n)", comb(args.n + args.d + 1, args.n), MAX_FORM_TERMS)
     failures = 0
     for trial in range(args.trials):
         omega = random_form(2, args.d, _trial_seed(args.seed, trial, 0))

@@ -12,7 +12,11 @@ convert back to tuples at the public boundary.
 :class:`ProjectiveOneForm` stores the coefficient vector and enforces
 homogeneity but deliberately not the contraction identity, so that
 non-members can be constructed and tested; membership is the statement
-``contract_radial(form) == {}``.
+``contract_radial(form) == {}``.  The form space has a basis in closed form,
+the forms ``m (Z_i dZ_j - Z_j dZ_i)`` with i < j and m a monomial in
+Z_i..Z_n (:func:`form_space_basis`), so sampling (:func:`random_form`) runs
+no linear algebra, and the rank-3 check of a projection is a search for a
+nonzero 3 x 3 minor, whose block :func:`recover` also inverts.
 
 :func:`integrability_defect` gives the coefficients Omega_ijk of
 ``mu ^ d mu``.  Two exact identities let it skip triples.  Every 1-form has
@@ -48,7 +52,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from . import sparse
-from .exact import Scalar, kernel_basis, matrix_rank, normalize
+from .exact import Scalar, normalize
 from .polyring import exponents_of_degree
 from .sparse import Packing
 
@@ -103,6 +107,8 @@ def substitute_linear(
         for e, c in p.items():
             sparse.add(total, image(source.pack(e)), c)
         out.append(ring.unpack_terms(total))
+    # image refers to itself; breaking that cycle frees the memo on return
+    del image
     return out
 
 
@@ -246,7 +252,7 @@ class LinearProjection:
         width = widths.pop()
         if width < 3:
             raise ValueError("ambient projective dimension must be at least 2")
-        if matrix_rank(rows) != 3:
+        if _invertible_block(rows) is None:
             raise ValueError("projection matrix must have rank exactly 3")
         object.__setattr__(self, "rows", rows)
 
@@ -302,35 +308,35 @@ def dimension_vdn(n: int, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def form_space_basis(n: int, d: int) -> tuple[ProjectiveOneForm, ...]:
-    """A basis of the form space, from the kernel of the contraction matrix.
+    """A basis of the form space, written down in closed form.
 
-    Columns of the matrix are ordered by coefficient index i and then by
-    the monomial order of :func:`exponents_of_degree`; the basis is the
-    normalized kernel basis in that layout, so it is deterministic.  The
-    result is cached; treat the returned forms as read-only.
+    The forms ``m (Z_i dZ_j - Z_j dZ_i)`` for i < j and m a monomial of
+    degree d in Z_i..Z_n, ordered by j and then by ``e = m Z_i`` in the order
+    of :func:`exponents_of_degree`.  The form of (j, e) has ``Z^e`` at
+    coefficient j and ``-Z^(e - e_i + e_j)`` at i, the first index where e is
+    positive.  The forms are independent: the entry (j, e), with e positive
+    before j, occurs in no other form, whose entry (i, f) has f zero before
+    i.  The remaining pairs, with e zero before j, are one per degree-(d+2)
+    monomial ``Z^(e + e_j)``, so the forms number ``dimension_vdn(n, d)``, the
+    dimension of the kernel of the contraction, and are a basis of it (that
+    such forms span is the exactness of the Koszul complex; Jouanolou,
+    *Equations de Pfaff algebriques*, LNM 708).  They are also the
+    normalized kernel basis that exact elimination returns for the 0/1
+    contraction matrix with columns ordered by coefficient index and then by
+    monomial.  The result is cached; treat the returned forms as read-only.
     """
     nv = n + 1
-    ring = Packing(nv, d + 2)
-    monos = list(exponents_of_degree(nv, d + 1))
-    index = {ring.pack(e): r for r, e in enumerate(exponents_of_degree(nv, d + 2))}
-    nrows = len(index)
-    ncols = nv * len(monos)
-    matrix = [[0] * ncols for _ in range(nrows)]
-    for i in range(nv):
-        step = ring.var(i)
-        for m, e in enumerate(monos):
-            matrix[index[ring.pack(e) + step]][i * len(monos) + m] = 1
     basis = []
-    for vec in kernel_basis(matrix):
-        coeffs = []
-        for i in range(nv):
-            poly: Poly = {}
-            for m, e in enumerate(monos):
-                c = vec[i * len(monos) + m]
-                if c:
-                    poly[e] = c
-            coeffs.append(poly)
-        basis.append(ProjectiveOneForm(n, d, tuple(coeffs)))
+    for j in range(1, nv):
+        for e in exponents_of_degree(nv, d + 1):
+            i = next(v for v in range(nv) if e[v])
+            if i < j:
+                swapped = list(e)
+                swapped[i] -= 1
+                swapped[j] += 1
+                coeffs: list[Poly] = [{} for _ in range(nv)]
+                coeffs[j], coeffs[i] = {e: 1}, {tuple(swapped): -1}
+                basis.append(ProjectiveOneForm(n, d, tuple(coeffs)))
     expected = dimension_vdn(n, d)
     if len(basis) != expected:
         raise RuntimeError(f"form space basis has {len(basis)} forms, expected {expected}")
@@ -340,10 +346,10 @@ def form_space_basis(n: int, d: int) -> tuple[ProjectiveOneForm, ...]:
 def random_form(n: int, d: int, seed: int) -> ProjectiveOneForm:
     """Deterministic pseudo-random element of the form space.
 
-    Combines the cached kernel basis with independent uniform integer
-    coefficients in [-9, 9] drawn from ``random.Random(seed)``; the same
-    (n, d, seed) always yields the same form, and the radial contraction of
-    the result is identically zero.  Needs n >= 2 and d >= 0.
+    Combines the cached :func:`form_space_basis` with independent uniform
+    integer coefficients in [-9, 9] drawn from ``random.Random(seed)``; the
+    same (n, d, seed) always yields the same form, and the radial
+    contraction of the result is identically zero.  Needs n >= 2 and d >= 0.
     """
     basis = form_space_basis(n, d)
     rng = random.Random(seed)
@@ -367,7 +373,7 @@ def random_projection(n: int, seed: int) -> LinearProjection:
     rng = random.Random(seed)
     for _ in range(1000):
         rows = tuple(tuple(rng.randint(-9, 9) for _ in range(n + 1)) for _ in range(3))
-        if matrix_rank(rows) == 3:
+        if _invertible_block(rows) is not None:
             return LinearProjection(rows)
     raise RuntimeError("failed to sample a full-rank projection")
 
@@ -394,6 +400,24 @@ def _adjugate3(m: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     return [[cof[j][i] for j in range(3)] for i in range(3)]
 
 
+def _invertible_block(
+    rows: Sequence[Sequence[Scalar]],
+) -> tuple[tuple[int, ...], list[list[Scalar]], Scalar] | None:
+    """The first column triple whose 3 x 3 block of ``rows`` is invertible.
+
+    Returns the triple, the block's adjugate and its determinant, or
+    ``None`` when every 3 x 3 minor vanishes, that is when the three rows
+    have rank below 3.
+    """
+    for cols in combinations(range(len(rows[0])), 3):
+        block = [[row[c] for c in cols] for row in rows]
+        adj = _adjugate3(block)
+        det = sum(block[0][j] * adj[j][0] for j in range(3))
+        if det != 0:
+            return cols, adj, det
+    return None
+
+
 def recover(proj: LinearProjection, mu: ProjectiveOneForm) -> ProjectiveOneForm | None:
     """Invert the linear pullback: find the plane form with the given image.
 
@@ -409,14 +433,10 @@ def recover(proj: LinearProjection, mu: ProjectiveOneForm) -> ProjectiveOneForm 
     """
     if mu.n != proj.n:
         raise ValueError("form and projection have different ambient dimensions")
-    for cols in combinations(range(proj.n + 1), 3):
-        block = [[row[c] for c in cols] for row in proj.rows]
-        adj = _adjugate3(block)
-        det = sum(block[0][j] * adj[j][0] for j in range(3))
-        if det != 0:
-            break
-    else:  # rank 3 guarantees an invertible column triple
+    found = _invertible_block(proj.rows)
+    if found is None:  # rank 3 guarantees an invertible column triple
         raise RuntimeError("projection of rank 3 has no invertible column triple")
+    cols, adj, det = found
     section = [adj[cols.index(v)] if v in cols else [0, 0, 0] for v in range(proj.n + 1)]
     raw = _pull_back(section, mu)
     if contract_radial(raw):

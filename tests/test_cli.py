@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,36 @@ def test_check_pullback_reports_failures(monkeypatch, capsys):
 def test_check_pullback_needs_positive_trials(capsys):
     argv = ["forms", "check-pullback", "--n", "3", "--d", "1", "--trials", "0", "--seed", "7"]
     assert run(argv) == 1
+
+
+def test_check_pullback_bounds_exit_one_before_work(monkeypatch, capsys):
+    # nothing runs: a case inside the bounds reaches random_form and exits 3
+    def not_reached(n, d, seed):
+        raise RuntimeError("random_form reached")
+
+    monkeypatch.setattr(cli, "random_form", not_reached)
+
+    def check(n, d, trials):
+        args = ["--n", str(n), "--d", str(d), "--trials", str(trials), "--seed", "0"]
+        return run(["forms", "check-pullback", *args])
+
+    big_d = next(d for d in range(100) if comb(d + 3, 2) > cli.MAX_FORM_TERMS)
+    assert check(cli.MAX_FORMS_N + 1, 0, 1) == 1
+    assert check(3, 1, cli.MAX_TRIALS + 1) == 1
+    assert check(2, big_d, 1) == 1
+    assert check(cli.MAX_FORMS_N, 0, cli.MAX_TRIALS) == 3
+    assert check(2, big_d - 1, 1) == 3
+    # criterion 09's grid at 100 trials and the README example stay legal
+    for n, d in [(n, d) for n in (3, 4, 5) for d in (1, 2, 3)] + [(4, 2)]:
+        assert check(n, d, 100) == 3
+    out, err = _lines(capsys)
+    assert out == []
+    assert err[:3] == [
+        f"error: --n must be at most {cli.MAX_FORMS_N}",
+        f"error: --trials must be at most {cli.MAX_TRIALS}",
+        f"error: C(n+d+1, n) must be at most {cli.MAX_FORM_TERMS}",
+    ]
+    assert all(line == "internal error: random_form reached" for line in err[3:])
 
 
 def test_selftest_passes(capsys):

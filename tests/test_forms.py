@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linalg_oracle import kernel_basis, matrix_rank
 from lpbdeg import forms, sparse
-from lpbdeg.exact import matrix_rank
 from lpbdeg.forms import (
     LinearProjection,
     ProjectiveOneForm,
@@ -275,15 +276,74 @@ def test_form_space_basis_shapes():
 
 
 def test_form_space_basis_size_check_survives_optimization(monkeypatch):
-    # a kernel one vector short is an internal fault, raised even under -O
-    full = forms.kernel_basis
-    monkeypatch.setattr(forms, "kernel_basis", lambda matrix: full(matrix)[1:])
+    # a basis one form short is an internal fault, raised even under -O
+    full = forms.dimension_vdn
+    monkeypatch.setattr(forms, "dimension_vdn", lambda n, d: full(n, d) + 1)
     form_space_basis.cache_clear()
     try:
         with pytest.raises(RuntimeError):
             form_space_basis(2, 1)
     finally:
         form_space_basis.cache_clear()
+
+
+def _elimination_basis(n, d):
+    # the normalized kernel of the 0/1 contraction matrix, columns ordered
+    # by coefficient index and then by monomial
+    nv = n + 1
+    monos = list(exponents_of_degree(nv, d + 1))
+    index = {e: r for r, e in enumerate(exponents_of_degree(nv, d + 2))}
+    matrix = [[0] * (nv * len(monos)) for _ in index]
+    for i in range(nv):
+        for m, e in enumerate(monos):
+            matrix[index[e[:i] + (e[i] + 1,) + e[i + 1 :]]][i * len(monos) + m] = 1
+    return [
+        tuple(
+            {e: vec[i * len(monos) + m] for m, e in enumerate(monos) if vec[i * len(monos) + m]}
+            for i in range(nv)
+        )
+        for vec in kernel_basis(matrix)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_form_space_basis_equals_elimination_kernel(n):
+    # the closed form is the elimination's basis: same forms, order and signs
+    for d in range(4):
+        assert [b.coeffs for b in form_space_basis(n, d)] == _elimination_basis(n, d)
+
+
+@st.composite
+def small_rows(draw):
+    # 3 x (n+1) with entries in [-2, 2], some Fractions; about a quarter singular
+    width = draw(st.integers(3, 5))
+    entry = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    return [[draw(entry) for _ in range(width)] for _ in range(3)]
+
+
+@given(small_rows())
+def test_projection_rank_check_matches_elimination(rows):
+    # small entries make many matrices singular; the minor search must
+    # reject exactly those of rank below 3
+    if matrix_rank(rows) == 3:
+        assert LinearProjection(rows).rows == tuple(tuple(row) for row in rows)
+    else:
+        with pytest.raises(ValueError):
+            LinearProjection(rows)
+
+
+def test_pullback_and_recover_leave_no_garbage_cycles():
+    omega = random_form(2, 2, 3)
+    proj = random_projection(4, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        mu = pullback_linear(proj, omega)
+        assert gc.collect() == 0
+        assert recover(proj, mu) == omega
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_random_form_deterministic():
