@@ -12,6 +12,11 @@ Subcommands::
 ``degree --d`` and ``table --d-max`` accept at most ``MAX_D`` = 1000: the
 work per degree grows about as d^2, and the bound keeps a typo such as
 ``--d 100000`` from quietly starting hours of root enumeration.
+``degree``, ``table`` and ``closed-form`` accept ``--n`` up to ``MAX_N`` = 8.
+``closed-form`` sets that bound: it evaluates 9n - 16 degrees of growing cost,
+and took 0.5, 1.4, 3.8 and 8.4 s at n = 6, 7, 8 and 9 (about x2.5 per step,
+17 MB peak; 2-vCPU host).  At n = 8 ``degree`` took 0.03 s for d = 2,
+1.1 s for d = 200 and 30 s and 230 MB for d = ``MAX_D``.
 ``forms check-pullback`` accepts ``--n`` up to ``MAX_FORMS_N`` = 20,
 ``--trials`` up to ``MAX_TRIALS`` = 1000, and (n, d) only while a pulled-back
 coefficient has at most ``MAX_FORM_TERMS`` = 500 terms, C(n+d+1, n).
@@ -90,6 +95,11 @@ CACHE_ENV_VAR = "LPB_CACHE"
 # route enumerates about 1.5 d^2 Chern roots per degree, and its time grows
 # about as d^2 (d = 400 takes about a second and 50 MB at n = 3)
 MAX_D = 1000
+
+# the largest projective dimension the degree commands accept: closed-form
+# evaluates 3g + 2 = 9n - 16 degrees, and its time grows about x2.5 per step
+# in n (3.8 s at n = 8, 8.4 s at n = 9)
+MAX_N = 8
 
 # the bounds of forms check-pullback: a trial costs about C(n+d+1, n) terms
 # per coefficient, and its integrability check walks about n^2/2 triples
@@ -321,6 +331,7 @@ def _poly_latex(coeffs: Sequence[Fraction]) -> str:
 
 def _cmd_degree(args: argparse.Namespace) -> int:
     _at_least("--n", args.n, 3)
+    _at_most("--n", args.n, MAX_N)
     _at_least("--d", args.d, 0)
     _at_most("--d", args.d, MAX_D)
     cache = DegreeCache()
@@ -333,6 +344,7 @@ def _cmd_degree(args: argparse.Namespace) -> int:
 
 def _table_rows(n: int, d_min: int, d_max: int) -> list[tuple[int, int, int, bool]]:
     _at_least("--n", n, 3)
+    _at_most("--n", n, MAX_N)
     _at_least("--d-min", d_min, 0)
     if d_min > d_max:
         raise UsageError("--d-min must not exceed --d-max")
@@ -375,6 +387,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_closed_form(args: argparse.Namespace) -> int:
     _at_least("--n", args.n, 3)
+    _at_most("--n", args.n, MAX_N)
     cache = DegreeCache()
     poly = closed_form(args.n, cache.degree_fn(args.n))
     coeffs = [poly.coefficient(k) for k in range(poly.degree + 1)]

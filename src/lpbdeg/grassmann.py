@@ -18,7 +18,9 @@ exponents are all at most m - 1 (Fulton, *Intersection Theory*, Ch. 14).
 That bound is :attr:`GrassContext.box`.  Classes over this space are
 computed in the ring ``Q[x] / (deg > g, x_i^m)``: the monomials with an
 exponent of m or more span an ideal, so dropping them commutes with every
-ring operation and leaves the integral exact.
+ring operation and leaves the integral exact.  Every truncated ring carries
+a box, by default its cap, and :meth:`GrassContext.integrate` accepts a
+class only when that box reaches m - 1.
 """
 
 from __future__ import annotations
@@ -67,15 +69,12 @@ class GrassContext:
         """
         if cls.nvars != self.k:
             raise ValueError(f"class has {cls.nvars} variables, expected {self.k}")
-        if cls.box is not None and cls.box < self.box:
+        if cls.box < self.box:
             raise ValueError(f"class ring keeps exponents up to {cls.box}, the integral reads up to {self.box}")
         if not cls.is_homogeneous(self.g):
             raise ValueError(f"class is not homogeneous of degree {self.g}")
         if not cls.is_symmetric():
             raise ValueError("class is not symmetric in the root variables")
-        if cls.is_zero:
-            # a zero class may have a cap too small to pack the target
-            return 0
         ring = cls.ring
         # expand the Vandermonde determinant, then pair each of its k! terms
         # with the class term completing it to the target monomial.  When

@@ -1,21 +1,21 @@
 """Truncated multivariate polynomials for characteristic class arithmetic.
 
-A :class:`TruncatedPoly` lives in the quotient of ``Q[x_1..x_nvars]`` by the
-ideal of everything of total degree above ``cap``.  Terms are stored sparsely
-in the packed-exponent format of :mod:`lpbdeg.sparse`, with fields sized by
-``cap``; any product silently drops terms beyond the cap, which is exactly
-the right semantics for working on a variety whose cohomology vanishes above
-its dimension.
+A :class:`TruncatedPoly` lives in the quotient
+``Q[x_1..x_nvars] / (deg > cap, x_i^(box + 1))``: everything of total degree
+above ``cap`` is dropped, which is exactly the right semantics for working
+on a variety whose cohomology vanishes above its dimension, and so is every
+monomial with an exponent above ``box``.  Terms are stored sparsely in the
+packed-exponent format of :mod:`lpbdeg.sparse`, in a packing with bound
+``cap`` and exponent box ``box``, and every product keeps exactly the keys
+in that packing's ``keep`` set, the one truncation rule.
 
-A ring may also carry an exponent *box*: it is then
-``Q[x] / (deg > cap, x_i^(box + 1))``, and every operation here keeps only
-monomials with each exponent at most ``box``.  The monomials outside the
-box span an ideal, so dropping them commutes with sums, products, the
-series inversion and the Newton step (whose exact division by k holds
-coefficient by coefficient): a boxed result is the unboxed one with the
-out-of-box terms removed, exactly.  Only
-:class:`~lpbdeg.grassmann.GrassContext` picks a box, the largest exponent
-its integral reads; without one every key is kept.
+The box defaults to the cap, where it drops nothing the cap keeps.  The
+monomials outside a smaller box span an ideal, so dropping them commutes
+with sums, products, the series inversion and the Newton step (whose exact
+division by k holds coefficient by coefficient): a boxed result is the
+result for the box at the cap with the out-of-box terms removed, exactly.
+Only :class:`~lpbdeg.grassmann.GrassContext` picks a smaller box, the
+largest exponent its integral reads.
 
 Exponent tuples remain the public format: the constructor takes them, and
 :meth:`TruncatedPoly.coefficient` and :meth:`TruncatedPoly.sorted_terms`
@@ -69,12 +69,18 @@ def exponents_of_degree(nvars: int, degree: int) -> Iterator[Exponent]:
             yield (first,) + rest
 
 
+def _ring(nvars: int, cap: int, box: int | None = None) -> Packing:
+    """The packing of the truncated ring; the box defaults to the cap."""
+    return Packing(nvars, cap, cap if box is None else box)
+
+
 class TruncatedPoly:
     """Sparse polynomial in ``nvars`` variables, truncated above ``cap``.
 
     ``terms`` maps packed keys of ``ring``, a :class:`~lpbdeg.sparse.Packing`
-    with bound ``cap`` and exponent box ``box``, to nonzero scalars; terms
-    beyond the cap or outside the box are dropped on construction.
+    with bound ``cap`` and exponent box ``box`` (by default ``cap``), to
+    nonzero scalars; terms beyond the cap or outside the box are dropped on
+    construction.
     """
 
     __slots__ = ("ring", "terms")
@@ -82,8 +88,7 @@ class TruncatedPoly:
     def __init__(
         self, nvars: int, cap: int, terms: Mapping[Exponent, Scalar] | None = None, box: int | None = None
     ) -> None:
-        ring = Packing(nvars, cap, box)
-        top = cap if ring.box is None else ring.box
+        ring = _ring(nvars, cap, box)
         clean: dict[int, Scalar] = {}
         for expo, c in (terms or {}).items():
             e = tuple(expo)
@@ -91,7 +96,7 @@ class TruncatedPoly:
                 raise ValueError(f"exponent {e} does not have {nvars} entries")
             if any(k < 0 for k in e):
                 raise ValueError(f"negative exponent in {e}")
-            if c == 0 or sum(e) > cap or max(e) > top:
+            if c == 0 or sum(e) > cap or max(e) > ring.box:
                 continue
             key = ring.pack(e)
             clean[key] = clean.get(key, 0) + c
@@ -118,12 +123,12 @@ class TruncatedPoly:
         return self.ring.bound
 
     @property
-    def box(self) -> int | None:
+    def box(self) -> int:
         return self.ring.box
 
     @classmethod
     def zero(cls, nvars: int, cap: int) -> TruncatedPoly:
-        return cls._raw(Packing(nvars, cap), {})
+        return cls._raw(_ring(nvars, cap), {})
 
     @classmethod
     def one(cls, nvars: int, cap: int) -> TruncatedPoly:
@@ -131,7 +136,7 @@ class TruncatedPoly:
 
     @classmethod
     def constant(cls, nvars: int, cap: int, c: Scalar) -> TruncatedPoly:
-        return cls._raw(Packing(nvars, cap), {0: c} if c != 0 else {})
+        return cls._raw(_ring(nvars, cap), {0: c} if c != 0 else {})
 
     def _check_compatible(self, other: TruncatedPoly) -> None:
         if self.ring != other.ring:
@@ -149,8 +154,7 @@ class TruncatedPoly:
         e = tuple(expo)
         if len(e) != self.nvars:
             raise ValueError(f"exponent {e} does not have {self.nvars} entries")
-        box = self.cap if self.box is None else self.box
-        if any(k < 0 for k in e) or sum(e) > self.cap or max(e) > box:
+        if any(k < 0 for k in e) or sum(e) > self.cap or max(e) > self.box:
             return 0
         return self.terms.get(self.ring.pack(e), 0)
 
@@ -220,8 +224,7 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compatible(other)
-        ring = self.ring
-        return TruncatedPoly._raw(ring, sparse.mul(self.terms, other.terms, ring.limit, ring.keep))
+        return TruncatedPoly._raw(self.ring, sparse.mul(self.terms, other.terms, self.ring.keep))
 
     def __rmul__(self, other: Scalar) -> TruncatedPoly:
         if isinstance(other, (int, Fraction)):
@@ -242,7 +245,7 @@ class TruncatedPoly:
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*x^{list(e)}" for e, c in self.sorted_terms()) or "0"
-        box = "" if self.box is None else f", box={self.box}"
+        box = f", box={self.box}" if self.box < self.cap else ""
         return f"TruncatedPoly({self.nvars}, {self.cap}, {body}{box})"
 
 
@@ -258,8 +261,7 @@ def _moment_table(ring: Packing) -> tuple[tuple[tuple, tuple, tuple], ...]:
     appears once.  Only monomials in the ring's box are listed; the parent
     of one of them is in the box too.
     """
-    nvars, cap = ring.nvars, ring.bound
-    top = cap if ring.box is None else ring.box
+    nvars, cap, box = ring.nvars, ring.bound, ring.box
     # grade 0 is the empty monomial; a monomial may grow by any variable up
     # to its lowest-index one, the sole variable its parent pointer drops
     prev: list[tuple[int, int, int]] = [(0, 1, nvars - 1)]
@@ -270,7 +272,7 @@ def _moment_table(ring: Packing) -> tuple[tuple[tuple, tuple, tuple], ...]:
             for var in range(lowest + 1):
                 child = key + ring.var(var)
                 e = ring.exponent(child, var)
-                if e > top:
+                if e > box:
                     continue
                 steps.append((parent, var))
                 level.append((child, multinomial * j // e, var))
@@ -290,7 +292,8 @@ def product_shifted_linear(
     factor list yields 1, in which case ``nvars`` must be supplied.
     Non-integer coefficients or factors over different variable counts
     raise ``ValueError``.  The result lives in the ring with exponent box
-    ``box``, and only monomials in the box are ever formed.
+    ``box`` (by default ``cap``), and only monomials in the box are ever
+    formed.
 
     The product is never multiplied out.  One pass over the distinct forms
     a, with multiplicities m, gathers the integer moment sums
@@ -318,7 +321,7 @@ def product_shifted_linear(
             raise ValueError("linear form coefficients must be integers")
     elif nvars is None:
         raise ValueError("empty product needs an explicit nvars")
-    ring = Packing(nvars, cap, box)
+    ring = _ring(nvars, cap, box)
     table = _moment_table(ring)
     moments = [[0] * len(keys) for _, keys, _ in table]
     distinct = list(grouped.items())
@@ -340,7 +343,6 @@ def product_shifted_linear(
     for k in range(1, cap + 1):
         acc: sparse.Poly = {}
         for i in range(1, k + 1):
-            # grade k <= cap fits the packing, so no limit is needed
             sparse.add(acc, sparse.mul(elementary[k - i], signed[i], keep=ring.keep))
         grade: sparse.Poly = {}
         for key, c in acc.items():
@@ -373,7 +375,6 @@ def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
         acc: sparse.Poly = {}
         for j in range(1, k + 1):
             if p_grades[j]:
-                # grade k <= cap fits the packing, so no limit is needed
                 sparse.add(acc, sparse.mul(p_grades[j], q_grades[k - j], keep=ring.keep))
         q_grades.append(acc)
     out: sparse.Poly = {}
@@ -390,6 +391,6 @@ def elementary_symmetric(nvars: int, cap: int, index: int) -> TruncatedPoly:
         return TruncatedPoly.one(nvars, cap)
     if index > nvars or index > cap:
         return TruncatedPoly.zero(nvars, cap)
-    ring = Packing(nvars, cap)
+    ring = _ring(nvars, cap)
     terms = {sum(ring.var(i) for i in subset): 1 for subset in combinations(range(nvars), index)}
     return TruncatedPoly._raw(ring, terms)

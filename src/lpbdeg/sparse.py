@@ -15,31 +15,31 @@ its variable fields.  Two consequences carry the whole module:
   degree first, ties broken by the exponent tuple), so sorting keys sorts
   terms for display.
 * When the field width exceeds the largest exponent a product can reach,
-  ``k1 + k2`` is the valid key of the product monomial.  For a truncated
-  product only the degree needs that much room: a variable field of a
-  product that overflows forces the total degree above the cap, and a
-  carry can only raise the degree field, so the single compare
-  ``k1 + k2 < (cap + 1) << shift`` still keeps exactly the products of
-  degree at most ``cap``.
+  ``k1 + k2`` is the valid key of the product monomial.
 
 The caller states a degree bound when it builds a :class:`Packing`; fields
 are wide enough for any exponent up to that bound.  A packing may also carry
-a *box*, a bound on every single exponent: its ``keep`` set holds the valid
-keys of degree at most the bound whose exponents all lie in the box.  The
+a *box*, a bound on every single exponent, clamped to the degree bound.  Its
+``keep`` set holds the keys of ``Q[x] / (deg > bound, x_i^(box + 1))``: the
+valid keys of degree at most the bound with every exponent in the box.  The
 monomials outside the box span an ideal, so dropping them after each
-product is a ring homomorphism; :func:`mul` does it pair by pair.  A key
-with a carry between fields is never valid, so membership in ``keep`` also
-enforces the degree bound.  ``add`` and ``scale``
-never look inside a key, so they also serve dicts keyed by exponent
-tuples; ``add`` accumulates into its first argument in place, so a sum
-over many terms costs their size and not a copy of the running total per
-term.
+product is a ring homomorphism, and :func:`mul` keeps a product key exactly
+when it is in ``keep``.  That one membership test is the whole truncation
+rule, and it is exact although a product need not fit the fields: a
+variable field that overflows forces the total degree above the bound, and
+the carry it leaves makes the key invalid, so it is never in ``keep``.  A
+packing without a box truncates nothing; the forms side builds one with
+fields wide enough for every product it forms.
+
+``add`` and ``scale`` never look inside a key, so they also serve dicts
+keyed by exponent tuples; ``add`` accumulates into its first argument in
+place, so a sum over many terms costs their size and not a copy of the
+running total per term.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import Iterable, Mapping
 
 from .exact import Scalar
@@ -50,16 +50,15 @@ Poly = dict[int, Scalar]
 class Packing:
     """Bit layout of packed exponents in ``nvars`` variables.
 
-    Fields are wide enough for any exponent up to ``bound``; ``limit`` is
-    the smallest key of total degree ``bound + 1``, the truncation
-    threshold of a ring capped at ``bound``.  ``box``, when given below
-    ``bound``, bounds every exponent as well, and ``keep`` is then the
-    frozen set of keys of the ring ``Q[x] / (deg > bound, x_i^(box + 1))``;
-    a box at or above the bound constrains nothing, so ``box`` and
-    ``keep`` are ``None`` there.  The box does not change the layout.
+    Fields are wide enough for any exponent up to ``bound``.  A ``box``
+    bounds every exponent as well; it is clamped to ``bound``, and ``keep``
+    is then the frozen set of keys of the ring
+    ``Q[x] / (deg > bound, x_i^(box + 1))``, so a box equal to the bound
+    truncates by degree alone.  Without a box, ``box`` and ``keep`` are
+    ``None`` and nothing is truncated.  The box does not change the layout.
     """
 
-    __slots__ = ("nvars", "bound", "box", "keep", "width", "shift", "mask", "limit")
+    __slots__ = ("nvars", "bound", "box", "keep", "width", "shift", "mask")
 
     def __init__(self, nvars: int, bound: int, box: int | None = None) -> None:
         if nvars < 1:
@@ -73,8 +72,7 @@ class Packing:
         self.width = max(1, bound.bit_length())
         self.shift = nvars * self.width
         self.mask = (1 << self.width) - 1
-        self.limit = (bound + 1) << self.shift
-        self.box = box if box is not None and box < bound else None
+        self.box = None if box is None else min(box, bound)
         self.keep = None if self.box is None else _box_keys(nvars, bound, self.box)
 
     def __eq__(self, other: object) -> bool:
@@ -128,7 +126,11 @@ class Packing:
 def _box_keys(nvars: int, bound: int, box: int) -> frozenset[int]:
     """Keys of degree at most ``bound`` with every exponent at most ``box``."""
     ring = Packing(nvars, bound)
-    return frozenset(ring.pack(e) for e in product(range(box + 1), repeat=nvars) if sum(e) <= bound)
+    keys = [0]
+    for var in range(nvars):
+        step = ring.var(var)
+        keys = [k + e * step for k in keys for e in range(min(box, bound - ring.degree(k)) + 1)]
+    return frozenset(keys)
 
 
 def add(acc: dict, q: dict, c: Scalar = 1) -> dict:
@@ -154,40 +156,28 @@ def scale(p: dict, c: Scalar) -> dict:
     return {k: v * c for k, v in p.items()}
 
 
-def mul(p: Poly, q: Poly, limit: int | None = None, keep: frozenset[int] | None = None) -> Poly:
-    """The product ``p * q``, keeping only keys below ``limit`` when given.
+def mul(p: Poly, q: Poly, keep: frozenset[int] | None = None) -> Poly:
+    """The product ``p * q``, keeping only keys in ``keep`` when given.
 
-    Without a limit the caller's packing must have room for the degree of
-    the product; with ``limit = packing.limit`` the result is the product
-    truncated above the packing's bound.  With ``keep = packing.keep`` only
-    keys in that set are formed, which truncates to the bound and the box
-    at once, so ``limit`` is then not consulted.
+    With ``keep = packing.keep`` the result is the product truncated to the
+    packing's degree bound and box.  Without it nothing is dropped, so the
+    caller's packing must have room for the degree of the product.
     """
     if len(q) < len(p):
         p, q = q, p
     out: Poly = {}
     get = out.get
-    if keep is not None:
-        for k1, c1 in p.items():
-            for k2, c2 in q.items():
-                k = k1 + k2
-                if k in keep:
-                    out[k] = get(k, 0) + c1 * c2
-    elif limit is None:
+    if keep is None:
         for k1, c1 in p.items():
             for k2, c2 in q.items():
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
     else:
-        # ascending keys: once one product reaches the limit, the rest do too
-        ordered = sorted(q.items())
         for k1, c1 in p.items():
-            top = limit - k1
-            for k2, c2 in ordered:
-                if k2 >= top:
-                    break
+            for k2, c2 in q.items():
                 k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
+                if k in keep:
+                    out[k] = get(k, 0) + c1 * c2
     return {k: c for k, c in out.items() if c}
 
 

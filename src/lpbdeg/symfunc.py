@@ -27,7 +27,6 @@ shared as well.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -36,33 +35,6 @@ from typing import Iterator, Sequence
 from . import sparse
 from .exact import Scalar
 from .polyring import TruncatedPoly
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition as a weakly decreasing tuple of positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(p < 1 for p in self.parts):
-            raise ValueError("partition parts must be positive")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError("partition parts must be weakly decreasing")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def multiplicities(self) -> Counter[int]:
-        """Counter mapping each part value to how often it occurs."""
-        return Counter(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
 
 
 def _descending_parts(total: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -75,18 +47,19 @@ def _descending_parts(total: int, largest: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def partitions(k: int) -> tuple[Partition, ...]:
+def partitions(k: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of ``k`` in reverse lexicographic order.
 
-    For k = 3 the order is (3), (2, 1), (1, 1, 1).  The result is a cached
-    immutable tuple, so repeated calls are free and safe to share.
+    A partition is a weakly decreasing tuple of positive parts.  For k = 3
+    the order is (3,), (2, 1), (1, 1, 1).  The result is a cached immutable
+    tuple, so repeated calls are free and safe to share.
     """
     if k < 0:
         raise ValueError("cannot partition a negative integer")
-    return tuple(Partition(parts) for parts in _descending_parts(k, k))
+    return tuple(_descending_parts(k, k))
 
 
-def weight_w(lam: Partition) -> Fraction:
+def weight_w(lam: tuple[int, ...]) -> Fraction:
     """The weight attached to a partition in the Segre character sum.
 
     With m_i the multiplicity of the part i,
@@ -98,15 +71,15 @@ def weight_w(lam: Partition) -> Fraction:
     """
     num = 1
     den = 1
-    for part, mult in lam.multiplicities().items():
+    for part, mult in Counter(lam).items():
         num *= factorial(part) ** mult
         den *= part**mult * factorial(mult)
     return Fraction(num, den)
 
 
-def _class_size(lam: Partition) -> int:
+def _class_size(lam: tuple[int, ...]) -> int:
     """``k!/z_lam`` for a partition of k, which is ``k! w(lam) / prod lam_i!``."""
-    size = factorial(lam.weight) * weight_w(lam) / prod(factorial(part) for part in lam)
+    size = factorial(sum(lam)) * weight_w(lam) / prod(factorial(part) for part in lam)
     return size.numerator
 
 
@@ -137,12 +110,12 @@ def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> 
     previous: tuple[int, ...] = ()
     for lam in partitions(k):
         shared = 0
-        while shared < len(previous) and lam.parts[shared] == previous[shared]:
+        while shared < len(previous) and lam[shared] == previous[shared]:
             shared += 1
         del products[shared:]
-        for part in lam.parts[shared:]:
+        for part in lam[shared:]:
             products.append(products[-1] * power_sums[part] if products else power_sums[part])
         size = _class_size(lam)
         sparse.add(total, products[-1].terms, size)
-        previous = lam.parts
+        previous = lam
     return TruncatedPoly._raw(head.ring, total).scale(Fraction(1, factorial(k)))

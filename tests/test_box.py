@@ -82,7 +82,7 @@ def test_moment_table_lists_only_monomials_in_the_box():
     ctx = GrassContext(3, 8)
     boxed = _moment_table(Packing(3, ctx.g, ctx.box))
     assert len(boxed[-1][1]) == 28
-    assert len(_moment_table(Packing(3, ctx.g))[-1][1]) == 136
+    assert len(_moment_table(Packing(3, ctx.g, ctx.g))[-1][1]) == 136
     assert all(max(Packing(3, ctx.g).unpack(k)) <= ctx.box for _, keys, _ in boxed for k in keys)
 
 

@@ -390,6 +390,10 @@ def test_argument_ranges_exit_one(tmp_cache, monkeypatch, capsys):
     assert run(["degree", "--n", "3", "--d", str(cli.MAX_D + 1)]) == 1
     assert run(["table", "--n", "3", "--d-min", "2", "--d-max", str(cli.MAX_D + 1)]) == 1
     assert run(["closed-form", "--n", "2"]) == 1
+    too_large = str(cli.MAX_N + 1)
+    assert run(["degree", "--n", too_large, "--d", "2"]) == 1
+    assert run(["table", "--n", too_large, "--d-min", "2", "--d-max", "3"]) == 1
+    assert run(["closed-form", "--n", too_large]) == 1
     check = ["forms", "check-pullback", "--trials", "1", "--seed", "1"]
     assert run(check + ["--n", "1", "--d", "1"]) == 1
     assert run(check + ["--n", "3", "--d", "-1"]) == 1

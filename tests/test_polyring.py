@@ -67,7 +67,10 @@ def test_construction_and_queries_respect_the_box():
     assert TruncatedPoly(2, 4, box=4) == TruncatedPoly.zero(2, 4)
     # the box shows, so unequal rings never print alike
     assert repr(p) == "TruncatedPoly(2, 4, 1*x^[0, 0] + 3*x^[2, 1], box=2)"
-    assert repr(TruncatedPoly.zero(2, 4)) == "TruncatedPoly(2, 4, 0)"
+    assert repr(TruncatedPoly.zero(2, 4)) == repr(TruncatedPoly(2, 4, box=7)) == "TruncatedPoly(2, 4, 0)"
+    # every ring truncates through its key set, the box defaulting to the cap
+    assert TruncatedPoly.one(2, 4).box == 4
+    assert all(q.ring.keep is not None for q in (p, TruncatedPoly.one(2, 4), elementary_symmetric(3, 3, 1)))
     with pytest.raises(ValueError):
         p * TruncatedPoly.one(2, 4)
 

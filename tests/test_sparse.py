@@ -4,13 +4,15 @@ The reference operations below work on dicts from exponent tuples, the
 representation the kernel replaced; they are the oracle and live only here.
 """
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lpbdeg import sparse
 from lpbdeg.polyring import TruncatedPoly
-from lpbdeg.sparse import Packing
+from lpbdeg.sparse import Packing, _box_keys
 
 coeffs = st.integers(min_value=-6, max_value=6).filter(bool)
 # caps just below and at powers of two, where a field is exactly full
@@ -95,13 +97,14 @@ def test_key_order_is_graded_lex(case):
 @given(rings(), st.integers(0, 8))
 def test_truncated_mul_matches_reference(case, box):
     nvars, cap, p, q = case
-    ring = Packing(nvars, cap)
-    got = sparse.mul(ring.pack_terms(p), ring.pack_terms(q), ring.limit)
+    # a box at or above the cap truncates by degree alone
+    ring = Packing(nvars, cap, max(box, cap))
+    got = sparse.mul(ring.pack_terms(p), ring.pack_terms(q), ring.keep)
     assert ring.unpack_terms(got) == ref_mul(p, q, cap)
     # the boxed ring forms only products with every exponent in the box
     boxed = Packing(nvars, cap, box)
     p_in, q_in = ({e: c for e, c in f.items() if max(e) <= box} for f in (p, q))
-    got = sparse.mul(boxed.pack_terms(p_in), boxed.pack_terms(q_in), boxed.limit, boxed.keep)
+    got = sparse.mul(boxed.pack_terms(p_in), boxed.pack_terms(q_in), boxed.keep)
     expected = ref_mul(p_in, q_in, cap)
     assert boxed.unpack_terms(got) == {e: c for e, c in expected.items() if max(e) <= box}
 
@@ -143,7 +146,7 @@ def test_add_sub_scale_match_reference(case, c):
 
 def test_packing_validation():
     ring = Packing(2, 3)
-    assert ring.width == 2 and ring.limit == 4 << 4
+    assert ring.width == 2
     with pytest.raises(ValueError):
         ring.pack((4, 0))  # does not fit a 2-bit field
     with pytest.raises(ValueError):
@@ -161,12 +164,24 @@ def test_packing_validation():
 
 
 def test_packing_box():
-    # a box at or above the bound constrains nothing, so it is no box
-    assert Packing(2, 3, 3) == Packing(2, 3) == Packing(2, 3, 7)
-    assert Packing(2, 3, 3).box is None and Packing(2, 3).keep is None
+    # a box above the bound is clamped to it; without a box nothing is kept back
+    assert Packing(2, 3, 3) == Packing(2, 3, 7) != Packing(2, 3)
+    assert Packing(2, 3, 7).box == 3 and Packing(2, 3, 7).keep is not None
+    assert Packing(2, 3).box is None and Packing(2, 3).keep is None
     boxed = Packing(2, 3, 1)
-    assert boxed != Packing(2, 3) and boxed == Packing(2, 3, 1)
+    assert boxed != Packing(2, 3, 3) and boxed == Packing(2, 3, 1)
     assert hash(boxed) == hash(Packing(2, 3, 1))
     assert sorted(map(boxed.unpack, boxed.keep)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # the box leaves the layout alone
-    assert (boxed.width, boxed.limit) == (Packing(2, 3).width, Packing(2, 3).limit)
+    assert (boxed.width, boxed.shift) == (Packing(2, 3).width, Packing(2, 3).shift)
+
+
+def test_box_keys_at_the_bound_are_every_valid_key():
+    for nvars in range(1, 5):
+        for bound in (0, 1, 3, 4, 7, 8):
+            ring = Packing(nvars, bound)
+            every = {ring.pack(e) for e in product(range(bound + 1), repeat=nvars) if sum(e) <= bound}
+            assert _box_keys(nvars, bound, bound) == every
+            # a smaller box keeps the valid keys with every exponent in it
+            box = bound // 2
+            assert _box_keys(nvars, bound, box) == {k for k in every if max(ring.unpack(k)) <= box}

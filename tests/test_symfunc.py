@@ -11,26 +11,22 @@ from lpbdeg.polyring import (
     inverse_unit_series,
     product_shifted_linear,
 )
-from lpbdeg.symfunc import Partition, _class_size, partitions, segre_via_characters, weight_w
+from lpbdeg.symfunc import _class_size, partitions, segre_via_characters, weight_w
 
 
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((0,))
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    p = Partition((3, 1, 1))
-    assert p.weight == 5
-    assert len(p) == 3
-    assert list(p) == [3, 1, 1]
-    assert p.multiplicities() == {3: 1, 1: 2}
+def test_partitions_have_positive_weakly_decreasing_parts():
+    for k in range(9):
+        for lam in partitions(k):
+            assert type(lam) is tuple and sum(lam) == k
+            assert all(part >= 1 for part in lam)
+            assert all(a >= b for a, b in zip(lam, lam[1:]))
 
 
 def test_partitions_enumeration():
-    assert partitions(0) == (Partition(()),)
-    assert [p.parts for p in partitions(3)] == [(3,), (2, 1), (1, 1, 1)]
+    assert partitions(0) == ((),)
+    assert partitions(3) == ((3,), (2, 1), (1, 1, 1))
     assert len(partitions(6)) == 11
-    assert all(p.weight == 6 for p in partitions(6))
+    assert all(sum(lam) == 6 for lam in partitions(6))
     with pytest.raises(ValueError):
         partitions(-1)
 
@@ -41,12 +37,12 @@ def test_partitions_cached_identity():
 
 def test_weight_values():
     # hand-derived from the multiplicity formula
-    assert weight_w(Partition((2,))) == 1
-    assert weight_w(Partition((1, 1))) == Fraction(1, 2)
-    assert weight_w(Partition((3,))) == 2
-    assert weight_w(Partition((2, 1))) == 1
-    assert weight_w(Partition((1, 1, 1))) == Fraction(1, 6)
-    assert weight_w(Partition(())) == 1
+    assert weight_w((2,)) == 1
+    assert weight_w((1, 1)) == Fraction(1, 2)
+    assert weight_w((3,)) == 2
+    assert weight_w((2, 1)) == 1
+    assert weight_w((1, 1, 1)) == Fraction(1, 6)
+    assert weight_w(()) == 1
 
 
 def _graded_characters_of_dual(forms, cap, upto):
