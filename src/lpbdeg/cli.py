@@ -13,10 +13,13 @@ Subcommands::
 work per degree grows about as d^2, and the bound keeps a typo such as
 ``--d 100000`` from quietly starting hours of root enumeration.
 ``degree``, ``table`` and ``closed-form`` accept ``--n`` up to ``MAX_N`` = 8.
-``closed-form`` sets that bound: it evaluates 9n - 16 degrees of growing cost,
-and took 0.5, 1.4, 3.8 and 8.4 s at n = 6, 7, 8 and 9 (about x2.5 per step,
-17 MB peak; 2-vCPU host).  At n = 8 ``degree`` took 0.03 s for d = 2,
-1.1 s for d = 200 and 30 s and 230 MB for d = ``MAX_D``.
+``closed-form`` evaluates floor(9(n-2)/2) + 2 degrees of growing cost, and
+took 0.3, 0.9, 2.3 and 4.7 s at n = 6, 7, 8 and 9 (about x2.5 per step,
+17 MB peak; 2-vCPU host).  The costlier corner is ``degree`` at
+(``MAX_N``, ``MAX_D``): at n = 8 it took 0.03 s for d = 2, 1.1 s for
+d = 200 and 30 s and 230 MB for d = ``MAX_D``.
+``verify-paper`` interpolates on all 3g + 1 nodes d = 2 .. 3g + 2, g = 3(n-2),
+so its check does not rest on the reciprocity ``closed-form`` uses.
 ``forms check-pullback`` accepts ``--n`` up to ``MAX_FORMS_N`` = 20,
 ``--trials`` up to ``MAX_TRIALS`` = 1000, and (n, d) only while a pulled-back
 coefficient has at most ``MAX_FORM_TERMS`` = 500 terms, C(n+d+1, n).
@@ -71,6 +74,7 @@ from .foliation import (
     METHOD_CH_PARTITION,
     METHOD_CHERN_QUOTIENT,
     closed_form,
+    closed_form_full_nodes,
     degree_lpb,
     lpb_invariants,
     reference_formula,
@@ -97,8 +101,9 @@ CACHE_ENV_VAR = "LPB_CACHE"
 MAX_D = 1000
 
 # the largest projective dimension the degree commands accept: closed-form
-# evaluates 3g + 2 = 9n - 16 degrees, and its time grows about x2.5 per step
-# in n (3.8 s at n = 8, 8.4 s at n = 9)
+# evaluates floor(9(n-2)/2) + 2 degrees, and its time grows about x2.5 per
+# step in n (2.3 s at n = 8, 4.7 s at n = 9), but degree at (MAX_N, MAX_D)
+# is the costlier corner (30 s and 230 MB at n = 8), which n = 9 would raise
 MAX_N = 8
 
 # the bounds of forms check-pullback: a trial costs about C(n+d+1, n) terms
@@ -408,7 +413,7 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
     cache = DegreeCache()
-    engine = closed_form(args.n, cache.degree_fn(args.n))
+    engine = closed_form_full_nodes(args.n, cache.degree_fn(args.n))
     published = reference_polynomial(args.n)
     if engine == published:
         print("PASS")

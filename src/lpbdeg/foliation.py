@@ -17,10 +17,13 @@ whose exponent box is set by :class:`~lpbdeg.grassmann.GrassContext`
 from the monomials its integral reads; a test checks the box against the
 unboxed ring.  Beyond that, exact agreement is a strong correctness check.
 
-For fixed n the degree is a polynomial in d of degree at most 3g with
-g = 3(n-2); :func:`closed_form` recovers it by exact interpolation with one
-held-out verification node.  :func:`reference_polynomial` transcribes the
-two published closed forms (n = 3 and n = 4) for cross-checking, and
+For fixed n the degree is a polynomial P_n in d of degree at most 3g with
+g = 3(n-2), and P_n(-4-d) = (-1)^n P_n(d).  :func:`closed_form` recovers it
+by exact interpolation from the nodes d = 0 .. floor(3g/2) and their mirror
+images -4-d; :func:`closed_form_full_nodes` interpolates on the 3g+1 nodes
+d = 2 .. 3g+2 and does not use the reciprocity.  Both verify the result at
+one held-out node.  :func:`reference_polynomial` transcribes the two
+published closed forms (n = 3 and n = 4) for cross-checking, and
 :func:`reference_formula` evaluates them at one d.
 """
 
@@ -158,23 +161,75 @@ def virtual_rank_check(d: int, n: int) -> int:
 def closed_form(n: int, degree_fn: Callable[[int], int] | None = None) -> UniPoly:
     """The degree of the linear pullback component as a polynomial in d.
 
-    Interpolates ``degree_fn`` (by default the direct Segre integral) at the
-    3g+1 nodes d = 2 .. 3g+2, then verifies the interpolant at the held-out
-    node d = 3g+3.  A verification mismatch means the degree-3g bound
-    failed, i.e. a bug, and raises :class:`InternalInconsistencyError`.
+    The polynomial P_n has degree at most 3g in d, with g = 3(n-2), and
+    P_n(-4-d) = (-1)^n P_n(d).  So ``degree_fn`` (by default the direct
+    Segre integral) is evaluated only at d = 0 .. h, with h = floor(3g/2);
+    each value also gives the point (-4-d, (-1)^n value), and the 2h+2 >=
+    3g+1 distinct nodes fix P_n.  The interpolant is verified at the
+    held-out node d = h+1.  A mismatch means the degree bound or the
+    reciprocity failed, i.e. a bug, and raises
+    :class:`InternalInconsistencyError`.
+
+    Why the reciprocity holds.  Put N = d+2.  The Chern roots of the bundle
+    are the forms -gamma.x with gamma in Z>=0^3 and |gamma| = N, and gamma
+    has multiplicity w(gamma) = (its number of nonzero entries) - 1.  So the
+    moment sum M_a(N) = sum w(gamma) (-gamma)^a equals (-1)^|a| F_a(N), with
+    F_a(N) = sum over |gamma| = N of w(gamma) gamma^a.  On the triangle
+    N.Delta, w is 2 at interior points, 1 on open edges and 0 at vertices,
+    so F_a = 2I + E, with I the sum of gamma^a over the interior and E over
+    the open edges.  Weighted Ehrhart-Macdonald reciprocity for the
+    homogeneous weight gamma^a of degree |a| (Beck-Robins, *Computing the
+    Continuous Discretely*, ch. 4; Brion-Vergne, JAMS 1997) gives
+    I(-N) = (-1)^|a| (I + E + V)(N) on the triangle, with V the sum over
+    the vertices, and E(-N) = (-1)^(|a|+1) (E + 2V)(N) on its three edges.
+    Hence F_a(-N) = (-1)^|a| F_a(N) and M_a(-N) = (-1)^|a| M_a(N).  These
+    sums are polynomials in N for every N >= 2, so the formal nodes d = 0
+    and 1 lie on P_n as well.  The
+    power sum p_j of the roots is a combination of the M_a with |a| = j,
+    so p_j(-N) = (-1)^j p_j(N).  The Segre class s_g is a fixed polynomial
+    in p_1 .. p_g, homogeneous of weight g, so its integral satisfies
+    P_n(-N) = (-1)^g P_n(N), and g has the parity of n.
 
     ``degree_fn`` exists so a caller can route the node evaluations through
-    a cache; it must behave exactly like ``degree_lpb(d, n)``.
+    a cache; it must behave exactly like ``degree_lpb(d, n)``.  A
+    ``degree_fn`` that breaks the reciprocity fails the held-out node.
     """
+    degree_fn = _node_evaluator(n, degree_fn)
+    half = 9 * (n - 2) // 2
+    sign = (-1) ** n
+    points = []
+    for d in range(half + 1):
+        value = degree_fn(d)
+        points += [(d, value), (-4 - d, sign * value)]
+    return _verified(n, points, degree_fn, half + 1)
+
+
+def closed_form_full_nodes(n: int, degree_fn: Callable[[int], int] | None = None) -> UniPoly:
+    """:func:`closed_form` without the reciprocity, from 3g+1 direct nodes.
+
+    Interpolates ``degree_fn`` at the nodes d = 2 .. 3g+2 and verifies the
+    interpolant at the held-out node d = 3g+3, so the result rests on the
+    degree bound alone.  ``verify-paper`` uses it, and the tests compare
+    :func:`closed_form` against it.
+    """
+    degree_fn = _node_evaluator(n, degree_fn)
+    bound = 9 * (n - 2)
+    return _verified(n, [(d, degree_fn(d)) for d in range(2, bound + 3)], degree_fn, bound + 3)
+
+
+def _node_evaluator(n: int, degree_fn: Callable[[int], int] | None) -> Callable[[int], int]:
     if n < 3:
         raise ValueError("ambient projective dimension must be at least 3")
     if degree_fn is None:
-        degree_fn = lambda d: degree_lpb(d, n)
-    g = 3 * (n - 2)
-    bound = 3 * g
-    nodes = range(2, bound + 3)
-    poly = lagrange_interpolate([(d, degree_fn(d)) for d in nodes])
-    probe = bound + 3
+        return lambda d: degree_lpb(d, n)
+    return degree_fn
+
+
+def _verified(
+    n: int, points: list[tuple[int, int]], degree_fn: Callable[[int], int], probe: int
+) -> UniPoly:
+    """The interpolant of ``points``, checked against ``degree_fn(probe)``."""
+    poly = lagrange_interpolate(points)
     direct = degree_fn(probe)
     if poly(probe) != direct:
         raise InternalInconsistencyError(

@@ -277,7 +277,15 @@ def test_closed_form_populates_cache(tmp_cache, capsys):
     assert run(["closed-form", "--n", "3"]) == 0
     capsys.readouterr()
     keys = {(json.loads(line)["n"], json.loads(line)["d"]) for line in tmp_cache.read_text().splitlines()}
-    # interpolation nodes 2..11 plus the held-out verification node 12
+    # nodes 0..4, mirrored to -4-d, plus the held-out verification node 5
+    assert keys == {(3, d) for d in range(0, 6)}
+
+
+def test_verify_paper_uses_full_node_set(tmp_cache, capsys):
+    assert run(["verify-paper", "--n", "3"]) == 0
+    capsys.readouterr()
+    keys = {(json.loads(line)["n"], json.loads(line)["d"]) for line in tmp_cache.read_text().splitlines()}
+    # all 3g+1 nodes 2..11, without the reciprocity, plus the held-out node 12
     assert keys == {(3, d) for d in range(2, 13)}
 
 

@@ -1,17 +1,19 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpbdeg.bundles import _signed_roots, chern_roots
-from lpbdeg.exact import UniPoly
+from lpbdeg.exact import UniPoly, lagrange_interpolate
 from lpbdeg.foliation import (
     InternalInconsistencyError,
     METHOD_BOTH,
     METHOD_CH_PARTITION,
     METHOD_CHERN_QUOTIENT,
     closed_form,
+    closed_form_full_nodes,
     degree_lpb,
     lpb_invariants,
     pullback_forms_bundle,
@@ -119,6 +121,25 @@ def test_pullback_bundle_roots_are_negated_exponents(d):
     assert _signed_roots(pullback_forms_bundle(d), 3) == expected
 
 
+def test_moment_sums_are_reciprocal_in_n():
+    # the reciprocity closed_form rests on: with N = d + 2, the moment sum
+    # M_a(N) of the roots is a polynomial in N of degree at most |a| + 2, and
+    # M_a(-N) = (-1)^|a| M_a(N)
+    top = 6
+    nodes = range(2, top + 6)
+    roots = {N: _signed_roots(pullback_forms_bundle(N - 2), 3).items() for N in nodes}
+    for size in range(top + 1):
+        for alpha in exponents_of_degree(3, size):
+            moments = [
+                (N, sum(m * prod(r**a for r, a in zip(root, alpha)) for root, m in roots[N]))
+                for N in nodes
+            ]
+            poly = lagrange_interpolate(moments[: size + 3])
+            assert all(poly(N) == value for N, value in moments[size + 3 :])
+            for N in nodes:
+                assert poly(-N) == (-1) ** size * poly(N)
+
+
 def test_invariants_examples():
     inv = lpb_invariants(2, 3)
     assert inv.bundle_rank == 15
@@ -153,22 +174,36 @@ def test_closed_form_uses_and_verifies_degree_fn():
 
     poly = closed_form(3, fn)
     assert poly == reference_polynomial(3)
-    # 3g+1 nodes plus one held-out verification node
-    assert calls == list(range(2, 12)) + [12]
+    # nodes d = 0 .. floor(3g/2), mirrored to -4-d, plus one held-out node
+    assert calls == list(range(0, 5)) + [5]
 
 
 def test_closed_form_detects_bad_verification_node():
     def fn(d):
         value = reference_formula(3, d)
-        return value + 1 if d == 12 else value
+        return value + 1 if d == 5 else value
 
     with pytest.raises(InternalInconsistencyError):
         closed_form(3, fn)
 
 
+def test_closed_form_rejects_degree_fn_without_reciprocity():
+    # degree at most 3g, but not odd in N = d + 2, so the mirrored nodes
+    # give another polynomial, which the held-out node catches
+    with pytest.raises(InternalInconsistencyError):
+        closed_form(3, lambda d: reference_formula(3, d) + 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_closed_form_equals_full_node_interpolation(n):
+    assert closed_form(n) == closed_form_full_nodes(n)
+
+
 def test_closed_form_validation():
     with pytest.raises(ValueError):
         closed_form(2)
+    with pytest.raises(ValueError):
+        closed_form_full_nodes(2)
 
 
 def test_degrees_positive_in_geometric_range():
