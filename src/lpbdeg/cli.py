@@ -11,7 +11,11 @@ Subcommands::
 
 ``degree --d`` and ``table --d-max`` accept at most ``MAX_D`` = 1000: the
 work per degree grows about as d^2, and the bound keeps a typo such as
-``--d 100000`` from quietly starting hours of root enumeration.
+``--d 100000`` from quietly starting hours of root enumeration.  A
+``table`` is bounded by its summed work as well: the sum of (d + 2)^2 over
+its rows may not exceed (``MAX_D`` + 2)^2, so a table costs at most what
+one ``degree --d MAX_D`` costs (d = 0 .. 141 is the longest table from
+d = 0).
 ``degree``, ``table`` and ``closed-form`` accept ``--n`` up to ``MAX_N`` = 8.
 ``closed-form`` evaluates floor(9(n-2)/2) + 2 degrees of growing cost, and
 took 0.3, 0.9, 2.3 and 4.7 s at n = 6, 7, 8 and 9 (about x2.5 per step,
@@ -109,7 +113,7 @@ MAX_N = 8
 # the bounds of forms check-pullback: a trial costs about C(n+d+1, n) terms
 # per coefficient, and its integrability check walks about n^2/2 triples
 # (one trial takes about 1.7 s at (n, d) = (8, 3), 1.2 s at (20, 1) and
-# 5.8 s and 210 MB at (2, 29), the largest d allowed; 2-vCPU host)
+# 5.1 s and 75 MB at (2, 29), the largest d allowed; 2-vCPU host)
 MAX_FORMS_N = 20
 MAX_FORM_TERMS = 500
 MAX_TRIALS = 1000
@@ -354,6 +358,11 @@ def _table_rows(n: int, d_min: int, d_max: int) -> list[tuple[int, int, int, boo
     if d_min > d_max:
         raise UsageError("--d-min must not exceed --d-max")
     _at_most("--d-max", d_max, MAX_D)
+    if sum((d + 2) ** 2 for d in range(d_min, d_max + 1)) > (MAX_D + 2) ** 2:
+        raise UsageError(
+            f"--d-min {d_min} to --d-max {d_max} asks for more work than one degree at "
+            f"d = {MAX_D}: the sum of (d + 2)^2 over the rows must be at most {(MAX_D + 2) ** 2}"
+        )
     cache = DegreeCache()
     rows = []
     for d in range(d_min, d_max + 1):

@@ -75,12 +75,15 @@ def substitute_linear(
     """Substitute a linear form for each variable of every polynomial.
 
     ``rows[i]`` holds the coefficients, over the output variables, of the
-    form replacing variable i.  Monomial images are built incrementally in
-    one memo shared by all of ``polys``, so each distinct exponent costs one
-    multiplication by a linear polynomial however many inputs contain it.
-    A monomial through a zero row maps to ``{}`` without a product, so a
-    substitution that sends variables to zero costs only the monomials in
-    the others.
+    form replacing variable i.  Monomial images are shared by all of
+    ``polys`` and built degree by degree: the image of a monomial is its
+    parent's image, the monomial less one factor of its first variable,
+    times a linear polynomial, so each distinct exponent costs one
+    multiplication however many inputs contain it.  Only the images one
+    degree below are held while a degree is built, so memory follows the
+    largest two degrees rather than every degree.  A monomial through a
+    zero row maps to ``{}`` without a product, so a substitution that sends
+    variables to zero costs only the monomials in the others.
     """
     if any(len(row) != nvars_out for row in rows):
         raise ValueError("substitution rows must have nvars_out entries")
@@ -89,27 +92,42 @@ def substitute_linear(
     bound = max((sum(e) for p in polys for e in p), default=0)
     source, ring = Packing(len(rows), bound), Packing(nvars_out, bound)
     lin = [{ring.var(j): c for j, c in enumerate(row) if c != 0} for row in rows]
-    cache: dict[int, sparse.Poly] = {0: {0: 1}}
+    steps = [source.var(i) for i in range(len(rows))]
+    # the first variable of a monomial owns the highest set bit below the
+    # degree field, since variable 0 sits in the highest field
+    fields = (1 << source.shift) - 1
 
-    def image(key: int) -> sparse.Poly:
-        known = cache.get(key)
-        if known is not None:
-            return known
-        i = next(v for v in range(len(rows)) if source.exponent(key, v))
-        rest = image(key - source.var(i)) if lin[i] else {}
-        value = poly_mul(rest, lin[i]) if rest else {}
-        cache[key] = value
-        return value
+    def first_var(key: int) -> int:
+        return len(rows) - 1 - ((key & fields).bit_length() - 1) // source.width
 
-    out = []
-    for p in polys:
-        total: sparse.Poly = {}
+    # terms[t] lists (input, key, coefficient) of degree t in input order;
+    # needed[t] maps each monomial of degree t whose image is built to its
+    # first variable; a monomial through a zero row needs no parent, and
+    # the parent of a degree-1 monomial is 1, whose image starts the levels
+    terms: list[list[tuple[int, int, Scalar]]] = [[] for _ in range(bound + 1)]
+    needed: list[dict[int, int]] = [{} for _ in range(bound + 1)]
+    for index, p in enumerate(polys):
         for e, c in p.items():
-            sparse.add(total, image(source.pack(e)), c)
-        out.append(ring.unpack_terms(total))
-    # image refers to itself; breaking that cycle frees the memo on return
-    del image
-    return out
+            key, t = source.pack(e), sum(e)
+            terms[t].append((index, key, c))
+            if t:
+                needed[t][key] = first_var(key)
+    for t in range(bound, 1, -1):
+        for key, i in needed[t].items():
+            if lin[i]:
+                parent = key - steps[i]
+                needed[t - 1][parent] = first_var(parent)
+    totals: list[sparse.Poly] = [{} for _ in polys]
+    images: dict[int, sparse.Poly] = {0: {0: 1}}
+    for t in range(bound + 1):
+        if t:
+            below, images = images, {}
+            for key, i in needed[t].items():
+                rest = below[key - steps[i]] if lin[i] else {}
+                images[key] = poly_mul(rest, lin[i]) if rest else {}
+        for index, key, c in terms[t]:
+            sparse.add(totals[index], images[key], c)
+    return [ring.unpack_terms(total) for total in totals]
 
 
 @dataclass

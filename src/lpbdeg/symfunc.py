@@ -1,39 +1,48 @@
 """Integer partitions and the character-sum expression for Segre classes.
 
-The degree-k Segre class of a bundle F can be written as a weighted sum over
-partitions of k of products of graded Chern character pieces of the dual
-bundle:
+The degree-k Segre class of a bundle F is a weighted sum over the
+partitions lam of k of products of graded Chern character pieces of the
+dual bundle.  Scaling each piece to the power sum p_j = j! ch_j(F*) makes
+the weights integers (Macdonald, *Symmetric Functions and Hall
+Polynomials*, I.2):
 
-    s_k(F) = sum over partitions lam of k of
-             w(lam) * ch_{lam_1}(F*) * ch_{lam_2}(F*) * ...
+    k! s_k(F) = sum over lam |- k of (k!/z_lam) * p_lam,
 
-with the purely combinatorial weight computed by :func:`weight_w`.  This
-route shares nothing with the Chern class quotient route beyond the root
-data, which makes it a genuine cross-check of the engine.
+where k!/z_lam counts the permutations of cycle type lam.  This route
+shares nothing with the Chern class quotient route beyond the root data,
+which makes it a genuine cross-check of the engine.
 
-The sum is evaluated on integers.  Since w(lam) / prod lam_i! = 1/z_lam
-(Macdonald, *Symmetric Functions and Hall Polynomials*, I.2), scaling each
-piece to the power sum p_j = j! ch_j(F*) gives
+The sum is not walked partition by partition.  It factors by part size
+through the exponential formula (Macdonald I.2.10)
 
-    k! s_k(F) = sum over lam of (k!/z_lam) * p_{lam_1} * p_{lam_2} * ...
+    sum_k h_k t^k = prod over r >= 1 of exp(p_r t^r / r),
 
-where k!/z_lam, the number of permutations of cycle type lam, is an
-integer.  For integer Chern roots every product then runs on ints, and one
-division by k! ends the sum.  Consecutive partitions in reverse
-lexicographic order share leading parts, so their prefix products are
-shared as well.
+so one dynamic program over the largest allowed part M evaluates it.  Let
+F_M(j) = j! * sum over lam |- j with parts <= M of p_lam / z_lam, with F_0
+equal to 1 in grade 0 and 0 elsewhere.  Splitting off the m parts equal
+to M gives
+
+    F_M(j) = sum over m = 0 .. j // M of
+             C(j, mM) * c(M, m) * p_M^m * F_{M-1}(j - mM),
+    c(M, m) = (mM)! / (M^m m!),
+
+and k! s_k(F) = F_k(k).  c(M, m) is an integer: it counts the permutations
+of mM points made of m cycles of length M (split the points into m
+unordered blocks of M, (mM)! / ((M!)^m m!) ways, then order each block
+into a cycle, (M - 1)! ways).  For integer Chern roots every product thus
+runs on ints, and one division by k! ends the sum.  A state F_M(j) with
+j < k is read later only when k - j >= M + 1, so no other state is formed,
+and the powers p_M^m cost one product each.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 from typing import Iterator, Sequence
 
 from . import sparse
-from .exact import Scalar
 from .polyring import TruncatedPoly
 
 
@@ -59,30 +68,6 @@ def partitions(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_descending_parts(k, k))
 
 
-def weight_w(lam: tuple[int, ...]) -> Fraction:
-    """The weight attached to a partition in the Segre character sum.
-
-    With m_i the multiplicity of the part i,
-
-        w(lam) = prod over distinct parts i of  (i!)^{m_i} / (i^{m_i} m_i!).
-
-    Checked values: w(2) = 1, w(1,1) = 1/2, w(3) = 2, w(2,1) = 1,
-    w(1,1,1) = 1/6.
-    """
-    num = 1
-    den = 1
-    for part, mult in Counter(lam).items():
-        num *= factorial(part) ** mult
-        den *= part**mult * factorial(mult)
-    return Fraction(num, den)
-
-
-def _class_size(lam: tuple[int, ...]) -> int:
-    """``k!/z_lam`` for a partition of k, which is ``k! w(lam) / prod lam_i!``."""
-    size = factorial(sum(lam)) * weight_w(lam) / prod(factorial(part) for part in lam)
-    return size.numerator
-
-
 def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> TruncatedPoly:
     """Degree-k Segre class from graded Chern characters of the dual bundle.
 
@@ -100,22 +85,23 @@ def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> 
             raise ValueError("graded characters live in different rings")
         if not piece.is_homogeneous(j):
             raise ValueError(f"graded piece {j} is not homogeneous of degree {j}")
-    if k == 0:
-        return TruncatedPoly._raw(head.ring, {0: 1})
-    power_sums = [piece.scale(factorial(j)) for j, piece in enumerate(graded_characters[: k + 1])]
-    # k! s_k, accumulated in place
-    total: dict[int, Scalar] = {}
-    # products[i] is the product of the first i + 1 parts of ``previous``
-    products: list[TruncatedPoly] = []
-    previous: tuple[int, ...] = ()
-    for lam in partitions(k):
-        shared = 0
-        while shared < len(previous) and lam[shared] == previous[shared]:
-            shared += 1
-        del products[shared:]
-        for part in lam[shared:]:
-            products.append(products[-1] * power_sums[part] if products else power_sums[part])
-        size = _class_size(lam)
-        sparse.add(total, products[-1].terms, size)
-        previous = lam
-    return TruncatedPoly._raw(head.ring, total).scale(Fraction(1, factorial(k)))
+    ring = head.ring
+    # states[j] is F_M(j) for the largest part M done so far; it starts as F_0
+    states: dict[int, TruncatedPoly] = {0: TruncatedPoly._raw(ring, {0: 1})}
+    for part in range(1, k + 1):
+        # powers[m - 1] = p_M^m, one product each
+        powers = [graded_characters[part].scale(factorial(part))]
+        for _ in range(k // part - 1):
+            powers.append(powers[-1] * powers[0])
+        # only j = k and j <= k - M - 1 are read later (states below M keep
+        # their value); top down, so each state reads F_{M-1} below it
+        for j in (k, *range(k - part - 1, part - 1, -1)):
+            acc = dict(states[j].terms) if j in states else {}
+            for m, power in enumerate(powers[: j // part], 1):
+                rest = states.get(j - m * part)
+                if rest is None or rest.is_zero:
+                    continue
+                weight = factorial(j) // (factorial(j - m * part) * part**m * factorial(m))
+                sparse.add(acc, (power if j == m * part else power * rest).terms, weight)
+            states[j] = TruncatedPoly._raw(ring, acc)
+    return states[k].scale(Fraction(1, factorial(k)))

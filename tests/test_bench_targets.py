@@ -53,6 +53,8 @@ def test_traced_targets_resolve(monkeypatch):
             "forms-grid",
             ["forms", "check-pullback", "--n", "5", "--d", "2", "--trials", "4", "--seed", "502"],
         ),
+        # the workload's deepest op, g = 15
+        ("route-check", ["degree", "--n", "7", "--d", "5", "--method", "both"]),
     ],
 )
 def test_traced_command_passes_self_test(workload, argv, tmp_cache, monkeypatch, capsys):

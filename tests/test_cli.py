@@ -246,6 +246,19 @@ def test_table_bad_range(tmp_cache, capsys):
     assert any("d-min" in line for line in err)
 
 
+def test_table_summed_work_bound(tmp_cache, monkeypatch, capsys):
+    # the rows' (d + 2)^2 may sum to (MAX_D + 2)^2, the work of one degree at MAX_D
+    monkeypatch.setattr(cli, "degree_lpb", lambda d, n, method: 1)
+    assert run(["table", "--n", "3", "--d-min", str(cli.MAX_D), "--d-max", str(cli.MAX_D)]) == 0
+    assert run(["table", "--n", "3", "--d-min", "0", "--d-max", "141"]) == 0
+    capsys.readouterr()
+    assert run(["table", "--n", "3", "--d-min", "0", "--d-max", "142"]) == 1
+    assert run(["table", "--n", "3", "--d-min", str(cli.MAX_D - 1), "--d-max", str(cli.MAX_D)]) == 1
+    out, err = _lines(capsys)
+    assert out == []
+    assert len(err) == 2 and all("(d + 2)^2" in line for line in err)
+
+
 def test_closed_form_plain(tmp_cache, capsys):
     assert run(["closed-form", "--n", "3"]) == 0
     out, _ = _lines(capsys)
@@ -397,6 +410,8 @@ def test_argument_ranges_exit_one(tmp_cache, monkeypatch, capsys):
     assert run(["table", "--n", "3", "--d-min", "-1", "--d-max", "2"]) == 1
     assert run(["degree", "--n", "3", "--d", str(cli.MAX_D + 1)]) == 1
     assert run(["table", "--n", "3", "--d-min", "2", "--d-max", str(cli.MAX_D + 1)]) == 1
+    # each row is in range, but together they cost far more than one degree at MAX_D
+    assert run(["table", "--n", "8", "--d-min", "0", "--d-max", "1000"]) == 1
     assert run(["closed-form", "--n", "2"]) == 1
     too_large = str(cli.MAX_N + 1)
     assert run(["degree", "--n", too_large, "--d", "2"]) == 1

@@ -462,6 +462,42 @@ def test_substitute_linear_batch_equals_one_at_a_time(polys, rows):
     assert substitute_linear(polys, rows, 4) == [substitute_linear([p], rows, 4)[0] for p in polys]
 
 
+def _expanded(poly, rows, width):
+    # each monomial multiplied out factor by factor, on exponent tuples
+    out = {}
+    for e, c in poly.items():
+        term = {(0,) * width: c}
+        for row, power in zip(rows, e):
+            for _ in range(power):
+                product = {}
+                for k, v in term.items():
+                    for j, a in enumerate(row):
+                        key = k[:j] + (k[j] + 1,) + k[j + 1 :]
+                        product[key] = product.get(key, 0) + v * a
+                term = product
+        for k, v in term.items():
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+@settings(max_examples=30)
+@given(
+    st.lists(
+        st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-5, 5), max_size=6),
+        max_size=4,
+    ),
+    st.lists(
+        st.one_of(st.just((0, 0, 0, 0)), st.tuples(*[st.integers(-3, 3)] * 4)),
+        min_size=3,
+        max_size=3,
+    ),
+)
+def test_substitute_linear_matches_expansion(polys, rows):
+    # degree-by-degree images against multiplying every monomial out, with
+    # zero rows, constant terms and inputs of different degrees
+    assert substitute_linear(polys, rows, 4) == [_expanded(p, rows, 4) for p in polys]
+
+
 def test_poly_mul_cancellation():
     ring = Packing(2, 2)
     a = ring.pack_terms({(1, 0): 1, (0, 1): 1})

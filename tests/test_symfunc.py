@@ -1,17 +1,42 @@
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lpbdeg.bundles import chern_character_graded, dual
+from lpbdeg.foliation import pullback_forms_bundle
+from lpbdeg.grassmann import GrassContext
 from lpbdeg.polyring import (
     TruncatedPoly,
     exponents_of_degree,
     inverse_unit_series,
     product_shifted_linear,
 )
-from lpbdeg.symfunc import _class_size, partitions, segre_via_characters, weight_w
+from lpbdeg.symfunc import partitions, segre_via_characters
+
+
+def weight_w(lam):
+    """The weight of a partition in the literal Segre character sum.
+
+    With m_i the multiplicity of the part i,
+    w(lam) = prod over distinct parts i of (i!)^{m_i} / (i^{m_i} m_i!),
+    so that s_k = sum over lam |- k of w(lam) * prod ch_{lam_i}.
+    """
+    num = 1
+    den = 1
+    for part, mult in Counter(lam).items():
+        num *= factorial(part) ** mult
+        den *= part**mult * factorial(mult)
+    return Fraction(num, den)
+
+
+def _class_size(lam):
+    """``k!/z_lam`` for a partition of k, which is ``k! w(lam) / prod lam_i!``."""
+    size = factorial(sum(lam)) * weight_w(lam) / prod(factorial(part) for part in lam)
+    return size.numerator
 
 
 def test_partitions_have_positive_weakly_decreasing_parts():
@@ -75,13 +100,14 @@ def test_character_sum_matches_inverted_chern_series(form_coeffs, k):
 
 def _segre_reference(pieces, k):
     # the partition-weighted sum read literally, on the unscaled pieces
-    head = pieces[0]
-    total = TruncatedPoly.zero(head.nvars, head.cap)
+    # in the pieces' own ring, whose exponent box may be below the cap
+    ring = pieces[0].ring
+    total = TruncatedPoly._raw(ring, {})
     for lam in partitions(k):
-        prod = TruncatedPoly.one(head.nvars, head.cap)
+        product = TruncatedPoly._raw(ring, {0: 1})
         for part in lam:
-            prod = prod * pieces[part]
-        total = total + prod.scale(weight_w(lam))
+            product = product * pieces[part]
+        total = total + product.scale(weight_w(lam))
     return total
 
 
@@ -105,6 +131,16 @@ def test_character_sum_matches_literal_partition_sum(case):
     # integer sum has to fall back to Fractions without changing the value
     pieces, k = case
     assert segre_via_characters(pieces, k) == _segre_reference(pieces, k)
+
+
+def test_character_sum_matches_literal_partition_sum_on_the_grassmannian():
+    # the pieces of the pulled-back-forms bundle at (n, d) = (6, 2), g = 12:
+    # every k up to g, so every pruned state of the dynamic program is
+    # exercised, not only the k <= 6 the random pieces reach
+    ctx = GrassContext(3, 7)
+    pieces = chern_character_graded(dual(pullback_forms_bundle(2)), ctx, ctx.g, ctx.g)
+    for k in range(ctx.g + 1):
+        assert segre_via_characters(pieces, k) == _segre_reference(pieces, k), k
 
 
 def test_class_sizes_count_permutations():
