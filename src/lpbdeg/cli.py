@@ -18,10 +18,11 @@ one ``degree --d MAX_D`` costs (d = 0 .. 141 is the longest table from
 d = 0).
 ``degree``, ``table`` and ``closed-form`` accept ``--n`` up to ``MAX_N`` = 8.
 ``closed-form`` evaluates floor(9(n-2)/2) + 2 degrees of growing cost, and
-took 0.3, 0.9, 2.3 and 4.7 s at n = 6, 7, 8 and 9 (about x2.5 per step,
+took 0.23, 0.54, 1.0 and 1.8 s at n = 6, 7, 8 and 9 (about x2 per step,
 17 MB peak; 2-vCPU host).  The costlier corner is ``degree`` at
-(``MAX_N``, ``MAX_D``): at n = 8 it took 0.03 s for d = 2, 1.1 s for
-d = 200 and 30 s and 230 MB for d = ``MAX_D``.
+(``MAX_N``, ``MAX_D``): at n = 8 it took 0.02 s for d = 2, 1.8 s for
+d = 200 and 47 s and 229 MB for d = ``MAX_D`` on the same host, where
+root enumeration is nearly all of the time.
 ``verify-paper`` interpolates on all 3g + 1 nodes d = 2 .. 3g + 2, g = 3(n-2),
 so its check does not rest on the reciprocity ``closed-form`` uses.
 ``forms check-pullback`` accepts ``--n`` up to ``MAX_FORMS_N`` = 20,
@@ -105,9 +106,9 @@ CACHE_ENV_VAR = "LPB_CACHE"
 MAX_D = 1000
 
 # the largest projective dimension the degree commands accept: closed-form
-# evaluates floor(9(n-2)/2) + 2 degrees, and its time grows about x2.5 per
-# step in n (2.3 s at n = 8, 4.7 s at n = 9), but degree at (MAX_N, MAX_D)
-# is the costlier corner (30 s and 230 MB at n = 8), which n = 9 would raise
+# evaluates floor(9(n-2)/2) + 2 degrees, and its time grows about x2 per
+# step in n (1.0 s at n = 8, 1.8 s at n = 9), but degree at (MAX_N, MAX_D)
+# is the costlier corner (47 s and 229 MB at n = 8), which n = 9 would raise
 MAX_N = 8
 
 # the bounds of forms check-pullback: a trial costs about C(n+d+1, n) terms

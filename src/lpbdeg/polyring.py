@@ -9,6 +9,19 @@ packed-exponent format of :mod:`lpbdeg.sparse`, in a packing with bound
 ``cap`` and exponent box ``box``, and every product keeps exactly the keys
 in that packing's ``keep`` set, the one truncation rule.
 
+Every class the degree engine forms is symmetric in the Chern roots, and a
+product of two symmetric operands goes to
+:func:`~lpbdeg.sparse.mul_symmetric`, which computes one coefficient per
+orbit of the variables; any other product goes to
+:func:`~lpbdeg.sparse.mul`.  Both give the same terms, and the symmetry of
+the operands alone picks the kernel.  A polynomial is immutable, so
+:meth:`TruncatedPoly.is_symmetric` checks once and keeps the answer; a
+product of symmetric operands, a scalar multiple or a graded part of a
+symmetric polynomial, and the results of :func:`product_shifted_linear`
+and :func:`inverse_unit_series` are built knowing it.  The latter two check
+their input once (the power sums, the series) and run every product of
+their recurrence on the kernel it picks.
+
 The box defaults to the cap, where it drops nothing the cap keeps.  The
 monomials outside a smaller box span an ideal, so dropping them commutes
 with sums, products, the series inversion and the Newton step (whose exact
@@ -36,10 +49,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import sparse
 from .exact import Scalar, normalize
@@ -83,7 +96,7 @@ class TruncatedPoly:
     construction.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_symmetric")
 
     def __init__(
         self, nvars: int, cap: int, terms: Mapping[Exponent, Scalar] | None = None, box: int | None = None
@@ -102,16 +115,22 @@ class TruncatedPoly:
             clean[key] = clean.get(key, 0) + c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c != 0})
+        object.__setattr__(self, "_symmetric", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TruncatedPoly is immutable")
 
     @classmethod
-    def _raw(cls, ring: Packing, terms: sparse.Poly) -> TruncatedPoly:
-        """Trusted constructor: ``terms`` is already clean and owned."""
+    def _raw(cls, ring: Packing, terms: sparse.Poly, symmetric: bool | None = None) -> TruncatedPoly:
+        """Trusted constructor: ``terms`` is already clean and owned.
+
+        ``symmetric`` is the answer of :meth:`is_symmetric` when the caller
+        knows it, and ``None`` otherwise.
+        """
         obj = object.__new__(cls)
         object.__setattr__(obj, "ring", ring)
         object.__setattr__(obj, "terms", terms)
+        object.__setattr__(obj, "_symmetric", symmetric)
         return obj
 
     @property
@@ -127,16 +146,17 @@ class TruncatedPoly:
         return self.ring.box
 
     @classmethod
-    def zero(cls, nvars: int, cap: int) -> TruncatedPoly:
-        return cls._raw(_ring(nvars, cap), {})
+    def zero(cls, nvars: int, cap: int, box: int | None = None) -> TruncatedPoly:
+        return cls.constant(nvars, cap, 0, box)
 
     @classmethod
-    def one(cls, nvars: int, cap: int) -> TruncatedPoly:
-        return cls.constant(nvars, cap, 1)
+    def one(cls, nvars: int, cap: int, box: int | None = None) -> TruncatedPoly:
+        return cls.constant(nvars, cap, 1, box)
 
     @classmethod
-    def constant(cls, nvars: int, cap: int, c: Scalar) -> TruncatedPoly:
-        return cls._raw(_ring(nvars, cap), {0: c} if c != 0 else {})
+    def constant(cls, nvars: int, cap: int, c: Scalar, box: int | None = None) -> TruncatedPoly:
+        """The constant ``c`` in the ring with exponent box ``box`` (by default ``cap``)."""
+        return cls._raw(_ring(nvars, cap, box), {0: c} if c != 0 else {})
 
     def _check_compatible(self, other: TruncatedPoly) -> None:
         if self.ring != other.ring:
@@ -163,7 +183,8 @@ class TruncatedPoly:
         if not 0 <= degree <= self.cap:
             raise ValueError("degree outside [0, cap]")
         part = {k: c for k, c in self.terms.items() if self.ring.degree(k) == degree}
-        return TruncatedPoly._raw(self.ring, part)
+        # a part of a symmetric polynomial is symmetric; other parts may be too
+        return TruncatedPoly._raw(self.ring, part, self._symmetric or None)
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(self.ring.degree(k) == degree for k in self.terms)
@@ -171,18 +192,12 @@ class TruncatedPoly:
     def is_symmetric(self) -> bool:
         """True when invariant under every permutation of the variables.
 
-        Checking adjacent transpositions suffices since they generate the
-        symmetric group.
+        The polynomial is immutable, so the answer is computed once and
+        kept; a product of symmetric operands is built knowing it.
         """
-        ring, terms = self.ring, self.terms
-        for i in range(self.nvars - 1):
-            # adding (b - a) * step to a key moves b into field i, a into i + 1
-            step = (1 << ring.offset(i)) - (1 << ring.offset(i + 1))
-            for k, c in terms.items():
-                a, b = ring.exponent(k, i), ring.exponent(k, i + 1)
-                if a != b and terms.get(k + (b - a) * step, 0) != c:
-                    return False
-        return True
+        if self._symmetric is None:
+            object.__setattr__(self, "_symmetric", sparse.is_symmetric(self.terms, self.ring))
+        return self._symmetric
 
     def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in graded lexicographic order, the serialization order."""
@@ -216,7 +231,7 @@ class TruncatedPoly:
         """The multiple ``c * self``; integral coefficients come out as ints."""
         if c == 0:
             return TruncatedPoly._raw(self.ring, {})
-        return TruncatedPoly._raw(self.ring, {k: normalize(v * c) for k, v in self.terms.items()})
+        return TruncatedPoly._raw(self.ring, {k: normalize(v * c) for k, v in self.terms.items()}, self._symmetric)
 
     def __mul__(self, other: TruncatedPoly | Scalar) -> TruncatedPoly:
         if isinstance(other, (int, Fraction)):
@@ -224,7 +239,9 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compatible(other)
-        return TruncatedPoly._raw(self.ring, sparse.mul(self.terms, other.terms, self.ring.keep))
+        symmetric = self.is_symmetric() and other.is_symmetric()
+        terms = _product(self.ring, symmetric)(self.terms, other.terms)
+        return TruncatedPoly._raw(self.ring, terms, symmetric or None)
 
     def __rmul__(self, other: Scalar) -> TruncatedPoly:
         if isinstance(other, (int, Fraction)):
@@ -247,6 +264,18 @@ class TruncatedPoly:
         body = " + ".join(f"{c}*x^{list(e)}" for e, c in self.sorted_terms()) or "0"
         box = f", box={self.box}" if self.box < self.cap else ""
         return f"TruncatedPoly({self.nvars}, {self.cap}, {body}{box})"
+
+
+def _product(ring: Packing, symmetric: bool) -> Callable[[sparse.Poly, sparse.Poly], sparse.Poly]:
+    """The truncated product of ``ring``: orbit by orbit when ``symmetric``.
+
+    ``symmetric`` must hold of both operands; it is the only thing that
+    picks :func:`~lpbdeg.sparse.mul_symmetric` over
+    :func:`~lpbdeg.sparse.mul`, and both give the same result.
+    """
+    if symmetric:
+        return partial(sparse.mul_symmetric, packing=ring)
+    return partial(sparse.mul, keep=ring.keep)
 
 
 @lru_cache(maxsize=None)
@@ -338,12 +367,15 @@ def product_shifted_linear(
     for j, ((_, keys, multinomials), sums) in enumerate(zip(table, moments), 1):
         sign = 1 if j % 2 else -1
         signed.append({k: sign * c * s for k, c, s in zip(keys, multinomials, sums) if s})
+    # symmetric power sums make every e_k symmetric, and so every product
+    symmetric = all(sparse.is_symmetric(p, ring) for p in signed)
+    product = _product(ring, symmetric)
     elementary: list[sparse.Poly] = [{0: 1}]
     terms: sparse.Poly = {0: 1}
     for k in range(1, cap + 1):
         acc: sparse.Poly = {}
         for i in range(1, k + 1):
-            sparse.add(acc, sparse.mul(elementary[k - i], signed[i], keep=ring.keep))
+            sparse.add(acc, product(elementary[k - i], signed[i]))
         grade: sparse.Poly = {}
         for key, c in acc.items():
             q, r = divmod(c, k)
@@ -352,7 +384,7 @@ def product_shifted_linear(
             grade[key] = q
         elementary.append(grade)
         terms.update(grade)
-    return TruncatedPoly._raw(ring, terms)
+    return TruncatedPoly._raw(ring, terms, symmetric or None)
 
 
 def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
@@ -366,6 +398,8 @@ def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
     if p.constant_term() != 1:
         raise ValueError("inverse_unit_series needs constant term 1")
     ring, cap = p.ring, p.cap
+    symmetric = p.is_symmetric()
+    product = _product(ring, symmetric)
     # the grades of -p, so that each step of the recurrence is a plain sum
     p_grades: list[sparse.Poly] = [{} for _ in range(cap + 1)]
     for k, c in p.terms.items():
@@ -375,12 +409,13 @@ def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
         acc: sparse.Poly = {}
         for j in range(1, k + 1):
             if p_grades[j]:
-                sparse.add(acc, sparse.mul(p_grades[j], q_grades[k - j], keep=ring.keep))
+                sparse.add(acc, product(p_grades[j], q_grades[k - j]))
         q_grades.append(acc)
     out: sparse.Poly = {}
     for grade in q_grades:
         out.update(grade)
-    return TruncatedPoly._raw(ring, out)
+    # the inverse of the inverse is p, so it is symmetric exactly when p is
+    return TruncatedPoly._raw(ring, out, symmetric)
 
 
 def elementary_symmetric(nvars: int, cap: int, index: int) -> TruncatedPoly:

@@ -1,4 +1,4 @@
-"""Sparse polynomials over packed exponents: the one multiplication kernel.
+"""Sparse polynomials over packed exponents: the multiplication kernels.
 
 A polynomial is a dict from packed exponents to nonzero exact scalars.  A
 packed exponent is a single nonnegative ``int``: every variable owns a
@@ -31,6 +31,29 @@ the carry it leaves makes the key invalid, so it is never in ``keep``.  A
 packing without a box truncates nothing; the forms side builds one with
 fields wide enough for every product it forms.
 
+:func:`mul` visits every pair of terms.  :func:`mul_symmetric` is the
+product for operands invariant under every permutation of the variables
+(:func:`is_symmetric`), in a packing with a box.  It computes one
+coefficient per orbit of ``keep``, at the representative nu whose exponents
+do not increase from variable 0, as ``sum over alpha in p of p[alpha] *
+q[nu - alpha]``, and writes it to every key of the orbit.  The result is
+exactly ``mul(p, q, packing.keep)``:
+
+* a product of symmetric polynomials is symmetric, so the untruncated
+  product has one coefficient on each orbit;
+* ``keep`` is invariant under permuting the variables, so truncating to it
+  commutes with the permutations, and the orbits of ``keep`` are whole
+  orbits of monomials;
+* a lookup ``nu - alpha`` that borrows between fields gives an invalid
+  key, and every key of q is valid.  For if ``beta = nu - alpha`` is a key
+  of q, then ``nu = alpha + beta`` adds two valid keys, and a field that
+  overflowed would leave a carry and an invalid sum; ``nu`` is valid, so
+  no field carries and beta's exponents are nu's less alpha's, entry by
+  entry.  The sum thus reads exactly the pairs of terms whose product
+  monomial is nu.
+
+The orbits are tabulated once per packing, in one pass over ``keep``.
+
 ``add`` and ``scale`` never look inside a key, so they also serve dicts
 keyed by exponent tuples; ``add`` accumulates into its first argument in
 place, so a sum over many terms costs their size and not a copy of the
@@ -39,7 +62,9 @@ running total per term.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Mapping
 
 from .exact import Scalar
@@ -179,6 +204,86 @@ def mul(p: Poly, q: Poly, keep: frozenset[int] | None = None) -> Poly:
                 if k in keep:
                     out[k] = get(k, 0) + c1 * c2
     return {k: c for k, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _orbits(packing: Packing) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """The orbits of ``packing.keep`` under permuting the variables.
+
+    Entry D pairs the representatives of degree D, the keys whose exponents
+    do not increase from variable 0, with the keys of their orbits.  One
+    pass over ``keep`` groups each key under its sorted exponent tuple.
+    """
+    unpack = packing.unpack
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for key in sorted(packing.keep):
+        groups.setdefault(tuple(sorted(unpack(key), reverse=True)), []).append(key)
+    grades: list[tuple[list[int], list[tuple[int, ...]]]] = [([], []) for _ in range(packing.bound + 1)]
+    for expo, orbit in groups.items():
+        reps, orbits = grades[sum(expo)]
+        reps.append(packing.pack(expo))
+        orbits.append(tuple(orbit))
+    return tuple((tuple(reps), tuple(orbits)) for reps, orbits in grades)
+
+
+def mul_symmetric(p: Poly, q: Poly, packing: Packing) -> Poly:
+    """The product ``p * q`` truncated to ``packing.keep``, orbit by orbit.
+
+    Both operands must be symmetric in the variables and the packing must
+    have a box; the result equals ``mul(p, q, packing.keep)`` (see the
+    module docstring).  Each coefficient at a representative is one C-level
+    pass over the terms of the smaller operand.
+    """
+    if packing.keep is None:
+        raise ValueError("the symmetric product needs a packing with a box")
+    if len(q) < len(p):
+        p, q = q, p
+    shift = packing.shift
+    # the terms of p by degree, as parallel lists of keys and coefficients
+    grades: dict[int, tuple[list[int], list[Scalar]]] = {}
+    for k, c in p.items():
+        keys, coeffs = grades.setdefault(k >> shift, ([], []))
+        keys.append(k)
+        coeffs.append(c)
+    # the p grades feeding each output degree of the truncated product
+    q_degrees = {k >> shift for k in q}
+    targets: dict[int, list[tuple[list[int], list[Scalar]]]] = {}
+    for a, part in grades.items():
+        for b in q_degrees:
+            if a + b <= packing.bound:
+                targets.setdefault(a + b, []).append(part)
+    table = _orbits(packing)
+    get, sub, times = q.get, operator.sub, operator.mul
+    out: Poly = {}
+    for degree, parts in targets.items():
+        reps, orbits = table[degree]
+        for nu, orbit in zip(reps, orbits):
+            r = 0
+            for keys, coeffs in parts:
+                r += sum(map(times, coeffs, map(get, map(sub, repeat(nu), keys), repeat(0))))
+            if r:
+                for key in orbit:
+                    out[key] = r
+    return out
+
+
+def is_symmetric(p: Poly, packing: Packing) -> bool:
+    """True when ``p`` is invariant under every permutation of the variables.
+
+    Checking adjacent transpositions suffices since they generate the
+    symmetric group.
+    """
+    get, mask = p.get, packing.mask
+    for i in range(packing.nvars - 1):
+        low = packing.offset(i + 1)
+        high = low + packing.width
+        # adding (b - a) * step to a key moves b into field i, a into i + 1
+        step = (1 << high) - (1 << low)
+        for k, c in p.items():
+            a, b = (k >> high) & mask, (k >> low) & mask
+            if a != b and get(k + (b - a) * step, 0) != c:
+                return False
+    return True
 
 
 def diff(p: Poly, packing: Packing, var: int) -> Poly:

@@ -55,6 +55,8 @@ def test_traced_targets_resolve(monkeypatch):
         ),
         # the workload's deepest op, g = 15
         ("route-check", ["degree", "--n", "7", "--d", "5", "--method", "both"]),
+        # the reciprocity path of closed_form, on the symmetric product
+        ("closed-form", ["closed-form", "--n", "5", "--format", "json"]),
     ],
 )
 def test_traced_command_passes_self_test(workload, argv, tmp_cache, monkeypatch, capsys):

@@ -57,6 +57,13 @@ def test_integrate_zero_class():
     assert ctx.integrate(TruncatedPoly.zero(3, ctx.g)) == 0
 
 
+def test_integrate_zero_in_the_box_of_the_context():
+    ctx = GrassContext(3, 5)
+    zero = TruncatedPoly.zero(3, ctx.g, box=ctx.box)
+    assert zero.box == ctx.box < ctx.g
+    assert ctx.integrate(zero) == 0
+
+
 def test_integrate_validation():
     ctx = GrassContext(3, 4)
     wrong_vars = TruncatedPoly.one(2, ctx.g)

@@ -1,10 +1,11 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lpbdeg import sparse
 from lpbdeg.polyring import (
     _BLOCK,
     TruncatedPoly,
@@ -27,6 +28,16 @@ def polys(draw, nvars=NVARS, cap=CAP):
         expo = tuple(draw(st.integers(0, 2)) for _ in range(nvars))
         terms[expo] = draw(coeffs)
     return TruncatedPoly(nvars, cap, terms)
+
+
+@st.composite
+def symmetric_polys(draw, box=CAP):
+    """A polynomial invariant under permuting the variables, in a ring with ``box``."""
+    terms = {}
+    for expo, c in draw(polys()).sorted_terms():
+        for image in set(permutations(expo)):
+            terms[image] = terms.get(image, 0) + c
+    return TruncatedPoly(NVARS, CAP, terms, box=box)
 
 
 def _one():
@@ -123,6 +134,33 @@ def test_symmetry_detection():
     assert not asym.is_symmetric()
 
 
+@given(st.integers(1, CAP).flatmap(lambda box: st.tuples(symmetric_polys(box), symmetric_polys(box))), polys())
+def test_product_of_symmetric_classes_matches_generic_product(pair, other):
+    p, q = pair
+    ring = p.ring
+    asym = TruncatedPoly(NVARS, CAP, dict(other.sorted_terms()), box=ring.box)
+    for a, b in ((p, q), (p, asym), (asym, q)):
+        product = a * b
+        assert product.terms == sparse.mul(a.terms, b.terms, ring.keep)
+        # the flag a product is built with agrees with a fresh check
+        assert product.is_symmetric() == sparse.is_symmetric(product.terms, ring)
+    assert (p * q).is_symmetric()
+
+
+def test_graded_part_of_an_asymmetric_class_may_be_symmetric():
+    p = TruncatedPoly(3, 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (2, 0, 0): 1})
+    assert not p.is_symmetric()
+    assert p.graded_part(1).is_symmetric() and not p.graded_part(2).is_symmetric()
+    assert p.scale(2).graded_part(1).is_symmetric()
+
+
+def test_boxed_constants():
+    assert TruncatedPoly.one(3, 6, box=2) == TruncatedPoly(3, 6, {(0, 0, 0): 1}, box=2)
+    assert TruncatedPoly.zero(3, 6, box=2).box == TruncatedPoly.constant(3, 6, 5, box=2).box == 2
+    assert TruncatedPoly.one(3, 6).box == 6
+    assert TruncatedPoly.zero(3, 6, box=2).is_zero and TruncatedPoly.zero(3, 6, box=2).is_symmetric()
+
+
 def test_sorted_terms_graded_lex():
     p = TruncatedPoly(2, 3, {(0, 2): 1, (1, 0): 2, (2, 0): 3, (0, 0): 4})
     order = [e for e, _ in p.sorted_terms()]
@@ -161,6 +199,14 @@ def test_inverse_unit_series_roundtrip(p):
     unit = p + _one() - TruncatedPoly.constant(NVARS, CAP, p.constant_term())
     inv = inverse_unit_series(unit)
     assert unit * inv == _one()
+
+
+@given(symmetric_polys(box=2))
+def test_inverse_of_a_symmetric_unit_series(p):
+    unit = p + TruncatedPoly.constant(NVARS, CAP, 1 - p.constant_term(), box=2)
+    inv = inverse_unit_series(unit)
+    assert inv.is_symmetric() and sparse.is_symmetric(inv.terms, inv.ring)
+    assert sparse.mul(unit.terms, inv.terms, unit.ring.keep) == {0: 1}
 
 
 def test_inverse_needs_unit_constant_term():
@@ -229,6 +275,18 @@ def test_product_shifted_linear_matches_one_factor_at_a_time(case):
     assert (got.nvars, got.cap) == (nvars, cap)
     assert dict(got.sorted_terms()) == _one_factor_at_a_time(forms, nvars, cap)
     assert all(type(c) is int for _, c in got.sorted_terms())
+
+
+@given(shifted_factors(), st.integers(0, 9))
+def test_product_shifted_linear_of_symmetric_roots(case, box):
+    # each form with all its images under permuting the variables, so the
+    # power sums, and every Newton step, are symmetric
+    nvars, cap, forms = case
+    closed = [image for form in forms for image in permutations(form)]
+    got = product_shifted_linear(closed, cap, nvars=nvars, box=box)
+    assert got.is_symmetric() and sparse.is_symmetric(got.terms, got.ring)
+    expected = _one_factor_at_a_time(closed, nvars, cap)
+    assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= got.box}
 
 
 @pytest.mark.parametrize("distinct", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])

@@ -4,7 +4,7 @@ The reference operations below work on dicts from exponent tuples, the
 representation the kernel replaced; they are the oracle and live only here.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lpbdeg import sparse
 from lpbdeg.polyring import TruncatedPoly
-from lpbdeg.sparse import Packing, _box_keys
+from lpbdeg.sparse import Packing, _box_keys, _orbits
 
 coeffs = st.integers(min_value=-6, max_value=6).filter(bool)
 # caps just below and at powers of two, where a field is exactly full
@@ -185,3 +185,69 @@ def test_box_keys_at_the_bound_are_every_valid_key():
             # a smaller box keeps the valid keys with every exponent in it
             box = bound // 2
             assert _box_keys(nvars, bound, box) == {k for k in every if max(ring.unpack(k)) <= box}
+
+
+def symmetrize(terms):
+    """The sum of every distinct image of each term under permuting the variables."""
+    out = {}
+    for e, c in terms.items():
+        for image in set(permutations(e)):
+            out[image] = out.get(image, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@given(rings(), st.integers(0, 8))
+def test_symmetric_mul_matches_generic_mul(case, box):
+    nvars, cap, p, q = case
+    p, q = symmetrize(p), symmetrize(q)
+    # a box below the cap, and one at the cap, which truncates by degree alone
+    for ring in (Packing(nvars, cap, min(box, cap)), Packing(nvars, cap, cap)):
+        pp, qq = ({k: c for k, c in ring.pack_terms(f).items() if k in ring.keep} for f in (p, q))
+        assert sparse.is_symmetric(pp, ring) and sparse.is_symmetric(qq, ring)
+        got = sparse.mul_symmetric(pp, qq, ring)
+        assert got == sparse.mul(pp, qq, ring.keep)
+        assert sparse.is_symmetric(got, ring)
+
+
+def test_symmetric_mul_needs_a_box():
+    with pytest.raises(ValueError, match="box"):
+        sparse.mul_symmetric({0: 1}, {0: 1}, Packing(2, 3))
+
+
+def test_symmetry_check_sees_every_transposition():
+    ring = Packing(3, 4, 4)
+    e = symmetrize({(2, 1, 0): 1})
+    assert sparse.is_symmetric(ring.pack_terms(e), ring)
+    # dropping any one image, or changing one coefficient, breaks the symmetry
+    for image in e:
+        broken = {x: c for x, c in e.items() if x != image}
+        assert not sparse.is_symmetric(ring.pack_terms(broken), ring)
+    assert not sparse.is_symmetric(ring.pack_terms({**e, (2, 1, 0): 2}), ring)
+
+
+def test_orbits_partition_keep_in_one_pass():
+    unpacked = []
+
+    class Counting(Packing):
+        def unpack(self, key):
+            unpacked.append(key)
+            return super().unpack(key)
+
+    # 12,870 keys: enumerating the 8! permutations of each would not finish
+    ring = Counting(8, 8, 8)
+    table = _orbits.__wrapped__(ring)
+    assert sorted(unpacked) == sorted(ring.keep)
+    assert len(table) == ring.bound + 1
+    sizes = 0
+    seen = set()
+    for degree, (reps, orbits) in enumerate(table):
+        assert len(reps) == len(orbits)
+        for rep, orbit in zip(reps, orbits):
+            expo = Packing.unpack(ring, rep)
+            assert list(expo) == sorted(expo, reverse=True) and sum(expo) == degree
+            assert rep in orbit
+            assert all(sorted(Packing.unpack(ring, k)) == sorted(expo) for k in orbit)
+            sizes += len(orbit)
+            seen.update(orbit)
+    assert sizes == len(seen) == len(ring.keep)
+    assert seen == ring.keep

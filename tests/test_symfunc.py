@@ -102,9 +102,9 @@ def _segre_reference(pieces, k):
     # the partition-weighted sum read literally, on the unscaled pieces
     # in the pieces' own ring, whose exponent box may be below the cap
     ring = pieces[0].ring
-    total = TruncatedPoly._raw(ring, {})
+    total = TruncatedPoly.zero(ring.nvars, ring.bound, box=ring.box)
     for lam in partitions(k):
-        product = TruncatedPoly._raw(ring, {0: 1})
+        product = TruncatedPoly.one(ring.nvars, ring.bound, box=ring.box)
         for part in lam:
             product = product * pieces[part]
         total = total + product.scale(weight_w(lam))
