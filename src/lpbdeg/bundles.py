@@ -18,23 +18,21 @@ recognized as an honest bundle.  :func:`chern_roots` splits the map by sign.
 Classes are built in the ring of the Grassmannian, ``Q[x] / (deg > cap,
 x_i^m)`` over G(k, m): the integral reads no monomial with an exponent
 above m - 1, and the monomials beyond that box span an ideal, so the
-products, the inversion and the multinomial expansion here form only
-monomials in the box and the integral is unchanged (see
-:mod:`lpbdeg.polyring`).
+products, the inversion and the power sums here form only monomials in
+the box and the integral is unchanged (see :mod:`lpbdeg.polyring`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 from operator import add, mul
 from typing import TYPE_CHECKING
 
 from . import sparse
 from .exact import normalize
-from .polyring import TruncatedPoly, exponents_of_degree, inverse_unit_series, product_shifted_linear
+from .polyring import TruncatedPoly, exponents_of_degree, inverse_unit_series, power_sums, product_shifted_linear
 
 if TYPE_CHECKING:
     from .grassmann import GrassContext
@@ -214,57 +212,17 @@ def chern_character_graded(
     """Graded pieces ch_0 .. ch_degree of the Chern character.
 
     Entry j of the list is, for roots r minus roots s,
-    ``(sum r^j - sum s^j) / j!``: each distinct form is expanded once per j
-    with multinomial coefficients and scaled by its signed multiplicity.
-    The roots are enumerated once for all the pieces.  The pieces live in
-    the ring with the exponent box of ``ctx``, and no monomial outside the
-    box is expanded.
+    ``(sum r^j - sum s^j) / j!``: the power sums of the signed roots, from
+    the moment pass :func:`~lpbdeg.polyring.power_sums`, each divided by
+    j!.  The pieces live in the ring with the exponent box of ``ctx``, and
+    no monomial outside the box is formed.
     """
     if degree < 0:
         raise ValueError("negative character degree")
     if degree > cap:
         raise ValueError("character degree beyond the ring cap")
-    roots = _signed_roots(expr, ctx.k).items()
-    pieces = []
-    for j in range(degree + 1):
-        acc: dict[tuple[int, ...], int] = {}
-        for form, mult in roots:
-            sparse.add(acc, _power_of_linear(form, j, ctx.box), mult)
-        inv = factorial(j)
-        terms = {e: normalize(Fraction(c, inv)) for e, c in acc.items()}
-        pieces.append(TruncatedPoly(ctx.k, cap, terms, box=ctx.box))
-    return pieces
-
-
-def _power_of_linear(form: Root, degree: int, box: int) -> dict[tuple[int, ...], int]:
-    """Expand ``form ** degree`` by the multinomial theorem.
-
-    Only the exponents with every entry at most ``box`` are listed.
-    """
-    k = len(form)
-    if degree == 0:
-        return {(0,) * k: 1}
-    out: dict[tuple[int, ...], int] = {}
-    support = [i for i, c in enumerate(form) if c]
-    if not support:
-        return {}
-    for part, coeff in _multinomials(len(support), degree, box):
-        expo = [0] * k
-        for i, e in zip(support, part):
-            expo[i] = e
-            coeff *= form[i] ** e
-        # each exponent on the support is distinct, and its coefficient is
-        # nonzero
-        out[tuple(expo)] = coeff
-    return out
-
-
-@lru_cache(maxsize=None)
-def _multinomials(parts: int, degree: int, box: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Exponents of ``parts`` entries at most ``box`` summing to ``degree``,
-    each with its multinomial coefficient degree! / prod e_i!."""
-    return tuple(
-        (e, factorial(degree) // prod(map(factorial, e)))
-        for e in exponents_of_degree(parts, degree)
-        if max(e) <= box
-    )
+    ring = sparse.Packing(ctx.k, cap, ctx.box)
+    return [
+        TruncatedPoly._raw(ring, {key: normalize(Fraction(c, factorial(j))) for key, c in p.items()})
+        for j, p in enumerate(power_sums(_signed_roots(expr, ctx.k), ring, degree))
+    ]

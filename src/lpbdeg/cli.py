@@ -41,8 +41,10 @@ Computed degrees are cached in a newline-delimited JSON file whose path
 comes from the LPB_CACHE environment variable (default ./lpb-cache.jsonl).
 Each record is ``{"n": int, "d": int, "degree": "<decimal>", "engine_version":
 str}``; the degree is a decimal string because values outgrow 64-bit
-integers quickly, and a record whose fields have other JSON types is
-malformed.  The file is append-only (one atomic write per record)
+integers quickly.  A record whose fields have other JSON types is
+malformed, and so is a degree string that is not canonical, ``str(int(s))
+== s``: no plus sign, leading zeros, spaces or underscores, and ASCII
+digits only.  The file is append-only (one atomic write per record)
 and deduplicated on load; two records disagreeing on one (n, d) key are a
 fatal integrity error, and so is a malformed line.  The one exception is an
 unterminated final line that does not parse, the trace of a crash
@@ -202,7 +204,10 @@ class DegreeCache:
             # exact types: int() would round 999.7 down and read true as 1
             if type(n) is not int or type(d) is not int or type(degree) is not str:
                 raise TypeError("n and d must be JSON integers and degree a JSON string")
-            degree = int(degree)
+            text, degree = degree, int(degree)
+            # int() also reads "1_0", " 12 ", "+12" and non-ASCII digits
+            if str(degree) != text:
+                raise ValueError(f"degree {text!r} is not a canonical decimal")
         except (KeyError, TypeError, ValueError) as exc:
             raise _MalformedRecord(
                 f"cache file {self.path} line {line_no} is malformed: {exc}"

@@ -8,14 +8,19 @@ of rank (d+1)(d+3); the component's degree is the integral of the top Segre
 class of that bundle, and its dimension is the Grassmannian dimension plus
 the projectivized fiber dimension.
 
-Two independent evaluation routes are implemented for the degree.  The
-default inverts the total Chern class of the bundle; the second assembles
-the Segre class from graded Chern characters of the dual bundle via the
-partition-weighted character sum.  The routes share only the enumeration of
-Chern roots and the ring they compute in, ``Q[x] / (deg > g, x_i^(n+1))``,
+Two evaluation routes are implemented for the degree.  The default
+inverts the total Chern class of the bundle; the second assembles the
+Segre class from graded Chern characters of the dual bundle via the
+partition-weighted character sum.  The routes share the enumeration of
+Chern roots, the ring they compute in, ``Q[x] / (deg > g, x_i^(n+1))``,
 whose exponent box is set by :class:`~lpbdeg.grassmann.GrassContext`
-from the monomials its integral reads; a test checks the box against the
-unboxed ring.  Beyond that, exact agreement is a strong correctness check.
+from the monomials its integral reads, and the pass from the roots to
+their power sums, :func:`~lpbdeg.polyring.power_sums`, until closed-form
+moments for the quotient route (ROADMAP item 3) separate them again.
+Tests check the box against the unboxed ring and pin the power sums on
+their own (``test_power_sums_of_signed_roots``,
+``test_character_at_degree_shape_matches_multinomial_expansion``).
+Beyond that, exact agreement is a strong correctness check.
 
 For fixed n the degree is a polynomial P_n in d of degree at most 3g with
 g = 3(n-2), and P_n(-4-d) = (-1)^n P_n(d).  :func:`closed_form` recovers it

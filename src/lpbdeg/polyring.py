@@ -36,13 +36,15 @@ speak them.  The order used for display and serialization is graded
 lexicographic: lower total degree first, ties broken by the exponent tuple,
 which is the integer order of packed keys.  Arithmetic itself is order-free.
 
-Total Chern classes come from :func:`product_shifted_linear`, which takes
-its Chern roots as plain integer coefficient tuples and never multiplies
-its ``(1 + form)`` factors out: it gathers integer moment sums over the
-distinct forms and recovers the product's graded pieces from the power
-sums by Newton's identities.  The moments are taken a column at a time
-over fixed blocks of distinct forms, so their cost is one C-level ``map``
-and one ``sum`` per monomial below the cap and per block.
+:func:`power_sums` is the one pass from Chern roots, plain integer
+coefficient tuples with signed multiplicities, to their power sums: it
+gathers integer moment sums a column at a time over fixed blocks of
+distinct forms, so its cost is one C-level ``map`` and one ``sum`` per
+monomial in the box and per block.  Both degree routes start from it.
+:func:`product_shifted_linear` turns the power sums into a total Chern
+class by Newton's identities, never multiplying its ``(1 + form)``
+factors out, and :func:`~lpbdeg.bundles.chern_character_graded` divides
+them into the graded Chern character.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .sparse import Packing
 
 Exponent = tuple[int, ...]
 
-# distinct forms per block of product_shifted_linear: each block holds one
+# distinct forms per block of power_sums: each block holds one
 # column of a^alpha per monomial of two grades, so the block size bounds
 # the working set whatever the number of forms
 _BLOCK = 64
@@ -310,6 +312,37 @@ def _moment_table(ring: Packing) -> tuple[tuple[tuple, tuple, tuple], ...]:
     return tuple(table)
 
 
+def power_sums(roots: Mapping[Exponent, int], ring: Packing, top: int) -> list[sparse.Poly]:
+    """Packed integer power sums ``p_j = sum m * a^j``, j = 0 .. ``top``.
+
+    ``roots`` maps each distinct linear form a, an integer coefficient
+    tuple, to its signed multiplicity m; ``p_0`` is the virtual rank.
+    ``p_j = sum_{|alpha| = j} (j; alpha) M_alpha x^alpha`` over the moment
+    sums ``M_alpha = sum m * a^alpha`` of the monomials in the ring's box.
+    Within each block of forms a monomial's column of ``m * a^alpha`` is
+    its parent's column times one coefficient column, one C-level ``map``,
+    and its moment is the column's ``sum``.
+    """
+    if not 0 <= top <= ring.bound:
+        raise ValueError("power sum degree outside [0, bound]")
+    table = _moment_table(ring)[:top]
+    moments = [[0] * len(keys) for _, keys, _ in table]
+    distinct = list(roots.items())
+    for start in range(0, len(distinct), _BLOCK):
+        block = distinct[start : start + _BLOCK]
+        columns = list(zip(*[form for form, _ in block]))
+        # level[i] holds m * a^alpha over the block for monomial i of a grade
+        level = [[mult for _, mult in block]]
+        for j, (steps, _, _) in enumerate(table):
+            level = [list(map(mul, level[parent], columns[var])) for parent, var in steps]
+            moments[j] = list(map(add, moments[j], map(sum, level)))
+    rank = sum(roots.values())
+    sums: list[sparse.Poly] = [{0: rank} if rank else {}]
+    for (_, keys, multinomials), column in zip(table, moments):
+        sums.append({k: c * s for k, c, s in zip(keys, multinomials, column) if s})
+    return sums
+
+
 def product_shifted_linear(
     factors: Iterable[tuple[int, ...]], cap: int, nvars: int | None = None, box: int | None = None
 ) -> TruncatedPoly:
@@ -324,19 +357,13 @@ def product_shifted_linear(
     ``box`` (by default ``cap``), and only monomials in the box are ever
     formed.
 
-    The product is never multiplied out.  One pass over the distinct forms
-    a, with multiplicities m, gathers the integer moment sums
-    ``M_alpha = sum m * a^alpha`` for every ``|alpha| <= cap``; the power
-    sums of the roots are ``p_j = sum_{|alpha| = j} (j; alpha) M_alpha
-    x^alpha``, and Newton's identities
+    The product is never multiplied out.  :func:`power_sums` takes the
+    power sums p_i of the roots from one moment pass over the distinct
+    forms, and Newton's identities
     ``k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i`` give the graded pieces
-    e_k of the product (Fulton, *Intersection Theory*, Ch. 3).  The forms
-    are taken in blocks of a fixed size: within a block each monomial's
-    column of values ``m * a^alpha`` is its parent's column times one
-    coefficient column, one C-level ``map``, and its moment is the column's
-    ``sum``.  The cost is one ``map`` and one ``sum`` per monomial and block,
-    plus a Newton step that depends on ``cap`` alone.  The division by k is
-    exact on integers; a remainder raises ``ArithmeticError``.
+    e_k of the product (Fulton, *Intersection Theory*, Ch. 3), a step
+    whose cost depends on ``cap`` alone.  The division by k is exact on
+    integers; a remainder raises ``ArithmeticError``.
     """
     grouped = Counter(factors)
     if grouped:
@@ -351,22 +378,9 @@ def product_shifted_linear(
     elif nvars is None:
         raise ValueError("empty product needs an explicit nvars")
     ring = _ring(nvars, cap, box)
-    table = _moment_table(ring)
-    moments = [[0] * len(keys) for _, keys, _ in table]
-    distinct = list(grouped.items())
-    for start in range(0, len(distinct), _BLOCK):
-        block = distinct[start : start + _BLOCK]
-        columns = list(zip(*[form for form, _ in block]))
-        # level[i] holds m * a^alpha over the block for monomial i of a grade
-        level = [[mult for _, mult in block]]
-        for j, (steps, _, _) in enumerate(table):
-            level = [list(map(mul, level[parent], columns[var])) for parent, var in steps]
-            moments[j] = list(map(add, moments[j], map(sum, level)))
     # signed[i] = (-1)^(i-1) p_i, so each Newton step is a plain sum
-    signed: list[sparse.Poly] = [{}]
-    for j, ((_, keys, multinomials), sums) in enumerate(zip(table, moments), 1):
-        sign = 1 if j % 2 else -1
-        signed.append({k: sign * c * s for k, c, s in zip(keys, multinomials, sums) if s})
+    sums = power_sums(grouped, ring, cap)
+    signed = [p if i % 2 else {k: -c for k, c in p.items()} for i, p in enumerate(sums)]
     # symmetric power sums make every e_k symmetric, and so every product
     symmetric = all(sparse.is_symmetric(p, ring) for p in signed)
     product = _product(ring, symmetric)

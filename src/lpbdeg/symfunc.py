@@ -9,8 +9,9 @@ Polynomials*, I.2):
     k! s_k(F) = sum over lam |- k of (k!/z_lam) * p_lam,
 
 where k!/z_lam counts the permutations of cycle type lam.  This route
-shares nothing with the Chern class quotient route beyond the root data,
-which makes it a genuine cross-check of the engine.
+shares the Chern roots and their power sums with the Chern class quotient
+route, and none of its Newton step, series inversion or products, which
+makes it a cross-check of the engine.
 
 The sum is not walked partition by partition.  It factors by part size
 through the exponential formula (Macdonald I.2.10)

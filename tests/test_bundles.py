@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -20,8 +21,9 @@ from lpbdeg.bundles import (
     total_chern,
     total_segre,
 )
+from lpbdeg.foliation import pullback_forms_bundle
 from lpbdeg.grassmann import GrassContext
-from lpbdeg.polyring import TruncatedPoly, elementary_symmetric, inverse_unit_series
+from lpbdeg.polyring import TruncatedPoly, elementary_symmetric, exponents_of_degree, inverse_unit_series
 
 CTX = GrassContext(3, 6)
 
@@ -180,6 +182,32 @@ def test_character_of_virtual_subtracts():
     cap = 2
     expr = Minus(dual(TAUT), dual(TAUT))
     assert all(piece.is_zero for piece in chern_character_graded(expr, CTX, 2, cap))
+
+
+def _character_by_multinomials(expr, ctx, degree, cap):
+    """ch_j = sum over signed roots of form^j / j!, each power expanded by the
+    multinomial theorem, keeping the exponents in the box of ``ctx``."""
+    roots = chern_roots(expr, ctx)
+    signed = [(form, 1) for form in roots.positive] + [(form, -1) for form in roots.negative]
+    pieces = []
+    for j in range(degree + 1):
+        terms = {}
+        for e in exponents_of_degree(ctx.k, j):
+            if max(e) <= ctx.box:
+                weight = Fraction(factorial(j) // prod(map(factorial, e)), factorial(j))
+                terms[e] = weight * sum(m * prod(a**i for a, i in zip(form, e)) for form, m in signed)
+        pieces.append(TruncatedPoly(ctx.k, cap, terms, box=ctx.box))
+    return pieces
+
+
+@pytest.mark.parametrize("n, d", [(5, 2), (6, 3)])
+def test_character_at_degree_shape_matches_multinomial_expansion(n, d):
+    # the pieces the character route integrates: grade g over G(3, n + 1)
+    ctx = GrassContext(3, n + 1)
+    expr = dual(pullback_forms_bundle(d))
+    got = chern_character_graded(expr, ctx, ctx.g, ctx.g)
+    assert got == _character_by_multinomials(expr, ctx, ctx.g, ctx.g)
+    assert got[0] == TruncatedPoly.constant(3, ctx.g, (d + 1) * (d + 3), box=ctx.box)
 
 
 def test_character_degree_validation():

@@ -526,6 +526,28 @@ def test_cache_mistyped_record_fails(tmp_cache, capsys, record):
     assert any("line 1 is malformed" in line for line in err)
 
 
+@pytest.mark.parametrize("degree", ["1_0", " 12 ", "1320 ", "+1320", "01320", "-0", "\u0661\u0663\u0662\u0660"])
+@pytest.mark.parametrize("version", ["x", __version__])
+def test_cache_noncanonical_degree_fails(tmp_cache, capsys, degree, version):
+    # int() reads each of these as a number; only str(int) itself passes, so
+    # a record of this version cannot be returned as a trusted hit
+    record = {"d": 2, "degree": degree, "engine_version": version, "n": 3}
+    tmp_cache.write_text(json.dumps(record) + "\n")
+    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    out, err = _lines(capsys)
+    assert out == []
+    assert any("line 1 is malformed" in line and "canonical" in line for line in err)
+
+
+def test_cache_noncanonical_torn_final_line_is_ignored(tmp_cache, capsys):
+    # an unterminated final line that does not parse is still a torn append
+    tmp_cache.write_text(_GOOD_RECORD + '\n{"d":3,"degree":"10_640","engine_version":"x","n":3}')
+    assert run(["degree", "--n", "3", "--d", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "10640\n"
+    assert "torn final line 2" in captured.err
+
+
 def test_cache_negative_degree_string_reaches_range_check(tmp_cache, capsys):
     tmp_cache.write_text('{"d":2,"degree":"-5","engine_version":"x","n":3}\n')
     assert run(["degree", "--n", "3", "--d", "2"]) == 3

@@ -12,6 +12,7 @@ from lpbdeg.polyring import (
     elementary_symmetric,
     exponents_of_degree,
     inverse_unit_series,
+    power_sums,
     product_shifted_linear,
 )
 
@@ -289,7 +290,24 @@ def test_product_shifted_linear_of_symmetric_roots(case, box):
     assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= got.box}
 
 
-@pytest.mark.parametrize("distinct", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def _literal_power_sums(roots, nvars, cap, box):
+    """``p_j = sum m * a^j`` for j <= cap, each power of a form multiplied out."""
+    units = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
+    sums = [TruncatedPoly.zero(nvars, cap) for _ in range(cap + 1)]
+    for form, m in roots.items():
+        linear = TruncatedPoly(nvars, cap, dict(zip(units, form)))
+        sums = [p + (linear**j).scale(m) for j, p in enumerate(sums)]
+    return [{e: c for e, c in p.sorted_terms() if max(e) <= box} for p in sums]
+
+
+def _check_power_sums(roots, nvars, cap, box):
+    ring = sparse.Packing(nvars, cap, cap if box is None else box)
+    got = [ring.unpack_terms(p) for p in power_sums(roots, ring, cap)]
+    assert got == _literal_power_sums(roots, nvars, cap, ring.box)
+    assert all(type(c) is int for p in got for c in p.values())
+
+
+@pytest.mark.parametrize("distinct", [0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 @pytest.mark.parametrize("boxed", [False, True])
 def test_product_shifted_linear_across_form_blocks(distinct, boxed):
     # enough distinct forms to fill several blocks, a last partial one
@@ -302,6 +320,35 @@ def test_product_shifted_linear_across_form_blocks(distinct, boxed):
     expected = _one_factor_at_a_time(forms, nvars, cap)
     top = cap if box is None else box
     assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= top}
+    # the moment pass on its own, with multiplicities of both signs
+    _check_power_sums({f: (-1) ** i * (1 + i % 3) for i, f in enumerate(pool)}, nvars, cap, box)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        {(0, 0, 0): 2},
+        {(0, 0, 0): -1, (1, -2, 0): 3},
+        # a and -a: the odd power sums cancel, then the even ones
+        {(1, -2, 3): 2, (-1, 2, -3): 2},
+        {(1, -2, 3): 2, (-1, 2, -3): -2},
+        # a zero multiplicity adds nothing
+        {(2, 0, 1): 1, (0, 1, 1): 0},
+    ],
+)
+@pytest.mark.parametrize("box", [None, 2])
+def test_power_sums_of_signed_roots(roots, box):
+    _check_power_sums(roots, 3, 4, box)
+
+
+def test_power_sums_degree_range():
+    ring = sparse.Packing(2, 3, 3)
+    assert power_sums({}, ring, 0) == [{}]
+    assert power_sums({(1, 1): 1}, ring, 0) == [{0: 1}]
+    with pytest.raises(ValueError):
+        power_sums({}, ring, 4)
+    with pytest.raises(ValueError):
+        power_sums({}, ring, -1)
 
 
 def test_elementary_symmetric_explicit():
