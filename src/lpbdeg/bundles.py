@@ -46,21 +46,6 @@ class VirtualBundleExpr:
 
     __slots__ = ()
 
-    def __add__(self, other: VirtualBundleExpr) -> VirtualBundleExpr:
-        if not isinstance(other, VirtualBundleExpr):
-            return NotImplemented
-        return Plus(self, other)
-
-    def __sub__(self, other: VirtualBundleExpr) -> VirtualBundleExpr:
-        if not isinstance(other, VirtualBundleExpr):
-            return NotImplemented
-        return Minus(self, other)
-
-    def __mul__(self, other: VirtualBundleExpr) -> VirtualBundleExpr:
-        if not isinstance(other, VirtualBundleExpr):
-            return NotImplemented
-        return Tensor(self, other)
-
 
 @dataclass(frozen=True)
 class TautologicalSub(VirtualBundleExpr):
@@ -111,10 +96,6 @@ def dual(expr: VirtualBundleExpr) -> VirtualBundleExpr:
     return Dual(expr)
 
 
-def sym(power: int, expr: VirtualBundleExpr) -> VirtualBundleExpr:
-    return Sym(power, expr)
-
-
 @dataclass(frozen=True)
 class RootSet:
     """Formal Chern roots of a virtual bundle, split by sign.
@@ -131,10 +112,6 @@ class RootSet:
     @property
     def virtual_rank(self) -> int:
         return len(self.positive) - len(self.negative)
-
-    @property
-    def is_honest(self) -> bool:
-        return not self.negative
 
 
 def chern_roots(expr: VirtualBundleExpr, ctx: GrassContext) -> RootSet:
@@ -215,14 +192,18 @@ def chern_character_graded(
     ``(sum r^j - sum s^j) / j!``: the power sums of the signed roots, from
     the moment pass :func:`~lpbdeg.polyring.power_sums`, each divided by
     j!.  The pieces live in the ring with the exponent box of ``ctx``, and
-    no monomial outside the box is formed.
+    no monomial outside the box is formed.  Roots whose power sums are not
+    symmetric in x_1..x_k raise ``ValueError``.
     """
     if degree < 0:
         raise ValueError("negative character degree")
     if degree > cap:
         raise ValueError("character degree beyond the ring cap")
     ring = sparse.Packing(ctx.k, cap, ctx.box)
+    sums = power_sums(_signed_roots(expr, ctx.k), ring, degree)
+    if not all(sparse.is_symmetric(p, ring) for p in sums):
+        raise ValueError("the roots are not symmetric in the variables")
     return [
         TruncatedPoly._raw(ring, {key: normalize(Fraction(c, factorial(j))) for key, c in p.items()})
-        for j, p in enumerate(power_sums(_signed_roots(expr, ctx.k), ring, degree))
+        for j, p in enumerate(sums)
     ]

@@ -576,11 +576,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
 
 
-def run(args: Sequence[str]) -> int:
-    """Run one command line; returns the exit code without exiting."""
-    return main(args)
-
-
 def entrypoint() -> None:
     sys.exit(main())
 

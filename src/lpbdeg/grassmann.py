@@ -21,6 +21,10 @@ exponent of m or more span an ideal, so dropping them commutes with every
 ring operation and leaves the integral exact.  Every truncated ring carries
 a box, by default its cap, and :meth:`GrassContext.integrate` accepts a
 class only when that box reaches m - 1.
+
+The integral needs a symmetric class, and every
+:class:`~lpbdeg.polyring.TruncatedPoly` is one: the invariant is checked
+where terms enter the type (see :mod:`lpbdeg.polyring`), not here.
 """
 
 from __future__ import annotations
@@ -61,11 +65,11 @@ class GrassContext:
     def integrate(self, cls: TruncatedPoly) -> Scalar:
         """Integral over the Grassmannian of a degree-g symmetric class.
 
-        The class must be symmetric in the k root variables and homogeneous
-        of degree g (the zero polynomial counts as homogeneous of every
-        degree and integrates to 0), and its ring must keep every exponent
-        up to :attr:`box`: a smaller box has dropped coefficients the
-        integral reads, which raises ``ValueError``.
+        The class is symmetric by its type.  It must be in the k root
+        variables and homogeneous of degree g (the zero polynomial counts as
+        homogeneous of every degree and integrates to 0), and its ring must
+        keep every exponent up to :attr:`box`: a smaller box has dropped
+        coefficients the integral reads, which raises ``ValueError``.
         """
         if cls.nvars != self.k:
             raise ValueError(f"class has {cls.nvars} variables, expected {self.k}")
@@ -73,8 +77,6 @@ class GrassContext:
             raise ValueError(f"class ring keeps exponents up to {cls.box}, the integral reads up to {self.box}")
         if not cls.is_homogeneous(self.g):
             raise ValueError(f"class is not homogeneous of degree {self.g}")
-        if not cls.is_symmetric():
-            raise ValueError("class is not symmetric in the root variables")
         ring = cls.ring
         # expand the Vandermonde determinant, then pair each of its k! terms
         # with the class term completing it to the target monomial.  When

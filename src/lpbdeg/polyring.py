@@ -10,17 +10,15 @@ packed-exponent format of :mod:`lpbdeg.sparse`, in a packing with bound
 in that packing's ``keep`` set, the one truncation rule.
 
 Every class the degree engine forms is symmetric in the Chern roots, and a
-product of two symmetric operands goes to
-:func:`~lpbdeg.sparse.mul_symmetric`, which computes one coefficient per
-orbit of the variables; any other product goes to
-:func:`~lpbdeg.sparse.mul`.  Both give the same terms, and the symmetry of
-the operands alone picks the kernel.  A polynomial is immutable, so
-:meth:`TruncatedPoly.is_symmetric` checks once and keeps the answer; a
-product of symmetric operands, a scalar multiple or a graded part of a
-symmetric polynomial, and the results of :func:`product_shifted_linear`
-and :func:`inverse_unit_series` are built knowing it.  The latter two check
-their input once (the power sums, the series) and run every product of
-their recurrence on the kernel it picks.
+:class:`TruncatedPoly` holds only such classes: its constructor raises
+``ValueError`` on terms that some permutation of the variables moves.  Sums,
+scalar multiples, graded parts and products of symmetric polynomials are
+symmetric, so every truncated product runs on
+:func:`~lpbdeg.sparse.mul_symmetric`, one coefficient per orbit of the
+variables.  The invariant is checked where terms enter from outside: the
+constructor, :func:`product_shifted_linear` (on the power sums of its
+roots) and :func:`~lpbdeg.bundles.chern_character_graded` (on the same
+power sums).  :func:`power_sums` itself stays a general moment pass.
 
 The box defaults to the cap, where it drops nothing the cap keeps.  The
 monomials outside a smaller box span an ideal, so dropping them commutes
@@ -51,10 +49,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import sparse
 from .exact import Scalar, normalize
@@ -95,10 +93,11 @@ class TruncatedPoly:
     ``terms`` maps packed keys of ``ring``, a :class:`~lpbdeg.sparse.Packing`
     with bound ``cap`` and exponent box ``box`` (by default ``cap``), to
     nonzero scalars; terms beyond the cap or outside the box are dropped on
-    construction.
+    construction.  The terms must be symmetric in the variables; any other
+    terms raise ``ValueError``.
     """
 
-    __slots__ = ("ring", "terms", "_symmetric")
+    __slots__ = ("ring", "terms")
 
     def __init__(
         self, nvars: int, cap: int, terms: Mapping[Exponent, Scalar] | None = None, box: int | None = None
@@ -115,24 +114,21 @@ class TruncatedPoly:
                 continue
             key = ring.pack(e)
             clean[key] = clean.get(key, 0) + c
+        terms = {k: c for k, c in clean.items() if c != 0}
+        if not sparse.is_symmetric(terms, ring):
+            raise ValueError("terms are not symmetric in the variables")
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c != 0})
-        object.__setattr__(self, "_symmetric", None)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TruncatedPoly is immutable")
 
     @classmethod
-    def _raw(cls, ring: Packing, terms: sparse.Poly, symmetric: bool | None = None) -> TruncatedPoly:
-        """Trusted constructor: ``terms`` is already clean and owned.
-
-        ``symmetric`` is the answer of :meth:`is_symmetric` when the caller
-        knows it, and ``None`` otherwise.
-        """
+    def _raw(cls, ring: Packing, terms: sparse.Poly) -> TruncatedPoly:
+        """Trusted constructor: ``terms`` is already clean, symmetric and owned."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "ring", ring)
         object.__setattr__(obj, "terms", terms)
-        object.__setattr__(obj, "_symmetric", symmetric)
         return obj
 
     @property
@@ -185,21 +181,10 @@ class TruncatedPoly:
         if not 0 <= degree <= self.cap:
             raise ValueError("degree outside [0, cap]")
         part = {k: c for k, c in self.terms.items() if self.ring.degree(k) == degree}
-        # a part of a symmetric polynomial is symmetric; other parts may be too
-        return TruncatedPoly._raw(self.ring, part, self._symmetric or None)
+        return TruncatedPoly._raw(self.ring, part)
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(self.ring.degree(k) == degree for k in self.terms)
-
-    def is_symmetric(self) -> bool:
-        """True when invariant under every permutation of the variables.
-
-        The polynomial is immutable, so the answer is computed once and
-        kept; a product of symmetric operands is built knowing it.
-        """
-        if self._symmetric is None:
-            object.__setattr__(self, "_symmetric", sparse.is_symmetric(self.terms, self.ring))
-        return self._symmetric
 
     def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in graded lexicographic order, the serialization order."""
@@ -233,7 +218,7 @@ class TruncatedPoly:
         """The multiple ``c * self``; integral coefficients come out as ints."""
         if c == 0:
             return TruncatedPoly._raw(self.ring, {})
-        return TruncatedPoly._raw(self.ring, {k: normalize(v * c) for k, v in self.terms.items()}, self._symmetric)
+        return TruncatedPoly._raw(self.ring, {k: normalize(v * c) for k, v in self.terms.items()})
 
     def __mul__(self, other: TruncatedPoly | Scalar) -> TruncatedPoly:
         if isinstance(other, (int, Fraction)):
@@ -241,9 +226,7 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compatible(other)
-        symmetric = self.is_symmetric() and other.is_symmetric()
-        terms = _product(self.ring, symmetric)(self.terms, other.terms)
-        return TruncatedPoly._raw(self.ring, terms, symmetric or None)
+        return TruncatedPoly._raw(self.ring, sparse.mul_symmetric(self.terms, other.terms, self.ring))
 
     def __rmul__(self, other: Scalar) -> TruncatedPoly:
         if isinstance(other, (int, Fraction)):
@@ -266,18 +249,6 @@ class TruncatedPoly:
         body = " + ".join(f"{c}*x^{list(e)}" for e, c in self.sorted_terms()) or "0"
         box = f", box={self.box}" if self.box < self.cap else ""
         return f"TruncatedPoly({self.nvars}, {self.cap}, {body}{box})"
-
-
-def _product(ring: Packing, symmetric: bool) -> Callable[[sparse.Poly, sparse.Poly], sparse.Poly]:
-    """The truncated product of ``ring``: orbit by orbit when ``symmetric``.
-
-    ``symmetric`` must hold of both operands; it is the only thing that
-    picks :func:`~lpbdeg.sparse.mul_symmetric` over
-    :func:`~lpbdeg.sparse.mul`, and both give the same result.
-    """
-    if symmetric:
-        return partial(sparse.mul_symmetric, packing=ring)
-    return partial(sparse.mul, keep=ring.keep)
 
 
 @lru_cache(maxsize=None)
@@ -363,7 +334,8 @@ def product_shifted_linear(
     ``k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i`` give the graded pieces
     e_k of the product (Fulton, *Intersection Theory*, Ch. 3), a step
     whose cost depends on ``cap`` alone.  The division by k is exact on
-    integers; a remainder raises ``ArithmeticError``.
+    integers; a remainder raises ``ArithmeticError``.  Roots whose power
+    sums are not symmetric in the variables raise ``ValueError``.
     """
     grouped = Counter(factors)
     if grouped:
@@ -378,18 +350,19 @@ def product_shifted_linear(
     elif nvars is None:
         raise ValueError("empty product needs an explicit nvars")
     ring = _ring(nvars, cap, box)
-    # signed[i] = (-1)^(i-1) p_i, so each Newton step is a plain sum
     sums = power_sums(grouped, ring, cap)
+    # symmetric power sums make every e_k symmetric, so every product may
+    # run orbit by orbit
+    if not all(sparse.is_symmetric(p, ring) for p in sums):
+        raise ValueError("the roots are not symmetric in the variables")
+    # signed[i] = (-1)^(i-1) p_i, so each Newton step is a plain sum
     signed = [p if i % 2 else {k: -c for k, c in p.items()} for i, p in enumerate(sums)]
-    # symmetric power sums make every e_k symmetric, and so every product
-    symmetric = all(sparse.is_symmetric(p, ring) for p in signed)
-    product = _product(ring, symmetric)
     elementary: list[sparse.Poly] = [{0: 1}]
     terms: sparse.Poly = {0: 1}
     for k in range(1, cap + 1):
         acc: sparse.Poly = {}
         for i in range(1, k + 1):
-            sparse.add(acc, product(elementary[k - i], signed[i]))
+            sparse.add(acc, sparse.mul_symmetric(elementary[k - i], signed[i], ring))
         grade: sparse.Poly = {}
         for key, c in acc.items():
             q, r = divmod(c, k)
@@ -398,7 +371,7 @@ def product_shifted_linear(
             grade[key] = q
         elementary.append(grade)
         terms.update(grade)
-    return TruncatedPoly._raw(ring, terms, symmetric or None)
+    return TruncatedPoly._raw(ring, terms)
 
 
 def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
@@ -412,8 +385,6 @@ def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
     if p.constant_term() != 1:
         raise ValueError("inverse_unit_series needs constant term 1")
     ring, cap = p.ring, p.cap
-    symmetric = p.is_symmetric()
-    product = _product(ring, symmetric)
     # the grades of -p, so that each step of the recurrence is a plain sum
     p_grades: list[sparse.Poly] = [{} for _ in range(cap + 1)]
     for k, c in p.terms.items():
@@ -423,13 +394,12 @@ def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
         acc: sparse.Poly = {}
         for j in range(1, k + 1):
             if p_grades[j]:
-                sparse.add(acc, product(p_grades[j], q_grades[k - j]))
+                sparse.add(acc, sparse.mul_symmetric(p_grades[j], q_grades[k - j], ring))
         q_grades.append(acc)
     out: sparse.Poly = {}
     for grade in q_grades:
         out.update(grade)
-    # the inverse of the inverse is p, so it is symmetric exactly when p is
-    return TruncatedPoly._raw(ring, out, symmetric)
+    return TruncatedPoly._raw(ring, out)
 
 
 def elementary_symmetric(nvars: int, cap: int, index: int) -> TruncatedPoly:

@@ -31,13 +31,22 @@ the carry it leaves makes the key invalid, so it is never in ``keep``.  A
 packing without a box truncates nothing; the forms side builds one with
 fields wide enough for every product it forms.
 
-:func:`mul` visits every pair of terms.  :func:`mul_symmetric` is the
-product for operands invariant under every permutation of the variables
-(:func:`is_symmetric`), in a packing with a box.  It computes one
-coefficient per orbit of ``keep``, at the representative nu whose exponents
-do not increase from variable 0, as ``sum over alpha in p of p[alpha] *
-q[nu - alpha]``, and writes it to every key of the orbit.  The result is
-exactly ``mul(p, q, packing.keep)``:
+:func:`mul` visits every pair of terms; it serves the forms side and the
+Vandermonde of the Grassmann integral, and it is the reference the tests
+hold :func:`mul_symmetric` to.  :func:`mul_symmetric` is the product for
+operands invariant under every permutation of the variables, in a packing
+with a box, and the product of every
+:class:`~lpbdeg.polyring.TruncatedPoly`.  That type holds only symmetric
+classes, and :func:`is_symmetric` is checked where terms enter it: the
+polyring constructor, and the power sums of the roots in
+:func:`~lpbdeg.polyring.product_shifted_linear` and
+:func:`~lpbdeg.bundles.chern_character_graded`.
+
+:func:`mul_symmetric` computes one coefficient per orbit of ``keep``, at
+the representative nu whose exponents do not increase from variable 0, as
+``sum over alpha in p of p[alpha] * q[nu - alpha]``, and writes it to
+every key of the orbit.  The result is exactly ``mul(p, q,
+packing.keep)``:
 
 * a product of symmetric polynomials is symmetric, so the untruncated
   product has one coefficient on each orbit;

@@ -9,8 +9,8 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Callable
 
-from lpbdeg.bundles import TAUT, chern_character_graded, dual, sym, total_segre
-from lpbdeg.cli import run
+from lpbdeg.bundles import TAUT, Sym, chern_character_graded, dual, total_segre
+from lpbdeg.cli import main
 from lpbdeg.exact import lagrange_interpolate
 from lpbdeg.foliation import (
     METHOD_CH_PARTITION,
@@ -56,7 +56,7 @@ def test_criterion_01_plane_degrees():
 
 def test_criterion_02_verify_n3(tmp_cache, capsys):
     def body():
-        assert run(["verify-paper", "--n", "3"]) == 0
+        assert main(["verify-paper", "--n", "3"]) == 0
         assert capsys.readouterr().out.splitlines() == ["PASS"]
         engine = closed_form(3)
         published = reference_polynomial(3)
@@ -75,7 +75,7 @@ def test_criterion_03_first_fourfold_degree():
 
 def test_criterion_04_verify_n4(tmp_cache, capsys):
     def body():
-        assert run(["verify-paper", "--n", "4"]) == 0
+        assert main(["verify-paper", "--n", "4"]) == 0
         assert capsys.readouterr().out.splitlines() == ["PASS"]
         assert closed_form(4).degree == 18
 
@@ -118,7 +118,7 @@ def test_criterion_08_degree_bounds():
 
         points = []
         for d in range(0, 6):
-            ch1 = chern_character_graded(sym(d, dual_taut), ctx, 1, 1)[1]
+            ch1 = chern_character_graded(Sym(d, dual_taut), ctx, 1, 1)[1]
             points.append((Fraction(d), Fraction(ch1.coefficient((1, 0, 0)))))
         assert lagrange_interpolate(points).degree == 3
 
@@ -127,7 +127,7 @@ def test_criterion_08_degree_bounds():
             samples = {}
             monomials = set()
             for d in nodes:
-                part = total_segre(sym(d, dual_taut), ctx, k).graded_part(k)
+                part = total_segre(Sym(d, dual_taut), ctx, k).graded_part(k)
                 samples[d] = part
                 monomials.update(e for e, _ in part.sorted_terms())
             fitted = []
@@ -158,7 +158,7 @@ def test_criterion_09_forms_suite(capsys):
                     "--seed",
                     str(100 * n + d),
                 ]
-                code = run(argv)
+                code = main(argv)
                 out = capsys.readouterr().out
                 assert code == 0, f"pullback trials failed for (n, d) = ({n}, {d}):\n{out}"
 

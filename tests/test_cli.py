@@ -11,7 +11,7 @@ import pytest
 import lpbdeg.cli as cli
 import lpbdeg.foliation as foliation
 from lpbdeg import UniPoly, __version__
-from lpbdeg.cli import CACHE_ENV_VAR, DegreeCache, run
+from lpbdeg.cli import CACHE_ENV_VAR, DegreeCache, main
 
 
 def _lines(capsys):
@@ -20,14 +20,14 @@ def _lines(capsys):
 
 
 def test_degree_basic(tmp_cache, capsys):
-    assert run(["degree", "--n", "3", "--d", "2"]) == 0
+    assert main(["degree", "--n", "3", "--d", "2"]) == 0
     out, err = _lines(capsys)
     assert out == ["1320"]
     assert err == []
 
 
 def test_degree_formal_marker(tmp_cache, capsys):
-    assert run(["degree", "--n", "3", "--d", "1"]) == 0
+    assert main(["degree", "--n", "3", "--d", "1"]) == 0
     out, _ = _lines(capsys)
     assert out == ["80 (formal)"]
 
@@ -35,14 +35,14 @@ def test_degree_formal_marker(tmp_cache, capsys):
 def test_degree_methods_agree(tmp_cache, capsys):
     values = []
     for method in ("quotient", "chchar", "both"):
-        assert run(["degree", "--n", "3", "--d", "2", "--method", method]) == 0
+        assert main(["degree", "--n", "3", "--d", "2", "--method", method]) == 0
         out, _ = _lines(capsys)
         values.append(out[0])
     assert values == ["1320", "1320", "1320"]
 
 
 def test_degree_writes_cache_record(tmp_cache, capsys):
-    run(["degree", "--n", "3", "--d", "2"])
+    main(["degree", "--n", "3", "--d", "2"])
     capsys.readouterr()
     lines = tmp_cache.read_text().splitlines()
     assert len(lines) == 1
@@ -58,9 +58,9 @@ def test_degree_writes_cache_record(tmp_cache, capsys):
 
 
 def test_degree_cache_warm_run_identical(tmp_cache, capsys):
-    run(["degree", "--n", "3", "--d", "3"])
+    main(["degree", "--n", "3", "--d", "3"])
     cold, _ = _lines(capsys)
-    run(["degree", "--n", "3", "--d", "3"])
+    main(["degree", "--n", "3", "--d", "3"])
     warm, _ = _lines(capsys)
     assert cold == warm == ["10640"]
     assert len(tmp_cache.read_text().splitlines()) == 1
@@ -69,7 +69,7 @@ def test_degree_cache_warm_run_identical(tmp_cache, capsys):
 def test_degree_default_cache_path(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
-    assert run(["degree", "--n", "3", "--d", "2"]) == 0
+    assert main(["degree", "--n", "3", "--d", "2"]) == 0
     capsys.readouterr()
     assert (tmp_path / "lpb-cache.jsonl").exists()
 
@@ -79,14 +79,14 @@ def test_cache_conflicting_records_fail(tmp_cache, capsys):
         '{"d":2,"degree":"1320","engine_version":"x","n":3}\n'
         '{"d":2,"degree":"1321","engine_version":"x","n":3}\n'
     )
-    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2"]) == 3
     _, err = _lines(capsys)
     assert any("internal inconsistency" in line for line in err)
 
 
 def test_cache_malformed_line_fails(tmp_cache, capsys):
     tmp_cache.write_text("not json at all\n")
-    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2"]) == 3
 
 
 _GOOD_RECORD = '{"d":2,"degree":"1320","engine_version":"x","n":3}'
@@ -95,7 +95,7 @@ _GOOD_RECORD = '{"d":2,"degree":"1320","engine_version":"x","n":3}'
 def test_cache_torn_final_line_is_ignored(tmp_cache, capsys):
     # a crash mid-append leaves an unterminated fragment as the last line
     tmp_cache.write_text(_GOOD_RECORD + '\n{"d":3,"deg')
-    assert run(["degree", "--n", "3", "--d", "3"]) == 0
+    assert main(["degree", "--n", "3", "--d", "3"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "10640\n"
     assert "torn final line 2" in captured.err
@@ -104,34 +104,34 @@ def test_cache_torn_final_line_is_ignored(tmp_cache, capsys):
     assert json.loads(lines[1])["degree"] == "10640"
     assert lines[2:] == [""]
     # the next command loads cleanly and still sees the record before the tear
-    assert run(["degree", "--n", "3", "--d", "2"]) == 0
+    assert main(["degree", "--n", "3", "--d", "2"]) == 0
     assert capsys.readouterr() == ("1320\n", "")
 
 
 def test_cache_unterminated_record_is_kept(tmp_cache, capsys):
     tmp_cache.write_text(_GOOD_RECORD)
-    assert run(["degree", "--n", "3", "--d", "3"]) == 0
+    assert main(["degree", "--n", "3", "--d", "3"]) == 0
     assert capsys.readouterr().err == ""
     lines = tmp_cache.read_text().splitlines()
     assert lines[0] == _GOOD_RECORD
     assert json.loads(lines[1])["degree"] == "10640"
-    assert run(["degree", "--n", "3", "--d", "2"]) == 0
+    assert main(["degree", "--n", "3", "--d", "2"]) == 0
 
 
 def test_cache_terminated_torn_line_fails(tmp_cache, capsys):
     tmp_cache.write_text(_GOOD_RECORD + '\n{"d":3,"deg\n')
-    assert run(["degree", "--n", "3", "--d", "3"]) == 3
+    assert main(["degree", "--n", "3", "--d", "3"]) == 3
     assert "line 2 is malformed" in capsys.readouterr().err
 
 
 def test_cache_missing_key_fails(tmp_cache):
     tmp_cache.write_text('{"n":3,"d":2}\n')
-    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2"]) == 3
 
 
 def test_cache_negative_degree_fails(tmp_cache):
     tmp_cache.write_text('{"d":2,"degree":"-5","engine_version":"x","n":3}\n')
-    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2"]) == 3
 
 
 def test_cache_hit_short_circuits_quotient_only(tmp_cache, capsys):
@@ -139,10 +139,10 @@ def test_cache_hit_short_circuits_quotient_only(tmp_cache, capsys):
     # route recomputes and cross-checks, so a poisoned record is caught as
     # soon as one runs
     tmp_cache.write_text(f'{{"d":2,"degree":"999","engine_version":"{__version__}","n":3}}\n')
-    assert run(["degree", "--n", "3", "--d", "2"]) == 0
+    assert main(["degree", "--n", "3", "--d", "2"]) == 0
     out, _ = _lines(capsys)
     assert out == ["999"]
-    assert run(["degree", "--n", "3", "--d", "2", "--method", "chchar"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2", "--method", "chchar"]) == 3
     _, err = _lines(capsys)
     assert any("disagrees" in line for line in err)
 
@@ -158,7 +158,7 @@ def test_cache_record_of_another_version_is_recomputed(tmp_cache, capsys, record
     # a wrong record that this engine version did not write must not reach
     # stdout, even on the default route
     tmp_cache.write_text(record + "\n")
-    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2"]) == 3
     out, err = _lines(capsys)
     assert out == []
     assert any("disagrees" in line for line in err)
@@ -167,7 +167,7 @@ def test_cache_record_of_another_version_is_recomputed(tmp_cache, capsys, record
 
 def test_cache_record_of_another_version_is_confirmed_once(tmp_cache, monkeypatch, capsys):
     tmp_cache.write_text(_GOOD_RECORD + "\n")
-    assert run(["degree", "--n", "3", "--d", "2"]) == 0
+    assert main(["degree", "--n", "3", "--d", "2"]) == 0
     assert capsys.readouterr() == ("1320\n", "")
     current = {"d": 2, "degree": "1320", "engine_version": __version__, "n": 3}
     lines = tmp_cache.read_text().splitlines()
@@ -178,7 +178,7 @@ def test_cache_record_of_another_version_is_confirmed_once(tmp_cache, monkeypatc
         raise RuntimeError("the confirmed record must be a plain hit")
 
     monkeypatch.setattr(cli, "degree_lpb", engine_not_needed)
-    assert run(["degree", "--n", "3", "--d", "2"]) == 0
+    assert main(["degree", "--n", "3", "--d", "2"]) == 0
     assert capsys.readouterr() == ("1320\n", "")
     assert tmp_cache.read_text().splitlines() == lines
 
@@ -192,13 +192,13 @@ def test_degree_route_fault_detected(tmp_cache, monkeypatch, capsys):
         return pieces
 
     monkeypatch.setattr(foliation, "chern_character_graded", skewed)
-    assert run(["degree", "--n", "3", "--d", "2", "--method", "both"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2", "--method", "both"]) == 3
     _, err = _lines(capsys)
     assert any("internal inconsistency" in line for line in err)
 
 
 def test_table_plain(tmp_cache, capsys):
-    assert run(["table", "--n", "3", "--d-min", "2", "--d-max", "4"]) == 0
+    assert main(["table", "--n", "3", "--d-min", "2", "--d-max", "4"]) == 0
     out, _ = _lines(capsys)
     assert out == [
         "n=3 d=2 degree=1320",
@@ -208,19 +208,19 @@ def test_table_plain(tmp_cache, capsys):
 
 
 def test_table_plain_formal_marker(tmp_cache, capsys):
-    assert run(["table", "--n", "3", "--d-min", "0", "--d-max", "1"]) == 0
+    assert main(["table", "--n", "3", "--d-min", "0", "--d-max", "1"]) == 0
     out, _ = _lines(capsys)
     assert out == ["n=3 d=0 degree=0 formal", "n=3 d=1 degree=80 formal"]
 
 
 def test_table_csv(tmp_cache, capsys):
-    assert run(["table", "--n", "3", "--d-min", "1", "--d-max", "2", "--format", "csv"]) == 0
+    assert main(["table", "--n", "3", "--d-min", "1", "--d-max", "2", "--format", "csv"]) == 0
     out, _ = _lines(capsys)
     assert out == ["n,d,degree,formal", "3,1,80,true", "3,2,1320,false"]
 
 
 def test_table_json_round_trip_is_byte_identical(tmp_cache, capsys):
-    assert run(["table", "--n", "3", "--d-min", "2", "--d-max", "3", "--format", "json"]) == 0
+    assert main(["table", "--n", "3", "--d-min", "2", "--d-max", "3", "--format", "json"]) == 0
     out, _ = _lines(capsys)
     assert len(out) == 1
     payload = json.loads(out[0])
@@ -232,7 +232,7 @@ def test_table_json_round_trip_is_byte_identical(tmp_cache, capsys):
 
 
 def test_table_latex(tmp_cache, capsys):
-    assert run(["table", "--n", "3", "--d-min", "1", "--d-max", "2", "--format", "latex"]) == 0
+    assert main(["table", "--n", "3", "--d-min", "1", "--d-max", "2", "--format", "latex"]) == 0
     out, _ = _lines(capsys)
     assert out[0] == "\\begin{tabular}{rrr}"
     assert "3 & 1 & 80^{*} \\\\" in out
@@ -241,7 +241,7 @@ def test_table_latex(tmp_cache, capsys):
 
 
 def test_table_bad_range(tmp_cache, capsys):
-    assert run(["table", "--n", "3", "--d-min", "5", "--d-max", "2"]) == 1
+    assert main(["table", "--n", "3", "--d-min", "5", "--d-max", "2"]) == 1
     _, err = _lines(capsys)
     assert any("d-min" in line for line in err)
 
@@ -249,18 +249,18 @@ def test_table_bad_range(tmp_cache, capsys):
 def test_table_summed_work_bound(tmp_cache, monkeypatch, capsys):
     # the rows' (d + 2)^2 may sum to (MAX_D + 2)^2, the work of one degree at MAX_D
     monkeypatch.setattr(cli, "degree_lpb", lambda d, n, method: 1)
-    assert run(["table", "--n", "3", "--d-min", str(cli.MAX_D), "--d-max", str(cli.MAX_D)]) == 0
-    assert run(["table", "--n", "3", "--d-min", "0", "--d-max", "141"]) == 0
+    assert main(["table", "--n", "3", "--d-min", str(cli.MAX_D), "--d-max", str(cli.MAX_D)]) == 0
+    assert main(["table", "--n", "3", "--d-min", "0", "--d-max", "141"]) == 0
     capsys.readouterr()
-    assert run(["table", "--n", "3", "--d-min", "0", "--d-max", "142"]) == 1
-    assert run(["table", "--n", "3", "--d-min", str(cli.MAX_D - 1), "--d-max", str(cli.MAX_D)]) == 1
+    assert main(["table", "--n", "3", "--d-min", "0", "--d-max", "142"]) == 1
+    assert main(["table", "--n", "3", "--d-min", str(cli.MAX_D - 1), "--d-max", str(cli.MAX_D)]) == 1
     out, err = _lines(capsys)
     assert out == []
     assert len(err) == 2 and all("(d + 2)^2" in line for line in err)
 
 
 def test_closed_form_plain(tmp_cache, capsys):
-    assert run(["closed-form", "--n", "3"]) == 0
+    assert main(["closed-form", "--n", "3"]) == 0
     out, _ = _lines(capsys)
     assert len(out) == 10
     assert out[0] == "d^0: 0"
@@ -268,7 +268,7 @@ def test_closed_form_plain(tmp_cache, capsys):
 
 
 def test_closed_form_json(tmp_cache, capsys):
-    assert run(["closed-form", "--n", "3", "--format", "json"]) == 0
+    assert main(["closed-form", "--n", "3", "--format", "json"]) == 0
     out, _ = _lines(capsys)
     payload = json.loads(out[0])
     assert payload["n"] == 3
@@ -280,14 +280,14 @@ def test_closed_form_json(tmp_cache, capsys):
 
 
 def test_closed_form_latex(tmp_cache, capsys):
-    assert run(["closed-form", "--n", "3", "--format", "latex"]) == 0
+    assert main(["closed-form", "--n", "3", "--format", "latex"]) == 0
     out, _ = _lines(capsys)
     assert out[0].startswith("\\frac{1}{162} d^{9}")
     assert "d^{0}" not in out[0]  # zero constant term is dropped
 
 
 def test_closed_form_populates_cache(tmp_cache, capsys):
-    assert run(["closed-form", "--n", "3"]) == 0
+    assert main(["closed-form", "--n", "3"]) == 0
     capsys.readouterr()
     keys = {(json.loads(line)["n"], json.loads(line)["d"]) for line in tmp_cache.read_text().splitlines()}
     # nodes 0..4, mirrored to -4-d, plus the held-out verification node 5
@@ -295,7 +295,7 @@ def test_closed_form_populates_cache(tmp_cache, capsys):
 
 
 def test_verify_paper_uses_full_node_set(tmp_cache, capsys):
-    assert run(["verify-paper", "--n", "3"]) == 0
+    assert main(["verify-paper", "--n", "3"]) == 0
     capsys.readouterr()
     keys = {(json.loads(line)["n"], json.loads(line)["d"]) for line in tmp_cache.read_text().splitlines()}
     # all 3g+1 nodes 2..11, without the reciprocity, plus the held-out node 12
@@ -303,7 +303,7 @@ def test_verify_paper_uses_full_node_set(tmp_cache, capsys):
 
 
 def test_verify_paper_passes(tmp_cache, capsys):
-    assert run(["verify-paper", "--n", "3"]) == 0
+    assert main(["verify-paper", "--n", "3"]) == 0
     out, _ = _lines(capsys)
     assert out == ["PASS"]
 
@@ -311,7 +311,7 @@ def test_verify_paper_passes(tmp_cache, capsys):
 def test_verify_paper_mismatch_reporting(tmp_cache, monkeypatch, capsys):
     fake = UniPoly((Fraction(7),))
     monkeypatch.setattr(cli, "reference_polynomial", lambda n: fake)
-    assert run(["verify-paper", "--n", "3"]) == 2
+    assert main(["verify-paper", "--n", "3"]) == 2
     out, _ = _lines(capsys)
     assert out[0].startswith("MISMATCH for n = 3")
     assert any(line.strip().startswith("d^0: engine=0 published=7") for line in out[1:])
@@ -320,10 +320,10 @@ def test_verify_paper_mismatch_reporting(tmp_cache, monkeypatch, capsys):
 
 def test_check_pullback_runs_clean(capsys):
     argv = ["forms", "check-pullback", "--n", "3", "--d", "1", "--trials", "3", "--seed", "7"]
-    assert run(argv) == 0
+    assert main(argv) == 0
     first, _ = _lines(capsys)
     assert first == ["check-pullback n=3 d=1: 3/3 trials passed"]
-    assert run(argv) == 0
+    assert main(argv) == 0
     second, _ = _lines(capsys)
     assert second == first
 
@@ -331,7 +331,7 @@ def test_check_pullback_runs_clean(capsys):
 def test_check_pullback_reports_failures(monkeypatch, capsys):
     monkeypatch.setattr(cli, "recover", lambda proj, mu: None)
     argv = ["forms", "check-pullback", "--n", "3", "--d", "0", "--trials", "2", "--seed", "1"]
-    assert run(argv) == 2
+    assert main(argv) == 2
     out, _ = _lines(capsys)
     assert out[0] == "trial 0: FAIL (recovery mismatch)"
     assert out[-1] == "check-pullback n=3 d=0: 0/2 trials passed"
@@ -339,7 +339,7 @@ def test_check_pullback_reports_failures(monkeypatch, capsys):
 
 def test_check_pullback_needs_positive_trials(capsys):
     argv = ["forms", "check-pullback", "--n", "3", "--d", "1", "--trials", "0", "--seed", "7"]
-    assert run(argv) == 1
+    assert main(argv) == 1
 
 
 def test_check_pullback_bounds_exit_one_before_work(monkeypatch, capsys):
@@ -351,7 +351,7 @@ def test_check_pullback_bounds_exit_one_before_work(monkeypatch, capsys):
 
     def check(n, d, trials):
         args = ["--n", str(n), "--d", str(d), "--trials", str(trials), "--seed", "0"]
-        return run(["forms", "check-pullback", *args])
+        return main(["forms", "check-pullback", *args])
 
     big_d = next(d for d in range(100) if comb(d + 3, 2) > cli.MAX_FORM_TERMS)
     assert check(cli.MAX_FORMS_N + 1, 0, 1) == 1
@@ -373,7 +373,7 @@ def test_check_pullback_bounds_exit_one_before_work(monkeypatch, capsys):
 
 
 def test_selftest_passes(capsys):
-    assert run(["selftest"]) == 0
+    assert main(["selftest"]) == 0
     out, _ = _lines(capsys)
     assert out
     assert all(line.startswith("PASS ") for line in out)
@@ -382,22 +382,22 @@ def test_selftest_passes(capsys):
 
 def test_selftest_reports_failures(monkeypatch, capsys):
     monkeypatch.setattr(cli, "dimension_vdn", lambda n, d: -1)
-    assert run(["selftest"]) == 2
+    assert main(["selftest"]) == 2
     out, _ = _lines(capsys)
     assert any(line.startswith("FAIL ") for line in out)
 
 
 def test_usage_errors(tmp_cache, capsys):
-    assert run(["no-such-command"]) == 1
-    assert run(["degree", "--n", "3"]) == 1  # missing --d
-    assert run(["degree", "--n", "three", "--d", "2"]) == 1
-    assert run([]) == 1
+    assert main(["no-such-command"]) == 1
+    assert main(["degree", "--n", "3"]) == 1  # missing --d
+    assert main(["degree", "--n", "three", "--d", "2"]) == 1
+    assert main([]) == 1
     capsys.readouterr()
 
 
 def test_domain_errors_exit_one(tmp_cache, capsys):
-    assert run(["degree", "--n", "2", "--d", "2"]) == 1
-    assert run(["degree", "--n", "3", "--d", "-1"]) == 1
+    assert main(["degree", "--n", "2", "--d", "2"]) == 1
+    assert main(["degree", "--n", "3", "--d", "-1"]) == 1
     _, err = _lines(capsys)
     assert any("error:" in line for line in err)
 
@@ -407,19 +407,19 @@ def test_argument_ranges_exit_one(tmp_cache, monkeypatch, capsys):
         raise RuntimeError("arguments must be checked before any work")
 
     monkeypatch.setattr(cli, "degree_lpb", engine_not_reached)
-    assert run(["table", "--n", "3", "--d-min", "-1", "--d-max", "2"]) == 1
-    assert run(["degree", "--n", "3", "--d", str(cli.MAX_D + 1)]) == 1
-    assert run(["table", "--n", "3", "--d-min", "2", "--d-max", str(cli.MAX_D + 1)]) == 1
+    assert main(["table", "--n", "3", "--d-min", "-1", "--d-max", "2"]) == 1
+    assert main(["degree", "--n", "3", "--d", str(cli.MAX_D + 1)]) == 1
+    assert main(["table", "--n", "3", "--d-min", "2", "--d-max", str(cli.MAX_D + 1)]) == 1
     # each row is in range, but together they cost far more than one degree at MAX_D
-    assert run(["table", "--n", "8", "--d-min", "0", "--d-max", "1000"]) == 1
-    assert run(["closed-form", "--n", "2"]) == 1
+    assert main(["table", "--n", "8", "--d-min", "0", "--d-max", "1000"]) == 1
+    assert main(["closed-form", "--n", "2"]) == 1
     too_large = str(cli.MAX_N + 1)
-    assert run(["degree", "--n", too_large, "--d", "2"]) == 1
-    assert run(["table", "--n", too_large, "--d-min", "2", "--d-max", "3"]) == 1
-    assert run(["closed-form", "--n", too_large]) == 1
+    assert main(["degree", "--n", too_large, "--d", "2"]) == 1
+    assert main(["table", "--n", too_large, "--d-min", "2", "--d-max", "3"]) == 1
+    assert main(["closed-form", "--n", too_large]) == 1
     check = ["forms", "check-pullback", "--trials", "1", "--seed", "1"]
-    assert run(check + ["--n", "1", "--d", "1"]) == 1
-    assert run(check + ["--n", "3", "--d", "-1"]) == 1
+    assert main(check + ["--n", "1", "--d", "1"]) == 1
+    assert main(check + ["--n", "3", "--d", "-1"]) == 1
     out, err = _lines(capsys)
     assert out == []
     assert all(line.startswith("error: ") for line in err)
@@ -432,7 +432,7 @@ def test_engine_value_error_exits_three(tmp_cache, monkeypatch, capsys):
         raise ValueError("graded characters live in different rings")
 
     monkeypatch.setattr(foliation, "segre_via_characters", broken)
-    assert run(["degree", "--n", "3", "--d", "2", "--method", "chchar"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2", "--method", "chchar"]) == 3
     out, err = _lines(capsys)
     assert out == []
     assert err == ["internal error: graded characters live in different rings"]
@@ -444,7 +444,7 @@ def test_engine_arithmetic_error_exits_three(monkeypatch, capsys):
         raise ArithmeticError("Newton step 3 leaves a remainder 1")
 
     monkeypatch.setattr(cli.GrassContext, "plucker_degree", broken)
-    assert run(["selftest"]) == 3
+    assert main(["selftest"]) == 3
     out, err = _lines(capsys)
     assert out == []
     assert err == ["internal error: Newton step 3 leaves a remainder 1"]
@@ -456,15 +456,15 @@ def test_engine_runtime_error_exits_three(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "random_projection", broken)
     args = ["forms", "check-pullback", "--n", "3", "--d", "2", "--trials", "1", "--seed", "0"]
-    assert run(args) == 3
+    assert main(args) == 3
     out, err = _lines(capsys)
     assert out == []
     assert err == ["internal error: no full-rank projection found"]
 
 
 def test_version_flag(capsys):
-    # run returns the code: --version must not raise SystemExit
-    assert run(["--version"]) == 0
+    # main returns the code: --version must not raise SystemExit
+    assert main(["--version"]) == 0
     out, err = _lines(capsys)
     assert out == [f"lpbdeg {__version__}"]
     assert err == []
@@ -489,7 +489,7 @@ def test_module_entry_point_prints_version():
     ],
 )
 def test_help_returns_zero(argv, usage, capsys):
-    assert run(argv) == 0
+    assert main(argv) == 0
     out, err = _lines(capsys)
     assert out[0].startswith(usage)
     assert err == []
@@ -520,7 +520,7 @@ def test_degree_cache_object_roundtrip(tmp_cache):
 def test_cache_mistyped_record_fails(tmp_cache, capsys, record):
     # int() would read 999.7 as 999 and true as 1; only exact JSON types pass
     tmp_cache.write_text(record + "\n")
-    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2"]) == 3
     out, err = _lines(capsys)
     assert out == []
     assert any("line 1 is malformed" in line for line in err)
@@ -533,7 +533,7 @@ def test_cache_noncanonical_degree_fails(tmp_cache, capsys, degree, version):
     # a record of this version cannot be returned as a trusted hit
     record = {"d": 2, "degree": degree, "engine_version": version, "n": 3}
     tmp_cache.write_text(json.dumps(record) + "\n")
-    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2"]) == 3
     out, err = _lines(capsys)
     assert out == []
     assert any("line 1 is malformed" in line and "canonical" in line for line in err)
@@ -542,7 +542,7 @@ def test_cache_noncanonical_degree_fails(tmp_cache, capsys, degree, version):
 def test_cache_noncanonical_torn_final_line_is_ignored(tmp_cache, capsys):
     # an unterminated final line that does not parse is still a torn append
     tmp_cache.write_text(_GOOD_RECORD + '\n{"d":3,"degree":"10_640","engine_version":"x","n":3}')
-    assert run(["degree", "--n", "3", "--d", "3"]) == 0
+    assert main(["degree", "--n", "3", "--d", "3"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "10640\n"
     assert "torn final line 2" in captured.err
@@ -550,7 +550,7 @@ def test_cache_noncanonical_torn_final_line_is_ignored(tmp_cache, capsys):
 
 def test_cache_negative_degree_string_reaches_range_check(tmp_cache, capsys):
     tmp_cache.write_text('{"d":2,"degree":"-5","engine_version":"x","n":3}\n')
-    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2"]) == 3
     _, err = _lines(capsys)
     assert any("negative degree" in line for line in err)
 
@@ -558,7 +558,7 @@ def test_cache_negative_degree_string_reaches_range_check(tmp_cache, capsys):
 def test_cache_path_in_missing_directory_exits_three(tmp_path, monkeypatch, capsys):
     path = tmp_path / "missing" / "c.jsonl"
     monkeypatch.setenv(CACHE_ENV_VAR, str(path))
-    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2"]) == 3
     out, err = _lines(capsys)
     assert out == []
     assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
@@ -566,7 +566,7 @@ def test_cache_path_in_missing_directory_exits_three(tmp_path, monkeypatch, caps
 
 def test_cache_path_naming_a_directory_exits_three(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    assert run(["degree", "--n", "3", "--d", "2"]) == 3
+    assert main(["degree", "--n", "3", "--d", "2"]) == 3
     out, err = _lines(capsys)
     assert out == []
     assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0]

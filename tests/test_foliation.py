@@ -101,7 +101,7 @@ def test_bundle_rank_matches_closed_count():
     for d in range(0, 11):
         expr = pullback_forms_bundle(d)
         roots = chern_roots(expr, ctx)
-        assert roots.is_honest
+        assert not roots.negative
         assert roots.virtual_rank == (d + 1) * (d + 3)
         assert virtual_rank_check(d, 3) == (d + 1) * (d + 3)
     with pytest.raises(ValueError):

@@ -22,23 +22,33 @@ CAP = 4
 coeffs = st.integers(min_value=-6, max_value=6)
 
 
-@st.composite
-def polys(draw, nvars=NVARS, cap=CAP):
-    terms = {}
-    for _ in range(draw(st.integers(0, 6))):
-        expo = tuple(draw(st.integers(0, 2)) for _ in range(nvars))
-        terms[expo] = draw(coeffs)
-    return TruncatedPoly(nvars, cap, terms)
+def symmetrize(terms):
+    """The sum of every distinct image of each term under permuting the variables."""
+    out = {}
+    for expo, c in terms.items():
+        for image in set(permutations(expo)):
+            out[image] = out.get(image, 0) + c
+    return out
 
 
 @st.composite
 def symmetric_polys(draw, box=CAP):
     """A polynomial invariant under permuting the variables, in a ring with ``box``."""
     terms = {}
-    for expo, c in draw(polys()).sorted_terms():
-        for image in set(permutations(expo)):
-            terms[image] = terms.get(image, 0) + c
-    return TruncatedPoly(NVARS, CAP, terms, box=box)
+    for _ in range(draw(st.integers(0, 6))):
+        expo = tuple(draw(st.integers(0, 2)) for _ in range(NVARS))
+        terms[expo] = draw(coeffs)
+    return TruncatedPoly(NVARS, CAP, symmetrize(terms), box=box)
+
+
+def orbits_of(forms):
+    """Each form with its distinct images under permuting the variables."""
+    return [image for form in forms for image in sorted(set(permutations(form)))]
+
+
+def _linear(form, ring):
+    """The packed linear form with the given coefficients."""
+    return {ring.var(i): a for i, a in enumerate(form) if a}
 
 
 def _one():
@@ -71,14 +81,14 @@ def test_exponent_enumeration_order_is_stable():
 
 
 def test_construction_and_queries_respect_the_box():
-    p = TruncatedPoly(2, 4, {(0, 0): 1, (2, 1): 3, (3, 0): 7, (1, 3): 5}, box=2)
+    p = TruncatedPoly(2, 4, symmetrize({(0, 0): 1, (2, 1): 3, (3, 0): 7, (1, 3): 5}), box=2)
     assert p.box == 2
-    assert dict(p.sorted_terms()) == {(0, 0): 1, (2, 1): 3}
+    assert dict(p.sorted_terms()) == {(0, 0): 1, (1, 2): 3, (2, 1): 3}
     assert p.coefficient((3, 0)) == 0 and p.coefficient((2, 1)) == 3
-    assert p != TruncatedPoly(2, 4, {(0, 0): 1, (2, 1): 3})
+    assert p != TruncatedPoly(2, 4, {(0, 0): 1, (1, 2): 3, (2, 1): 3})
     assert TruncatedPoly(2, 4, box=4) == TruncatedPoly.zero(2, 4)
     # the box shows, so unequal rings never print alike
-    assert repr(p) == "TruncatedPoly(2, 4, 1*x^[0, 0] + 3*x^[2, 1], box=2)"
+    assert repr(p) == "TruncatedPoly(2, 4, 1*x^[0, 0] + 3*x^[1, 2] + 3*x^[2, 1], box=2)"
     assert repr(TruncatedPoly.zero(2, 4)) == repr(TruncatedPoly(2, 4, box=7)) == "TruncatedPoly(2, 4, 0)"
     # every ring truncates through its key set, the box defaulting to the cap
     assert TruncatedPoly.one(2, 4).box == 4
@@ -94,10 +104,10 @@ def test_truncation_in_products():
 
 
 def test_variable_and_linear_constructors():
-    p = TruncatedPoly(3, CAP, {(1, 0, 0): 2, (0, 0, 1): -1})
-    assert p.coefficient((1, 0, 0)) == 2
-    assert p.coefficient((0, 1, 0)) == 0
-    assert p.coefficient((0, 0, 1)) == -1
+    p = TruncatedPoly(3, CAP, symmetrize({(1, 0, 0): 2, (1, 1, 0): -1}))
+    assert p.coefficient((1, 0, 0)) == p.coefficient((0, 0, 1)) == 2
+    assert p.coefficient((2, 0, 0)) == 0
+    assert p.coefficient((0, 1, 1)) == -1
 
 
 def test_product_shifted_linear_rejects_non_integer_coefficients():
@@ -117,7 +127,7 @@ def test_incompatible_rings_rejected():
 
 
 def test_graded_part_and_queries():
-    p = TruncatedPoly(2, 3, {(0, 0): 2, (1, 0): 3, (1, 1): 5})
+    p = TruncatedPoly(2, 3, {(0, 0): 2, (1, 0): 3, (0, 1): 3, (1, 1): 5})
     assert dict(p.graded_part(2).sorted_terms()) == {(1, 1): 5}
     assert p.graded_part(3).is_zero
     assert not p.is_homogeneous(1)
@@ -129,46 +139,54 @@ def test_graded_part_and_queries():
 
 
 def test_symmetry_detection():
-    sym = TruncatedPoly(3, 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-    assert sym.is_symmetric()
-    asym = TruncatedPoly(3, 3, {(1, 0, 0): 1})
-    assert not asym.is_symmetric()
+    assert TruncatedPoly(3, 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}) == elementary_symmetric(3, 3, 1)
+    with pytest.raises(ValueError, match="symmetric"):
+        TruncatedPoly(3, 3, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="symmetric"):
+        TruncatedPoly(2, 3, {(1, 0): 1, (0, 1): 2})
+    # the check reads the class the ring keeps: the box drops (3, 0, 0) here
+    assert TruncatedPoly(3, 3, {(3, 0, 0): 1}, box=2).is_zero
 
 
-@given(st.integers(1, CAP).flatmap(lambda box: st.tuples(symmetric_polys(box), symmetric_polys(box))), polys())
-def test_product_of_symmetric_classes_matches_generic_product(pair, other):
+@given(st.integers(1, CAP).flatmap(lambda box: st.tuples(symmetric_polys(box), symmetric_polys(box))))
+def test_product_of_symmetric_classes_matches_generic_product(pair):
     p, q = pair
     ring = p.ring
-    asym = TruncatedPoly(NVARS, CAP, dict(other.sorted_terms()), box=ring.box)
-    for a, b in ((p, q), (p, asym), (asym, q)):
-        product = a * b
-        assert product.terms == sparse.mul(a.terms, b.terms, ring.keep)
-        # the flag a product is built with agrees with a fresh check
-        assert product.is_symmetric() == sparse.is_symmetric(product.terms, ring)
-    assert (p * q).is_symmetric()
+    product = p * q
+    assert product.terms == sparse.mul(p.terms, q.terms, ring.keep)
+    assert sparse.is_symmetric(product.terms, ring)
 
 
 def test_graded_part_of_an_asymmetric_class_may_be_symmetric():
-    p = TruncatedPoly(3, 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (2, 0, 0): 1})
-    assert not p.is_symmetric()
-    assert p.graded_part(1).is_symmetric() and not p.graded_part(2).is_symmetric()
-    assert p.scale(2).graded_part(1).is_symmetric()
+    # the constructor checks the whole class, not its grades one at a time
+    terms = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (2, 0, 0): 1}
+    with pytest.raises(ValueError, match="symmetric"):
+        TruncatedPoly(3, 3, terms)
+    linear = {e: c for e, c in terms.items() if sum(e) == 1}
+    assert TruncatedPoly(3, 3, linear) == elementary_symmetric(3, 3, 1)
+
+
+@given(symmetric_polys(), st.integers(0, CAP), st.integers(-3, 3))
+def test_graded_parts_and_multiples_of_a_symmetric_class_are_symmetric(p, degree, c):
+    # the trusted constructor takes these results unchecked
+    for q in (p.graded_part(degree), p.scale(c), p.scale(Fraction(c, 2)), -p, p + p, p - p.graded_part(degree)):
+        assert sparse.is_symmetric(q.terms, q.ring)
 
 
 def test_boxed_constants():
     assert TruncatedPoly.one(3, 6, box=2) == TruncatedPoly(3, 6, {(0, 0, 0): 1}, box=2)
     assert TruncatedPoly.zero(3, 6, box=2).box == TruncatedPoly.constant(3, 6, 5, box=2).box == 2
     assert TruncatedPoly.one(3, 6).box == 6
-    assert TruncatedPoly.zero(3, 6, box=2).is_zero and TruncatedPoly.zero(3, 6, box=2).is_symmetric()
+    assert TruncatedPoly.zero(3, 6, box=2).is_zero
 
 
 def test_sorted_terms_graded_lex():
-    p = TruncatedPoly(2, 3, {(0, 2): 1, (1, 0): 2, (2, 0): 3, (0, 0): 4})
+    p = TruncatedPoly(2, 3, symmetrize({(0, 2): 3, (1, 0): 2, (1, 1): 5, (0, 0): 4}))
     order = [e for e, _ in p.sorted_terms()]
-    assert order == [(0, 0), (1, 0), (0, 2), (2, 0)]
+    assert order == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
 
-@given(polys(), polys(), polys())
+@given(symmetric_polys(), symmetric_polys(), symmetric_polys())
 def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p + q) * r == p * r + q * r
@@ -177,7 +195,7 @@ def test_ring_axioms(p, q, r):
     assert p * _one() == p
 
 
-@given(polys(), polys())
+@given(symmetric_polys(), symmetric_polys())
 def test_add_and_sub_leave_operands_unchanged(p, q):
     before = (dict(p.terms), dict(q.terms))
     total, difference = p + q, p - q
@@ -186,7 +204,7 @@ def test_add_and_sub_leave_operands_unchanged(p, q):
     assert (dict(p.terms), dict(q.terms)) == before
 
 
-@given(polys())
+@given(symmetric_polys())
 def test_scale_matches_repeated_addition(p):
     assert p.scale(3) == p + p + p
     assert p.scale(Fraction(1, 2)) + p.scale(Fraction(1, 2)) == p
@@ -195,7 +213,7 @@ def test_scale_matches_repeated_addition(p):
     assert p * 0 == TruncatedPoly.zero(NVARS, CAP)
 
 
-@given(polys())
+@given(symmetric_polys())
 def test_inverse_unit_series_roundtrip(p):
     unit = p + _one() - TruncatedPoly.constant(NVARS, CAP, p.constant_term())
     inv = inverse_unit_series(unit)
@@ -206,7 +224,7 @@ def test_inverse_unit_series_roundtrip(p):
 def test_inverse_of_a_symmetric_unit_series(p):
     unit = p + TruncatedPoly.constant(NVARS, CAP, 1 - p.constant_term(), box=2)
     inv = inverse_unit_series(unit)
-    assert inv.is_symmetric() and sparse.is_symmetric(inv.terms, inv.ring)
+    assert sparse.is_symmetric(inv.terms, inv.ring)
     assert sparse.mul(unit.terms, inv.terms, unit.ring.keep) == {0: 1}
 
 
@@ -218,9 +236,18 @@ def test_inverse_needs_unit_constant_term():
 
 
 def test_product_shifted_linear_explicit():
-    p = product_shifted_linear([(1, 0), (0, -2)], 2)
-    # (1 + x)(1 - 2y) = 1 + x - 2y - 2xy
-    assert dict(p.sorted_terms()) == {(0, 0): 1, (1, 0): 1, (0, 1): -2, (1, 1): -2}
+    p = product_shifted_linear([(1, -2), (-2, 1)], 2)
+    # (1 + x - 2y)(1 - 2x + y) = 1 - x - y - 2x^2 + 5xy - 2y^2
+    assert dict(p.sorted_terms()) == {(0, 0): 1, (0, 1): -1, (1, 0): -1, (0, 2): -2, (1, 1): 5, (2, 0): -2}
+
+
+def test_product_shifted_linear_rejects_asymmetric_roots():
+    with pytest.raises(ValueError, match="symmetric"):
+        product_shifted_linear([(1, 0), (0, -2)], 2)
+    with pytest.raises(ValueError, match="symmetric"):
+        product_shifted_linear([(1, 0, 0), (0, 1, 0)], 3, box=1)
+    # the power sums are checked, so the roots need only be symmetric as a multiset
+    assert product_shifted_linear([(0, 1), (1, 0)], 2) == product_shifted_linear([(1, 0), (0, 1)], 2)
 
 
 def test_product_shifted_linear_empty_needs_nvars():
@@ -235,12 +262,13 @@ def test_product_shifted_linear_empty_needs_nvars():
 
 @given(st.lists(st.tuples(coeffs, coeffs, coeffs), max_size=4))
 def test_product_shifted_linear_matches_naive(form_coeffs):
-    fast = product_shifted_linear(form_coeffs, CAP, nvars=3)
-    slow = _one()
-    for a, b, c in form_coeffs:
-        factor = {(0, 0, 0): 1, (1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}
-        slow = slow * TruncatedPoly(3, CAP, factor)
-    assert fast == slow
+    forms = orbits_of(form_coeffs)
+    fast = product_shifted_linear(forms, CAP, nvars=3)
+    ring = fast.ring
+    slow = {0: 1}
+    for form in forms:
+        slow = sparse.mul(slow, {0: 1, **_linear(form, ring)}, ring.keep)
+    assert fast.terms == slow
 
 
 def _one_factor_at_a_time(forms, nvars, cap):
@@ -271,7 +299,8 @@ def shifted_factors(draw):
 
 @given(shifted_factors())
 def test_product_shifted_linear_matches_one_factor_at_a_time(case):
-    nvars, cap, forms = case
+    nvars, cap, picks = case
+    forms = orbits_of(picks)
     got = product_shifted_linear(forms, cap, nvars=nvars)
     assert (got.nvars, got.cap) == (nvars, cap)
     assert dict(got.sorted_terms()) == _one_factor_at_a_time(forms, nvars, cap)
@@ -285,26 +314,44 @@ def test_product_shifted_linear_of_symmetric_roots(case, box):
     nvars, cap, forms = case
     closed = [image for form in forms for image in permutations(form)]
     got = product_shifted_linear(closed, cap, nvars=nvars, box=box)
-    assert got.is_symmetric() and sparse.is_symmetric(got.terms, got.ring)
+    assert sparse.is_symmetric(got.terms, got.ring)
     expected = _one_factor_at_a_time(closed, nvars, cap)
     assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= got.box}
 
 
-def _literal_power_sums(roots, nvars, cap, box):
-    """``p_j = sum m * a^j`` for j <= cap, each power of a form multiplied out."""
-    units = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
-    sums = [TruncatedPoly.zero(nvars, cap) for _ in range(cap + 1)]
+def _literal_power_sums(roots, ring):
+    """``p_j = sum m * a^j`` for j up to the bound, each power of a form multiplied out."""
+    sums = [{} for _ in range(ring.bound + 1)]
     for form, m in roots.items():
-        linear = TruncatedPoly(nvars, cap, dict(zip(units, form)))
-        sums = [p + (linear**j).scale(m) for j, p in enumerate(sums)]
-    return [{e: c for e, c in p.sorted_terms() if max(e) <= box} for p in sums]
+        power = {0: m}
+        for p in sums:
+            sparse.add(p, power)
+            power = sparse.mul(power, _linear(form, ring), ring.keep)
+    return sums
 
 
 def _check_power_sums(roots, nvars, cap, box):
+    # power_sums is a general moment pass, so the roots need not be symmetric
     ring = sparse.Packing(nvars, cap, cap if box is None else box)
-    got = [ring.unpack_terms(p) for p in power_sums(roots, ring, cap)]
-    assert got == _literal_power_sums(roots, nvars, cap, ring.box)
+    got = power_sums(roots, ring, cap)
+    assert got == _literal_power_sums(roots, ring)
     assert all(type(c) is int for p in got for c in p.values())
+
+
+def _symmetric_pool(size, nvars):
+    """``size`` distinct forms closed under permuting the variables, largest orbits first."""
+    reps = sorted(
+        (form for form in product(range(-3, 3), repeat=nvars) if list(form) == sorted(form, reverse=True)),
+        key=lambda form: -len(set(permutations(form))),
+    )
+    pool, count = [], 0
+    for form in reps:
+        orbit = sorted(set(permutations(form)))
+        if count + len(orbit) <= size:
+            pool.append(orbit)
+            count += len(orbit)
+    assert count == size
+    return pool
 
 
 @pytest.mark.parametrize("distinct", [0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
@@ -314,13 +361,15 @@ def test_product_shifted_linear_across_form_blocks(distinct, boxed):
     # included, each repeated 1 to 3 times
     nvars, cap = 3, 5
     box = cap - 2 if boxed else None
-    pool = list(product(range(-3, 3), repeat=nvars))[:distinct]
-    forms = [f for i, f in enumerate(pool) for _ in range(1 + i % 3)]
+    # a multiplicity constant on each orbit keeps the roots symmetric
+    orbits = _symmetric_pool(distinct, nvars)
+    forms = [f for i, orbit in enumerate(orbits) for f in orbit for _ in range(1 + i % 3)]
     got = product_shifted_linear(forms, cap, nvars=nvars, box=box)
     expected = _one_factor_at_a_time(forms, nvars, cap)
     top = cap if box is None else box
     assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= top}
     # the moment pass on its own, with multiplicities of both signs
+    pool = list(product(range(-3, 3), repeat=nvars))[:distinct]
     _check_power_sums({f: (-1) ** i * (1 + i % 3) for i, f in enumerate(pool)}, nvars, cap, box)
 
 

@@ -1,16 +1,19 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lpbdeg import sparse
 from lpbdeg.bundles import chern_character_graded, dual
 from lpbdeg.foliation import pullback_forms_bundle
 from lpbdeg.grassmann import GrassContext
 from lpbdeg.polyring import (
     TruncatedPoly,
+    elementary_symmetric,
     exponents_of_degree,
     inverse_unit_series,
     product_shifted_linear,
@@ -70,16 +73,26 @@ def test_weight_values():
     assert weight_w(()) == 1
 
 
+def symmetrize(terms):
+    """The sum of every distinct image of each term under permuting the variables."""
+    out = {}
+    for e, c in terms.items():
+        for image in set(permutations(e)):
+            out[image] = out.get(image, 0) + c
+    return out
+
+
 def _graded_characters_of_dual(forms, cap, upto):
-    """ch pieces of the dual of the bundle with the given roots."""
-    pieces = []
-    for j in range(upto + 1):
-        acc = TruncatedPoly.zero(3, cap)
-        for f in forms:
-            negated = {(1, 0, 0): -f[0], (0, 1, 0): -f[1], (0, 0, 1): -f[2]}
-            acc = acc + TruncatedPoly(3, cap, negated) ** j
-        pieces.append(acc.scale(Fraction(1, factorial(j))))
-    return pieces
+    """ch pieces of the dual of the bundle with the given roots, each power multiplied out."""
+    ring = sparse.Packing(3, cap, cap)
+    sums = [{} for _ in range(upto + 1)]
+    for f in forms:
+        negated = {ring.var(v): -a for v, a in enumerate(f) if a}
+        power = {0: 1}
+        for p in sums:
+            sparse.add(p, power)
+            power = sparse.mul(power, negated, ring.keep)
+    return [TruncatedPoly(3, cap, ring.unpack_terms(p)).scale(Fraction(1, factorial(j))) for j, p in enumerate(sums)]
 
 
 small = st.integers(min_value=-2, max_value=2)
@@ -91,7 +104,9 @@ small = st.integers(min_value=-2, max_value=2)
 )
 def test_character_sum_matches_inverted_chern_series(form_coeffs, k):
     # independent oracle: the Segre series as the inverse of the total
-    # Chern class, versus the partition-weighted character sum
+    # Chern class, versus the partition-weighted character sum; each form
+    # comes with its images under permuting the variables
+    form_coeffs = [image for form in form_coeffs for image in sorted(set(permutations(form)))]
     total_chern = product_shifted_linear(form_coeffs, k, nvars=3)
     expected = inverse_unit_series(total_chern).graded_part(k)
     pieces = _graded_characters_of_dual(form_coeffs, k, k)
@@ -121,7 +136,7 @@ def graded_pieces(draw):
     for j in range(k + 1):
         monomials = list(exponents_of_degree(nvars, j))
         chosen = draw(st.lists(st.sampled_from(monomials), max_size=3, unique=True))
-        pieces.append(TruncatedPoly(nvars, cap, {e: draw(coeffs) for e in chosen}))
+        pieces.append(TruncatedPoly(nvars, cap, symmetrize({e: draw(coeffs) for e in chosen})))
     return pieces, k
 
 
@@ -154,7 +169,7 @@ def test_character_sum_validation():
     one = TruncatedPoly.one(3, 2)
     with pytest.raises(ValueError):
         segre_via_characters([one], 1)
-    inhomogeneous = TruncatedPoly(3, 2, {(1, 0, 0): 1, (0, 0, 0): 1})
+    inhomogeneous = elementary_symmetric(3, 2, 1) + one
     with pytest.raises(ValueError):
         segre_via_characters([one, inhomogeneous], 1)
     other_ring = TruncatedPoly.one(3, 3)
