@@ -18,11 +18,15 @@ def normalize(c: Scalar) -> Scalar:
     """``c`` as an ``int`` when it is an integral Fraction, else unchanged.
 
     Integral Fractions equal their ints, but arithmetic on them stays on the
-    slower Fraction path; normalizing keeps integer work on ints.
+    slower Fraction path; normalizing keeps integer work on ints.  Anything
+    but an ``int`` or a ``Fraction`` (a float or a ``Decimal``, say) raises
+    ``ValueError``, so no inexact value enters through a normalized entry.
     """
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return c
+    raise ValueError(f"{c!r} is not an exact scalar (int or Fraction)")
 
 
 class UniPoly:

@@ -10,13 +10,16 @@ the projectivized fiber dimension.
 
 Two evaluation routes are implemented for the degree.  The default
 inverts the total Chern class of the bundle; the second assembles the
-Segre class from graded Chern characters of the dual bundle via the
-partition-weighted character sum.  The routes share the enumeration of
-Chern roots, the ring they compute in, ``Q[x] / (deg > g, x_i^(n+1))``,
-whose exponent box is set by :class:`~lpbdeg.grassmann.GrassContext`
-from the monomials its integral reads, and the pass from the roots to
-their power sums, :func:`~lpbdeg.polyring.power_sums`, until closed-form
-moments for the quotient route (ROADMAP item 3) separate them again.
+Segre class from graded Chern characters of the dual bundle, scaled to
+power sums, by Newton's identity for the complete homogeneous symmetric
+functions.  It keeps the name ``ch_partition``: it evaluates the
+partition-weighted character sum, without walking the partitions.  The
+routes share the enumeration of Chern roots, the ring they compute in,
+``Q[x] / (deg > g, x_i^(n+1))``, whose exponent box is set by
+:class:`~lpbdeg.grassmann.GrassContext` from the monomials its integral
+reads, and the pass from the roots to their power sums,
+:func:`~lpbdeg.polyring.power_sums`, until closed-form moments for the
+quotient route (ROADMAP item 3) separate them again.
 Tests check the box against the unboxed ring and pin the power sums on
 their own (``test_power_sums_of_signed_roots``,
 ``test_character_at_degree_shape_matches_multinomial_expansion``).
@@ -95,8 +98,10 @@ def degree_lpb(d: int, n: int, method: str = METHOD_CHERN_QUOTIENT) -> int:
     """Degree of the linear pullback component for foliation degree d on P^n.
 
     ``method`` selects the evaluation route: ``"chern_quotient"`` (invert
-    the total Chern class), ``"ch_partition"`` (partition-weighted character
-    sum), or ``"both"`` (run both and insist on exact agreement).
+    the total Chern class), ``"ch_partition"`` (the partition-weighted
+    character sum, evaluated by Newton's identity
+    ``k h_k = sum_{i=1..k} p_i h_{k-i}`` on the scaled characters), or
+    ``"both"`` (run both and insist on exact agreement).
 
     Values with d < 2 are formal: the Segre integral is defined there, but
     the geometric component interpretation needs d >= 2.

@@ -137,7 +137,9 @@ class ProjectiveOneForm:
     ``n`` is the ambient projective dimension and d the foliation degree,
     so each A_i is homogeneous of degree d+1 in the n+1 variables.  The
     radial-contraction identity is not enforced here; use
-    :func:`contract_radial` to test membership in the form space.
+    :func:`contract_radial` to test membership in the form space.  A
+    coefficient that is not an ``int`` or a ``Fraction`` raises
+    ``ValueError``.
     """
 
     n: int
@@ -160,8 +162,9 @@ class ProjectiveOneForm:
                 # a float or Fraction entry makes the sum a float or Fraction
                 if len(key) != nv or min(key) < 0 or type(sum(key)) is not int:
                     raise ValueError(f"bad exponent {key} for ambient dimension {self.n}")
-                if c != 0:
-                    poly[key] = normalize(c)
+                c = normalize(c)
+                if c:
+                    poly[key] = c
             if any(sum(e) != degree for e in poly):
                 raise ValueError(f"coefficients must be homogeneous of degree {degree}")
             clean.append(poly)

@@ -93,7 +93,8 @@ class TruncatedPoly:
     ``terms`` maps packed keys of ``ring``, a :class:`~lpbdeg.sparse.Packing`
     with bound ``cap`` and exponent box ``box`` (by default ``cap``), to
     nonzero scalars; terms beyond the cap or outside the box are dropped on
-    construction.  The terms must be symmetric in the variables; any other
+    construction.  The terms must be symmetric in the variables, with
+    integer exponents and ``int`` or ``Fraction`` coefficients; any other
     terms raise ``ValueError``.
     """
 
@@ -108,8 +109,11 @@ class TruncatedPoly:
             e = tuple(expo)
             if len(e) != nvars:
                 raise ValueError(f"exponent {e} does not have {nvars} entries")
+            if not all(isinstance(k, int) for k in e):
+                raise ValueError(f"non-integer exponent in {e}")
             if any(k < 0 for k in e):
                 raise ValueError(f"negative exponent in {e}")
+            c = normalize(c)
             if c == 0 or sum(e) > cap or max(e) > ring.box:
                 continue
             key = ring.pack(e)

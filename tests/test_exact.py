@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,9 @@ def test_normalize_integral_fractions():
     assert normalize(Fraction(6, 3)) == 2
     assert normalize(Fraction(1, 3)) == Fraction(1, 3)
     assert type(normalize(-4)) is int
+    for inexact in (0.5, 2.0, Decimal(2)):
+        with pytest.raises(ValueError, match="not an exact scalar"):
+            normalize(inexact)
 
 
 @given(matrices())

@@ -1,4 +1,5 @@
 import gc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -67,6 +68,19 @@ def test_form_validation():
     # homogeneous of degree 2, but not integral
     with pytest.raises(ValueError, match=r"bad exponent \(0.5, 0.5, 1\) for ambient dimension 2"):
         _form(2, 1, {(0.5, 0.5, 1): 1}, {}, {})
+
+
+@pytest.mark.parametrize("c", [0.5, -0.5, 1.0, 0.0, Decimal(1), Decimal("0.5")])
+def test_form_rejects_inexact_coefficients(c):
+    # a float or Decimal coefficient, even an integral one or zero, is not exact
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        _form(2, 0, {(0, 1, 0): c}, {(1, 0, 0): 1}, {})
+
+
+def test_form_rejects_a_float_scale():
+    form = _form(2, 0, {(0, 1, 0): 1}, {(1, 0, 0): -1}, {})
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        form.scale(0.5)
 
 
 def test_form_prunes_zero_terms():

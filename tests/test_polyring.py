@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -64,6 +65,20 @@ def test_construction_validation():
         TruncatedPoly(2, 3, {(1,): 1})
     with pytest.raises(ValueError):
         TruncatedPoly(2, 3, {(-1, 0): 1})
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 0.0, Decimal(1), Decimal("0.5")])
+def test_construction_rejects_inexact_coefficients(c):
+    # a float or Decimal coefficient, even an integral one or zero, is not exact
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        TruncatedPoly(1, 2, {(1,): c})
+
+
+def test_construction_rejects_non_integer_exponents():
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        TruncatedPoly(1, 2, {(1.0,): 1})
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        TruncatedPoly(1, 2, {(Fraction(1),): 1})
 
 
 def test_construction_truncates_and_prunes():

@@ -150,12 +150,15 @@ def test_character_sum_matches_literal_partition_sum(case):
 
 def test_character_sum_matches_literal_partition_sum_on_the_grassmannian():
     # the pieces of the pulled-back-forms bundle at (n, d) = (6, 2), g = 12:
-    # every k up to g, so every pruned state of the dynamic program is
-    # exercised, not only the k <= 6 the random pieces reach
+    # every k up to g, so every step of the recurrence is exercised, not
+    # only the k <= 6 the random pieces reach; the roots are integers, so
+    # every h_k is an integer polynomial and the class holds ints only
     ctx = GrassContext(3, 7)
     pieces = chern_character_graded(dual(pullback_forms_bundle(2)), ctx, ctx.g, ctx.g)
     for k in range(ctx.g + 1):
-        assert segre_via_characters(pieces, k) == _segre_reference(pieces, k), k
+        segre = segre_via_characters(pieces, k)
+        assert segre == _segre_reference(pieces, k), k
+        assert all(type(c) is int for c in segre.terms.values()), k
 
 
 def test_class_sizes_count_permutations():
