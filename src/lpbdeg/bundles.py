@@ -13,7 +13,9 @@ A virtual bundle's roots are one map from form to signed multiplicity,
 computed bottom-up over the expression tree: a difference subtracts
 multiplicities and a form whose multiplicity reaches zero is dropped, so a
 virtual difference whose negative part divides the positive part is
-recognized as an honest bundle.  :func:`chern_roots` splits the map by sign.
+recognized as an honest bundle.  The map is the one root format: power
+sums are additive, so the Chern class and character of a virtual bundle
+take the same pass over it as those of an honest one.
 
 Classes are built in the ring of the Grassmannian, ``Q[x] / (deg > cap,
 x_i^m)`` over G(k, m): the integral reads no monomial with an exponent
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import add, mul
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping
 
 from . import sparse
 from .exact import normalize
@@ -98,20 +101,27 @@ def dual(expr: VirtualBundleExpr) -> VirtualBundleExpr:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Formal Chern roots of a virtual bundle, split by sign.
+    """Formal Chern roots of a virtual bundle.
 
-    Each part lists integer coefficient tuples, sorted, a root repeated as
-    often as its multiplicity.  A form never appears in both parts, so
-    ``negative`` is empty exactly when the virtual bundle is (recognizably)
-    an honest bundle.
+    ``signed`` maps each distinct form, an integer coefficient tuple, to
+    its nonzero multiplicity; the bundle is (recognizably) an honest bundle
+    exactly when no multiplicity is negative.
     """
 
-    positive: tuple[Root, ...]
-    negative: tuple[Root, ...]
+    signed: Mapping[Root, int]
 
     @property
     def virtual_rank(self) -> int:
-        return len(self.positive) - len(self.negative)
+        return sum(self.signed.values())
+
+    # read-only parts, form -> |m|: only the benchmark's root count hook and the tests read them
+    @property
+    def positive(self) -> Mapping[Root, int]:
+        return MappingProxyType({f: m for f, m in self.signed.items() if m > 0})
+
+    @property
+    def negative(self) -> Mapping[Root, int]:
+        return MappingProxyType({f: -m for f, m in self.signed.items() if m < 0})
 
 
 def chern_roots(expr: VirtualBundleExpr, ctx: GrassContext) -> RootSet:
@@ -120,10 +130,7 @@ def chern_roots(expr: VirtualBundleExpr, ctx: GrassContext) -> RootSet:
     Raises ``ValueError`` for a symmetric power of a properly virtual
     operand, which has no splitting-principle expansion of this shape.
     """
-    signed = _signed_roots(expr, ctx.k)
-    positive = sorted(f for f, m in signed.items() if m > 0 for _ in range(m))
-    negative = sorted(f for f, m in signed.items() if m < 0 for _ in range(-m))
-    return RootSet(tuple(positive), tuple(negative))
+    return RootSet(_signed_roots(expr, ctx.k))
 
 
 def _signed_roots(expr: VirtualBundleExpr, k: int) -> dict[Root, int]:
@@ -166,16 +173,12 @@ def _signed_roots(expr: VirtualBundleExpr, k: int) -> dict[Root, int]:
 
 
 def total_chern(expr: VirtualBundleExpr, ctx: GrassContext, cap: int) -> TruncatedPoly:
-    """Total Chern class ``prod (1 + r) / prod (1 + s)`` over the root sets.
+    """Total Chern class ``prod (1 + r)^m`` over the signed roots of ``expr``.
 
-    The class lives in the ring with the exponent box of ``ctx``.
+    A virtual ``E - F`` gets ``c(E) / c(F)`` from the same pass, in the ring
+    with the exponent box of ``ctx``.
     """
-    roots = chern_roots(expr, ctx)
-    num = product_shifted_linear(roots.positive, cap, nvars=ctx.k, box=ctx.box)
-    if not roots.negative:
-        return num
-    den = product_shifted_linear(roots.negative, cap, nvars=ctx.k, box=ctx.box)
-    return num * inverse_unit_series(den)
+    return product_shifted_linear(chern_roots(expr, ctx).signed, cap, ctx.k, ctx.box)
 
 
 def total_segre(expr: VirtualBundleExpr, ctx: GrassContext, cap: int) -> TruncatedPoly:

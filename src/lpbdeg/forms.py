@@ -175,6 +175,7 @@ class ProjectiveOneForm:
         return all(not a for a in self.coeffs)
 
     def scale(self, c: Scalar) -> ProjectiveOneForm:
+        c = normalize(c)
         return ProjectiveOneForm(self.n, self.d, tuple(sparse.scale(a, c) for a in self.coeffs))
 
     def __add__(self, other: ProjectiveOneForm) -> ProjectiveOneForm:
@@ -258,13 +259,14 @@ class LinearProjection:
     """A linear projection P^n -> P^2 given by a full-rank 3 x (n+1) matrix.
 
     Row r holds the coefficients of the linear form F_r; the projection is
-    ``[F_0 : F_1 : F_2]``.  Construction fails unless the rank is exactly 3.
+    ``[F_0 : F_1 : F_2]``.  Construction fails unless the rank is exactly 3
+    and every entry is an ``int`` or a ``Fraction``.
     """
 
     rows: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(normalize(Fraction(c)) for c in row) for row in self.rows)
+        rows = tuple(tuple(normalize(c) for c in row) for row in self.rows)
         if len(rows) != 3:
             raise ValueError("a projection to the plane needs exactly 3 rows")
         widths = {len(row) for row in rows}

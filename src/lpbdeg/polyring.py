@@ -34,25 +34,24 @@ speak them.  The order used for display and serialization is graded
 lexicographic: lower total degree first, ties broken by the exponent tuple,
 which is the integer order of packed keys.  Arithmetic itself is order-free.
 
-:func:`power_sums` is the one pass from Chern roots, plain integer
-coefficient tuples with signed multiplicities, to their power sums: it
-gathers integer moment sums a column at a time over fixed blocks of
+:func:`power_sums` is the one pass from Chern roots, a map from plain
+integer coefficient tuples to signed multiplicities, to their power sums:
+it gathers integer moment sums a column at a time over fixed blocks of
 distinct forms, so its cost is one C-level ``map`` and one ``sum`` per
 monomial in the box and per block.  Both degree routes start from it.
 :func:`product_shifted_linear` turns the power sums into a total Chern
-class by Newton's identities, never multiplying its ``(1 + form)``
-factors out, and :func:`~lpbdeg.bundles.chern_character_graded` divides
-them into the graded Chern character.
+class by Newton's identities, for honest and virtual bundles alike, and
+:func:`~lpbdeg.bundles.chern_character_graded` divides them into the
+graded Chern character.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import sparse
 from .exact import Scalar, normalize
@@ -95,7 +94,8 @@ class TruncatedPoly:
     nonzero scalars; terms beyond the cap or outside the box are dropped on
     construction.  The terms must be symmetric in the variables, with
     integer exponents and ``int`` or ``Fraction`` coefficients; any other
-    terms raise ``ValueError``.
+    terms, or another scalar given to :meth:`constant` or :meth:`scale`,
+    raise ``ValueError``.
     """
 
     __slots__ = ("ring", "terms")
@@ -158,6 +158,7 @@ class TruncatedPoly:
     @classmethod
     def constant(cls, nvars: int, cap: int, c: Scalar, box: int | None = None) -> TruncatedPoly:
         """The constant ``c`` in the ring with exponent box ``box`` (by default ``cap``)."""
+        c = normalize(c)
         return cls._raw(_ring(nvars, cap, box), {0: c} if c != 0 else {})
 
     def _check_compatible(self, other: TruncatedPoly) -> None:
@@ -220,6 +221,7 @@ class TruncatedPoly:
 
     def scale(self, c: Scalar) -> TruncatedPoly:
         """The multiple ``c * self``; integral coefficients come out as ints."""
+        c = normalize(c)
         if c == 0:
             return TruncatedPoly._raw(self.ring, {})
         return TruncatedPoly._raw(self.ring, {k: normalize(v * c) for k, v in self.terms.items()})
@@ -319,42 +321,32 @@ def power_sums(roots: Mapping[Exponent, int], ring: Packing, top: int) -> list[s
 
 
 def product_shifted_linear(
-    factors: Iterable[tuple[int, ...]], cap: int, nvars: int | None = None, box: int | None = None
+    roots: Mapping[Exponent, int], cap: int, nvars: int, box: int | None = None
 ) -> TruncatedPoly:
-    """The truncated product of ``(1 + form)`` over the given linear forms.
+    """The truncated product of ``(1 + form)^m`` over the signed roots.
 
-    Each factor is the integer coefficient tuple of a linear form, one entry
-    per root, so a repeated root is listed as often as it occurs.  This is
-    the total Chern class of a bundle whose roots are the forms.  An empty
-    factor list yields 1, in which case ``nvars`` must be supplied.
-    Non-integer coefficients or factors over different variable counts
-    raise ``ValueError``.  The result lives in the ring with exponent box
-    ``box`` (by default ``cap``), and only monomials in the box are ever
-    formed.
+    ``roots`` maps each distinct linear form, an integer coefficient tuple
+    with ``nvars`` entries, to its multiplicity m of either sign, so this is
+    the total Chern class ``c(E - F) = c(E) / c(F)`` of a virtual bundle;
+    an empty map yields 1.  Forms of another length or with non-integer
+    coefficients raise ``ValueError``.  The result lives in the ring with
+    exponent box ``box`` (by default ``cap``), and only monomials in the box
+    are ever formed.
 
     The product is never multiplied out.  :func:`power_sums` takes the
-    power sums p_i of the roots from one moment pass over the distinct
-    forms, and Newton's identities
-    ``k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i`` give the graded pieces
-    e_k of the product (Fulton, *Intersection Theory*, Ch. 3), a step
-    whose cost depends on ``cap`` alone.  The division by k is exact on
-    integers; a remainder raises ``ArithmeticError``.  Roots whose power
-    sums are not symmetric in the variables raise ``ValueError``.
+    additive power sums p_i of the signed roots from one moment pass, and
+    Newton's identities ``k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i`` give
+    the graded pieces e_k of the product (Fulton, *Intersection Theory*,
+    Ch. 3), a step whose cost depends on ``cap`` alone.  The division by k
+    is exact on integers; a remainder raises ``ArithmeticError``.  Roots
+    whose power sums are not symmetric in the variables raise ``ValueError``.
     """
-    grouped = Counter(factors)
-    if grouped:
-        inferred = len(next(iter(grouped)))
-        if nvars is not None and nvars != inferred:
-            raise ValueError("nvars disagrees with the factors")
-        nvars = inferred
-        if any(len(f) != nvars for f in grouped):
-            raise ValueError("factors over different variable counts")
-        if not all(isinstance(c, int) for f in grouped for c in f):
-            raise ValueError("linear form coefficients must be integers")
-    elif nvars is None:
-        raise ValueError("empty product needs an explicit nvars")
+    if any(len(f) != nvars for f in roots):
+        raise ValueError(f"a form does not have {nvars} coefficients")
+    if not all(isinstance(c, int) for f in roots for c in f):
+        raise ValueError("linear form coefficients must be integers")
     ring = _ring(nvars, cap, box)
-    sums = power_sums(grouped, ring, cap)
+    sums = power_sums(roots, ring, cap)
     # symmetric power sums make every e_k symmetric, so every product may
     # run orbit by orbit
     if not all(sparse.is_symmetric(p, ring) for p in sums):

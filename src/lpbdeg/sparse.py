@@ -38,9 +38,9 @@ operands invariant under every permutation of the variables, in a packing
 with a box, and the product of every
 :class:`~lpbdeg.polyring.TruncatedPoly`.  That type holds only symmetric
 classes, and :func:`is_symmetric` is checked where terms enter it: the
-polyring constructor, and the power sums of the roots in
-:func:`~lpbdeg.polyring.product_shifted_linear` and
-:func:`~lpbdeg.bundles.chern_character_graded`.
+polyring constructor, and the power sums of the signed roots in
+:func:`~lpbdeg.polyring.product_shifted_linear` (which serves honest and
+virtual bundles alike) and :func:`~lpbdeg.bundles.chern_character_graded`.
 
 :func:`mul_symmetric` computes one coefficient per orbit of ``keep``, at
 the representative nu whose exponents do not increase from variable 0, as

@@ -6,6 +6,7 @@ have an exponent above ``m - 1`` removed.  The oracles below run in the
 unboxed ring and live only here.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -82,9 +83,9 @@ def test_boxed_inverse_drops_only_out_of_box_terms(case, data):
 @given(grass_rings(), st.lists(st.tuples(coeffs, coeffs, coeffs), max_size=6))
 def test_boxed_chern_product_drops_only_out_of_box_terms(case, forms):
     ctx, cap = case
-    forms = _orbits_of(forms)
-    boxed = product_shifted_linear(forms, cap, nvars=3, box=ctx.box)
-    assert boxed == _in_box(product_shifted_linear(forms, cap, nvars=3), ctx.box)
+    roots = Counter(_orbits_of(forms))
+    boxed = product_shifted_linear(roots, cap, 3, box=ctx.box)
+    assert boxed == _in_box(product_shifted_linear(roots, cap, 3), ctx.box)
 
 
 def test_moment_table_lists_only_monomials_in_the_box():
@@ -110,16 +111,14 @@ exprs = st.sampled_from(
 
 def _character_unboxed(expr, ctx, degree, cap):
     """Sum of signed powers of the roots over degree!, multiplied out."""
-    roots = chern_roots(expr, ctx)
     ring = Packing(3, cap, cap)
     total = {}
-    for sign, part in ((1, roots.positive), (-1, roots.negative)):
-        for form in part:
-            linear = {ring.var(v): a for v, a in enumerate(form) if a}
-            power = {0: sign}
-            for _ in range(degree):
-                power = sparse.mul(power, linear, ring.keep)
-            sparse.add(total, power)
+    for form, m in chern_roots(expr, ctx).signed.items():
+        linear = {ring.var(v): a for v, a in enumerate(form) if a}
+        power = {0: m}
+        for _ in range(degree):
+            power = sparse.mul(power, linear, ring.keep)
+        sparse.add(total, power)
     return TruncatedPoly(3, cap, ring.unpack_terms(total)).scale(Fraction(1, factorial(degree)))
 
 
@@ -132,9 +131,10 @@ def test_boxed_character_drops_only_out_of_box_terms(expr, case, data):
 
 
 def _total_chern_unboxed(expr, ctx, cap):
+    # the quotient of the two parts, each a product of honest roots
     roots = chern_roots(expr, ctx)
-    num = product_shifted_linear(roots.positive, cap, nvars=3)
-    return num * inverse_unit_series(product_shifted_linear(roots.negative, cap, nvars=3))
+    num = product_shifted_linear(roots.positive, cap, 3)
+    return num * inverse_unit_series(product_shifted_linear(roots.negative, cap, 3))
 
 
 @given(exprs, grass_rings())

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, prod
@@ -31,38 +32,42 @@ CTX = GrassContext(3, 6)
 def test_taut_roots_are_negated_variables():
     roots = chern_roots(TAUT, CTX)
     assert not roots.negative
-    assert roots.positive == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
+    assert roots.signed == {(-1, 0, 0): 1, (0, -1, 0): 1, (0, 0, -1): 1}
+    assert roots.positive == roots.signed
 
 
 def test_dual_negates_roots():
     roots = chern_roots(dual(TAUT), CTX)
-    assert roots.positive == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert roots.signed == {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}
 
 
 def test_sym_power_counts():
     roots = chern_roots(Sym(2, dual(TAUT)), CTX)
-    assert len(roots.positive) == 6  # multisets of size 2 from 3 roots
-    assert (1, 1, 0) in roots.positive
-    assert (2, 0, 0) in roots.positive
-    assert chern_roots(Sym(0, TAUT), CTX).positive == ((0, 0, 0),)
+    assert roots.virtual_rank == 6  # multisets of size 2 from 3 roots
+    assert len(roots.signed) == 6  # all distinct
+    assert roots.signed[(1, 1, 0)] == 1
+    assert roots.signed[(2, 0, 0)] == 1
+    assert chern_roots(Sym(0, TAUT), CTX).signed == {(0, 0, 0): 1}
 
 
 def test_sym_respects_multiplicity():
     doubled = Plus(dual(TAUT), dual(TAUT))
     roots = chern_roots(Sym(2, doubled), CTX)
-    assert len(roots.positive) == 21  # multisets of size 2 from 6 roots
-    assert roots.positive.count((1, 1, 0)) == 4
+    assert roots.virtual_rank == 21  # multisets of size 2 from 6 roots
+    assert roots.signed[(1, 1, 0)] == 4
 
 
 def _sym_reference(base, power):
-    # the splitting principle read literally: one root per multiset of roots
-    roots = []
-    for picks in combinations_with_replacement(base, power):
+    # the splitting principle read literally: one root per multiset of
+    # roots, a root of the base listed as often as its multiplicity
+    listed = [f for f, m in base.items() for _ in range(m)]
+    roots = Counter()
+    for picks in combinations_with_replacement(listed, power):
         form = (0, 0, 0)
         for f in picks:
             form = tuple(a + b for a, b in zip(form, f))
-        roots.append(form)
-    return RootSet(tuple(sorted(roots)), ())
+        roots[form] += 1
+    return RootSet(dict(roots))
 
 
 @given(
@@ -93,9 +98,9 @@ def test_sym_of_virtual_rejected():
 
 def test_tensor_roots_add():
     roots = chern_roots(Tensor(dual(TAUT), dual(TAUT)), CTX)
-    assert len(roots.positive) == 9
-    assert roots.positive.count((1, 1, 0)) == 2
-    assert roots.positive.count((2, 0, 0)) == 1
+    assert roots.virtual_rank == 9
+    assert roots.signed[(1, 1, 0)] == 2
+    assert roots.signed[(2, 0, 0)] == 1
 
 
 def test_minus_cancels_to_honest_bundle():
@@ -108,7 +113,8 @@ def test_minus_cancels_to_honest_bundle():
 
 def test_minus_keeps_uncancelled_negative_part():
     roots = chern_roots(Minus(TAUT, Sym(2, dual(TAUT))), CTX)
-    assert roots.negative
+    assert roots.negative == chern_roots(Sym(2, dual(TAUT)), CTX).signed
+    assert roots.positive == chern_roots(TAUT, CTX).signed
     assert roots.virtual_rank == 3 - 6
 
 
@@ -181,8 +187,7 @@ def test_character_of_virtual_subtracts():
 def _character_by_multinomials(expr, ctx, degree, cap):
     """ch_j = sum over signed roots of form^j / j!, each power expanded by the
     multinomial theorem, keeping the exponents in the box of ``ctx``."""
-    roots = chern_roots(expr, ctx)
-    signed = [(form, 1) for form in roots.positive] + [(form, -1) for form in roots.negative]
+    signed = chern_roots(expr, ctx).signed.items()
     pieces = []
     for j in range(degree + 1):
         terms = {}

@@ -79,8 +79,10 @@ def test_form_rejects_inexact_coefficients(c):
 
 def test_form_rejects_a_float_scale():
     form = _form(2, 0, {(0, 1, 0): 1}, {(1, 0, 0): -1}, {})
-    with pytest.raises(ValueError, match="not an exact scalar"):
-        form.scale(0.5)
+    # zero too: the scalar is checked before the zero shortcut
+    for c in (0.5, 1.0, 0.0, Decimal(0)):
+        with pytest.raises(ValueError, match="not an exact scalar"):
+            form.scale(c)
 
 
 def test_form_prunes_zero_terms():
@@ -386,6 +388,10 @@ def test_projection_validation():
         LinearProjection(((1, 0), (0, 1), (1, 1)))  # width below 3
     with pytest.raises(ValueError):
         LinearProjection(((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)))  # rank 2
+    # a float is not read as its binary value, nor a string parsed
+    for c in (0.1, 1.0, "1/2", Decimal("0.5")):
+        with pytest.raises(ValueError, match="not an exact scalar"):
+            LinearProjection(((c, 0, 0), (0, 1, 0), (0, 0, 1)))
     proj = LinearProjection(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, Fraction(1, 2), 0)))
     assert proj.n == 3
 

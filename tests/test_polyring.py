@@ -1,3 +1,4 @@
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
@@ -72,6 +73,18 @@ def test_construction_rejects_inexact_coefficients(c):
     # a float or Decimal coefficient, even an integral one or zero, is not exact
     with pytest.raises(ValueError, match="not an exact scalar"):
         TruncatedPoly(1, 2, {(1,): c})
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        TruncatedPoly.constant(3, 2, c)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 0.0, Decimal(0), Decimal("0.5")])
+def test_scale_rejects_inexact_scalars(c):
+    # zero too: the scalar is checked before the zero shortcut
+    p = TruncatedPoly(2, 3, {(1, 0): 1, (0, 1): 1})
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        p.scale(c)
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        TruncatedPoly.zero(2, 3).scale(c)
 
 
 def test_construction_rejects_non_integer_exponents():
@@ -127,9 +140,9 @@ def test_variable_and_linear_constructors():
 
 def test_product_shifted_linear_rejects_non_integer_coefficients():
     with pytest.raises(ValueError):
-        product_shifted_linear([(Fraction(1, 2),)], 3)
+        product_shifted_linear({(Fraction(1, 2),): 1}, 3, 1)
     with pytest.raises(ValueError):
-        product_shifted_linear([(1, 0), (0, 1.0)], 3)
+        product_shifted_linear({(1, 0): 1, (0, 1.0): 1}, 3, 2)
 
 
 def test_incompatible_rings_rejected():
@@ -251,34 +264,37 @@ def test_inverse_needs_unit_constant_term():
 
 
 def test_product_shifted_linear_explicit():
-    p = product_shifted_linear([(1, -2), (-2, 1)], 2)
+    p = product_shifted_linear({(1, -2): 1, (-2, 1): 1}, 2, 2)
     # (1 + x - 2y)(1 - 2x + y) = 1 - x - y - 2x^2 + 5xy - 2y^2
     assert dict(p.sorted_terms()) == {(0, 0): 1, (0, 1): -1, (1, 0): -1, (0, 2): -2, (1, 1): 5, (2, 0): -2}
 
 
 def test_product_shifted_linear_rejects_asymmetric_roots():
     with pytest.raises(ValueError, match="symmetric"):
-        product_shifted_linear([(1, 0), (0, -2)], 2)
+        product_shifted_linear({(1, 0): 1, (0, -2): 1}, 2, 2)
     with pytest.raises(ValueError, match="symmetric"):
-        product_shifted_linear([(1, 0, 0), (0, 1, 0)], 3, box=1)
+        product_shifted_linear({(1, 0, 0): 1, (0, 1, 0): 1}, 3, 3, box=1)
+    # multiplicities that differ on an orbit break the symmetry too
+    with pytest.raises(ValueError, match="symmetric"):
+        product_shifted_linear({(1, 0): 1, (0, 1): -2}, 2, 2)
     # the power sums are checked, so the roots need only be symmetric as a multiset
-    assert product_shifted_linear([(0, 1), (1, 0)], 2) == product_shifted_linear([(1, 0), (0, 1)], 2)
+    assert product_shifted_linear({(0, 1): 1, (1, 0): 1}, 2, 2) == product_shifted_linear({(1, 0): 1, (0, 1): 1}, 2, 2)
 
 
 def test_product_shifted_linear_empty_needs_nvars():
-    assert product_shifted_linear([], 3, nvars=2) == TruncatedPoly.one(2, 3)
+    assert product_shifted_linear({}, 3, 2) == TruncatedPoly.one(2, 3)
+    with pytest.raises(TypeError):
+        product_shifted_linear({}, 3)
     with pytest.raises(ValueError):
-        product_shifted_linear([], 3)
+        product_shifted_linear({(1,): 1}, 3, 2)
     with pytest.raises(ValueError):
-        product_shifted_linear([(1,)], 3, nvars=2)
-    with pytest.raises(ValueError):
-        product_shifted_linear([(1,), (1, 2)], 3)
+        product_shifted_linear({(1,): 1, (1, 2): 1}, 3, 1)
 
 
 @given(st.lists(st.tuples(coeffs, coeffs, coeffs), max_size=4))
 def test_product_shifted_linear_matches_naive(form_coeffs):
     forms = orbits_of(form_coeffs)
-    fast = product_shifted_linear(forms, CAP, nvars=3)
+    fast = product_shifted_linear(Counter(forms), CAP, 3)
     ring = fast.ring
     slow = {0: 1}
     for form in forms:
@@ -286,10 +302,13 @@ def test_product_shifted_linear_matches_naive(form_coeffs):
     assert fast.terms == slow
 
 
-def _one_factor_at_a_time(forms, nvars, cap):
-    """The truncated product multiplied out one ``(1 + form)`` at a time."""
+def _one_factor_at_a_time(roots, nvars, cap):
+    """The truncated product multiplied out one ``(1 + form)`` at a time.
+
+    ``roots`` maps each form to its multiplicity, which must not be negative.
+    """
     terms = {(0,) * nvars: 1}
-    for form in forms:
+    for form in (f for f, m in roots.items() for _ in range(m)):
         out = dict(terms)
         for expo, c in terms.items():
             if sum(expo) == cap:
@@ -315,10 +334,11 @@ def shifted_factors(draw):
 @given(shifted_factors())
 def test_product_shifted_linear_matches_one_factor_at_a_time(case):
     nvars, cap, picks = case
-    forms = orbits_of(picks)
-    got = product_shifted_linear(forms, cap, nvars=nvars)
+    # a form picked twice is one root of multiplicity two
+    roots = Counter(orbits_of(picks))
+    got = product_shifted_linear(roots, cap, nvars)
     assert (got.nvars, got.cap) == (nvars, cap)
-    assert dict(got.sorted_terms()) == _one_factor_at_a_time(forms, nvars, cap)
+    assert dict(got.sorted_terms()) == _one_factor_at_a_time(roots, nvars, cap)
     assert all(type(c) is int for _, c in got.sorted_terms())
 
 
@@ -327,11 +347,39 @@ def test_product_shifted_linear_of_symmetric_roots(case, box):
     # each form with all its images under permuting the variables, so the
     # power sums, and every Newton step, are symmetric
     nvars, cap, forms = case
-    closed = [image for form in forms for image in permutations(form)]
-    got = product_shifted_linear(closed, cap, nvars=nvars, box=box)
+    closed = Counter(image for form in forms for image in permutations(form))
+    got = product_shifted_linear(closed, cap, nvars, box=box)
     assert sparse.is_symmetric(got.terms, got.ring)
     expected = _one_factor_at_a_time(closed, nvars, cap)
     assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= got.box}
+
+
+@st.composite
+def signed_roots(draw):
+    """(nvars, cap, box, roots): orbits of forms, each with one multiplicity of either sign."""
+    nvars = draw(st.integers(1, 3))
+    cap = draw(st.integers(0, 7))
+    box = draw(st.integers(0, cap))
+    roots = {}
+    for form in draw(st.lists(st.tuples(*[coeffs] * nvars), max_size=4)):
+        m = draw(st.integers(-3, 3).filter(bool))
+        for image in set(permutations(form)):
+            roots[image] = roots.get(image, 0) + m
+    return nvars, cap, box, roots
+
+
+@given(signed_roots())
+def test_product_shifted_linear_of_signed_roots(case):
+    # oracle: the positive part multiplied one factor at a time, divided by
+    # the negative part multiplied the same way
+    nvars, cap, box, roots = case
+    positive = {f: m for f, m in roots.items() if m > 0}
+    negative = {f: -m for f, m in roots.items() if m < 0}
+    num = TruncatedPoly(nvars, cap, _one_factor_at_a_time(positive, nvars, cap), box=box)
+    den = TruncatedPoly(nvars, cap, _one_factor_at_a_time(negative, nvars, cap), box=box)
+    got = product_shifted_linear(roots, cap, nvars, box=box)
+    assert got == num * inverse_unit_series(den)
+    assert all(type(c) is int for _, c in got.sorted_terms())
 
 
 def _literal_power_sums(roots, ring):
@@ -378,9 +426,9 @@ def test_product_shifted_linear_across_form_blocks(distinct, boxed):
     box = cap - 2 if boxed else None
     # a multiplicity constant on each orbit keeps the roots symmetric
     orbits = _symmetric_pool(distinct, nvars)
-    forms = [f for i, orbit in enumerate(orbits) for f in orbit for _ in range(1 + i % 3)]
-    got = product_shifted_linear(forms, cap, nvars=nvars, box=box)
-    expected = _one_factor_at_a_time(forms, nvars, cap)
+    roots = {f: 1 + i % 3 for i, orbit in enumerate(orbits) for f in orbit}
+    got = product_shifted_linear(roots, cap, nvars, box=box)
+    expected = _one_factor_at_a_time(roots, nvars, cap)
     top = cap if box is None else box
     assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= top}
     # the moment pass on its own, with multiplicities of both signs

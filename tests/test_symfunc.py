@@ -107,7 +107,7 @@ def test_character_sum_matches_inverted_chern_series(form_coeffs, k):
     # Chern class, versus the partition-weighted character sum; each form
     # comes with its images under permuting the variables
     form_coeffs = [image for form in form_coeffs for image in sorted(set(permutations(form)))]
-    total_chern = product_shifted_linear(form_coeffs, k, nvars=3)
+    total_chern = product_shifted_linear(Counter(form_coeffs), k, 3)
     expected = inverse_unit_series(total_chern).graded_part(k)
     pieces = _graded_characters_of_dual(form_coeffs, k, k)
     assert segre_via_characters(pieces, k) == expected
