@@ -299,13 +299,6 @@ def _check_positive(n: int, d: int, value: int) -> None:
         )
 
 
-def _frac_str(c: Fraction) -> str:
-    c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _json_dumps(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -413,12 +406,12 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
     coeffs = [poly.coefficient(k) for k in range(poly.degree + 1)]
     if args.format == "plain":
         for k, c in enumerate(coeffs):
-            print(f"d^{k}: {_frac_str(c)}")
+            print(f"d^{k}: {c}")
     elif args.format == "json":
         payload = {
             "n": args.n,
             "degree": poly.degree,
-            "coefficients": [_frac_str(c) for c in coeffs],
+            "coefficients": [str(c) for c in coeffs],
         }
         print(_json_dumps(payload))
     else:
@@ -439,7 +432,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
         a = engine.coefficient(k)
         b = published.coefficient(k)
         if a != b:
-            print(f"  d^{k}: engine={_frac_str(a)} published={_frac_str(b)}")
+            print(f"  d^{k}: engine={a} published={b}")
     return 2
 
 

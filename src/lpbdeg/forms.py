@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import sparse
 from .exact import Scalar, normalize
@@ -76,14 +76,15 @@ def substitute_linear(
 
     ``rows[i]`` holds the coefficients, over the output variables, of the
     form replacing variable i.  Monomial images are shared by all of
-    ``polys`` and built degree by degree: the image of a monomial is its
-    parent's image, the monomial less one factor of its first variable,
-    times a linear polynomial, so each distinct exponent costs one
-    multiplication however many inputs contain it.  Only the images one
-    degree below are held while a degree is built, so memory follows the
-    largest two degrees rather than every degree.  A monomial through a
-    zero row maps to ``{}`` without a product, so a substitution that sends
-    variables to zero costs only the monomials in the others.
+    ``polys`` and built grade by grade along :func:`sparse.monomial_tree`:
+    the image of a monomial is its parent's image, the monomial less one
+    factor of its lowest-index variable, times a linear polynomial, so each
+    monomial up to the largest input degree costs one multiplication however
+    many inputs contain it.  Only the images of one grade are held while the
+    next is built, so memory follows the largest two grades rather than
+    every grade.  A monomial through a zero row maps to ``{}`` without a
+    product, so a substitution that sends variables to zero costs only the
+    monomials in the others.
     """
     if any(len(row) != nvars_out for row in rows):
         raise ValueError("substitution rows must have nvars_out entries")
@@ -92,39 +93,23 @@ def substitute_linear(
     bound = max((sum(e) for p in polys for e in p), default=0)
     source, ring = Packing(len(rows), bound), Packing(nvars_out, bound)
     lin = [{ring.var(j): c for j, c in enumerate(row) if c != 0} for row in rows]
-    steps = [source.var(i) for i in range(len(rows))]
-    # the first variable of a monomial owns the highest set bit below the
-    # degree field, since variable 0 sits in the highest field
-    fields = (1 << source.shift) - 1
-
-    def first_var(key: int) -> int:
-        return len(rows) - 1 - ((key & fields).bit_length() - 1) // source.width
-
-    # terms[t] lists (input, key, coefficient) of degree t in input order;
-    # needed[t] maps each monomial of degree t whose image is built to its
-    # first variable; a monomial through a zero row needs no parent, and
-    # the parent of a degree-1 monomial is 1, whose image starts the levels
+    # terms[t] lists (input, key, coefficient) of degree t in input order
     terms: list[list[tuple[int, int, Scalar]]] = [[] for _ in range(bound + 1)]
-    needed: list[dict[int, int]] = [{} for _ in range(bound + 1)]
     for index, p in enumerate(polys):
         for e, c in p.items():
-            key, t = source.pack(e), sum(e)
-            terms[t].append((index, key, c))
-            if t:
-                needed[t][key] = first_var(key)
-    for t in range(bound, 1, -1):
-        for key, i in needed[t].items():
-            if lin[i]:
-                parent = key - steps[i]
-                needed[t - 1][parent] = first_var(parent)
+            terms[sum(e)].append((index, source.pack(e), c))
     totals: list[sparse.Poly] = [{} for _ in polys]
-    images: dict[int, sparse.Poly] = {0: {0: 1}}
+    tree = sparse.monomial_tree(source)
+    level: list[sparse.Poly] = [{0: 1}]
+    images = {0: level[0]}
     for t in range(bound + 1):
         if t:
-            below, images = images, {}
-            for key, i in needed[t].items():
-                rest = below[key - steps[i]] if lin[i] else {}
-                images[key] = poly_mul(rest, lin[i]) if rest else {}
+            steps, keys, _ = tree[t - 1]
+            level = [
+                poly_mul(level[parent], lin[var]) if level[parent] and lin[var] else {}
+                for parent, var in steps
+            ]
+            images = dict(zip(keys, level))
         for index, key, c in terms[t]:
             sparse.add(totals[index], images[key], c)
     return [ring.unpack_terms(total) for total in totals]

@@ -36,9 +36,11 @@ which is the integer order of packed keys.  Arithmetic itself is order-free.
 
 :func:`power_sums` is the one pass from Chern roots, a map from plain
 integer coefficient tuples to signed multiplicities, to their power sums:
-it gathers integer moment sums a column at a time over fixed blocks of
-distinct forms, so its cost is one C-level ``map`` and one ``sum`` per
-monomial in the box and per block.  Both degree routes start from it.
+it walks :func:`~lpbdeg.sparse.monomial_tree`, the monomials in the box
+grade by grade, and gathers integer moment sums a column at a time over
+fixed blocks of distinct forms, so its cost is one C-level ``map`` and one
+``sum`` per monomial in the box and per block.  Both degree routes start
+from it.
 :func:`product_shifted_linear` turns the power sums into a total Chern
 class by Newton's identities, for honest and virtual bundles alike, and
 :func:`~lpbdeg.bundles.chern_character_graded` divides them into the
@@ -48,7 +50,6 @@ graded Chern character.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from operator import add, mul
 from typing import Iterator, Mapping, Sequence
@@ -257,52 +258,21 @@ class TruncatedPoly:
         return f"TruncatedPoly({self.nvars}, {self.cap}, {body}{box})"
 
 
-@lru_cache(maxsize=None)
-def _moment_table(ring: Packing) -> tuple[tuple[tuple, tuple, tuple], ...]:
-    """Grade-by-grade recipe for the monomials of degree 1 .. ``ring.bound``.
-
-    Entry ``j - 1`` describes grade j as three parallel tuples: ``steps``
-    of ``(parent, var)``, meaning the monomial is ``x_var`` times the
-    parent's monomial at that index in grade j - 1; the packed ``keys``;
-    and the ``multinomials`` j! / prod alpha_i!.  Each monomial's parent
-    drops one factor of its lowest-index variable, so every monomial
-    appears once.  Only monomials in the ring's box are listed; the parent
-    of one of them is in the box too.
-    """
-    nvars, cap, box = ring.nvars, ring.bound, ring.box
-    # grade 0 is the empty monomial; a monomial may grow by any variable up
-    # to its lowest-index one, the sole variable its parent pointer drops
-    prev: list[tuple[int, int, int]] = [(0, 1, nvars - 1)]
-    table = []
-    for j in range(1, cap + 1):
-        steps, level = [], []
-        for parent, (key, multinomial, lowest) in enumerate(prev):
-            for var in range(lowest + 1):
-                child = key + ring.var(var)
-                e = ring.exponent(child, var)
-                if e > box:
-                    continue
-                steps.append((parent, var))
-                level.append((child, multinomial * j // e, var))
-        table.append((tuple(steps), tuple(k for k, _, _ in level), tuple(m for _, m, _ in level)))
-        prev = level
-    return tuple(table)
-
-
 def power_sums(roots: Mapping[Exponent, int], ring: Packing, top: int) -> list[sparse.Poly]:
     """Packed integer power sums ``p_j = sum m * a^j``, j = 0 .. ``top``.
 
     ``roots`` maps each distinct linear form a, an integer coefficient
     tuple, to its signed multiplicity m; ``p_0`` is the virtual rank.
     ``p_j = sum_{|alpha| = j} (j; alpha) M_alpha x^alpha`` over the moment
-    sums ``M_alpha = sum m * a^alpha`` of the monomials in the ring's box.
+    sums ``M_alpha = sum m * a^alpha`` of the monomials in the ring's box,
+    read with their multinomials from :func:`~lpbdeg.sparse.monomial_tree`.
     Within each block of forms a monomial's column of ``m * a^alpha`` is
-    its parent's column times one coefficient column, one C-level ``map``,
-    and its moment is the column's ``sum``.
+    its tree parent's column times one coefficient column, one C-level
+    ``map``, and its moment is the column's ``sum``.
     """
     if not 0 <= top <= ring.bound:
         raise ValueError("power sum degree outside [0, bound]")
-    table = _moment_table(ring)[:top]
+    table = sparse.monomial_tree(ring)[:top]
     moments = [[0] * len(keys) for _, keys, _ in table]
     distinct = list(roots.items())
     for start in range(0, len(distinct), _BLOCK):

@@ -19,17 +19,23 @@ its variable fields.  Two consequences carry the whole module:
 
 The caller states a degree bound when it builds a :class:`Packing`; fields
 are wide enough for any exponent up to that bound.  A packing may also carry
-a *box*, a bound on every single exponent, clamped to the degree bound.  Its
-``keep`` set holds the keys of ``Q[x] / (deg > bound, x_i^(box + 1))``: the
-valid keys of degree at most the bound with every exponent in the box.  The
-monomials outside the box span an ideal, so dropping them after each
-product is a ring homomorphism, and :func:`mul` keeps a product key exactly
-when it is in ``keep``.  That one membership test is the whole truncation
-rule, and it is exact although a product need not fit the fields: a
-variable field that overflows forces the total degree above the bound, and
-the carry it leaves makes the key invalid, so it is never in ``keep``.  A
-packing without a box truncates nothing; the forms side builds one with
-fields wide enough for every product it forms.
+a *box*, a bound on every single exponent, clamped to the degree bound.
+:func:`monomial_tree` is the one enumeration of packed monomials: grade by
+grade, each monomial up to the bound (in the box, when there is one) with
+a parent that drops one factor of its lowest-index variable.  The power
+sums of :mod:`lpbdeg.polyring` and the linear substitution of
+:mod:`lpbdeg.forms` walk it.  A boxed packing's ``keep`` set is the key 0
+of the monomial 1 with the tree's keys: the keys of
+``Q[x] / (deg > bound, x_i^(box + 1))``, the valid keys of degree at most
+the bound with every exponent in the box.  The monomials outside the box
+span an ideal, so dropping them after each product is a ring
+homomorphism, and :func:`mul` keeps a product key exactly when it is in
+``keep``.  That one membership test is the whole truncation rule, and it
+is exact although a product need not fit the fields: a variable field that
+overflows forces the total degree above the bound, and the carry it leaves
+makes the key invalid, so it is never in ``keep``.  A packing without a box
+truncates nothing; the forms side builds one with fields wide enough for
+every product it forms.
 
 :func:`mul` visits every pair of terms; it serves the forms side and the
 Vandermonde of the Grassmann integral, and it is the reference the tests
@@ -87,9 +93,10 @@ class Packing:
     Fields are wide enough for any exponent up to ``bound``.  A ``box``
     bounds every exponent as well; it is clamped to ``bound``, and ``keep``
     is then the frozen set of keys of the ring
-    ``Q[x] / (deg > bound, x_i^(box + 1))``, so a box equal to the bound
-    truncates by degree alone.  Without a box, ``box`` and ``keep`` are
-    ``None`` and nothing is truncated.  The box does not change the layout.
+    ``Q[x] / (deg > bound, x_i^(box + 1))``, 0 and the keys of
+    :func:`monomial_tree`, so a box equal to the bound truncates by degree
+    alone.  Without a box, ``box`` and ``keep`` are ``None`` and nothing is
+    truncated.  The box does not change the layout.
     """
 
     __slots__ = ("nvars", "bound", "box", "keep", "width", "shift", "mask")
@@ -107,7 +114,7 @@ class Packing:
         self.shift = nvars * self.width
         self.mask = (1 << self.width) - 1
         self.box = None if box is None else min(box, bound)
-        self.keep = None if self.box is None else _box_keys(nvars, bound, self.box)
+        self.keep = None if box is None else frozenset({0}).union(*(keys for _, keys, _ in monomial_tree(self)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Packing):
@@ -157,14 +164,37 @@ class Packing:
 
 
 @lru_cache(maxsize=None)
-def _box_keys(nvars: int, bound: int, box: int) -> frozenset[int]:
-    """Keys of degree at most ``bound`` with every exponent at most ``box``."""
-    ring = Packing(nvars, bound)
-    keys = [0]
-    for var in range(nvars):
-        step = ring.var(var)
-        keys = [k + e * step for k in keys for e in range(min(box, bound - ring.degree(k)) + 1)]
-    return frozenset(keys)
+def monomial_tree(packing: Packing) -> tuple[tuple[tuple, tuple, tuple], ...]:
+    """Grade-by-grade tree of the monomials of degree 1 .. ``packing.bound``.
+
+    Entry ``j - 1`` describes grade j as three parallel tuples: ``steps``
+    of ``(parent, var)``, meaning the monomial is ``x_var`` times the
+    parent's monomial at that index in grade j - 1 (grade 0 is the single
+    monomial 1); the packed ``keys``; and the multinomials
+    j! / prod alpha_i!.  Each monomial's parent drops one factor of its
+    lowest-index variable, so every monomial appears once.  With a box only
+    the monomials in it are listed, and the parent of one of them is in the
+    box too; without one every monomial up to the bound is.  The tree is
+    built once per packing.
+    """
+    box = packing.bound if packing.box is None else packing.box
+    # grade 0 is the empty monomial; a monomial may grow by any variable up
+    # to its lowest-index one, the sole variable its parent pointer drops
+    prev: list[tuple[int, int, int]] = [(0, 1, packing.nvars - 1)]
+    tree = []
+    for j in range(1, packing.bound + 1):
+        steps, level = [], []
+        for parent, (key, multinomial, lowest) in enumerate(prev):
+            for var in range(lowest + 1):
+                child = key + packing.var(var)
+                e = packing.exponent(child, var)
+                if e > box:
+                    continue
+                steps.append((parent, var))
+                level.append((child, multinomial * j // e, var))
+        tree.append((tuple(steps), tuple(k for k, _, _ in level), tuple(m for _, m, _ in level)))
+        prev = level
+    return tuple(tree)
 
 
 def add(acc: dict, q: dict, c: Scalar = 1) -> dict:

@@ -28,7 +28,7 @@ from lpbdeg.bundles import (
 )
 from lpbdeg.foliation import METHOD_CH_PARTITION, METHOD_CHERN_QUOTIENT, degree_lpb, pullback_forms_bundle
 from lpbdeg.grassmann import GrassContext
-from lpbdeg.polyring import TruncatedPoly, _moment_table, inverse_unit_series, product_shifted_linear
+from lpbdeg.polyring import TruncatedPoly, inverse_unit_series, product_shifted_linear
 from lpbdeg.sparse import Packing
 
 coeffs = st.integers(min_value=-6, max_value=6)
@@ -91,9 +91,9 @@ def test_boxed_chern_product_drops_only_out_of_box_terms(case, forms):
 def test_moment_table_lists_only_monomials_in_the_box():
     # over G(3, 8) the top grade keeps 28 of its C(17, 2) = 136 monomials
     ctx = GrassContext(3, 8)
-    boxed = _moment_table(Packing(3, ctx.g, ctx.box))
+    boxed = sparse.monomial_tree(Packing(3, ctx.g, ctx.box))
     assert len(boxed[-1][1]) == 28
-    assert len(_moment_table(Packing(3, ctx.g, ctx.g))[-1][1]) == 136
+    assert len(sparse.monomial_tree(Packing(3, ctx.g, ctx.g))[-1][1]) == 136
     assert all(max(Packing(3, ctx.g).unpack(k)) <= ctx.box for _, keys, _ in boxed for k in keys)
 
 

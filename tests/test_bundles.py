@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lpbdeg import bundles
 from lpbdeg.bundles import (
-    Dual,
     Minus,
     Plus,
     RootSet,

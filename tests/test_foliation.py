@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpbdeg.bundles import _signed_roots, chern_roots
-from lpbdeg.exact import UniPoly, lagrange_interpolate
+from lpbdeg.exact import lagrange_interpolate
 from lpbdeg.foliation import (
     InternalInconsistencyError,
     METHOD_BOTH,

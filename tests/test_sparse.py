@@ -5,6 +5,7 @@ representation the kernel replaced; they are the oracle and live only here.
 """
 
 from itertools import permutations, product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from lpbdeg import sparse
 from lpbdeg.polyring import TruncatedPoly
-from lpbdeg.sparse import Packing, _box_keys, _orbits
+from lpbdeg.sparse import Packing, _orbits
 
 coeffs = st.integers(min_value=-6, max_value=6).filter(bool)
 # caps just below and at powers of two, where a field is exactly full
@@ -182,10 +183,26 @@ def test_box_keys_at_the_bound_are_every_valid_key():
         for bound in (0, 1, 3, 4, 7, 8):
             ring = Packing(nvars, bound)
             every = {ring.pack(e) for e in product(range(bound + 1), repeat=nvars) if sum(e) <= bound}
-            assert _box_keys(nvars, bound, bound) == every
+            assert Packing(nvars, bound, bound).keep == every
             # a smaller box keeps the valid keys with every exponent in it
             box = bound // 2
-            assert _box_keys(nvars, bound, box) == {k for k in every if max(ring.unpack(k)) <= box}
+            assert Packing(nvars, bound, box).keep == {k for k in every if max(ring.unpack(k)) <= box}
+
+
+def test_monomial_tree_without_a_box_lists_every_monomial_once():
+    for nvars in range(1, 5):
+        ring = Packing(nvars, 6)
+        below = (0,)
+        for j, (steps, keys, multinomials) in enumerate(sparse.monomial_tree(ring), 1):
+            expos = [ring.unpack(k) for k in keys]
+            assert len(set(expos)) == len(expos) == comb(j + nvars - 1, nvars - 1)
+            assert all(sum(e) == j and ring.pack(e) == k for e, k in zip(expos, keys))
+            # each step adds one factor of the key's lowest-index variable
+            for (parent, var), key, e in zip(steps, keys, expos):
+                assert var == next(i for i, a in enumerate(e) if a)
+                assert key == below[parent] + ring.var(var)
+            assert list(multinomials) == [factorial(j) // prod(map(factorial, e)) for e in expos]
+            below = keys
 
 
 def symmetrize(terms):
