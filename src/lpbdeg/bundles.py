@@ -15,7 +15,11 @@ multiplicities and a form whose multiplicity reaches zero is dropped, so a
 virtual difference whose negative part divides the positive part is
 recognized as an honest bundle.  The map is the one root format: power
 sums are additive, so the Chern class and character of a virtual bundle
-take the same pass over it as those of an honest one.
+take the same pass over it as those of an honest one.  The map is
+symmetric under permuting the x_i, since the roots of the tautological
+subbundle are and every operation commutes with the permutations;
+:func:`~lpbdeg.polyring.power_sums` checks this once, for the Chern class
+and the character alike.
 
 Classes are built in the ring of the Grassmannian, ``Q[x] / (deg > cap,
 x_i^m)`` over G(k, m): the integral reads no monomial with an exponent
@@ -33,9 +37,8 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from . import sparse
 from .exact import normalize
-from .polyring import TruncatedPoly, exponents_of_degree, inverse_unit_series, power_sums, product_shifted_linear
+from .polyring import TruncatedPoly, _ring, exponents_of_degree, inverse_unit_series, power_sums, product_shifted_linear
 
 if TYPE_CHECKING:
     from .grassmann import GrassContext
@@ -195,17 +198,15 @@ def chern_character_graded(
     ``(sum r^j - sum s^j) / j!``: the power sums of the signed roots, from
     the moment pass :func:`~lpbdeg.polyring.power_sums`, each divided by
     j!.  The pieces live in the ring with the exponent box of ``ctx``, and
-    no monomial outside the box is formed.  Roots whose power sums are not
-    symmetric in x_1..x_k raise ``ValueError``.
+    no monomial outside the box is formed.  Roots not symmetric in
+    x_1..x_k raise ``ValueError`` in :func:`~lpbdeg.polyring.power_sums`.
     """
     if degree < 0:
         raise ValueError("negative character degree")
     if degree > cap:
         raise ValueError("character degree beyond the ring cap")
-    ring = sparse.Packing(ctx.k, cap, ctx.box)
+    ring = _ring(ctx.k, cap, ctx.box)
     sums = power_sums(_signed_roots(expr, ctx.k), ring, degree)
-    if not all(sparse.is_symmetric(p, ring) for p in sums):
-        raise ValueError("the roots are not symmetric in the variables")
     return [
         TruncatedPoly._raw(ring, {key: normalize(Fraction(c, factorial(j))) for key, c in p.items()})
         for j, p in enumerate(sums)

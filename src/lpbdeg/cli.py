@@ -17,9 +17,10 @@ its rows may not exceed (``MAX_D`` + 2)^2, so a table costs at most what
 one ``degree --d MAX_D`` costs (d = 0 .. 141 is the longest table from
 d = 0).
 ``degree``, ``table`` and ``closed-form`` accept ``--n`` up to ``MAX_N`` = 8.
-``closed-form`` evaluates floor(9(n-2)/2) + 2 degrees of growing cost, and
-took 0.23, 0.54, 1.0 and 1.8 s at n = 6, 7, 8 and 9 (about x2 per step,
-17 MB peak; 2-vCPU host).  The costlier corner is ``degree`` at
+``closed-form`` evaluates floor(9(n-2)/2) + 2 degrees of growing cost:
+``closed_form(n)`` took 0.17, 0.41, 0.67, 1.6, 3.3 and 5.4 s at n = 6 .. 11
+(single in-process runs, about x2 per step; ``closed-form --n 8`` peaked at
+18 MB; 2-vCPU host).  The costlier corner is ``degree`` at
 (``MAX_N``, ``MAX_D``): at n = 8 it took 0.02 s for d = 2, 1.8 s for
 d = 200 and 47 s and 229 MB for d = ``MAX_D`` on the same host, where
 root enumeration is nearly all of the time.
@@ -32,8 +33,8 @@ coefficient has at most ``MAX_FORM_TERMS`` = 500 terms, C(n+d+1, n).
 Exit codes: 0 success, 1 usage error (a bad command line or an argument
 out of range, which each subcommand checks before any work), 2 verification
 mismatch, 3 internal fault (non-integer integral, route disagreement, cache
-conflict, or any other ``ValueError``, ``ArithmeticError`` or
-``RuntimeError`` raised once the arguments passed) or a cache file that
+conflict, or any other exception raised once the arguments passed, a
+``TypeError`` or ``KeyError`` from a bug included) or a cache file that
 cannot be read or written (an ``OSError``, reported as ``error:`` with the
 path).
 
@@ -109,8 +110,9 @@ MAX_D = 1000
 
 # the largest projective dimension the degree commands accept: closed-form
 # evaluates floor(9(n-2)/2) + 2 degrees, and its time grows about x2 per
-# step in n (1.0 s at n = 8, 1.8 s at n = 9), but degree at (MAX_N, MAX_D)
-# is the costlier corner (47 s and 229 MB at n = 8), which n = 9 would raise
+# step in n (0.67 s at n = 8, 1.6 s at n = 9, single runs), but degree at
+# (MAX_N, MAX_D) is the costlier corner (47 s and 229 MB at n = 8), which
+# n = 9 would raise
 MAX_N = 8
 
 # the bounds of forms check-pullback: a trial costs about C(n+d+1, n) terms
@@ -563,7 +565,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # an unusable cache path; the message names the file
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except Exception as exc:
         # the handlers have range-checked their arguments, so this is a fault
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -16,9 +16,11 @@ scalar multiples, graded parts and products of symmetric polynomials are
 symmetric, so every truncated product runs on
 :func:`~lpbdeg.sparse.mul_symmetric`, one coefficient per orbit of the
 variables.  The invariant is checked where terms enter from outside: the
-constructor, :func:`product_shifted_linear` (on the power sums of its
-roots) and :func:`~lpbdeg.bundles.chern_character_graded` (on the same
-power sums).  :func:`power_sums` itself stays a general moment pass.
+constructor checks the terms, and :func:`power_sums` checks the signed
+roots, a map that some adjacent transposition of the coordinates moves
+raising ``ValueError``.  Symmetric roots have symmetric power sums, so
+neither :func:`product_shifted_linear` nor
+:func:`~lpbdeg.bundles.chern_character_graded` checks again.
 
 The box defaults to the cap, where it drops nothing the cap keeps.  The
 monomials outside a smaller box span an ideal, so dropping them commutes
@@ -36,11 +38,12 @@ which is the integer order of packed keys.  Arithmetic itself is order-free.
 
 :func:`power_sums` is the one pass from Chern roots, a map from plain
 integer coefficient tuples to signed multiplicities, to their power sums:
-it walks :func:`~lpbdeg.sparse.monomial_tree`, the monomials in the box
-grade by grade, and gathers integer moment sums a column at a time over
-fixed blocks of distinct forms, so its cost is one C-level ``map`` and one
-``sum`` per monomial in the box and per block.  Both degree routes start
-from it.
+it walks the orbit representatives of :func:`~lpbdeg.sparse._orbits`, the
+sub-tree of :func:`~lpbdeg.sparse.monomial_tree` whose exponents do not
+decrease, grade by grade, and gathers integer moment sums a column at a
+time over fixed blocks of distinct forms, so its cost is one C-level
+``map`` and one ``sum`` per orbit in the box and per block.  Both degree
+routes start from it.
 :func:`product_shifted_linear` turns the power sums into a total Chern
 class by Newton's identities, for honest and virtual bundles alike, and
 :func:`~lpbdeg.bundles.chern_character_graded` divides them into the
@@ -262,32 +265,47 @@ def power_sums(roots: Mapping[Exponent, int], ring: Packing, top: int) -> list[s
     """Packed integer power sums ``p_j = sum m * a^j``, j = 0 .. ``top``.
 
     ``roots`` maps each distinct linear form a, an integer coefficient
-    tuple, to its signed multiplicity m; ``p_0`` is the virtual rank.
+    tuple with ``ring.nvars`` entries, to its signed multiplicity m; ``p_0``
+    is the virtual rank.  The map must be symmetric: invariant under each
+    adjacent transposition of the coordinates, which generate the
+    symmetric group.  Forms of another length, non-integer coefficients and
+    an asymmetric map raise ``ValueError`` before any work.  This is the one
+    symmetry check on roots, and it makes every power sum symmetric.
+
     ``p_j = sum_{|alpha| = j} (j; alpha) M_alpha x^alpha`` over the moment
-    sums ``M_alpha = sum m * a^alpha`` of the monomials in the ring's box,
-    read with their multinomials from :func:`~lpbdeg.sparse.monomial_tree`.
-    Within each block of forms a monomial's column of ``m * a^alpha`` is
-    its tree parent's column times one coefficient column, one C-level
-    ``map``, and its moment is the column's ``sum``.
+    sums ``M_alpha = sum m * a^alpha`` of the monomials in the ring's box.
+    On symmetric roots ``M_alpha`` is constant on each orbit of monomials
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, I §2), so one
+    moment is formed per orbit, at its representative in
+    :func:`~lpbdeg.sparse._orbits`, and ``(j; alpha) M_alpha`` is written
+    over the orbit.  Within each block of forms a representative's column
+    of ``m * a^alpha`` is its parent's column times one coefficient column,
+    one C-level ``map``, and its moment is the column's ``sum``.
     """
     if not 0 <= top <= ring.bound:
         raise ValueError("power sum degree outside [0, bound]")
-    table = sparse.monomial_tree(ring)[:top]
-    moments = [[0] * len(keys) for _, keys, _ in table]
+    if any(len(f) != ring.nvars for f in roots):
+        raise ValueError(f"a form does not have {ring.nvars} coefficients")
+    if not all(isinstance(c, int) for f in roots for c in f):
+        raise ValueError("linear form coefficients must be integers")
+    for i in range(ring.nvars - 1):
+        if any(roots.get(f[:i] + (f[i + 1], f[i]) + f[i + 2 :], 0) != m for f, m in roots.items()):
+            raise ValueError("the roots are not symmetric in the variables")
+    table = sparse._orbits(ring)[: top + 1]
+    moments = [[sum(roots.values())], *([0] * len(orbits) for _, orbits, _ in table[1:])]
     distinct = list(roots.items())
     for start in range(0, len(distinct), _BLOCK):
         block = distinct[start : start + _BLOCK]
         columns = list(zip(*[form for form, _ in block]))
-        # level[i] holds m * a^alpha over the block for monomial i of a grade
+        # level[i] holds m * a^alpha over the block for representative i of a grade
         level = [[mult for _, mult in block]]
-        for j, (steps, _, _) in enumerate(table):
+        for j, (steps, _, _) in enumerate(table[1:], 1):
             level = [list(map(mul, level[parent], columns[var])) for parent, var in steps]
             moments[j] = list(map(add, moments[j], map(sum, level)))
-    rank = sum(roots.values())
-    sums: list[sparse.Poly] = [{0: rank} if rank else {}]
-    for (_, keys, multinomials), column in zip(table, moments):
-        sums.append({k: c * s for k, c, s in zip(keys, multinomials, column) if s})
-    return sums
+    return [
+        {k: c for orbit, c in zip(orbits, map(mul, multinomials, column)) if c for k in orbit}
+        for (_, orbits, multinomials), column in zip(table, moments)
+    ]
 
 
 def product_shifted_linear(
@@ -299,28 +317,21 @@ def product_shifted_linear(
     with ``nvars`` entries, to its multiplicity m of either sign, so this is
     the total Chern class ``c(E - F) = c(E) / c(F)`` of a virtual bundle;
     an empty map yields 1.  Forms of another length or with non-integer
-    coefficients raise ``ValueError``.  The result lives in the ring with
-    exponent box ``box`` (by default ``cap``), and only monomials in the box
-    are ever formed.
+    coefficients raise ``ValueError`` in :func:`power_sums`.  The result
+    lives in the ring with exponent box ``box`` (by default ``cap``), and
+    only monomials in the box are ever formed.
 
     The product is never multiplied out.  :func:`power_sums` takes the
     additive power sums p_i of the signed roots from one moment pass, and
     Newton's identities ``k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i`` give
     the graded pieces e_k of the product (Fulton, *Intersection Theory*,
     Ch. 3), a step whose cost depends on ``cap`` alone.  The division by k
-    is exact on integers; a remainder raises ``ArithmeticError``.  Roots
-    whose power sums are not symmetric in the variables raise ``ValueError``.
+    is exact on integers; a remainder raises ``ArithmeticError``.  A map not
+    symmetric in the variables raises ``ValueError`` in :func:`power_sums`.
     """
-    if any(len(f) != nvars for f in roots):
-        raise ValueError(f"a form does not have {nvars} coefficients")
-    if not all(isinstance(c, int) for f in roots for c in f):
-        raise ValueError("linear form coefficients must be integers")
     ring = _ring(nvars, cap, box)
+    # symmetric roots make every p_i and e_k symmetric, so products run orbit by orbit
     sums = power_sums(roots, ring, cap)
-    # symmetric power sums make every e_k symmetric, so every product may
-    # run orbit by orbit
-    if not all(sparse.is_symmetric(p, ring) for p in sums):
-        raise ValueError("the roots are not symmetric in the variables")
     # signed[i] = (-1)^(i-1) p_i, so each Newton step is a plain sum
     signed = [p if i % 2 else {k: -c for k, c in p.items()} for i, p in enumerate(sums)]
     elementary: list[sparse.Poly] = [{0: 1}]

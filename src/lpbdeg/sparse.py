@@ -22,15 +22,15 @@ are wide enough for any exponent up to that bound.  A packing may also carry
 a *box*, a bound on every single exponent, clamped to the degree bound.
 :func:`monomial_tree` is the one enumeration of packed monomials: grade by
 grade, each monomial up to the bound (in the box, when there is one) with
-a parent that drops one factor of its lowest-index variable.  The power
-sums of :mod:`lpbdeg.polyring` and the linear substitution of
-:mod:`lpbdeg.forms` walk it.  A boxed packing's ``keep`` set is the key 0
-of the monomial 1 with the tree's keys: the keys of
-``Q[x] / (deg > bound, x_i^(box + 1))``, the valid keys of degree at most
-the bound with every exponent in the box.  The monomials outside the box
-span an ideal, so dropping them after each product is a ring
-homomorphism, and :func:`mul` keeps a product key exactly when it is in
-``keep``.  That one membership test is the whole truncation rule, and it
+a parent that drops one factor of its lowest-index variable.  The linear
+substitution of :mod:`lpbdeg.forms` walks it, and the power sums of
+:mod:`lpbdeg.polyring` walk its orbit representatives (below).  A boxed
+packing's ``keep`` set is the key 0 of the monomial 1 with the tree's
+keys: the keys of ``Q[x] / (deg > bound, x_i^(box + 1))``, the valid keys
+of degree at most the bound with every exponent in the box.  The
+monomials outside the box span an ideal, so dropping them after each
+product is a ring homomorphism, and :func:`mul` keeps a product key
+exactly when it is in ``keep``.  That one membership test is the whole truncation rule, and it
 is exact although a product need not fit the fields: a variable field that
 overflows forces the total degree above the bound, and the carry it leaves
 makes the key invalid, so it is never in ``keep``.  A packing without a box
@@ -43,13 +43,13 @@ hold :func:`mul_symmetric` to.  :func:`mul_symmetric` is the product for
 operands invariant under every permutation of the variables, in a packing
 with a box, and the product of every
 :class:`~lpbdeg.polyring.TruncatedPoly`.  That type holds only symmetric
-classes, and :func:`is_symmetric` is checked where terms enter it: the
-polyring constructor, and the power sums of the signed roots in
-:func:`~lpbdeg.polyring.product_shifted_linear` (which serves honest and
-virtual bundles alike) and :func:`~lpbdeg.bundles.chern_character_graded`.
+classes, and :func:`is_symmetric` is checked where terms enter it, in the
+polyring constructor; the signed Chern roots are checked once, by
+:func:`~lpbdeg.polyring.power_sums`, and symmetric roots have symmetric
+power sums.
 
 :func:`mul_symmetric` computes one coefficient per orbit of ``keep``, at
-the representative nu whose exponents do not increase from variable 0, as
+the representative nu whose exponents do not decrease from variable 0, as
 ``sum over alpha in p of p[alpha] * q[nu - alpha]``, and writes it to
 every key of the orbit.  The result is exactly ``mul(p, q,
 packing.keep)``:
@@ -67,7 +67,14 @@ packing.keep)``:
   entry.  The sum thus reads exactly the pairs of terms whose product
   monomial is nu.
 
-The orbits are tabulated once per packing, in one pass over ``keep``.
+The orbits are tabulated once per packing by :func:`_orbits`, from the
+one tree: its representatives, the smallest key of each orbit, are the
+monomials whose exponents do not decrease from variable 0.  A monomial's
+tree parent drops one factor of its lowest-index variable, which keeps
+the exponents nondecreasing, so the representatives are a sub-tree closed
+under parents, and :func:`~lpbdeg.polyring.power_sums` forms one moment
+per orbit by walking it.  Any choice of representative serves the proof
+above.
 
 ``add`` and ``scale`` never look inside a key, so they also serve dicts
 keyed by exponent tuples; ``add`` accumulates into its first argument in
@@ -246,23 +253,32 @@ def mul(p: Poly, q: Poly, keep: frozenset[int] | None = None) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _orbits(packing: Packing) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """The orbits of ``packing.keep`` under permuting the variables.
+def _orbits(packing: Packing) -> tuple[tuple[tuple, tuple, tuple], ...]:
+    """The orbits of the monomials of :func:`monomial_tree` under permuting the variables.
 
-    Entry D pairs the representatives of degree D, the keys whose exponents
-    do not increase from variable 0, with the keys of their orbits.  One
-    pass over ``keep`` groups each key under its sorted exponent tuple.
+    Entry D describes grade D, the single monomial 1 for D = 0, as three
+    parallel tuples: ``steps`` of ``(parent, var)``, meaning the
+    representative is ``x_var`` times representative ``parent`` of grade
+    D - 1; the orbits, each sorted, so ``orbit[0]`` is the representative,
+    the smallest key, whose exponents do not decrease from variable 0; and
+    the multinomials.  A representative's tree parent drops one factor of
+    its lowest-index variable and so does not decrease either: the
+    representatives are a sub-tree of the one tree, closed under parents.
+    One ``unpack`` per key groups each grade by sorted exponent tuple.
     """
     unpack = packing.unpack
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for key in sorted(packing.keep):
-        groups.setdefault(tuple(sorted(unpack(key), reverse=True)), []).append(key)
-    grades: list[tuple[list[int], list[tuple[int, ...]]]] = [([], []) for _ in range(packing.bound + 1)]
-    for expo, orbit in groups.items():
-        reps, orbits = grades[sum(expo)]
-        reps.append(packing.pack(expo))
-        orbits.append(tuple(orbit))
-    return tuple((tuple(reps), tuple(orbits)) for reps, orbits in grades)
+    table = []
+    index: dict[int, int] = {}  # tree index -> table index of each representative of the last grade
+    for steps, keys, multinomials in (((), (0,), (1,)), *monomial_tree(packing)):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for key in keys:
+            groups.setdefault(tuple(sorted(unpack(key))), []).append(key)
+        orbits = {min(orbit): tuple(sorted(orbit)) for orbit in groups.values()}
+        reps = [i for i, key in enumerate(keys) if key in orbits]
+        rep_steps = tuple((index[parent], var) for (parent, var), key in zip(steps, keys) if key in orbits)
+        table.append((rep_steps, tuple(orbits[keys[i]] for i in reps), tuple(multinomials[i] for i in reps)))
+        index = {i: r for r, i in enumerate(reps)}
+    return tuple(table)
 
 
 def mul_symmetric(p: Poly, q: Poly, packing: Packing) -> Poly:
@@ -295,8 +311,8 @@ def mul_symmetric(p: Poly, q: Poly, packing: Packing) -> Poly:
     get, sub, times = q.get, operator.sub, operator.mul
     out: Poly = {}
     for degree, parts in targets.items():
-        reps, orbits = table[degree]
-        for nu, orbit in zip(reps, orbits):
+        for orbit in table[degree][1]:
+            nu = orbit[0]
             r = 0
             for keys, coeffs in parts:
                 r += sum(map(times, coeffs, map(get, map(sub, repeat(nu), keys), repeat(0))))

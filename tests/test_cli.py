@@ -438,6 +438,19 @@ def test_engine_value_error_exits_three(tmp_cache, monkeypatch, capsys):
     assert err == ["internal error: graded characters live in different rings"]
 
 
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_engine_bug_exits_three(tmp_cache, monkeypatch, capsys, error):
+    # a bug inside the engine is a fault too, not the usage-error exit 1
+    def broken(pieces, k):
+        raise error("a bug in the character route")
+
+    monkeypatch.setattr(foliation, "segre_via_characters", broken)
+    assert main(["degree", "--n", "3", "--d", "2", "--method", "chchar"]) == 3
+    out, err = _lines(capsys)
+    assert out == []
+    assert err == [f"internal error: {error('a bug in the character route')}"]
+
+
 def test_engine_arithmetic_error_exits_three(monkeypatch, capsys):
     # an ArithmeticError is a fault too, not an uncaught traceback with exit 1
     def broken(self):

@@ -277,7 +277,7 @@ def test_product_shifted_linear_rejects_asymmetric_roots():
     # multiplicities that differ on an orbit break the symmetry too
     with pytest.raises(ValueError, match="symmetric"):
         product_shifted_linear({(1, 0): 1, (0, 1): -2}, 2, 2)
-    # the power sums are checked, so the roots need only be symmetric as a multiset
+    # the map is checked, so the order of its forms does not matter
     assert product_shifted_linear({(0, 1): 1, (1, 0): 1}, 2, 2) == product_shifted_linear({(1, 0): 1, (0, 1): 1}, 2, 2)
 
 
@@ -394,11 +394,13 @@ def _literal_power_sums(roots, ring):
 
 
 def _check_power_sums(roots, nvars, cap, box):
-    # power_sums is a general moment pass, so the roots need not be symmetric
-    ring = sparse.Packing(nvars, cap, cap if box is None else box)
-    got = power_sums(roots, ring, cap)
-    assert got == _literal_power_sums(roots, ring)
-    assert all(type(c) is int for p in got for c in p.values())
+    # box None is a packing without a box; every top up to the bound is read
+    ring = sparse.Packing(nvars, cap, box)
+    expected = _literal_power_sums(roots, ring)
+    for top in range(cap + 1):
+        got = power_sums(roots, ring, top)
+        assert got == expected[: top + 1]
+        assert all(type(c) is int for p in got for c in p.values())
 
 
 def _symmetric_pool(size, nvars):
@@ -431,9 +433,9 @@ def test_product_shifted_linear_across_form_blocks(distinct, boxed):
     expected = _one_factor_at_a_time(roots, nvars, cap)
     top = cap if box is None else box
     assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= top}
-    # the moment pass on its own, with multiplicities of both signs
-    pool = list(product(range(-3, 3), repeat=nvars))[:distinct]
-    _check_power_sums({f: (-1) ** i * (1 + i % 3) for i, f in enumerate(pool)}, nvars, cap, box)
+    # the moment pass on its own, with multiplicities of both signs, each
+    # constant on its orbit
+    _check_power_sums({f: (-1) ** i * (1 + i % 3) for i, orbit in enumerate(orbits) for f in orbit}, nvars, cap, box)
 
 
 @pytest.mark.parametrize(
@@ -448,9 +450,29 @@ def test_product_shifted_linear_across_form_blocks(distinct, boxed):
         {(2, 0, 1): 1, (0, 1, 1): 0},
     ],
 )
-@pytest.mark.parametrize("box", [None, 2])
+@pytest.mark.parametrize("box", [None, 2, 4])
 def test_power_sums_of_signed_roots(roots, box):
-    _check_power_sums(roots, 3, 4, box)
+    # each form stands for its orbit, every image with the form's multiplicity
+    _check_power_sums({image: m for form, m in roots.items() for image in orbits_of([form])}, 3, 4, box)
+
+
+def test_power_sums_rejects_asymmetric_roots():
+    ring = sparse.Packing(3, 4, 2)
+    # before any work, whatever the top
+    for top in (0, 4):
+        with pytest.raises(ValueError, match="not symmetric"):
+            power_sums({(1, -2, 0): 1}, ring, top)
+    # invariant under swapping variables 0 and 1, not 1 and 2
+    with pytest.raises(ValueError, match="not symmetric"):
+        power_sums({(1, 1, 0): 1}, ring, 4)
+    # one multiplicity that differs on an orbit
+    closed = {image: 2 for image in orbits_of([(2, 0, 1)])}
+    with pytest.raises(ValueError, match="not symmetric"):
+        power_sums({**closed, (0, 1, 2): -2}, ring, 4)
+    with pytest.raises(ValueError, match="coefficients"):
+        power_sums({(1, 1): 1}, ring, 4)
+    with pytest.raises(ValueError, match="integers"):
+        power_sums({(1, 1, Fraction(1)): 1}, ring, 4)
 
 
 def test_power_sums_degree_range():

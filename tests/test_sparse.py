@@ -258,14 +258,22 @@ def test_orbits_partition_keep_in_one_pass():
     assert len(table) == ring.bound + 1
     sizes = 0
     seen = set()
-    for degree, (reps, orbits) in enumerate(table):
-        assert len(reps) == len(orbits)
-        for rep, orbit in zip(reps, orbits):
+    below = ()
+    for degree, (steps, orbits, multinomials) in enumerate(table):
+        reps = [orbit[0] for orbit in orbits]
+        assert len(multinomials) == len(reps)
+        assert len(steps) == (len(reps) if degree else 0)
+        # each representative is x_var times a representative of the grade below
+        for (parent, var), rep in zip(steps, reps):
+            assert rep == below[parent] + ring.var(var)
+        for rep, orbit, multinomial in zip(reps, orbits, multinomials):
             expo = Packing.unpack(ring, rep)
-            assert list(expo) == sorted(expo, reverse=True) and sum(expo) == degree
-            assert rep in orbit
+            assert list(expo) == sorted(expo) and sum(expo) == degree
+            assert list(orbit) == sorted(orbit)
+            assert multinomial == factorial(degree) // prod(map(factorial, expo))
             assert all(sorted(Packing.unpack(ring, k)) == sorted(expo) for k in orbit)
             sizes += len(orbit)
             seen.update(orbit)
+        below = reps
     assert sizes == len(seen) == len(ring.keep)
     assert seen == ring.keep
