@@ -57,7 +57,8 @@ records all carry another or no ``engine_version``, recompute and
 cross-check against the cached value (a disagreement exits 3).  When a
 recomputation agrees with a record of another version, one record of this
 version is appended, so the key is trusted from then on.  Records of all
-versions take part in the load-time conflict check.
+versions take part in the load-time conflict check.  A degree for d >= 2
+must be positive, a hit too; one that is not exits 3 and is never written.
 
 All output is deterministic: orderings are fixed and the arithmetic is
 exact, so a given command line is byte-identical across runs.  JSON is
@@ -71,11 +72,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from math import comb
 from typing import Callable, Sequence
 
 from . import __version__
+from .exact import Scalar
 from .foliation import (
     InternalInconsistencyError,
     METHOD_BOTH,
@@ -272,8 +273,10 @@ class DegreeCache:
         """
         hit = self.get(n, d)
         if hit is not None and method == METHOD_CHERN_QUOTIENT and (n, d) in self._current:
+            _check_positive(n, d, hit)
             return hit
         value = degree_lpb(d, n, method=method)
+        _check_positive(n, d, value)
         if hit is not None and hit != value:
             raise CacheConflictError(
                 f"cached degree {hit} for (n, d) = ({n}, {d}) disagrees with computed {value}"
@@ -305,8 +308,7 @@ def _json_dumps(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _coefficient_latex(c: Fraction, power: int) -> str:
-    c = Fraction(c)
+def _coefficient_latex(c: Scalar, power: int) -> str:
     sign = "-" if c < 0 else ""
     mag = abs(c)
     if mag.denominator == 1:
@@ -321,7 +323,7 @@ def _coefficient_latex(c: Fraction, power: int) -> str:
     return f"{sign}{body} {var}"
 
 
-def _poly_latex(coeffs: Sequence[Fraction]) -> str:
+def _poly_latex(coeffs: Sequence[Scalar]) -> str:
     pieces = []
     for power in range(len(coeffs) - 1, -1, -1):
         c = coeffs[power]
@@ -346,7 +348,6 @@ def _cmd_degree(args: argparse.Namespace) -> int:
     _at_most("--d", args.d, MAX_D)
     cache = DegreeCache()
     value = cache.resolve(args.n, args.d, _METHOD_FLAGS[args.method])
-    _check_positive(args.n, args.d, value)
     marker = " (formal)" if args.d < 2 else ""
     print(f"{value}{marker}")
     return 0
@@ -368,7 +369,6 @@ def _table_rows(n: int, d_min: int, d_max: int) -> list[tuple[int, int, int, boo
     rows = []
     for d in range(d_min, d_max + 1):
         value = cache.resolve(n, d, METHOD_CHERN_QUOTIENT)
-        _check_positive(n, d, value)
         rows.append((n, d, value, d < 2))
     return rows
 

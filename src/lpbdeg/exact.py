@@ -3,7 +3,8 @@
 Scalars throughout the package are Python integers and
 ``fractions.Fraction`` values.  Fractions are arbitrary precision and always
 normalized (lowest terms, positive denominator), so equality of scalars is
-plain ``==`` and no tolerance is involved anywhere.
+plain ``==`` and no tolerance is involved anywhere.  :func:`normalize` is the
+one check on incoming scalars; an integral value leaves it as an ``int``.
 """
 
 from __future__ import annotations
@@ -30,17 +31,18 @@ def normalize(c: Scalar) -> Scalar:
 
 
 class UniPoly:
-    """Univariate polynomial with Fraction coefficients.
+    """Univariate polynomial with exact coefficients.
 
-    ``coeffs[i]`` is the coefficient of the i-th power; trailing zeros are
-    stripped on construction, so the zero polynomial has an empty coefficient
-    tuple and degree -1.
+    ``coeffs[i]`` is the coefficient of the i-th power, passed through
+    :func:`normalize` like the argument and value of a call; trailing zeros
+    are stripped on construction, so the zero polynomial has an empty
+    coefficient tuple and degree -1.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = [normalize(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -60,16 +62,17 @@ class UniPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> Scalar:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
-    def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
+    def __call__(self, x: Scalar) -> Scalar:
+        x = normalize(x)
+        acc: Scalar = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return normalize(acc)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
@@ -105,7 +108,7 @@ class UniPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out: list[Scalar] = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -137,27 +140,22 @@ class UniPoly:
 def lagrange_interpolate(points: Sequence[tuple[Scalar, Scalar]]) -> UniPoly:
     """Unique polynomial of degree < len(points) through the given points.
 
-    Uses Newton divided differences, which keeps the arithmetic exact and
-    the work quadratic in the number of nodes.  Raises ``ValueError`` if two
+    Nodes and values pass through :func:`normalize`.  Newton divided
+    differences, expanded from the inside out by Horner's rule, keep the
+    work quadratic in the number of nodes.  Raises ``ValueError`` if two
     points share an abscissa.
     """
-    if not points:
-        return UniPoly()
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
+    xs = [normalize(x) for x, _ in points]
+    table = [normalize(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
     n = len(xs)
-    table = list(ys)
-    newton = [table[0]]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - j])
-        newton.append(table[j])
-    poly = UniPoly()
-    basis = UniPoly.constant(1)
-    x = UniPoly.variable()
-    for j in range(n):
-        poly = poly + basis * newton[j]
-        basis = basis * (x - UniPoly.constant(xs[j]))
-    return poly
+            table[i] = Fraction(table[i] - table[i - 1]) / (xs[i] - xs[i - j])
+    # no points leave no coefficients: the zero polynomial
+    coeffs = table[-1:]
+    for j in range(n - 2, -1, -1):
+        # coeffs <- coeffs * (x - x_j) + table[j], lowest power first
+        coeffs = [a - xs[j] * b for a, b in zip([table[j], *coeffs], [*coeffs, 0])]
+    return UniPoly(coeffs)

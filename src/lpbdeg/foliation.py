@@ -86,14 +86,6 @@ def pullback_forms_bundle(d: int) -> VirtualBundleExpr:
     return Minus(Tensor(Sym(d + 1, TAUT), TAUT), Sym(d + 2, TAUT))
 
 
-def _require_integer(value: Scalar, what: str) -> int:
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise InternalInconsistencyError(f"{what} is not an integer: {value}")
-        return int(value)
-    return int(value)
-
-
 def degree_lpb(d: int, n: int, method: str = METHOD_CHERN_QUOTIENT) -> int:
     """Degree of the linear pullback component for foliation degree d on P^n.
 
@@ -132,7 +124,9 @@ def degree_lpb(d: int, n: int, method: str = METHOD_CHERN_QUOTIENT) -> int:
                 f"chern_quotient gives {a}, ch_partition gives {b}"
             )
     value = next(iter(results.values()))
-    return _require_integer(value, f"degree at (d, n) = ({d}, {n})")
+    if not isinstance(value, int):
+        raise InternalInconsistencyError(f"degree at (d, n) = ({d}, {n}) is not an integer: {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -281,9 +275,9 @@ def reference_formula(n: int, d: int) -> int:
     if n == 4 and d < 1:
         raise ValueError("the published n = 4 form divides by (d-1)!, so d >= 1")
     value = reference_polynomial(n)(d)
-    if value.denominator != 1:
+    if not isinstance(value, int):
         raise InternalInconsistencyError(f"published form at (n, d) = ({n}, {d}) is not an integer: {value}")
-    return int(value)
+    return value
 
 
 def reference_polynomial(n: int) -> UniPoly:

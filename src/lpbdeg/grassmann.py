@@ -30,10 +30,9 @@ where terms enter the type (see :mod:`lpbdeg.polyring`), not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import sparse
-from .exact import Scalar
+from .exact import Scalar, normalize
 from .polyring import TruncatedPoly, elementary_symmetric
 
 
@@ -69,7 +68,8 @@ class GrassContext:
         variables and homogeneous of degree g (the zero polynomial counts as
         homogeneous of every degree and integrates to 0), and its ring must
         keep every exponent up to :attr:`box`: a smaller box has dropped
-        coefficients the integral reads, which raises ``ValueError``.
+        coefficients the integral reads, which raises ``ValueError``.  The
+        value is normalized.
         """
         if cls.nvars != self.k:
             raise ValueError(f"class has {cls.nvars} variables, expected {self.k}")
@@ -91,7 +91,7 @@ class GrassContext:
         total: Scalar = 0
         for key, c in vandermonde.items():
             total += c * cls.terms.get(target - key, 0)
-        return total
+        return normalize(total)
 
     def plucker_degree(self) -> int:
         """Degree of the Grassmannian in its Pluecker embedding.
@@ -101,8 +101,6 @@ class GrassContext:
         """
         e1 = elementary_symmetric(self.k, self.g, 1)
         value = self.integrate(e1**self.g)
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise ArithmeticError("Pluecker degree came out non-integral")
-            return int(value)
-        return int(value)
+        if not isinstance(value, int):
+            raise ArithmeticError("Pluecker degree came out non-integral")
+        return value

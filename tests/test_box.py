@@ -30,6 +30,7 @@ from lpbdeg.foliation import METHOD_CH_PARTITION, METHOD_CHERN_QUOTIENT, degree_
 from lpbdeg.grassmann import GrassContext
 from lpbdeg.polyring import TruncatedPoly, inverse_unit_series, product_shifted_linear
 from lpbdeg.sparse import Packing
+from permutation_helpers import orbits_of
 
 coeffs = st.integers(min_value=-6, max_value=6)
 
@@ -45,11 +46,6 @@ def grass_rings(draw):
     """(ctx, cap): a G(3, m) with m = 4..7 and a cap up to its dimension."""
     ctx = GrassContext(3, draw(st.integers(4, 7)))
     return ctx, draw(st.integers(0, ctx.g))
-
-
-def _orbits_of(forms):
-    """Each form with its distinct images under permuting the variables."""
-    return [image for form in forms for image in sorted(set(permutations(form)))]
 
 
 @st.composite
@@ -83,7 +79,7 @@ def test_boxed_inverse_drops_only_out_of_box_terms(case, data):
 @given(grass_rings(), st.lists(st.tuples(coeffs, coeffs, coeffs), max_size=6))
 def test_boxed_chern_product_drops_only_out_of_box_terms(case, forms):
     ctx, cap = case
-    roots = Counter(_orbits_of(forms))
+    roots = Counter(orbits_of(forms))
     boxed = product_shifted_linear(roots, cap, 3, box=ctx.box)
     assert boxed == _in_box(product_shifted_linear(roots, cap, 3), ctx.box)
 

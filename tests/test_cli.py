@@ -568,6 +568,42 @@ def test_cache_negative_degree_string_reaches_range_check(tmp_cache, capsys):
     assert any("negative degree" in line for line in err)
 
 
+@pytest.mark.parametrize("bad", [-5, 0])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["degree", "--n", "3", "--d", "2"],
+        ["table", "--n", "3", "--d-min", "2", "--d-max", "3"],
+        ["closed-form", "--n", "3"],
+    ],
+    ids=["degree", "table", "closed-form"],
+)
+def test_degree_failing_positivity_is_never_cached(tmp_cache, monkeypatch, capsys, argv, bad):
+    # the check runs before the append, so a bad degree never poisons the
+    # file and the next run with a sound engine succeeds
+    real = cli.degree_lpb
+    monkeypatch.setattr(cli, "degree_lpb", lambda d, n, method: bad if (n, d) == (3, 2) else real(d, n, method))
+    assert main(argv) == 3
+    _, err = _lines(capsys)
+    assert any(f"must be positive, got {bad}" in line for line in err)
+    records = [json.loads(line) for line in tmp_cache.read_text().splitlines()] if tmp_cache.exists() else []
+    assert all((r["n"], r["d"]) != (3, 2) for r in records)
+    monkeypatch.setattr(cli, "degree_lpb", real)
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["degree", "--n", "3", "--d", "2"], ["closed-form", "--n", "3"]], ids=["degree", "closed-form"]
+)
+def test_cache_hit_failing_positivity_exits_three(tmp_cache, capsys, argv):
+    # a stored 0 passes the load-time sign check but not the positivity
+    # check, which interpolation nodes read through the cache pass too
+    tmp_cache.write_text(json.dumps({"d": 2, "degree": "0", "engine_version": __version__, "n": 3}) + "\n")
+    assert main(argv) == 3
+    _, err = _lines(capsys)
+    assert any("must be positive, got 0" in line for line in err)
+
+
 def test_cache_path_in_missing_directory_exits_three(tmp_path, monkeypatch, capsys):
     path = tmp_path / "missing" / "c.jsonl"
     monkeypatch.setenv(CACHE_ENV_VAR, str(path))

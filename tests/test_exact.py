@@ -58,6 +58,31 @@ def test_normalize_integral_fractions():
             normalize(inexact)
 
 
+@pytest.mark.parametrize("inexact", [0.5, Decimal(2), "1/2"], ids=["float", "Decimal", "str"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: UniPoly((x,)),
+        lambda x: UniPoly.constant(x),
+        lambda x: UniPoly((1, 2))(x),
+        lambda x: lagrange_interpolate([(0, 1), (x, 2)]),
+        lambda x: lagrange_interpolate([(0, 1), (1, x)]),
+    ],
+    ids=["coefficient", "constant", "argument", "node", "value"],
+)
+def test_unipoly_and_interpolation_refuse_inexact_scalars(call, inexact):
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        call(inexact)
+
+
+def test_unipoly_keeps_integral_values_as_ints():
+    p = UniPoly((Fraction(4, 2), 1))
+    assert [type(c) for c in p.coeffs] == [int, int]
+    assert type(p(Fraction(6, 2))) is int and p(Fraction(6, 2)) == 5
+    assert type(UniPoly((Fraction(1, 2), 1))(Fraction(1, 2))) is int
+    assert type(lagrange_interpolate([(0, 1), (1, 2)]).coefficient(1)) is int
+
+
 @given(matrices())
 def test_kernel_vectors_annihilate(matrix):
     basis = kernel_basis(matrix)
@@ -118,7 +143,10 @@ def test_interpolate_empty_is_zero():
 
 @given(
     st.lists(
-        st.tuples(st.integers(-20, 20), st.fractions(max_denominator=20)),
+        st.tuples(
+            st.integers(-20, 20) | st.fractions(-20, 20, max_denominator=20),
+            st.fractions(max_denominator=20),
+        ),
         min_size=1,
         max_size=6,
         unique_by=lambda point: point[0],

@@ -1,0 +1,47 @@
+"""No module but :mod:`lpbdeg.exact` converts a scalar with ``Fraction(x)``.
+
+``Fraction`` of one argument accepts a float, a ``Decimal`` or a string and
+returns a value that looks exact, which is how inexact input used to slip
+past the scalar check.  Every incoming scalar goes through
+``exact.normalize`` instead.  This stdlib ``ast`` scan fails on each
+one-argument ``Fraction(...)`` call in the package, outside ``exact.py``,
+whose argument is not an integer literal; ``Fraction(a, b)`` of two
+arguments refuses floats itself and is allowed.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "lpbdeg").glob("*.py") if p.name != "exact.py")
+
+
+def _is_int_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _conversions(tree):
+    """Line of every one-argument ``Fraction`` call on a non-literal."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        args = [*node.args, *(kw.value for kw in node.keywords)]
+        if name == "Fraction" and len(args) == 1 and not _is_int_literal(args[0]):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_one_argument_fraction_conversion(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"line {line}" for line in _conversions(tree)] == []
+
+
+def test_the_scan_sees_a_conversion():
+    source = "Fraction(c)\nFraction(1)\nFraction(-2)\nFraction(a, b)\nfractions.Fraction(0.5)\nFraction(numerator=x)\n"
+    assert list(_conversions(ast.parse(source))) == [1, 5, 6]

@@ -97,3 +97,15 @@ def test_integrate_rejects_a_ring_whose_box_drops_read_terms():
     with pytest.raises(ValueError, match="box|exponents"):
         large.integrate(in_small_box)
     assert large.integrate(TruncatedPoly(3, large.g, terms, box=large.box)) == large.plucker_degree() == 462
+
+
+def test_integrate_returns_an_int_for_an_integral_value():
+    # on G(3, 5) both e_3^2 and e_1 e_2 e_3 integrate to 1, so half their sum
+    # has half-integer coefficients and the integral 1
+    ctx = GrassContext(3, 5)
+    e1, e2, e3 = (elementary_symmetric(3, ctx.g, i) for i in (1, 2, 3))
+    cls = (e3**2 + e1 * e2 * e3).scale(Fraction(1, 2))
+    assert all(isinstance(c, Fraction) for _, c in cls.sorted_terms() if c != 2)
+    value = ctx.integrate(cls)
+    assert type(value) is int and value == 1
+    assert ctx.integrate(cls.scale(Fraction(1, 3))) == Fraction(1, 3)

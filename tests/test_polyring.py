@@ -17,20 +17,12 @@ from lpbdeg.polyring import (
     power_sums,
     product_shifted_linear,
 )
+from permutation_helpers import orbits_of, symmetrize
 
 NVARS = 3
 CAP = 4
 
 coeffs = st.integers(min_value=-6, max_value=6)
-
-
-def symmetrize(terms):
-    """The sum of every distinct image of each term under permuting the variables."""
-    out = {}
-    for expo, c in terms.items():
-        for image in set(permutations(expo)):
-            out[image] = out.get(image, 0) + c
-    return out
 
 
 @st.composite
@@ -41,11 +33,6 @@ def symmetric_polys(draw, box=CAP):
         expo = tuple(draw(st.integers(0, 2)) for _ in range(NVARS))
         terms[expo] = draw(coeffs)
     return TruncatedPoly(NVARS, CAP, symmetrize(terms), box=box)
-
-
-def orbits_of(forms):
-    """Each form with its distinct images under permuting the variables."""
-    return [image for form in forms for image in sorted(set(permutations(form)))]
 
 
 def _linear(form, ring):

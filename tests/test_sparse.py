@@ -4,7 +4,7 @@ The reference operations below work on dicts from exponent tuples, the
 representation the kernel replaced; they are the oracle and live only here.
 """
 
-from itertools import permutations, product
+from itertools import product
 from math import comb, factorial, prod
 
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from lpbdeg import sparse
 from lpbdeg.polyring import TruncatedPoly
 from lpbdeg.sparse import Packing, _orbits
+from permutation_helpers import symmetrize
 
 coeffs = st.integers(min_value=-6, max_value=6).filter(bool)
 # caps just below and at powers of two, where a field is exactly full
@@ -203,15 +204,6 @@ def test_monomial_tree_without_a_box_lists_every_monomial_once():
                 assert key == below[parent] + ring.var(var)
             assert list(multinomials) == [factorial(j) // prod(map(factorial, e)) for e in expos]
             below = keys
-
-
-def symmetrize(terms):
-    """The sum of every distinct image of each term under permuting the variables."""
-    out = {}
-    for e, c in terms.items():
-        for image in set(permutations(e)):
-            out[image] = out.get(image, 0) + c
-    return {e: c for e, c in out.items() if c}
 
 
 @given(rings(), st.integers(0, 8))

@@ -1,6 +1,5 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
 from math import factorial, prod
 
 import pytest
@@ -19,6 +18,7 @@ from lpbdeg.polyring import (
     product_shifted_linear,
 )
 from lpbdeg.symfunc import partitions, segre_via_characters
+from permutation_helpers import orbits_of, symmetrize
 
 
 def weight_w(lam):
@@ -73,15 +73,6 @@ def test_weight_values():
     assert weight_w(()) == 1
 
 
-def symmetrize(terms):
-    """The sum of every distinct image of each term under permuting the variables."""
-    out = {}
-    for e, c in terms.items():
-        for image in set(permutations(e)):
-            out[image] = out.get(image, 0) + c
-    return out
-
-
 def _graded_characters_of_dual(forms, cap, upto):
     """ch pieces of the dual of the bundle with the given roots, each power multiplied out."""
     ring = sparse.Packing(3, cap, cap)
@@ -106,7 +97,7 @@ def test_character_sum_matches_inverted_chern_series(form_coeffs, k):
     # independent oracle: the Segre series as the inverse of the total
     # Chern class, versus the partition-weighted character sum; each form
     # comes with its images under permuting the variables
-    form_coeffs = [image for form in form_coeffs for image in sorted(set(permutations(form)))]
+    form_coeffs = orbits_of(form_coeffs)
     total_chern = product_shifted_linear(Counter(form_coeffs), k, 3)
     expected = inverse_unit_series(total_chern).graded_part(k)
     pieces = _graded_characters_of_dual(form_coeffs, k, k)
