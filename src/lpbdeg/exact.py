@@ -102,10 +102,9 @@ class UniPoly:
         return self + (-other)
 
     def __mul__(self, other: UniPoly | Scalar) -> UniPoly:
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, UniPoly):
-            return NotImplemented
+            other = normalize(other)
+            return UniPoly(tuple(c * other for c in self.coeffs))
         if not self.coeffs or not other.coeffs:
             return UniPoly()
         out: list[Scalar] = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -117,9 +116,7 @@ class UniPoly:
         return UniPoly(out)
 
     def __rmul__(self, other: Scalar) -> UniPoly:
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        return self * other
 
     def __pow__(self, exp: int) -> UniPoly:
         if exp < 0:

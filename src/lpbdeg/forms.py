@@ -4,10 +4,10 @@ A projective 1-form of foliation degree d on P^n is ``sum A_i dZ_i`` with
 each A_i homogeneous of degree d+1 and the radial contraction
 ``sum A_i Z_i`` identically zero.  The public format of a polynomial is a
 sparse dict from exponent tuples over Z_0..Z_n to integer or Fraction
-coefficients, exact and untruncated (degrees stay small).  Products,
-derivatives and substitutions run on the packed-exponent kernel of
-:mod:`lpbdeg.sparse`, with fields sized by the degree of the result, and
-convert back to tuples at the public boundary.
+coefficients, exact and untruncated (degrees stay small).  Substitutions
+run on the packed-exponent kernel of :mod:`lpbdeg.sparse`, with fields
+sized by the degree of the result, and convert back to tuples at the
+public boundary.
 
 :class:`ProjectiveOneForm` stores the coefficient vector and enforces
 homogeneity but deliberately not the contraction identity, so that
@@ -29,7 +29,13 @@ do.  For coefficients homogeneous of degree d+1 the Euler relation gives
 *Equations de Pfaff algebriques*, LNM 708), and ``Z_0 Omega_0jk`` vanishes
 with the triples without 0.  An integrable form whose radial contraction is
 zero thus costs C(n-1, 2) of the C(n+1, 3) triples (1, 3 and 6 for n = 3,
-4 and 5), and any other form gets every triple computed.
+4 and 5), and any other form gets every triple computed.  A triple is a
+gather, not a product of sparse polynomials: every coefficient is
+homogeneous of degree d+1, so which coefficient and derivative monomials
+meet in which defect monomial depends only on (n, d).  A table built once
+per (n, d) lists them as one pair of ``operator.itemgetter`` gathers per
+defect monomial, and a defect coefficient is one C-level dot product of
+dense vectors.
 
 Linear pullback along a rank-3 matrix F sends a plane form to a form on
 P^n, and :func:`recover` inverts that map exactly: the section G of F built
@@ -47,9 +53,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Sequence
+from operator import itemgetter, mul, neg, sub
+from typing import Callable, NamedTuple, Sequence
 
 from . import sparse
 from .exact import Scalar, normalize
@@ -61,7 +68,7 @@ Poly = dict[Exponent, Scalar]
 
 
 def poly_mul(p: sparse.Poly, q: sparse.Poly) -> sparse.Poly:
-    """Untruncated product of two packed polynomials, the forms hot path.
+    """Untruncated product of two packed polynomials, one step of the substitution.
 
     The packing shared by ``p`` and ``q`` must have room for the degree of
     the product.
@@ -185,6 +192,77 @@ def contract_radial(form: ProjectiveOneForm) -> Poly:
     return out
 
 
+class _DefectTable(NamedTuple):
+    """The bilinear table of ``mu ^ d mu`` for the forms of degree d on P^n.
+
+    ``top`` and ``out`` list the monomials of degree d+1 (the coefficients)
+    and 2d+1 (the defects) in the order of :func:`exponents_of_degree`, and
+    the derivatives live on the degree-d monomials in that order too.
+    ``derivatives[v]`` is a gather and its weights over the degree-d
+    monomials beta: ``d_v A[beta] = (beta_v + 1) A[beta + e_v]``, read from a
+    dense vector of A over ``top``.  ``products[nu]`` is a pair of gathers
+    into ``a = A_i || A_j || A_k`` and ``b = curl(j, k) || -curl(i, k) ||
+    curl(i, j)``: for every coefficient monomial and derivative monomial
+    whose product is ``out[nu]``, their indices in each of the three blocks,
+    so that ``Omega_ijk[nu]`` is the dot product of the two gathers.
+    """
+
+    top: tuple[Exponent, ...]
+    derivatives: tuple[tuple[Callable[[Sequence[Scalar]], tuple], tuple[int, ...]], ...]
+    out: tuple[Exponent, ...]
+    products: tuple[tuple[itemgetter, itemgetter], ...]
+
+    def defect(self, a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
+        """Omega_ijk from the vectors ``a`` and ``b``, one dot product per monomial."""
+        values = [sum(map(mul, ga(a), gb(b))) for ga, gb in self.products]
+        return {e: c for e, c in zip(self.out, values) if c}
+
+
+def _gather(indices: Sequence[int]) -> Callable[[Sequence[Scalar]], tuple]:
+    """``itemgetter(*indices)``, but a tuple for a single index too."""
+    if len(indices) == 1:
+        return lambda v, i=indices[0]: (v[i],)
+    return itemgetter(*indices)
+
+
+@lru_cache(maxsize=None)
+def _defect_table(n: int, d: int) -> _DefectTable:
+    """The :class:`_DefectTable` of degree-d forms on P^n, built once.
+
+    Monomials are paired on packed keys, where a product is one addition.
+    """
+    nv = n + 1
+    ring = Packing(nv, 2 * d + 1)
+    top, low, out = (tuple(exponents_of_degree(nv, t)) for t in (d + 1, d, 2 * d + 1))
+    top_keys, low_keys = [ring.pack(e) for e in top], [ring.pack(e) for e in low]
+    top_index = {k: i for i, k in enumerate(top_keys)}
+    derivatives = tuple(
+        (
+            _gather([top_index[k + ring.var(v)] for k in low_keys]),
+            tuple(ring.exponent(k, v) + 1 for k in low_keys),
+        )
+        for v in range(nv)
+    )
+    out_index = {ring.pack(e): i for i, e in enumerate(out)}
+    # the three blocks of a (of b) start at multiples of size_a (size_b); a
+    # pair of monomials gives the two gathers of its product one index triple
+    # each, and each triple is made once so that the gathers share its ints
+    size_a, size_b = len(top), len(low)
+    blocks_a = [(i, i + size_a, i + 2 * size_a) for i in range(size_a)]
+    blocks_b = [(i, i + size_b, i + 2 * size_b) for i in range(size_b)]
+    left: list[list[tuple[int, int, int]]] = [[] for _ in out]
+    right: list[list[tuple[int, int, int]]] = [[] for _ in out]
+    for block_a, ka in zip(blocks_a, top_keys):
+        for block_b, nu in zip(blocks_b, map(out_index.__getitem__, map(ka.__add__, low_keys))):
+            left[nu].append(block_a)
+            right[nu].append(block_b)
+    products = tuple(
+        (itemgetter(*chain.from_iterable(la)), itemgetter(*chain.from_iterable(lb)))
+        for la, lb in zip(left, right)
+    )
+    return _DefectTable(top, derivatives, out, products)
+
+
 def integrability_defect(form: ProjectiveOneForm) -> dict[tuple[int, int, int], Poly]:
     """The quadratic integrability obstructions, indexed by triples i < j < k.
 
@@ -193,6 +271,15 @@ def integrability_defect(form: ProjectiveOneForm) -> dict[tuple[int, int, int], 
     ``A_i (d_j A_k - d_k A_j) + A_j (d_k A_i - d_i A_k) + A_k (d_i A_j - d_j A_i)``
     with d_j the partial derivative in Z_j; the form is integrable exactly
     when every defect is the zero polynomial.
+
+    Every coefficient is homogeneous of degree d+1, so the products depend
+    only on (n, d) and are read from a table built once per (n, d) at the
+    first triple formed (:class:`_DefectTable`).  Each coefficient becomes a
+    dense vector over the degree-(d+1) monomials, each curl
+    ``d_j A_k - d_k A_j`` is formed once per pair from two derivative
+    gathers, and the coefficient of a defect monomial is one C-level dot
+    product of two fused gathers over the three coefficients and the three
+    curls of the triple.
 
     Let p be the first index >= 1 with A_p != 0.  The C(n-1, 2) triples
     without 0 that contain p are computed first.  When all of them vanish,
@@ -209,23 +296,26 @@ def integrability_defect(form: ProjectiveOneForm) -> dict[tuple[int, int, int], 
     An integrable form in the radial kernel costs 1, 3 and 6 triples for
     n = 3, 4 and 5, against C(n+1, 3) = 4, 10 and 20.
     """
-    nv = form.n + 1
-    ring = Packing(nv, 2 * form.d + 1)
-    coeffs = [ring.pack_terms(a) for a in form.coeffs]
+    n, d, nv = form.n, form.d, form.n + 1
 
     @lru_cache(maxsize=None)
-    def curl(j: int, k: int) -> sparse.Poly:
+    def vector(i: int) -> list[Scalar]:
+        return [form.coeffs[i].get(e, 0) for e in _defect_table(n, d).top]
+
+    @lru_cache(maxsize=None)
+    def curl(j: int, k: int) -> list[Scalar]:
         # d_j A_k - d_k A_j, formed once per pair that a triple reads
-        return sparse.add(sparse.diff(coeffs[k], ring, j), sparse.diff(coeffs[j], ring, k), -1)
+        derivatives = _defect_table(n, d).derivatives
+        (gj, wj), (gk, wk) = derivatives[j], derivatives[k]
+        return list(map(sub, map(mul, wj, gj(vector(k))), map(mul, wk, gk(vector(j)))))
 
     def defect(i: int, j: int, k: int) -> Poly:
-        term = poly_mul(coeffs[i], curl(j, k))
-        sparse.add(term, poly_mul(coeffs[j], curl(i, k)), -1)
-        sparse.add(term, poly_mul(coeffs[k], curl(i, j)))
-        return ring.unpack_terms(term)
+        a = vector(i) + vector(j) + vector(k)
+        b = curl(j, k) + list(map(neg, curl(i, k))) + curl(i, j)
+        return _defect_table(n, d).defect(a, b)
 
     triples = list(combinations(range(1, nv), 3))
-    pivot = next((p for p in range(1, nv) if coeffs[p]), None)
+    pivot = next((p for p in range(1, nv) if form.coeffs[p]), None)
     inner = {t: defect(*t) for t in triples if pivot in t}
     # mu ^ (mu ^ d mu) = 0 makes A_p Omega_jkl a signed sum of triples through p
     rest_zero = pivot is not None and not any(inner.values())
@@ -274,10 +364,14 @@ def _pull_back(rows: Sequence[Sequence[Scalar]], form: ProjectiveOneForm) -> Pro
 
     Coefficient j of the result is ``sum_i rows[i][j] * (A_i o rows)``; every
     ``A_i`` is substituted in one call, then weighted by the matrix entries.
+    An ``A_i`` whose row is zero is weighted by 0 everywhere, so it is
+    substituted as ``{}``: along the section of :func:`recover` only the
+    three coefficients of the column triple are.
     """
     width = len(rows[0])
+    polys = [a if any(row) else {} for row, a in zip(rows, form.coeffs)]
     coeffs: list[Poly] = [{} for _ in range(width)]
-    for row, composed in zip(rows, substitute_linear(form.coeffs, rows, width)):
+    for row, composed in zip(rows, substitute_linear(polys, rows, width)):
         for j, f in enumerate(row):
             if f != 0:
                 sparse.add(coeffs[j], composed, f)

@@ -52,7 +52,6 @@ graded Chern character.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from operator import add, mul
 from typing import Iterator, Mapping, Sequence
@@ -231,17 +230,13 @@ class TruncatedPoly:
         return TruncatedPoly._raw(self.ring, {k: normalize(v * c) for k, v in self.terms.items()})
 
     def __mul__(self, other: TruncatedPoly | Scalar) -> TruncatedPoly:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, TruncatedPoly):
-            return NotImplemented
+            return self.scale(other)
         self._check_compatible(other)
         return TruncatedPoly._raw(self.ring, sparse.mul_symmetric(self.terms, other.terms, self.ring))
 
     def __rmul__(self, other: Scalar) -> TruncatedPoly:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
     def __pow__(self, exp: int) -> TruncatedPoly:
         if exp < 0:

@@ -67,8 +67,10 @@ def test_normalize_integral_fractions():
         lambda x: UniPoly((1, 2))(x),
         lambda x: lagrange_interpolate([(0, 1), (x, 2)]),
         lambda x: lagrange_interpolate([(0, 1), (1, x)]),
+        lambda x: UniPoly((1,)) * x,
+        lambda x: x * UniPoly((1,)),
     ],
-    ids=["coefficient", "constant", "argument", "node", "value"],
+    ids=["coefficient", "constant", "argument", "node", "value", "product", "reflected"],
 )
 def test_unipoly_and_interpolation_refuse_inexact_scalars(call, inexact):
     with pytest.raises(ValueError, match="not an exact scalar"):
@@ -81,6 +83,9 @@ def test_unipoly_keeps_integral_values_as_ints():
     assert type(p(Fraction(6, 2))) is int and p(Fraction(6, 2)) == 5
     assert type(UniPoly((Fraction(1, 2), 1))(Fraction(1, 2))) is int
     assert type(lagrange_interpolate([(0, 1), (1, 2)]).coefficient(1)) is int
+    half = UniPoly((Fraction(1, 2), Fraction(3, 2)))
+    assert (half * 2).coeffs == (2 * half).coeffs == (1, 3)
+    assert [type(c) for c in (half * 2).coeffs] == [int, int]
 
 
 @given(matrices())

@@ -237,13 +237,58 @@ def _count_products(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n, expected", [(3, 3), (4, 9), (5, 18)])
+def _count_triples(monkeypatch):
+    calls = []
+    full = forms._DefectTable.defect
+
+    def counted(table, a, b):
+        calls.append(1)
+        return full(table, a, b)
+
+    monkeypatch.setattr(forms._DefectTable, "defect", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, expected", [(3, 1), (4, 3), (5, 6)])
 def test_integrability_of_a_pullback_forms_only_the_pivot_triples(n, expected, monkeypatch):
-    # 3 products for each of the C(n-1, 2) triples without 0 through the pivot
+    # the C(n-1, 2) triples without 0 through the pivot, each one gather of
+    # the table and no sparse product
     mu = pullback_linear(random_projection(n, 7 * n), random_form(2, 2, n))
-    calls = _count_products(monkeypatch)
+    triples, products = _count_triples(monkeypatch), _count_products(monkeypatch)
     assert not any(integrability_defect(mu).values())
-    assert len(calls) == expected == 3 * comb(n - 1, 2)
+    assert len(triples) == expected == comb(n - 1, 2)
+    assert products == []
+
+
+def _zeroed_pivots(n, d, seed):
+    # a kernel form with A_1 and A_2 zero, so the pivot is 3 or none
+    coeffs = random_form(n, d, seed).coeffs
+    return _form(n, d, *({} if i in (1, 2) else a for i, a in enumerate(coeffs)))
+
+
+def _fraction_form(n, d, seed):
+    # a kernel form with A_i divided by i + 1, which takes it off the radial kernel
+    coeffs = random_form(n, d, seed).coeffs
+    return _form(n, d, *({e: Fraction(c, 1 + i) for e, c in a.items()} for i, a in enumerate(coeffs)))
+
+
+@pytest.mark.parametrize("n, d", [(3, 0), (2, 4), (5, 3), (6, 1)])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n, d, seed: pullback_linear(random_projection(n, seed + 1), random_form(2, d, seed)),
+        random_form,
+        _zeroed_pivots,
+        _fraction_form,
+    ],
+    ids=["pullback", "kernel", "zeroed", "fraction"],
+)
+def test_integrability_defect_matches_all_triples_beyond_the_strategy(make, n, d):
+    # sizes the Hypothesis strategy does not reach (d <= 2 there), including
+    # a one-term derivative vector at d = 0
+    form = make(n, d, 10 * n + d)
+    got = integrability_defect(form)
+    assert list(got.items()) == list(_all_triples_defect(form).items())
 
 
 @pytest.mark.parametrize("d, expected", [(1, 9), (2, 19), (3, 34)])
@@ -523,6 +568,31 @@ def test_poly_mul_cancellation():
     a = ring.pack_terms({(1, 0): 1, (0, 1): 1})
     b = ring.pack_terms({(1, 0): 1, (0, 1): -1})
     assert ring.unpack_terms(poly_mul(a, b)) == {(2, 0): 1, (0, 2): -1}
+
+
+def test_section_pullback_substitutes_only_the_rows_of_the_column_triple(monkeypatch):
+    # the section of recover has zero rows outside its column triple; those
+    # coefficients are weighted by 0 and reach the substitution as {}, and
+    # the pullback equals every coefficient expanded and weighted
+    proj = random_projection(5, 61)
+    mu = pullback_linear(proj, random_form(2, 2, 60))
+    cols, adj, _ = forms._invertible_block(proj.rows)
+    section = [adj[cols.index(v)] if v in cols else [0, 0, 0] for v in range(6)]
+    inputs = []
+    full = forms.substitute_linear
+
+    def spied(polys, rows, nvars_out):
+        inputs.append(list(polys))
+        return full(polys, rows, nvars_out)
+
+    monkeypatch.setattr(forms, "substitute_linear", spied)
+    pulled = forms._pull_back(section, mu)
+    assert [bool(p) for p in inputs[0]] == [v in cols for v in range(6)]
+    expected = [{} for _ in range(3)]
+    for row, a in zip(section, mu.coeffs):
+        for j, f in enumerate(row):
+            sparse.add(expected[j], _expanded(a, section, 3), f)
+    assert pulled.coeffs == tuple(expected)
 
 
 def test_recover_round_trip_coordinate_case():

@@ -74,6 +74,22 @@ def test_scale_rejects_inexact_scalars(c):
         TruncatedPoly.zero(2, 3).scale(c)
 
 
+@pytest.mark.parametrize("c", [0.5, 2.0, 0.0, Decimal(0), "1/2"])
+def test_products_with_inexact_scalars_raise_value_error(c):
+    # a scalar operand goes through normalize on either side, as in scale
+    p = TruncatedPoly(2, 3, {(1, 0): 1, (0, 1): 1})
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        p * c
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        c * p
+
+
+def test_products_with_exact_scalars_scale():
+    p = TruncatedPoly(2, 3, {(1, 0): 1, (0, 1): 1, (1, 1): 2})
+    assert p * 3 == 3 * p == p.scale(3)
+    assert p * Fraction(1, 2) == Fraction(1, 2) * p == p.scale(Fraction(1, 2))
+
+
 def test_construction_rejects_non_integer_exponents():
     with pytest.raises(ValueError, match="non-integer exponent"):
         TruncatedPoly(1, 2, {(1.0,): 1})
