@@ -21,11 +21,12 @@ subbundle are and every operation commutes with the permutations;
 :func:`~lpbdeg.polyring.power_sums` checks this once, for the Chern class
 and the character alike.
 
-Classes are built in the ring of the Grassmannian, ``Q[x] / (deg > cap,
-x_i^m)`` over G(k, m): the integral reads no monomial with an exponent
-above m - 1, and the monomials beyond that box span an ideal, so the
-products, the inversion and the power sums here form only monomials in
-the box and the integral is unchanged (see :mod:`lpbdeg.polyring`).
+Classes are built in the one ring of the Grassmannian,
+:attr:`~lpbdeg.grassmann.GrassContext.ring`, ``Q[x] / (deg > g, x_i^m)``
+over G(k, m): the integral reads no monomial with an exponent above m - 1,
+and the monomials beyond that box span an ideal, so the products, the
+inversion and the power sums here form only monomials in the box and the
+integral is unchanged (see :mod:`lpbdeg.polyring`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from .exact import normalize
-from .polyring import TruncatedPoly, _ring, exponents_of_degree, inverse_unit_series, power_sums, product_shifted_linear
+from .polyring import TruncatedPoly, exponents_of_degree, inverse_unit_series, power_sums, product_shifted_linear
 
 if TYPE_CHECKING:
     from .grassmann import GrassContext
@@ -175,37 +176,31 @@ def _signed_roots(expr: VirtualBundleExpr, k: int) -> dict[Root, int]:
     raise TypeError(f"not a bundle expression: {expr!r}")
 
 
-def total_chern(expr: VirtualBundleExpr, ctx: GrassContext, cap: int) -> TruncatedPoly:
+def total_chern(expr: VirtualBundleExpr, ctx: GrassContext) -> TruncatedPoly:
     """Total Chern class ``prod (1 + r)^m`` over the signed roots of ``expr``.
 
-    A virtual ``E - F`` gets ``c(E) / c(F)`` from the same pass, in the ring
-    with the exponent box of ``ctx``.
+    A virtual ``E - F`` gets ``c(E) / c(F)`` from the same pass, in
+    ``ctx.ring``.
     """
-    return product_shifted_linear(chern_roots(expr, ctx).signed, cap, ctx.k, ctx.box)
+    return product_shifted_linear(chern_roots(expr, ctx).signed, ctx.ring)
 
 
-def total_segre(expr: VirtualBundleExpr, ctx: GrassContext, cap: int) -> TruncatedPoly:
+def total_segre(expr: VirtualBundleExpr, ctx: GrassContext) -> TruncatedPoly:
     """Total Segre class, the multiplicative inverse of the total Chern class."""
-    return inverse_unit_series(total_chern(expr, ctx, cap))
+    return inverse_unit_series(total_chern(expr, ctx))
 
 
-def chern_character_graded(
-    expr: VirtualBundleExpr, ctx: GrassContext, degree: int, cap: int
-) -> list[TruncatedPoly]:
+def chern_character_graded(expr: VirtualBundleExpr, ctx: GrassContext, degree: int) -> list[TruncatedPoly]:
     """Graded pieces ch_0 .. ch_degree of the Chern character.
 
     Entry j of the list is, for roots r minus roots s,
     ``(sum r^j - sum s^j) / j!``: the power sums of the signed roots, from
     the moment pass :func:`~lpbdeg.polyring.power_sums`, each divided by
-    j!.  The pieces live in the ring with the exponent box of ``ctx``, and
-    no monomial outside the box is formed.  Roots not symmetric in
+    j!.  The pieces live in ``ctx.ring``, and no monomial outside its box
+    is formed.  A degree outside [0, ``ctx.g``] and roots not symmetric in
     x_1..x_k raise ``ValueError`` in :func:`~lpbdeg.polyring.power_sums`.
     """
-    if degree < 0:
-        raise ValueError("negative character degree")
-    if degree > cap:
-        raise ValueError("character degree beyond the ring cap")
-    ring = _ring(ctx.k, cap, ctx.box)
+    ring = ctx.ring
     sums = power_sums(_signed_roots(expr, ctx.k), ring, degree)
     return [
         TruncatedPoly._raw(ring, {key: normalize(Fraction(c, factorial(j))) for key, c in p.items()})

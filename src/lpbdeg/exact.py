@@ -93,14 +93,6 @@ class UniPoly:
             out[i] += c
         return UniPoly(out)
 
-    def __neg__(self) -> UniPoly:
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: UniPoly) -> UniPoly:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: UniPoly | Scalar) -> UniPoly:
         if not isinstance(other, UniPoly):
             other = normalize(other)
@@ -117,18 +109,6 @@ class UniPoly:
 
     def __rmul__(self, other: Scalar) -> UniPoly:
         return self * other
-
-    def __pow__(self, exp: int) -> UniPoly:
-        if exp < 0:
-            raise ValueError("negative power of a polynomial")
-        out = UniPoly.constant(1)
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"

@@ -15,8 +15,8 @@ power sums, by Newton's identity for the complete homogeneous symmetric
 functions.  It keeps the name ``ch_partition``: it evaluates the
 partition-weighted character sum, without walking the partitions.  The
 routes share the enumeration of Chern roots, the ring they compute in,
-``Q[x] / (deg > g, x_i^(n+1))``, whose exponent box is set by
-:class:`~lpbdeg.grassmann.GrassContext` from the monomials its integral
+:attr:`~lpbdeg.grassmann.GrassContext.ring`, ``Q[x] / (deg > g,
+x_i^(n+1))``, whose exponent box is the largest exponent the integral
 reads, and the pass from the roots to their power sums,
 :func:`~lpbdeg.polyring.power_sums`, until closed-form moments for the
 quotient route (ROADMAP item 3) separate them again.
@@ -109,10 +109,10 @@ def degree_lpb(d: int, n: int, method: str = METHOD_CHERN_QUOTIENT) -> int:
     g = ctx.g
     results: dict[str, Scalar] = {}
     if method in (METHOD_CHERN_QUOTIENT, METHOD_BOTH):
-        cls = total_segre(expr, ctx, g).graded_part(g)
+        cls = total_segre(expr, ctx).graded_part(g)
         results[METHOD_CHERN_QUOTIENT] = ctx.integrate(cls)
     if method in (METHOD_CH_PARTITION, METHOD_BOTH):
-        pieces = chern_character_graded(dual(expr), ctx, g, g)
+        pieces = chern_character_graded(dual(expr), ctx, g)
         cls = segre_via_characters(pieces, g)
         results[METHOD_CH_PARTITION] = ctx.integrate(cls)
     if len(results) == 2:

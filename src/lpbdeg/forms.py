@@ -225,11 +225,13 @@ def _gather(indices: Sequence[int]) -> Callable[[Sequence[Scalar]], tuple]:
     return itemgetter(*indices)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _defect_table(n: int, d: int) -> _DefectTable:
     """The :class:`_DefectTable` of degree-d forms on P^n, built once.
 
     Monomials are paired on packed keys, where a product is one addition.
+    Only the table of the latest (n, d) stays cached: a run checks the
+    forms of one (n, d) after another, so an older table is not read again.
     """
     nv = n + 1
     ring = Packing(nv, 2 * d + 1)

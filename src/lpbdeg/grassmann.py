@@ -15,12 +15,13 @@ classical values (1, 5 and 42 for 3-planes in dimensions 4, 5, 6).
 The Vandermonde has every exponent below k, and the target monomial every
 exponent at most m - 1, so the integral reads only class coefficients whose
 exponents are all at most m - 1 (Fulton, *Intersection Theory*, Ch. 14).
-That bound is :attr:`GrassContext.box`.  Classes over this space are
-computed in the ring ``Q[x] / (deg > g, x_i^m)``: the monomials with an
-exponent of m or more span an ideal, so dropping them commutes with every
-ring operation and leaves the integral exact.  Every truncated ring carries
-a box, by default its cap, and :meth:`GrassContext.integrate` accepts a
-class only when that box reaches m - 1.
+That bound is :attr:`GrassContext.box`.  :attr:`GrassContext.ring` is the
+one ring of the degree engine, ``Q[x_1..x_k] / (deg > g, x_i^m)``, built
+once per context: the monomials with an exponent of m or more span an
+ideal, so dropping them commutes with every ring operation and leaves the
+integral exact.  Every class over this space is computed in it, and
+:meth:`GrassContext.integrate` accepts a class from any ring whose box
+reaches m - 1.
 
 The integral needs a symmetric class, and every
 :class:`~lpbdeg.polyring.TruncatedPoly` is one: the invariant is checked
@@ -30,10 +31,12 @@ where terms enter the type (see :mod:`lpbdeg.polyring`), not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import sparse
 from .exact import Scalar, normalize
 from .polyring import TruncatedPoly, elementary_symmetric
+from .sparse import Packing
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,8 @@ class GrassContext:
 
     ``k`` is the number of Chern root variables used by every class over
     this space; ``g`` is the dimension, which is also the truncation cap
-    needed to integrate, and ``box`` bounds the exponents it reads.
+    needed to integrate, ``box`` bounds the exponents it reads, and
+    ``ring`` is the truncated ring with that cap and box.
     """
 
     k: int
@@ -60,6 +64,11 @@ class GrassContext:
     def box(self) -> int:
         """The largest single exponent :meth:`integrate` reads, m - 1."""
         return self.m - 1
+
+    @cached_property
+    def ring(self) -> Packing:
+        """The ring of every class over this space: ``Q[x_1..x_k] / (deg > g, x_i^m)``."""
+        return Packing(self.k, self.g, self.box)
 
     def integrate(self, cls: TruncatedPoly) -> Scalar:
         """Integral over the Grassmannian of a degree-g symmetric class.
@@ -96,10 +105,10 @@ class GrassContext:
     def plucker_degree(self) -> int:
         """Degree of the Grassmannian in its Pluecker embedding.
 
-        This integrates ``e_1^g`` and doubles as the calibration check for
-        the integration normalization.
+        This integrates ``e_1^g`` in :attr:`ring` and doubles as the
+        calibration check for the integration normalization.
         """
-        e1 = elementary_symmetric(self.k, self.g, 1)
+        e1 = elementary_symmetric(self.ring, 1)
         value = self.integrate(e1**self.g)
         if not isinstance(value, int):
             raise ArithmeticError("Pluecker degree came out non-integral")

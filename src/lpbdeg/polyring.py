@@ -1,13 +1,14 @@
 """Truncated multivariate polynomials for characteristic class arithmetic.
 
 A :class:`TruncatedPoly` lives in the quotient
-``Q[x_1..x_nvars] / (deg > cap, x_i^(box + 1))``: everything of total degree
-above ``cap`` is dropped, which is exactly the right semantics for working
-on a variety whose cohomology vanishes above its dimension, and so is every
-monomial with an exponent above ``box``.  Terms are stored sparsely in the
-packed-exponent format of :mod:`lpbdeg.sparse`, in a packing with bound
-``cap`` and exponent box ``box``, and every product keeps exactly the keys
-in that packing's ``keep`` set, the one truncation rule.
+``Q[x_1..x_nvars] / (deg > cap, x_i^(box + 1))`` of its ring: everything of
+total degree above ``cap`` is dropped, which is exactly the right semantics
+for working on a variety whose cohomology vanishes above its dimension, and
+so is every monomial with an exponent above ``box``.  Terms are stored
+sparsely in the packed-exponent format of :mod:`lpbdeg.sparse`, in the
+ring's packing, with bound ``cap`` and exponent box ``box``, and every
+product keeps exactly the keys in that packing's ``keep`` set, the one
+truncation rule.
 
 Every class the degree engine forms is symmetric in the Chern roots, and a
 :class:`TruncatedPoly` holds only such classes: its constructor raises
@@ -22,13 +23,14 @@ raising ``ValueError``.  Symmetric roots have symmetric power sums, so
 neither :func:`product_shifted_linear` nor
 :func:`~lpbdeg.bundles.chern_character_graded` checks again.
 
-The box defaults to the cap, where it drops nothing the cap keeps.  The
-monomials outside a smaller box span an ideal, so dropping them commutes
-with sums, products, the series inversion and the Newton step (whose exact
-division by k holds coefficient by coefficient): a boxed result is the
-result for the box at the cap with the out-of-box terms removed, exactly.
-Only :class:`~lpbdeg.grassmann.GrassContext` picks a smaller box, the
-largest exponent its integral reads.
+The ring is a :class:`~lpbdeg.sparse.Packing` with a box, and every
+constructor takes it whole.  The degree engine has one such ring per
+Grassmannian, :attr:`~lpbdeg.grassmann.GrassContext.ring`, whose box is the
+largest exponent the integral reads.  The monomials outside a box span an
+ideal, so dropping them commutes with sums, products, the series inversion
+and the Newton step (whose exact division by k holds coefficient by
+coefficient): a boxed result is the result for the box at the cap with the
+out-of-box terms removed, exactly.
 
 Exponent tuples remain the public format: the constructor takes them, and
 :meth:`TruncatedPoly.coefficient` and :meth:`TruncatedPoly.sorted_terms`
@@ -84,17 +86,13 @@ def exponents_of_degree(nvars: int, degree: int) -> Iterator[Exponent]:
             yield (first,) + rest
 
 
-def _ring(nvars: int, cap: int, box: int | None = None) -> Packing:
-    """The packing of the truncated ring; the box defaults to the cap."""
-    return Packing(nvars, cap, cap if box is None else box)
-
-
 class TruncatedPoly:
-    """Sparse polynomial in ``nvars`` variables, truncated above ``cap``.
+    """Sparse polynomial in the truncated ring ``ring``.
 
-    ``terms`` maps packed keys of ``ring``, a :class:`~lpbdeg.sparse.Packing`
-    with bound ``cap`` and exponent box ``box`` (by default ``cap``), to
-    nonzero scalars; terms beyond the cap or outside the box are dropped on
+    ``ring`` is a :class:`~lpbdeg.sparse.Packing` with a box, whose bound is
+    the cap; a packing without a box raises ``ValueError``.  ``terms`` maps
+    exponent tuples to scalars, stored as nonzero scalars on packed keys of
+    ``ring``; terms beyond the cap or outside the box are dropped on
     construction.  The terms must be symmetric in the variables, with
     integer exponents and ``int`` or ``Fraction`` coefficients; any other
     terms, or another scalar given to :meth:`constant` or :meth:`scale`,
@@ -103,10 +101,10 @@ class TruncatedPoly:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(
-        self, nvars: int, cap: int, terms: Mapping[Exponent, Scalar] | None = None, box: int | None = None
-    ) -> None:
-        ring = _ring(nvars, cap, box)
+    def __init__(self, ring: Packing, terms: Mapping[Exponent, Scalar] | None = None) -> None:
+        if ring.box is None:
+            raise ValueError("a truncated ring needs a packing with a box")
+        nvars = ring.nvars
         clean: dict[int, Scalar] = {}
         for expo, c in (terms or {}).items():
             e = tuple(expo)
@@ -117,7 +115,7 @@ class TruncatedPoly:
             if any(k < 0 for k in e):
                 raise ValueError(f"negative exponent in {e}")
             c = normalize(c)
-            if c == 0 or sum(e) > cap or max(e) > ring.box:
+            if c == 0 or sum(e) > ring.bound or max(e) > ring.box:
                 continue
             key = ring.pack(e)
             clean[key] = clean.get(key, 0) + c
@@ -151,18 +149,17 @@ class TruncatedPoly:
         return self.ring.box
 
     @classmethod
-    def zero(cls, nvars: int, cap: int, box: int | None = None) -> TruncatedPoly:
-        return cls.constant(nvars, cap, 0, box)
+    def zero(cls, ring: Packing) -> TruncatedPoly:
+        return cls.constant(ring, 0)
 
     @classmethod
-    def one(cls, nvars: int, cap: int, box: int | None = None) -> TruncatedPoly:
-        return cls.constant(nvars, cap, 1, box)
+    def one(cls, ring: Packing) -> TruncatedPoly:
+        return cls.constant(ring, 1)
 
     @classmethod
-    def constant(cls, nvars: int, cap: int, c: Scalar, box: int | None = None) -> TruncatedPoly:
-        """The constant ``c`` in the ring with exponent box ``box`` (by default ``cap``)."""
-        c = normalize(c)
-        return cls._raw(_ring(nvars, cap, box), {0: c} if c != 0 else {})
+    def constant(cls, ring: Packing, c: Scalar) -> TruncatedPoly:
+        """The constant ``c`` in ``ring``."""
+        return cls(ring, {(0,) * ring.nvars: c})
 
     def _check_compatible(self, other: TruncatedPoly) -> None:
         if self.ring != other.ring:
@@ -226,7 +223,7 @@ class TruncatedPoly:
         """The multiple ``c * self``; integral coefficients come out as ints."""
         c = normalize(c)
         if c == 0:
-            return TruncatedPoly._raw(self.ring, {})
+            return TruncatedPoly.zero(self.ring)
         return TruncatedPoly._raw(self.ring, {k: normalize(v * c) for k, v in self.terms.items()})
 
     def __mul__(self, other: TruncatedPoly | Scalar) -> TruncatedPoly:
@@ -241,7 +238,7 @@ class TruncatedPoly:
     def __pow__(self, exp: int) -> TruncatedPoly:
         if exp < 0:
             raise ValueError("negative power in a truncated ring")
-        out = TruncatedPoly._raw(self.ring, {0: 1})
+        out = TruncatedPoly.one(self.ring)
         base = self
         while exp:
             if exp & 1:
@@ -252,8 +249,7 @@ class TruncatedPoly:
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*x^{list(e)}" for e, c in self.sorted_terms()) or "0"
-        box = f", box={self.box}" if self.box < self.cap else ""
-        return f"TruncatedPoly({self.nvars}, {self.cap}, {body}{box})"
+        return f"TruncatedPoly({self.ring!r}, {body})"
 
 
 def power_sums(roots: Mapping[Exponent, int], ring: Packing, top: int) -> list[sparse.Poly]:
@@ -303,28 +299,28 @@ def power_sums(roots: Mapping[Exponent, int], ring: Packing, top: int) -> list[s
     ]
 
 
-def product_shifted_linear(
-    roots: Mapping[Exponent, int], cap: int, nvars: int, box: int | None = None
-) -> TruncatedPoly:
+def product_shifted_linear(roots: Mapping[Exponent, int], ring: Packing) -> TruncatedPoly:
     """The truncated product of ``(1 + form)^m`` over the signed roots.
 
     ``roots`` maps each distinct linear form, an integer coefficient tuple
-    with ``nvars`` entries, to its multiplicity m of either sign, so this is
-    the total Chern class ``c(E - F) = c(E) / c(F)`` of a virtual bundle;
-    an empty map yields 1.  Forms of another length or with non-integer
-    coefficients raise ``ValueError`` in :func:`power_sums`.  The result
-    lives in the ring with exponent box ``box`` (by default ``cap``), and
-    only monomials in the box are ever formed.
+    with ``ring.nvars`` entries, to its multiplicity m of either sign, so
+    this is the total Chern class ``c(E - F) = c(E) / c(F)`` of a virtual
+    bundle; an empty map yields 1.  Forms of another length or with
+    non-integer coefficients raise ``ValueError`` in :func:`power_sums`.
+    The result lives in ``ring``, a packing with a box, and only monomials
+    in the box are ever formed.
 
     The product is never multiplied out.  :func:`power_sums` takes the
     additive power sums p_i of the signed roots from one moment pass, and
     Newton's identities ``k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i`` give
     the graded pieces e_k of the product (Fulton, *Intersection Theory*,
-    Ch. 3), a step whose cost depends on ``cap`` alone.  The division by k
+    Ch. 3), a step whose cost depends on the ring alone.  The division by k
     is exact on integers; a remainder raises ``ArithmeticError``.  A map not
     symmetric in the variables raises ``ValueError`` in :func:`power_sums`.
     """
-    ring = _ring(nvars, cap, box)
+    if ring.box is None:
+        raise ValueError("a truncated ring needs a packing with a box")
+    cap = ring.bound
     # symmetric roots make every p_i and e_k symmetric, so products run orbit by orbit
     sums = power_sums(roots, ring, cap)
     # signed[i] = (-1)^(i-1) p_i, so each Newton step is a plain sum
@@ -374,14 +370,9 @@ def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
     return TruncatedPoly._raw(ring, out)
 
 
-def elementary_symmetric(nvars: int, cap: int, index: int) -> TruncatedPoly:
-    """The elementary symmetric polynomial ``e_index`` in the ring variables."""
+def elementary_symmetric(ring: Packing, index: int) -> TruncatedPoly:
+    """The elementary symmetric polynomial ``e_index`` in the variables of ``ring``."""
     if index < 0:
         raise ValueError("negative elementary symmetric index")
-    if index == 0:
-        return TruncatedPoly.one(nvars, cap)
-    if index > nvars or index > cap:
-        return TruncatedPoly.zero(nvars, cap)
-    ring = _ring(nvars, cap)
-    terms = {sum(ring.var(i) for i in subset): 1 for subset in combinations(range(nvars), index)}
-    return TruncatedPoly._raw(ring, terms)
+    subsets = combinations(range(ring.nvars), index)
+    return TruncatedPoly(ring, {tuple(int(i in subset) for i in range(ring.nvars)): 1 for subset in subsets})

@@ -131,6 +131,9 @@ class Packing:
     def __hash__(self) -> int:
         return hash((self.nvars, self.bound, self.box))
 
+    def __repr__(self) -> str:
+        return f"Packing({self.nvars}, {self.bound}, {self.box})"
+
     def offset(self, var: int) -> int:
         """Bit offset of the field of variable ``var``."""
         return (self.nvars - 1 - var) * self.width

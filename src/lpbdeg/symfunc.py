@@ -74,7 +74,7 @@ def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> 
         if not piece.is_homogeneous(j):
             raise ValueError(f"graded piece {j} is not homogeneous of degree {j}")
     powers = [graded_characters[j].scale(factorial(j)) for j in range(k + 1)]
-    complete = [TruncatedPoly._raw(head.ring, {0: 1})]
+    complete = [TruncatedPoly.one(head.ring)]
     for j in range(1, k + 1):
         acc = dict(powers[j].terms)
         for i in range(1, j):

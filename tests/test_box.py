@@ -1,9 +1,10 @@
 """The exponent box of the Grassmannian ring, against unboxed oracles.
 
-Over G(3, m) every class is computed in ``Q[x] / (deg > cap, x_i^m)``.
-Each boxed operation must equal the unboxed one with the monomials that
-have an exponent above ``m - 1`` removed.  The oracles below run in the
-unboxed ring and live only here.
+Over G(3, m) every class is computed in ``GrassContext.ring``,
+``Q[x] / (deg > g, x_i^m)``; the ring operations are also tested at caps
+below g.  Each boxed operation must equal the unboxed one with the
+monomials that have an exponent above ``m - 1`` removed.  The oracles
+below run in the unboxed ring and live only here.
 """
 
 from collections import Counter
@@ -26,9 +27,15 @@ from lpbdeg.bundles import (
     dual,
     total_segre,
 )
-from lpbdeg.foliation import METHOD_CH_PARTITION, METHOD_CHERN_QUOTIENT, degree_lpb, pullback_forms_bundle
+from lpbdeg.foliation import (
+    METHOD_BOTH,
+    METHOD_CH_PARTITION,
+    METHOD_CHERN_QUOTIENT,
+    degree_lpb,
+    pullback_forms_bundle,
+)
 from lpbdeg.grassmann import GrassContext
-from lpbdeg.polyring import TruncatedPoly, inverse_unit_series, product_shifted_linear
+from lpbdeg.polyring import TruncatedPoly, elementary_symmetric, inverse_unit_series, product_shifted_linear
 from lpbdeg.sparse import Packing
 from permutation_helpers import orbits_of
 
@@ -38,13 +45,16 @@ coeffs = st.integers(min_value=-6, max_value=6)
 def _in_box(p, box):
     """``p`` with every term that has an exponent above ``box`` removed."""
     kept = {e: c for e, c in p.sorted_terms() if max(e) <= box}
-    return TruncatedPoly(p.nvars, p.cap, kept, box=box)
+    return TruncatedPoly(Packing(p.nvars, p.cap, box), kept)
+
+
+grassmannians = st.integers(4, 7).map(lambda m: GrassContext(3, m))
 
 
 @st.composite
 def grass_rings(draw):
     """(ctx, cap): a G(3, m) with m = 4..7 and a cap up to its dimension."""
-    ctx = GrassContext(3, draw(st.integers(4, 7)))
+    ctx = draw(grassmannians)
     return ctx, draw(st.integers(0, ctx.g))
 
 
@@ -56,7 +66,7 @@ def unboxed_polys(draw, cap):
         c = draw(coeffs)
         for image in set(permutations(expo)):
             terms[image] = terms.get(image, 0) + c
-    return TruncatedPoly(3, cap, terms)
+    return TruncatedPoly(Packing(3, cap, cap), terms)
 
 
 @given(grass_rings(), st.data())
@@ -72,7 +82,7 @@ def test_boxed_product_drops_only_out_of_box_terms(case, data):
 def test_boxed_inverse_drops_only_out_of_box_terms(case, data):
     ctx, cap = case
     p = data.draw(unboxed_polys(cap))
-    unit = p - TruncatedPoly.constant(3, cap, p.constant_term() - 1)
+    unit = p - TruncatedPoly.constant(Packing(3, cap, cap), p.constant_term() - 1)
     assert inverse_unit_series(_in_box(unit, ctx.box)) == _in_box(inverse_unit_series(unit), ctx.box)
 
 
@@ -80,14 +90,14 @@ def test_boxed_inverse_drops_only_out_of_box_terms(case, data):
 def test_boxed_chern_product_drops_only_out_of_box_terms(case, forms):
     ctx, cap = case
     roots = Counter(orbits_of(forms))
-    boxed = product_shifted_linear(roots, cap, 3, box=ctx.box)
-    assert boxed == _in_box(product_shifted_linear(roots, cap, 3), ctx.box)
+    boxed = product_shifted_linear(roots, Packing(3, cap, ctx.box))
+    assert boxed == _in_box(product_shifted_linear(roots, Packing(3, cap, cap)), ctx.box)
 
 
 def test_moment_table_lists_only_monomials_in_the_box():
     # over G(3, 8) the top grade keeps 28 of its C(17, 2) = 136 monomials
     ctx = GrassContext(3, 8)
-    boxed = sparse.monomial_tree(Packing(3, ctx.g, ctx.box))
+    boxed = sparse.monomial_tree(ctx.ring)
     assert len(boxed[-1][1]) == 28
     assert len(sparse.monomial_tree(Packing(3, ctx.g, ctx.g))[-1][1]) == 136
     assert all(max(Packing(3, ctx.g).unpack(k)) <= ctx.box for _, keys, _ in boxed for k in keys)
@@ -105,9 +115,9 @@ exprs = st.sampled_from(
 )
 
 
-def _character_unboxed(expr, ctx, degree, cap):
+def _character_unboxed(expr, ctx, degree):
     """Sum of signed powers of the roots over degree!, multiplied out."""
-    ring = Packing(3, cap, cap)
+    ring = Packing(3, ctx.g, ctx.g)
     total = {}
     for form, m in chern_roots(expr, ctx).signed.items():
         linear = {ring.var(v): a for v, a in enumerate(form) if a}
@@ -115,35 +125,34 @@ def _character_unboxed(expr, ctx, degree, cap):
         for _ in range(degree):
             power = sparse.mul(power, linear, ring.keep)
         sparse.add(total, power)
-    return TruncatedPoly(3, cap, ring.unpack_terms(total)).scale(Fraction(1, factorial(degree)))
+    return TruncatedPoly(ring, ring.unpack_terms(total)).scale(Fraction(1, factorial(degree)))
 
 
-@given(exprs, grass_rings(), st.data())
-def test_boxed_character_drops_only_out_of_box_terms(expr, case, data):
-    ctx, cap = case
-    degree = data.draw(st.integers(0, cap))
-    got = chern_character_graded(expr, ctx, degree, cap)
-    assert got == [_in_box(_character_unboxed(expr, ctx, j, cap), ctx.box) for j in range(degree + 1)]
+@given(exprs, grassmannians, st.data())
+def test_boxed_character_drops_only_out_of_box_terms(expr, ctx, data):
+    degree = data.draw(st.integers(0, ctx.g))
+    got = chern_character_graded(expr, ctx, degree)
+    assert got == [_in_box(_character_unboxed(expr, ctx, j), ctx.box) for j in range(degree + 1)]
 
 
-def _total_chern_unboxed(expr, ctx, cap):
+def _total_chern_unboxed(expr, ctx):
     # the quotient of the two parts, each a product of honest roots
     roots = chern_roots(expr, ctx)
-    num = product_shifted_linear(roots.positive, cap, 3)
-    return num * inverse_unit_series(product_shifted_linear(roots.negative, cap, 3))
+    ring = Packing(3, ctx.g, ctx.g)
+    num = product_shifted_linear(roots.positive, ring)
+    return num * inverse_unit_series(product_shifted_linear(roots.negative, ring))
 
 
-@given(exprs, grass_rings())
-def test_boxed_segre_drops_only_out_of_box_terms(expr, case):
-    ctx, cap = case
-    unboxed = inverse_unit_series(_total_chern_unboxed(expr, ctx, cap))
-    assert total_segre(expr, ctx, cap) == _in_box(unboxed, ctx.box)
+@given(exprs, grassmannians)
+def test_boxed_segre_drops_only_out_of_box_terms(expr, ctx):
+    unboxed = inverse_unit_series(_total_chern_unboxed(expr, ctx))
+    assert total_segre(expr, ctx) == _in_box(unboxed, ctx.box)
 
 
 def _degree_unboxed(d, n):
     """The quotient route of ``degree_lpb`` with no exponent box."""
     ctx = GrassContext(3, n + 1)
-    chern = _total_chern_unboxed(pullback_forms_bundle(d), ctx, ctx.g)
+    chern = _total_chern_unboxed(pullback_forms_bundle(d), ctx)
     return ctx.integrate(inverse_unit_series(chern).graded_part(ctx.g))
 
 
@@ -153,3 +162,39 @@ def test_degrees_match_the_unboxed_ring():
             expected = _degree_unboxed(d, n)
             assert degree_lpb(d, n, method=METHOD_CHERN_QUOTIENT) == expected
             assert degree_lpb(d, n, method=METHOD_CH_PARTITION) == expected
+
+
+def test_the_ring_of_a_grassmannian_is_one_value():
+    ctx = GrassContext(3, 6)
+    assert ctx.ring == Packing(3, ctx.g, ctx.box) == Packing(3, 9, 5)
+    assert ctx.ring is ctx.ring and GrassContext(3, 6).ring == ctx.ring
+    expr = pullback_forms_bundle(2)
+    assert total_segre(expr, ctx).ring is ctx.ring
+    assert all(piece.ring is ctx.ring for piece in chern_character_graded(dual(expr), ctx, ctx.g))
+
+
+def test_every_integrated_class_lives_in_the_ring_of_its_grassmannian(monkeypatch):
+    seen = []
+    integrate = GrassContext.integrate
+
+    def recording(ctx, cls):
+        seen.append((ctx, cls.ring))
+        return integrate(ctx, cls)
+
+    monkeypatch.setattr(GrassContext, "integrate", recording)
+    ctx = GrassContext(3, 6)
+    assert ctx.plucker_degree() == 42
+    assert seen == [(ctx, ctx.ring)] and seen[0][1] is ctx.ring
+    seen.clear()
+    # both routes of one degree
+    degree_lpb(2, 5, method=METHOD_BOTH)
+    assert len(seen) == 2
+    assert all(ring is context.ring == Packing(3, 9, 5) for context, ring in seen)
+
+
+def test_plucker_degree_in_the_box_matches_the_unboxed_ring():
+    # the calibration: e_1^g integrates alike with the box at m - 1 and at the cap
+    for m in range(4, 10):
+        ctx = GrassContext(3, m)
+        e1 = elementary_symmetric(Packing(3, ctx.g, ctx.g), 1)
+        assert ctx.plucker_degree() == ctx.integrate(e1**ctx.g), m

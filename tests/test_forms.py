@@ -291,6 +291,19 @@ def test_integrability_defect_matches_all_triples_beyond_the_strategy(make, n, d
     assert list(got.items()) == list(_all_triples_defect(form).items())
 
 
+def test_only_the_latest_defect_table_stays_cached():
+    # a run checks one (n, d) after another, so an older table is dropped
+    table = forms._defect_table
+    integrability_defect(random_form(3, 2, 7))
+    integrability_defect(random_form(4, 1, 7))
+    assert table.cache_info().currsize == 1
+    misses = table.cache_info().misses
+    table(4, 1)
+    assert table.cache_info().misses == misses
+    table(3, 2)
+    assert table.cache_info().misses == misses + 1
+
+
 @pytest.mark.parametrize("d, expected", [(1, 9), (2, 19), (3, 34)])
 def test_pullback_builds_each_monomial_image_once(d, expected, monkeypatch):
     # one product per monomial of degree 1..d+1 in the 3 plane variables,

@@ -17,10 +17,12 @@ from lpbdeg.polyring import (
     power_sums,
     product_shifted_linear,
 )
+from lpbdeg.sparse import Packing
 from permutation_helpers import orbits_of, symmetrize
 
 NVARS = 3
 CAP = 4
+RING = Packing(NVARS, CAP, CAP)
 
 coeffs = st.integers(min_value=-6, max_value=6)
 
@@ -32,7 +34,7 @@ def symmetric_polys(draw, box=CAP):
     for _ in range(draw(st.integers(0, 6))):
         expo = tuple(draw(st.integers(0, 2)) for _ in range(NVARS))
         terms[expo] = draw(coeffs)
-    return TruncatedPoly(NVARS, CAP, symmetrize(terms), box=box)
+    return TruncatedPoly(Packing(NVARS, CAP, box), symmetrize(terms))
 
 
 def _linear(form, ring):
@@ -41,43 +43,47 @@ def _linear(form, ring):
 
 
 def _one():
-    return TruncatedPoly.one(NVARS, CAP)
+    return TruncatedPoly.one(RING)
 
 
 def test_construction_validation():
     with pytest.raises(ValueError):
-        TruncatedPoly(0, 3)
+        TruncatedPoly(Packing(0, 3, 3))
     with pytest.raises(ValueError):
-        TruncatedPoly(2, -1)
+        TruncatedPoly(Packing(2, -1, -1))
     with pytest.raises(ValueError):
-        TruncatedPoly(2, 3, {(1,): 1})
+        TruncatedPoly(Packing(2, 3, 3), {(1,): 1})
     with pytest.raises(ValueError):
-        TruncatedPoly(2, 3, {(-1, 0): 1})
+        TruncatedPoly(Packing(2, 3, 3), {(-1, 0): 1})
+    # a truncated ring has a box; a packing without one truncates nothing
+    for make in (TruncatedPoly, TruncatedPoly.one, lambda ring: product_shifted_linear({}, ring)):
+        with pytest.raises(ValueError, match="box"):
+            make(Packing(2, 3))
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 0.0, Decimal(1), Decimal("0.5")])
 def test_construction_rejects_inexact_coefficients(c):
     # a float or Decimal coefficient, even an integral one or zero, is not exact
     with pytest.raises(ValueError, match="not an exact scalar"):
-        TruncatedPoly(1, 2, {(1,): c})
+        TruncatedPoly(Packing(1, 2, 2), {(1,): c})
     with pytest.raises(ValueError, match="not an exact scalar"):
-        TruncatedPoly.constant(3, 2, c)
+        TruncatedPoly.constant(Packing(3, 2, 2), c)
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 0.0, Decimal(0), Decimal("0.5")])
 def test_scale_rejects_inexact_scalars(c):
     # zero too: the scalar is checked before the zero shortcut
-    p = TruncatedPoly(2, 3, {(1, 0): 1, (0, 1): 1})
+    p = TruncatedPoly(Packing(2, 3, 3), {(1, 0): 1, (0, 1): 1})
     with pytest.raises(ValueError, match="not an exact scalar"):
         p.scale(c)
     with pytest.raises(ValueError, match="not an exact scalar"):
-        TruncatedPoly.zero(2, 3).scale(c)
+        TruncatedPoly.zero(Packing(2, 3, 3)).scale(c)
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 0.0, Decimal(0), "1/2"])
 def test_products_with_inexact_scalars_raise_value_error(c):
     # a scalar operand goes through normalize on either side, as in scale
-    p = TruncatedPoly(2, 3, {(1, 0): 1, (0, 1): 1})
+    p = TruncatedPoly(Packing(2, 3, 3), {(1, 0): 1, (0, 1): 1})
     with pytest.raises(ValueError, match="not an exact scalar"):
         p * c
     with pytest.raises(ValueError, match="not an exact scalar"):
@@ -85,20 +91,20 @@ def test_products_with_inexact_scalars_raise_value_error(c):
 
 
 def test_products_with_exact_scalars_scale():
-    p = TruncatedPoly(2, 3, {(1, 0): 1, (0, 1): 1, (1, 1): 2})
+    p = TruncatedPoly(Packing(2, 3, 3), {(1, 0): 1, (0, 1): 1, (1, 1): 2})
     assert p * 3 == 3 * p == p.scale(3)
     assert p * Fraction(1, 2) == Fraction(1, 2) * p == p.scale(Fraction(1, 2))
 
 
 def test_construction_rejects_non_integer_exponents():
     with pytest.raises(ValueError, match="non-integer exponent"):
-        TruncatedPoly(1, 2, {(1.0,): 1})
+        TruncatedPoly(Packing(1, 2, 2), {(1.0,): 1})
     with pytest.raises(ValueError, match="non-integer exponent"):
-        TruncatedPoly(1, 2, {(Fraction(1),): 1})
+        TruncatedPoly(Packing(1, 2, 2), {(Fraction(1),): 1})
 
 
 def test_construction_truncates_and_prunes():
-    p = TruncatedPoly(2, 2, {(0, 0): 1, (1, 1): 0, (3, 0): 7})
+    p = TruncatedPoly(Packing(2, 2, 2), {(0, 0): 1, (1, 1): 0, (3, 0): 7})
     assert dict(p.sorted_terms()) == {(0, 0): 1}
     assert p.constant_term() == 1
 
@@ -112,30 +118,32 @@ def test_exponent_enumeration_order_is_stable():
 
 
 def test_construction_and_queries_respect_the_box():
-    p = TruncatedPoly(2, 4, symmetrize({(0, 0): 1, (2, 1): 3, (3, 0): 7, (1, 3): 5}), box=2)
+    p = TruncatedPoly(Packing(2, 4, 2), symmetrize({(0, 0): 1, (2, 1): 3, (3, 0): 7, (1, 3): 5}))
     assert p.box == 2
     assert dict(p.sorted_terms()) == {(0, 0): 1, (1, 2): 3, (2, 1): 3}
     assert p.coefficient((3, 0)) == 0 and p.coefficient((2, 1)) == 3
-    assert p != TruncatedPoly(2, 4, {(0, 0): 1, (1, 2): 3, (2, 1): 3})
-    assert TruncatedPoly(2, 4, box=4) == TruncatedPoly.zero(2, 4)
-    # the box shows, so unequal rings never print alike
-    assert repr(p) == "TruncatedPoly(2, 4, 1*x^[0, 0] + 3*x^[1, 2] + 3*x^[2, 1], box=2)"
-    assert repr(TruncatedPoly.zero(2, 4)) == repr(TruncatedPoly(2, 4, box=7)) == "TruncatedPoly(2, 4, 0)"
-    # every ring truncates through its key set, the box defaulting to the cap
-    assert TruncatedPoly.one(2, 4).box == 4
-    assert all(q.ring.keep is not None for q in (p, TruncatedPoly.one(2, 4), elementary_symmetric(3, 3, 1)))
+    assert p != TruncatedPoly(Packing(2, 4, 4), {(0, 0): 1, (1, 2): 3, (2, 1): 3})
+    assert TruncatedPoly(Packing(2, 4, 4)) == TruncatedPoly.zero(Packing(2, 4, 4))
+    # the ring shows, so unequal rings never print alike
+    assert repr(p) == "TruncatedPoly(Packing(2, 4, 2), 1*x^[0, 0] + 3*x^[1, 2] + 3*x^[2, 1])"
+    zero = "TruncatedPoly(Packing(2, 4, 4), 0)"
+    assert repr(TruncatedPoly.zero(Packing(2, 4, 4))) == repr(TruncatedPoly(Packing(2, 4, 7))) == zero
+    # every ring truncates through its key set
+    assert TruncatedPoly.one(Packing(2, 4, 4)).box == 4
+    classes = (p, TruncatedPoly.one(Packing(2, 4, 4)), elementary_symmetric(Packing(3, 3, 3), 1))
+    assert all(q.ring.keep is not None for q in classes)
     with pytest.raises(ValueError):
-        p * TruncatedPoly.one(2, 4)
+        p * TruncatedPoly.one(Packing(2, 4, 4))
 
 
 def test_truncation_in_products():
-    x = TruncatedPoly(1, 2, {(1,): 1})
-    p = (TruncatedPoly.one(1, 2) + x) ** 5
+    x = TruncatedPoly(Packing(1, 2, 2), {(1,): 1})
+    p = (TruncatedPoly.one(Packing(1, 2, 2)) + x) ** 5
     assert dict(p.sorted_terms()) == {(0,): 1, (1,): 5, (2,): 10}
 
 
 def test_variable_and_linear_constructors():
-    p = TruncatedPoly(3, CAP, symmetrize({(1, 0, 0): 2, (1, 1, 0): -1}))
+    p = TruncatedPoly(Packing(3, CAP, CAP), symmetrize({(1, 0, 0): 2, (1, 1, 0): -1}))
     assert p.coefficient((1, 0, 0)) == p.coefficient((0, 0, 1)) == 2
     assert p.coefficient((2, 0, 0)) == 0
     assert p.coefficient((0, 1, 1)) == -1
@@ -143,14 +151,14 @@ def test_variable_and_linear_constructors():
 
 def test_product_shifted_linear_rejects_non_integer_coefficients():
     with pytest.raises(ValueError):
-        product_shifted_linear({(Fraction(1, 2),): 1}, 3, 1)
+        product_shifted_linear({(Fraction(1, 2),): 1}, Packing(1, 3, 3))
     with pytest.raises(ValueError):
-        product_shifted_linear({(1, 0): 1, (0, 1.0): 1}, 3, 2)
+        product_shifted_linear({(1, 0): 1, (0, 1.0): 1}, Packing(2, 3, 3))
 
 
 def test_incompatible_rings_rejected():
-    p = TruncatedPoly.one(2, 3)
-    q = TruncatedPoly.one(2, 4)
+    p = TruncatedPoly.one(Packing(2, 3, 3))
+    q = TruncatedPoly.one(Packing(2, 4, 4))
     with pytest.raises(ValueError):
         p + q
     with pytest.raises(ValueError):
@@ -158,7 +166,7 @@ def test_incompatible_rings_rejected():
 
 
 def test_graded_part_and_queries():
-    p = TruncatedPoly(2, 3, {(0, 0): 2, (1, 0): 3, (0, 1): 3, (1, 1): 5})
+    p = TruncatedPoly(Packing(2, 3, 3), {(0, 0): 2, (1, 0): 3, (0, 1): 3, (1, 1): 5})
     assert dict(p.graded_part(2).sorted_terms()) == {(1, 1): 5}
     assert p.graded_part(3).is_zero
     assert not p.is_homogeneous(1)
@@ -170,13 +178,14 @@ def test_graded_part_and_queries():
 
 
 def test_symmetry_detection():
-    assert TruncatedPoly(3, 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}) == elementary_symmetric(3, 3, 1)
+    ring = Packing(3, 3, 3)
+    assert TruncatedPoly(ring, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}) == elementary_symmetric(ring, 1)
     with pytest.raises(ValueError, match="symmetric"):
-        TruncatedPoly(3, 3, {(1, 0, 0): 1})
+        TruncatedPoly(ring, {(1, 0, 0): 1})
     with pytest.raises(ValueError, match="symmetric"):
-        TruncatedPoly(2, 3, {(1, 0): 1, (0, 1): 2})
+        TruncatedPoly(Packing(2, 3, 3), {(1, 0): 1, (0, 1): 2})
     # the check reads the class the ring keeps: the box drops (3, 0, 0) here
-    assert TruncatedPoly(3, 3, {(3, 0, 0): 1}, box=2).is_zero
+    assert TruncatedPoly(Packing(3, 3, 2), {(3, 0, 0): 1}).is_zero
 
 
 @given(st.integers(1, CAP).flatmap(lambda box: st.tuples(symmetric_polys(box), symmetric_polys(box))))
@@ -192,9 +201,9 @@ def test_graded_part_of_an_asymmetric_class_may_be_symmetric():
     # the constructor checks the whole class, not its grades one at a time
     terms = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (2, 0, 0): 1}
     with pytest.raises(ValueError, match="symmetric"):
-        TruncatedPoly(3, 3, terms)
+        TruncatedPoly(Packing(3, 3, 3), terms)
     linear = {e: c for e, c in terms.items() if sum(e) == 1}
-    assert TruncatedPoly(3, 3, linear) == elementary_symmetric(3, 3, 1)
+    assert TruncatedPoly(Packing(3, 3, 3), linear) == elementary_symmetric(Packing(3, 3, 3), 1)
 
 
 @given(symmetric_polys(), st.integers(0, CAP), st.integers(-3, 3))
@@ -205,14 +214,14 @@ def test_graded_parts_and_multiples_of_a_symmetric_class_are_symmetric(p, degree
 
 
 def test_boxed_constants():
-    assert TruncatedPoly.one(3, 6, box=2) == TruncatedPoly(3, 6, {(0, 0, 0): 1}, box=2)
-    assert TruncatedPoly.zero(3, 6, box=2).box == TruncatedPoly.constant(3, 6, 5, box=2).box == 2
-    assert TruncatedPoly.one(3, 6).box == 6
-    assert TruncatedPoly.zero(3, 6, box=2).is_zero
+    assert TruncatedPoly.one(Packing(3, 6, 2)) == TruncatedPoly(Packing(3, 6, 2), {(0, 0, 0): 1})
+    assert TruncatedPoly.zero(Packing(3, 6, 2)).box == TruncatedPoly.constant(Packing(3, 6, 2), 5).box == 2
+    assert TruncatedPoly.one(Packing(3, 6, 6)).box == 6
+    assert TruncatedPoly.zero(Packing(3, 6, 2)).is_zero
 
 
 def test_sorted_terms_graded_lex():
-    p = TruncatedPoly(2, 3, symmetrize({(0, 2): 3, (1, 0): 2, (1, 1): 5, (0, 0): 4}))
+    p = TruncatedPoly(Packing(2, 3, 3), symmetrize({(0, 2): 3, (1, 0): 2, (1, 1): 5, (0, 0): 4}))
     order = [e for e, _ in p.sorted_terms()]
     assert order == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
@@ -222,7 +231,7 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p + q) * r == p * r + q * r
     assert (p * q) * r == p * (q * r)
-    assert p + TruncatedPoly.zero(NVARS, CAP) == p
+    assert p + TruncatedPoly.zero(RING) == p
     assert p * _one() == p
 
 
@@ -241,19 +250,19 @@ def test_scale_matches_repeated_addition(p):
     assert p.scale(Fraction(1, 2)) + p.scale(Fraction(1, 2)) == p
     # integral results are stored as ints, so later products stay on ints
     assert all(type(c) is int for _, c in p.scale(Fraction(1, 2)).scale(2).sorted_terms())
-    assert p * 0 == TruncatedPoly.zero(NVARS, CAP)
+    assert p * 0 == TruncatedPoly.zero(RING)
 
 
 @given(symmetric_polys())
 def test_inverse_unit_series_roundtrip(p):
-    unit = p + _one() - TruncatedPoly.constant(NVARS, CAP, p.constant_term())
+    unit = p + _one() - TruncatedPoly.constant(RING, p.constant_term())
     inv = inverse_unit_series(unit)
     assert unit * inv == _one()
 
 
 @given(symmetric_polys(box=2))
 def test_inverse_of_a_symmetric_unit_series(p):
-    unit = p + TruncatedPoly.constant(NVARS, CAP, 1 - p.constant_term(), box=2)
+    unit = p + TruncatedPoly.constant(Packing(NVARS, CAP, 2), 1 - p.constant_term())
     inv = inverse_unit_series(unit)
     assert sparse.is_symmetric(inv.terms, inv.ring)
     assert sparse.mul(unit.terms, inv.terms, unit.ring.keep) == {0: 1}
@@ -261,43 +270,44 @@ def test_inverse_of_a_symmetric_unit_series(p):
 
 def test_inverse_needs_unit_constant_term():
     with pytest.raises(ValueError):
-        inverse_unit_series(TruncatedPoly.zero(2, 3))
+        inverse_unit_series(TruncatedPoly.zero(Packing(2, 3, 3)))
     with pytest.raises(ValueError):
-        inverse_unit_series(TruncatedPoly.constant(2, 3, 2))
+        inverse_unit_series(TruncatedPoly.constant(Packing(2, 3, 3), 2))
 
 
 def test_product_shifted_linear_explicit():
-    p = product_shifted_linear({(1, -2): 1, (-2, 1): 1}, 2, 2)
+    p = product_shifted_linear({(1, -2): 1, (-2, 1): 1}, Packing(2, 2, 2))
     # (1 + x - 2y)(1 - 2x + y) = 1 - x - y - 2x^2 + 5xy - 2y^2
     assert dict(p.sorted_terms()) == {(0, 0): 1, (0, 1): -1, (1, 0): -1, (0, 2): -2, (1, 1): 5, (2, 0): -2}
 
 
 def test_product_shifted_linear_rejects_asymmetric_roots():
     with pytest.raises(ValueError, match="symmetric"):
-        product_shifted_linear({(1, 0): 1, (0, -2): 1}, 2, 2)
+        product_shifted_linear({(1, 0): 1, (0, -2): 1}, Packing(2, 2, 2))
     with pytest.raises(ValueError, match="symmetric"):
-        product_shifted_linear({(1, 0, 0): 1, (0, 1, 0): 1}, 3, 3, box=1)
+        product_shifted_linear({(1, 0, 0): 1, (0, 1, 0): 1}, Packing(3, 3, 1))
     # multiplicities that differ on an orbit break the symmetry too
     with pytest.raises(ValueError, match="symmetric"):
-        product_shifted_linear({(1, 0): 1, (0, 1): -2}, 2, 2)
+        product_shifted_linear({(1, 0): 1, (0, 1): -2}, Packing(2, 2, 2))
     # the map is checked, so the order of its forms does not matter
-    assert product_shifted_linear({(0, 1): 1, (1, 0): 1}, 2, 2) == product_shifted_linear({(1, 0): 1, (0, 1): 1}, 2, 2)
+    ring = Packing(2, 2, 2)
+    assert product_shifted_linear({(0, 1): 1, (1, 0): 1}, ring) == product_shifted_linear({(1, 0): 1, (0, 1): 1}, ring)
 
 
 def test_product_shifted_linear_empty_needs_nvars():
-    assert product_shifted_linear({}, 3, 2) == TruncatedPoly.one(2, 3)
+    assert product_shifted_linear({}, Packing(2, 3, 3)) == TruncatedPoly.one(Packing(2, 3, 3))
     with pytest.raises(TypeError):
-        product_shifted_linear({}, 3)
+        product_shifted_linear({})
     with pytest.raises(ValueError):
-        product_shifted_linear({(1,): 1}, 3, 2)
+        product_shifted_linear({(1,): 1}, Packing(2, 3, 3))
     with pytest.raises(ValueError):
-        product_shifted_linear({(1,): 1, (1, 2): 1}, 3, 1)
+        product_shifted_linear({(1,): 1, (1, 2): 1}, Packing(1, 3, 3))
 
 
 @given(st.lists(st.tuples(coeffs, coeffs, coeffs), max_size=4))
 def test_product_shifted_linear_matches_naive(form_coeffs):
     forms = orbits_of(form_coeffs)
-    fast = product_shifted_linear(Counter(forms), CAP, 3)
+    fast = product_shifted_linear(Counter(forms), Packing(3, CAP, CAP))
     ring = fast.ring
     slow = {0: 1}
     for form in forms:
@@ -339,7 +349,7 @@ def test_product_shifted_linear_matches_one_factor_at_a_time(case):
     nvars, cap, picks = case
     # a form picked twice is one root of multiplicity two
     roots = Counter(orbits_of(picks))
-    got = product_shifted_linear(roots, cap, nvars)
+    got = product_shifted_linear(roots, Packing(nvars, cap, cap))
     assert (got.nvars, got.cap) == (nvars, cap)
     assert dict(got.sorted_terms()) == _one_factor_at_a_time(roots, nvars, cap)
     assert all(type(c) is int for _, c in got.sorted_terms())
@@ -351,7 +361,7 @@ def test_product_shifted_linear_of_symmetric_roots(case, box):
     # power sums, and every Newton step, are symmetric
     nvars, cap, forms = case
     closed = Counter(image for form in forms for image in permutations(form))
-    got = product_shifted_linear(closed, cap, nvars, box=box)
+    got = product_shifted_linear(closed, Packing(nvars, cap, box))
     assert sparse.is_symmetric(got.terms, got.ring)
     expected = _one_factor_at_a_time(closed, nvars, cap)
     assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= got.box}
@@ -378,9 +388,9 @@ def test_product_shifted_linear_of_signed_roots(case):
     nvars, cap, box, roots = case
     positive = {f: m for f, m in roots.items() if m > 0}
     negative = {f: -m for f, m in roots.items() if m < 0}
-    num = TruncatedPoly(nvars, cap, _one_factor_at_a_time(positive, nvars, cap), box=box)
-    den = TruncatedPoly(nvars, cap, _one_factor_at_a_time(negative, nvars, cap), box=box)
-    got = product_shifted_linear(roots, cap, nvars, box=box)
+    num = TruncatedPoly(Packing(nvars, cap, box), _one_factor_at_a_time(positive, nvars, cap))
+    den = TruncatedPoly(Packing(nvars, cap, box), _one_factor_at_a_time(negative, nvars, cap))
+    got = product_shifted_linear(roots, Packing(nvars, cap, box))
     assert got == num * inverse_unit_series(den)
     assert all(type(c) is int for _, c in got.sorted_terms())
 
@@ -428,17 +438,17 @@ def test_product_shifted_linear_across_form_blocks(distinct, boxed):
     # enough distinct forms to fill several blocks, a last partial one
     # included, each repeated 1 to 3 times
     nvars, cap = 3, 5
-    box = cap - 2 if boxed else None
+    box = cap - 2 if boxed else cap
     # a multiplicity constant on each orbit keeps the roots symmetric
     orbits = _symmetric_pool(distinct, nvars)
     roots = {f: 1 + i % 3 for i, orbit in enumerate(orbits) for f in orbit}
-    got = product_shifted_linear(roots, cap, nvars, box=box)
+    got = product_shifted_linear(roots, Packing(nvars, cap, box))
     expected = _one_factor_at_a_time(roots, nvars, cap)
-    top = cap if box is None else box
-    assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= top}
+    assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= box}
     # the moment pass on its own, with multiplicities of both signs, each
-    # constant on its orbit
-    _check_power_sums({f: (-1) ** i * (1 + i % 3) for i, orbit in enumerate(orbits) for f in orbit}, nvars, cap, box)
+    # constant on its orbit, and in a packing without a box when unboxed
+    signed = {f: (-1) ** i * (1 + i % 3) for i, orbit in enumerate(orbits) for f in orbit}
+    _check_power_sums(signed, nvars, cap, box if boxed else None)
 
 
 @pytest.mark.parametrize(
@@ -489,12 +499,12 @@ def test_power_sums_degree_range():
 
 
 def test_elementary_symmetric_explicit():
-    e1 = elementary_symmetric(3, 3, 1)
+    e1 = elementary_symmetric(Packing(3, 3, 3), 1)
     assert dict(e1.sorted_terms()) == {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
-    e3 = elementary_symmetric(3, 3, 3)
+    e3 = elementary_symmetric(Packing(3, 3, 3), 3)
     assert dict(e3.sorted_terms()) == {(1, 1, 1): 1}
-    assert elementary_symmetric(3, 3, 4).is_zero
-    assert elementary_symmetric(3, 2, 3).is_zero
-    assert elementary_symmetric(3, 3, 0) == TruncatedPoly.one(3, 3)
+    assert elementary_symmetric(Packing(3, 3, 3), 4).is_zero
+    assert elementary_symmetric(Packing(3, 2, 2), 3).is_zero
+    assert elementary_symmetric(Packing(3, 3, 3), 0) == TruncatedPoly.one(Packing(3, 3, 3))
     with pytest.raises(ValueError):
-        elementary_symmetric(3, 3, -1)
+        elementary_symmetric(Packing(3, 3, 3), -1)

@@ -93,7 +93,7 @@ def test_key_order_is_graded_lex(case):
     by_key = [ring.unpack(k) for k in sorted(ring.pack(e) for e in expos)]
     assert by_key == sorted(expos, key=lambda e: (sum(e), e))
     sym = symmetrize(p)
-    poly = TruncatedPoly(nvars, cap, sym)
+    poly = TruncatedPoly(Packing(nvars, cap, cap), sym)
     assert [e for e, _ in poly.sorted_terms()] == sorted(sym, key=lambda e: (sum(e), e))
 
 

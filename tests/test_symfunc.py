@@ -17,6 +17,7 @@ from lpbdeg.polyring import (
     inverse_unit_series,
     product_shifted_linear,
 )
+from lpbdeg.sparse import Packing
 from lpbdeg.symfunc import partitions, segre_via_characters
 from permutation_helpers import orbits_of, symmetrize
 
@@ -75,7 +76,7 @@ def test_weight_values():
 
 def _graded_characters_of_dual(forms, cap, upto):
     """ch pieces of the dual of the bundle with the given roots, each power multiplied out."""
-    ring = sparse.Packing(3, cap, cap)
+    ring = Packing(3, cap, cap)
     sums = [{} for _ in range(upto + 1)]
     for f in forms:
         negated = {ring.var(v): -a for v, a in enumerate(f) if a}
@@ -83,7 +84,7 @@ def _graded_characters_of_dual(forms, cap, upto):
         for p in sums:
             sparse.add(p, power)
             power = sparse.mul(power, negated, ring.keep)
-    return [TruncatedPoly(3, cap, ring.unpack_terms(p)).scale(Fraction(1, factorial(j))) for j, p in enumerate(sums)]
+    return [TruncatedPoly(ring, ring.unpack_terms(p)).scale(Fraction(1, factorial(j))) for j, p in enumerate(sums)]
 
 
 small = st.integers(min_value=-2, max_value=2)
@@ -98,7 +99,7 @@ def test_character_sum_matches_inverted_chern_series(form_coeffs, k):
     # Chern class, versus the partition-weighted character sum; each form
     # comes with its images under permuting the variables
     form_coeffs = orbits_of(form_coeffs)
-    total_chern = product_shifted_linear(Counter(form_coeffs), k, 3)
+    total_chern = product_shifted_linear(Counter(form_coeffs), Packing(3, k, k))
     expected = inverse_unit_series(total_chern).graded_part(k)
     pieces = _graded_characters_of_dual(form_coeffs, k, k)
     assert segre_via_characters(pieces, k) == expected
@@ -108,9 +109,9 @@ def _segre_reference(pieces, k):
     # the partition-weighted sum read literally, on the unscaled pieces
     # in the pieces' own ring, whose exponent box may be below the cap
     ring = pieces[0].ring
-    total = TruncatedPoly.zero(ring.nvars, ring.bound, box=ring.box)
+    total = TruncatedPoly.zero(ring)
     for lam in partitions(k):
-        product = TruncatedPoly.one(ring.nvars, ring.bound, box=ring.box)
+        product = TruncatedPoly.one(ring)
         for part in lam:
             product = product * pieces[part]
         total = total + product.scale(weight_w(lam))
@@ -123,11 +124,12 @@ def graded_pieces(draw):
     nvars = draw(st.integers(1, 3))
     cap = k + draw(st.integers(0, 1))
     coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+    ring = Packing(nvars, cap, cap)
     pieces = []
     for j in range(k + 1):
         monomials = list(exponents_of_degree(nvars, j))
         chosen = draw(st.lists(st.sampled_from(monomials), max_size=3, unique=True))
-        pieces.append(TruncatedPoly(nvars, cap, symmetrize({e: draw(coeffs) for e in chosen})))
+        pieces.append(TruncatedPoly(ring, symmetrize({e: draw(coeffs) for e in chosen})))
     return pieces, k
 
 
@@ -145,7 +147,7 @@ def test_character_sum_matches_literal_partition_sum_on_the_grassmannian():
     # only the k <= 6 the random pieces reach; the roots are integers, so
     # every h_k is an integer polynomial and the class holds ints only
     ctx = GrassContext(3, 7)
-    pieces = chern_character_graded(dual(pullback_forms_bundle(2)), ctx, ctx.g, ctx.g)
+    pieces = chern_character_graded(dual(pullback_forms_bundle(2)), ctx, ctx.g)
     for k in range(ctx.g + 1):
         segre = segre_via_characters(pieces, k)
         assert segre == _segre_reference(pieces, k), k
@@ -160,13 +162,13 @@ def test_class_sizes_count_permutations():
 
 
 def test_character_sum_validation():
-    one = TruncatedPoly.one(3, 2)
+    one = TruncatedPoly.one(Packing(3, 2, 2))
     with pytest.raises(ValueError):
         segre_via_characters([one], 1)
-    inhomogeneous = elementary_symmetric(3, 2, 1) + one
+    inhomogeneous = elementary_symmetric(Packing(3, 2, 2), 1) + one
     with pytest.raises(ValueError):
         segre_via_characters([one, inhomogeneous], 1)
-    other_ring = TruncatedPoly.one(3, 3)
+    other_ring = TruncatedPoly.one(Packing(3, 3, 3))
     with pytest.raises(ValueError):
         segre_via_characters([one, other_ring], 1)
     with pytest.raises(ValueError):
@@ -174,5 +176,5 @@ def test_character_sum_validation():
 
 
 def test_character_sum_degree_zero():
-    one = TruncatedPoly.one(3, 2)
+    one = TruncatedPoly.one(Packing(3, 2, 2))
     assert segre_via_characters([one.scale(5)], 0) == one
