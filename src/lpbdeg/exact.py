@@ -20,13 +20,15 @@ def normalize(c: Scalar) -> Scalar:
 
     Integral Fractions equal their ints, but arithmetic on them stays on the
     slower Fraction path; normalizing keeps integer work on ints.  Anything
-    but an ``int`` or a ``Fraction`` (a float or a ``Decimal``, say) raises
-    ``ValueError``, so no inexact value enters through a normalized entry.
+    but an ``int`` or a ``Fraction`` (a float, a ``Decimal``, or a ``bool``
+    or another subclass of ``int``) raises ``ValueError``, so no inexact
+    value enters through a normalized entry, and no ``True`` prints where a
+    1 belongs.
     """
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
-        return c
     raise ValueError(f"{c!r} is not an exact scalar (int or Fraction)")
 
 

@@ -130,7 +130,8 @@ class ProjectiveOneForm:
     so each A_i is homogeneous of degree d+1 in the n+1 variables.  The
     radial-contraction identity is not enforced here; use
     :func:`contract_radial` to test membership in the form space.  A
-    coefficient that is not an ``int`` or a ``Fraction`` raises
+    coefficient that is not an ``int`` or a ``Fraction``, or an exponent
+    that is not a nonnegative ``int`` (a ``bool`` included), raises
     ``ValueError``.
     """
 
@@ -149,10 +150,13 @@ class ProjectiveOneForm:
         clean = []
         for a in self.coeffs:
             poly: Poly = {}
+            # a bool, float or Fraction entry is not an exponent; one C-level
+            # pass clears the usual coefficient, and a key is looked at alone
+            # only to name the bad one
+            exact = set(map(type, chain.from_iterable(a))) <= {int}
             for e, c in a.items():
                 key = tuple(e)
-                # a float or Fraction entry makes the sum a float or Fraction
-                if len(key) != nv or min(key) < 0 or type(sum(key)) is not int:
+                if len(key) != nv or min(key) < 0 or not exact and set(map(type, key)) != {int}:
                     raise ValueError(f"bad exponent {key} for ambient dimension {self.n}")
                 c = normalize(c)
                 if c:

@@ -33,10 +33,10 @@ coefficient): a boxed result is the result for the box at the cap with the
 out-of-box terms removed, exactly.
 
 Exponent tuples remain the public format: the constructor takes them, and
-:meth:`TruncatedPoly.coefficient` and :meth:`TruncatedPoly.sorted_terms`
-speak them.  The order used for display and serialization is graded
-lexicographic: lower total degree first, ties broken by the exponent tuple,
-which is the integer order of packed keys.  Arithmetic itself is order-free.
+:meth:`TruncatedPoly.sorted_terms` gives them back.  The order used for
+display and serialization is graded lexicographic: lower total degree
+first, ties broken by the exponent tuple, which is the integer order of
+packed keys.  Arithmetic itself is order-free.
 
 :func:`power_sums` is the one pass from Chern roots, a map from plain
 integer coefficient tuples to signed multiplicities, to their power sums:
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import add, mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from . import sparse
 from .exact import Scalar, normalize
@@ -94,9 +94,10 @@ class TruncatedPoly:
     exponent tuples to scalars, stored as nonzero scalars on packed keys of
     ``ring``; terms beyond the cap or outside the box are dropped on
     construction.  The terms must be symmetric in the variables, with
-    integer exponents and ``int`` or ``Fraction`` coefficients; any other
-    terms, or another scalar given to :meth:`constant` or :meth:`scale`,
-    raise ``ValueError``.
+    ``int`` exponents and ``int`` or ``Fraction`` coefficients; any other
+    terms (a ``bool`` included), or another scalar given to :meth:`constant`
+    or :meth:`scale`, raise ``ValueError``.  ``*`` multiplies two classes of
+    one ring; :meth:`scale` takes a scalar.
     """
 
     __slots__ = ("ring", "terms")
@@ -110,7 +111,7 @@ class TruncatedPoly:
             e = tuple(expo)
             if len(e) != nvars:
                 raise ValueError(f"exponent {e} does not have {nvars} entries")
-            if not all(isinstance(k, int) for k in e):
+            if not all(type(k) is int for k in e):
                 raise ValueError(f"non-integer exponent in {e}")
             if any(k < 0 for k in e):
                 raise ValueError(f"negative exponent in {e}")
@@ -149,10 +150,6 @@ class TruncatedPoly:
         return self.ring.box
 
     @classmethod
-    def zero(cls, ring: Packing) -> TruncatedPoly:
-        return cls.constant(ring, 0)
-
-    @classmethod
     def one(cls, ring: Packing) -> TruncatedPoly:
         return cls.constant(ring, 1)
 
@@ -161,25 +158,8 @@ class TruncatedPoly:
         """The constant ``c`` in ``ring``."""
         return cls(ring, {(0,) * ring.nvars: c})
 
-    def _check_compatible(self, other: TruncatedPoly) -> None:
-        if self.ring != other.ring:
-            raise ValueError("operands live in different truncated rings")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def constant_term(self) -> Scalar:
         return self.terms.get(0, 0)
-
-    def coefficient(self, expo: Sequence[int]) -> Scalar:
-        """Coefficient of the given exponent tuple (0 when absent)."""
-        e = tuple(expo)
-        if len(e) != self.nvars:
-            raise ValueError(f"exponent {e} does not have {self.nvars} entries")
-        if any(k < 0 for k in e) or sum(e) > self.cap or max(e) > self.box:
-            return 0
-        return self.terms.get(self.ring.pack(e), 0)
 
     def graded_part(self, degree: int) -> TruncatedPoly:
         """The homogeneous piece of the given total degree."""
@@ -196,44 +176,19 @@ class TruncatedPoly:
         unpack = self.ring.unpack
         return [(unpack(k), c) for k, c in sorted(self.terms.items())]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other: TruncatedPoly) -> TruncatedPoly:
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        self._check_compatible(other)
-        return TruncatedPoly._raw(self.ring, sparse.add(dict(self.terms), other.terms))
-
-    def __neg__(self) -> TruncatedPoly:
-        return TruncatedPoly._raw(self.ring, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: TruncatedPoly) -> TruncatedPoly:
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        self._check_compatible(other)
-        return TruncatedPoly._raw(self.ring, sparse.add(dict(self.terms), other.terms, -1))
-
     def scale(self, c: Scalar) -> TruncatedPoly:
         """The multiple ``c * self``; integral coefficients come out as ints."""
         c = normalize(c)
         if c == 0:
-            return TruncatedPoly.zero(self.ring)
+            return TruncatedPoly._raw(self.ring, {})
         return TruncatedPoly._raw(self.ring, {k: normalize(v * c) for k, v in self.terms.items()})
 
-    def __mul__(self, other: TruncatedPoly | Scalar) -> TruncatedPoly:
+    def __mul__(self, other: TruncatedPoly) -> TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
-            return self.scale(other)
-        self._check_compatible(other)
+            return NotImplemented
+        if self.ring != other.ring:
+            raise ValueError("operands live in different truncated rings")
         return TruncatedPoly._raw(self.ring, sparse.mul_symmetric(self.terms, other.terms, self.ring))
-
-    def __rmul__(self, other: Scalar) -> TruncatedPoly:
-        return self.scale(other)
 
     def __pow__(self, exp: int) -> TruncatedPoly:
         if exp < 0:

@@ -87,7 +87,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .exact import Scalar
 
@@ -165,9 +165,6 @@ class Packing:
     def unpack(self, key: int) -> tuple[int, ...]:
         width, mask = self.width, self.mask
         return tuple((key >> (width * i)) & mask for i in range(self.nvars - 1, -1, -1))
-
-    def pack_terms(self, terms: Mapping[tuple[int, ...], Scalar]) -> Poly:
-        return {self.pack(e): c for e, c in terms.items()}
 
     def unpack_terms(self, p: Poly) -> dict[tuple[int, ...], Scalar]:
         return {self.unpack(k): c for k, c in p.items()}
@@ -342,15 +339,3 @@ def is_symmetric(p: Poly, packing: Packing) -> bool:
             if a != b and get(k + (b - a) * step, 0) != c:
                 return False
     return True
-
-
-def diff(p: Poly, packing: Packing, var: int) -> Poly:
-    """Partial derivative with respect to ``x_var``."""
-    step = packing.var(var)
-    offset, mask = packing.offset(var), packing.mask
-    out: Poly = {}
-    for k, c in p.items():
-        e = (k >> offset) & mask
-        if e:
-            out[k - step] = c * e
-    return out

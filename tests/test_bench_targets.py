@@ -7,29 +7,16 @@ the suite.  These tests read `perfbench/` and never write there.
 """
 
 import importlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from lpbdeg.cli import main
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name, monkeypatch):
-    # no bytecode cache next to the benchmark's sources
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from perfbench_loader import PERFBENCH, load_perfbench
 
 
-def test_traced_targets_resolve(monkeypatch):
-    spans = _load("spans", monkeypatch)
+def test_traced_targets_resolve():
+    spans = load_perfbench("spans")
     for name, module_name, path, _ in spans.TARGETS:
         owner = importlib.import_module(module_name)
         *outer, attr = path.split(".")
@@ -59,11 +46,11 @@ def test_traced_targets_resolve(monkeypatch):
         ("closed-form", ["closed-form", "--n", "5", "--format", "json"]),
     ],
 )
-def test_traced_command_passes_self_test(workload, argv, tmp_cache, monkeypatch, capsys):
+def test_traced_command_passes_self_test(workload, argv, tmp_cache, capsys):
     # one op under the recorder: the count hooks must read the results, the
     # output must not change, and every span the workload expects must fire
-    spans = _load("spans", monkeypatch)
-    workloads = _load("workloads", monkeypatch)
+    spans = load_perfbench("spans")
+    workloads = load_perfbench("workloads")
     golden = json.loads((PERFBENCH / "golden.json").read_text())[workload]
     recorder = spans.Recorder()
     recorder.install()

@@ -7,12 +7,20 @@ past the scalar check.  Every incoming scalar goes through
 one-argument ``Fraction(...)`` call in the package, outside ``exact.py``,
 whose argument is not an integer literal; ``Fraction(a, b)`` of two
 arguments refuses floats itself and is allowed.
+
+A ``bool`` is an ``int`` to Python, and ``True`` would print where a 1
+belongs, so it is refused as a scalar and as an exponent too.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from lpbdeg.exact import UniPoly, lagrange_interpolate, normalize
+from lpbdeg.forms import ProjectiveOneForm
+from lpbdeg.polyring import TruncatedPoly
+from lpbdeg.sparse import Packing
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "lpbdeg").glob("*.py") if p.name != "exact.py")
@@ -45,3 +53,33 @@ def test_no_one_argument_fraction_conversion(path):
 def test_the_scan_sees_a_conversion():
     source = "Fraction(c)\nFraction(1)\nFraction(-2)\nFraction(a, b)\nfractions.Fraction(0.5)\nFraction(numerator=x)\n"
     assert list(_conversions(ast.parse(source))) == [1, 5, 6]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: normalize(True),
+        lambda: normalize(False),
+        lambda: UniPoly((True, 2)),
+        lambda: UniPoly((1, 2))(True),
+        lambda: lagrange_interpolate([(0, True)]),
+        lambda: lagrange_interpolate([(True, 1)]),
+        lambda: TruncatedPoly(Packing(1, 2, 2), {(1,): True}),
+        lambda: TruncatedPoly.one(Packing(2, 2, 2)).scale(True),
+        lambda: ProjectiveOneForm(2, 0, ({(1, 0, 0): True}, {}, {})),
+    ],
+    ids=["normalize-true", "normalize-false", "unipoly", "unipoly-call", "value", "node", "class", "scale", "form"],
+)
+def test_a_bool_is_not_an_exact_scalar(make):
+    with pytest.raises(ValueError, match="not an exact scalar"):
+        make()
+
+
+def test_a_bool_is_not_an_exponent():
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        TruncatedPoly(Packing(2, 2, 2), {(True, 0): 1, (0, True): 1})
+    with pytest.raises(ValueError, match=r"bad exponent \(True, 0, 0\)"):
+        ProjectiveOneForm(2, 0, ({(True, 0, 0): 1}, {}, {}))
+    # an int exponent beside a bad one in the same coefficient
+    with pytest.raises(ValueError, match=r"bad exponent \(0, 1, False\)"):
+        ProjectiveOneForm(2, 0, ({(1, 0, 0): 1, (0, 1, False): 1}, {}, {}))

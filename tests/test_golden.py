@@ -6,27 +6,17 @@ seed 0, in-process through `cli.main`, puts the byte-identical-output
 contract into the suite and not only into the benchmark.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 from lpbdeg.cli import main
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from perfbench_loader import PERFBENCH, load_perfbench
 
 
 @pytest.mark.parametrize("workload", ["closed-form", "route-check", "forms-grid"])
 def test_degree_workload_stdout_matches_golden(workload, tmp_cache, capsys):
-    workloads = _workloads()
+    workloads = load_perfbench("workloads")
     golden = json.loads((PERFBENCH / "golden.json").read_text())[workload]
     for argv in workloads.ops(workload, 0):
         assert main(argv) == 0, argv

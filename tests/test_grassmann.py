@@ -5,6 +5,7 @@ import pytest
 from lpbdeg.grassmann import GrassContext
 from lpbdeg.polyring import TruncatedPoly, elementary_symmetric
 from lpbdeg.sparse import Packing
+from ring_helpers import plus
 
 def test_context_validation():
     with pytest.raises(ValueError):
@@ -50,17 +51,17 @@ def test_integrate_is_linear():
     e1 = elementary_symmetric(ctx.ring, 1)
     cls = e1**ctx.g
     assert ctx.integrate(cls.scale(Fraction(7, 2))) == Fraction(7, 2)
-    assert ctx.integrate(cls + cls) == 2
+    assert ctx.integrate(plus(cls, cls)) == 2
 
 
 def test_integrate_zero_class():
     ctx = GrassContext(3, 4)
-    assert ctx.integrate(TruncatedPoly.zero(Packing(3, ctx.g, ctx.g))) == 0
+    assert ctx.integrate(TruncatedPoly(Packing(3, ctx.g, ctx.g))) == 0
 
 
 def test_integrate_zero_in_the_box_of_the_context():
     ctx = GrassContext(3, 5)
-    zero = TruncatedPoly.zero(ctx.ring)
+    zero = TruncatedPoly(ctx.ring)
     assert zero.box == ctx.box < ctx.g
     assert ctx.integrate(zero) == 0
 
@@ -84,7 +85,7 @@ def test_integral_combines_exactly():
     ctx = GrassContext(3, 5)
     e1 = elementary_symmetric(ctx.ring, 1)
     point = elementary_symmetric(ctx.ring, 3) ** 2
-    cls = e1**ctx.g - point.scale(5)
+    cls = plus(e1**ctx.g, point, -5)
     assert ctx.integrate(cls) == 0
 
 
@@ -105,7 +106,7 @@ def test_integrate_returns_an_int_for_an_integral_value():
     # has half-integer coefficients and the integral 1
     ctx = GrassContext(3, 5)
     e1, e2, e3 = (elementary_symmetric(ctx.ring, i) for i in (1, 2, 3))
-    cls = (e3**2 + e1 * e2 * e3).scale(Fraction(1, 2))
+    cls = plus(e3**2, e1 * e2 * e3).scale(Fraction(1, 2))
     assert all(isinstance(c, Fraction) for _, c in cls.sorted_terms() if c != 2)
     value = ctx.integrate(cls)
     assert type(value) is int and value == 1

@@ -19,6 +19,7 @@ from lpbdeg.polyring import (
 )
 from lpbdeg.sparse import Packing
 from permutation_helpers import orbits_of, symmetrize
+from ring_helpers import plus, unit_series
 
 NVARS = 3
 CAP = 4
@@ -77,23 +78,17 @@ def test_scale_rejects_inexact_scalars(c):
     with pytest.raises(ValueError, match="not an exact scalar"):
         p.scale(c)
     with pytest.raises(ValueError, match="not an exact scalar"):
-        TruncatedPoly.zero(Packing(2, 3, 3)).scale(c)
+        TruncatedPoly(Packing(2, 3, 3)).scale(c)
 
 
-@pytest.mark.parametrize("c", [0.5, 2.0, 0.0, Decimal(0), "1/2"])
-def test_products_with_inexact_scalars_raise_value_error(c):
-    # a scalar operand goes through normalize on either side, as in scale
+@pytest.mark.parametrize("c", [0.5, 2.0, 0.0, Decimal(0), "1/2", 3, Fraction(1, 2), True])
+def test_a_scalar_is_not_a_product_operand(c):
+    # * multiplies two classes; scale is the one scalar multiple
     p = TruncatedPoly(Packing(2, 3, 3), {(1, 0): 1, (0, 1): 1})
-    with pytest.raises(ValueError, match="not an exact scalar"):
+    with pytest.raises(TypeError):
         p * c
-    with pytest.raises(ValueError, match="not an exact scalar"):
+    with pytest.raises(TypeError):
         c * p
-
-
-def test_products_with_exact_scalars_scale():
-    p = TruncatedPoly(Packing(2, 3, 3), {(1, 0): 1, (0, 1): 1, (1, 1): 2})
-    assert p * 3 == 3 * p == p.scale(3)
-    assert p * Fraction(1, 2) == Fraction(1, 2) * p == p.scale(Fraction(1, 2))
 
 
 def test_construction_rejects_non_integer_exponents():
@@ -121,13 +116,15 @@ def test_construction_and_queries_respect_the_box():
     p = TruncatedPoly(Packing(2, 4, 2), symmetrize({(0, 0): 1, (2, 1): 3, (3, 0): 7, (1, 3): 5}))
     assert p.box == 2
     assert dict(p.sorted_terms()) == {(0, 0): 1, (1, 2): 3, (2, 1): 3}
-    assert p.coefficient((3, 0)) == 0 and p.coefficient((2, 1)) == 3
-    assert p != TruncatedPoly(Packing(2, 4, 4), {(0, 0): 1, (1, 2): 3, (2, 1): 3})
-    assert TruncatedPoly(Packing(2, 4, 4)) == TruncatedPoly.zero(Packing(2, 4, 4))
+    # the same terms in a larger box are a class of another ring
+    q = TruncatedPoly(Packing(2, 4, 4), {(0, 0): 1, (1, 2): 3, (2, 1): 3})
+    assert q.terms == p.terms and q.ring != p.ring
+    assert TruncatedPoly(Packing(2, 4, 4)).terms == {}
     # the ring shows, so unequal rings never print alike
     assert repr(p) == "TruncatedPoly(Packing(2, 4, 2), 1*x^[0, 0] + 3*x^[1, 2] + 3*x^[2, 1])"
+    assert repr(q) == "TruncatedPoly(Packing(2, 4, 4), 1*x^[0, 0] + 3*x^[1, 2] + 3*x^[2, 1])"
     zero = "TruncatedPoly(Packing(2, 4, 4), 0)"
-    assert repr(TruncatedPoly.zero(Packing(2, 4, 4))) == repr(TruncatedPoly(Packing(2, 4, 7))) == zero
+    assert repr(TruncatedPoly(Packing(2, 4, 4))) == repr(TruncatedPoly(Packing(2, 4, 7))) == zero
     # every ring truncates through its key set
     assert TruncatedPoly.one(Packing(2, 4, 4)).box == 4
     classes = (p, TruncatedPoly.one(Packing(2, 4, 4)), elementary_symmetric(Packing(3, 3, 3), 1))
@@ -137,16 +134,15 @@ def test_construction_and_queries_respect_the_box():
 
 
 def test_truncation_in_products():
-    x = TruncatedPoly(Packing(1, 2, 2), {(1,): 1})
-    p = (TruncatedPoly.one(Packing(1, 2, 2)) + x) ** 5
+    p = TruncatedPoly(Packing(1, 2, 2), {(0,): 1, (1,): 1}) ** 5
     assert dict(p.sorted_terms()) == {(0,): 1, (1,): 5, (2,): 10}
 
 
 def test_variable_and_linear_constructors():
-    p = TruncatedPoly(Packing(3, CAP, CAP), symmetrize({(1, 0, 0): 2, (1, 1, 0): -1}))
-    assert p.coefficient((1, 0, 0)) == p.coefficient((0, 0, 1)) == 2
-    assert p.coefficient((2, 0, 0)) == 0
-    assert p.coefficient((0, 1, 1)) == -1
+    p = dict(TruncatedPoly(Packing(3, CAP, CAP), symmetrize({(1, 0, 0): 2, (1, 1, 0): -1})).sorted_terms())
+    assert p[(1, 0, 0)] == p[(0, 0, 1)] == 2
+    assert (2, 0, 0) not in p
+    assert p[(0, 1, 1)] == -1
 
 
 def test_product_shifted_linear_rejects_non_integer_coefficients():
@@ -159,33 +155,29 @@ def test_product_shifted_linear_rejects_non_integer_coefficients():
 def test_incompatible_rings_rejected():
     p = TruncatedPoly.one(Packing(2, 3, 3))
     q = TruncatedPoly.one(Packing(2, 4, 4))
-    with pytest.raises(ValueError):
-        p + q
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different truncated rings"):
         p * q
 
 
 def test_graded_part_and_queries():
     p = TruncatedPoly(Packing(2, 3, 3), {(0, 0): 2, (1, 0): 3, (0, 1): 3, (1, 1): 5})
     assert dict(p.graded_part(2).sorted_terms()) == {(1, 1): 5}
-    assert p.graded_part(3).is_zero
+    assert p.graded_part(3).terms == {}
     assert not p.is_homogeneous(1)
     assert p.graded_part(1).is_homogeneous(1)
     with pytest.raises(ValueError):
         p.graded_part(4)
-    with pytest.raises(ValueError):
-        p.coefficient((1, 0, 0))
 
 
 def test_symmetry_detection():
     ring = Packing(3, 3, 3)
-    assert TruncatedPoly(ring, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}) == elementary_symmetric(ring, 1)
+    assert TruncatedPoly(ring, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}).terms == elementary_symmetric(ring, 1).terms
     with pytest.raises(ValueError, match="symmetric"):
         TruncatedPoly(ring, {(1, 0, 0): 1})
     with pytest.raises(ValueError, match="symmetric"):
         TruncatedPoly(Packing(2, 3, 3), {(1, 0): 1, (0, 1): 2})
     # the check reads the class the ring keeps: the box drops (3, 0, 0) here
-    assert TruncatedPoly(Packing(3, 3, 2), {(3, 0, 0): 1}).is_zero
+    assert TruncatedPoly(Packing(3, 3, 2), {(3, 0, 0): 1}).terms == {}
 
 
 @given(st.integers(1, CAP).flatmap(lambda box: st.tuples(symmetric_polys(box), symmetric_polys(box))))
@@ -203,21 +195,21 @@ def test_graded_part_of_an_asymmetric_class_may_be_symmetric():
     with pytest.raises(ValueError, match="symmetric"):
         TruncatedPoly(Packing(3, 3, 3), terms)
     linear = {e: c for e, c in terms.items() if sum(e) == 1}
-    assert TruncatedPoly(Packing(3, 3, 3), linear) == elementary_symmetric(Packing(3, 3, 3), 1)
+    assert TruncatedPoly(Packing(3, 3, 3), linear).terms == elementary_symmetric(Packing(3, 3, 3), 1).terms
 
 
 @given(symmetric_polys(), st.integers(0, CAP), st.integers(-3, 3))
 def test_graded_parts_and_multiples_of_a_symmetric_class_are_symmetric(p, degree, c):
     # the trusted constructor takes these results unchecked
-    for q in (p.graded_part(degree), p.scale(c), p.scale(Fraction(c, 2)), -p, p + p, p - p.graded_part(degree)):
+    for q in (p.graded_part(degree), p.scale(c), p.scale(Fraction(c, 2))):
         assert sparse.is_symmetric(q.terms, q.ring)
 
 
 def test_boxed_constants():
-    assert TruncatedPoly.one(Packing(3, 6, 2)) == TruncatedPoly(Packing(3, 6, 2), {(0, 0, 0): 1})
-    assert TruncatedPoly.zero(Packing(3, 6, 2)).box == TruncatedPoly.constant(Packing(3, 6, 2), 5).box == 2
+    assert TruncatedPoly.one(Packing(3, 6, 2)).terms == {0: 1}
+    assert TruncatedPoly.constant(Packing(3, 6, 2), 5).box == 2
     assert TruncatedPoly.one(Packing(3, 6, 6)).box == 6
-    assert TruncatedPoly.zero(Packing(3, 6, 2)).is_zero
+    assert TruncatedPoly.constant(Packing(3, 6, 2), 0).terms == {}
 
 
 def test_sorted_terms_graded_lex():
@@ -228,41 +220,31 @@ def test_sorted_terms_graded_lex():
 
 @given(symmetric_polys(), symmetric_polys(), symmetric_polys())
 def test_ring_axioms(p, q, r):
-    assert p * q == q * p
-    assert (p + q) * r == p * r + q * r
-    assert (p * q) * r == p * (q * r)
-    assert p + TruncatedPoly.zero(RING) == p
-    assert p * _one() == p
-
-
-@given(symmetric_polys(), symmetric_polys())
-def test_add_and_sub_leave_operands_unchanged(p, q):
-    before = (dict(p.terms), dict(q.terms))
-    total, difference = p + q, p - q
-    assert (dict(p.terms), dict(q.terms)) == before
-    assert total - q == p and difference + q == p
-    assert (dict(p.terms), dict(q.terms)) == before
+    assert (p * q).terms == (q * p).terms
+    assert (plus(p, q) * r).terms == plus(p * r, q * r).terms
+    assert ((p * q) * r).terms == (p * (q * r)).terms
+    assert (p * _one()).terms == p.terms
 
 
 @given(symmetric_polys())
 def test_scale_matches_repeated_addition(p):
-    assert p.scale(3) == p + p + p
-    assert p.scale(Fraction(1, 2)) + p.scale(Fraction(1, 2)) == p
+    assert p.scale(3).terms == plus(plus(p, p), p).terms
+    assert plus(p.scale(Fraction(1, 2)), p.scale(Fraction(1, 2))).terms == p.terms
     # integral results are stored as ints, so later products stay on ints
     assert all(type(c) is int for _, c in p.scale(Fraction(1, 2)).scale(2).sorted_terms())
-    assert p * 0 == TruncatedPoly.zero(RING)
+    assert p.scale(0).terms == {}
 
 
 @given(symmetric_polys())
 def test_inverse_unit_series_roundtrip(p):
-    unit = p + _one() - TruncatedPoly.constant(RING, p.constant_term())
+    unit = unit_series(p)
     inv = inverse_unit_series(unit)
-    assert unit * inv == _one()
+    assert (unit * inv).terms == {0: 1}
 
 
 @given(symmetric_polys(box=2))
 def test_inverse_of_a_symmetric_unit_series(p):
-    unit = p + TruncatedPoly.constant(Packing(NVARS, CAP, 2), 1 - p.constant_term())
+    unit = unit_series(p)
     inv = inverse_unit_series(unit)
     assert sparse.is_symmetric(inv.terms, inv.ring)
     assert sparse.mul(unit.terms, inv.terms, unit.ring.keep) == {0: 1}
@@ -270,7 +252,7 @@ def test_inverse_of_a_symmetric_unit_series(p):
 
 def test_inverse_needs_unit_constant_term():
     with pytest.raises(ValueError):
-        inverse_unit_series(TruncatedPoly.zero(Packing(2, 3, 3)))
+        inverse_unit_series(TruncatedPoly(Packing(2, 3, 3)))
     with pytest.raises(ValueError):
         inverse_unit_series(TruncatedPoly.constant(Packing(2, 3, 3), 2))
 
@@ -291,11 +273,12 @@ def test_product_shifted_linear_rejects_asymmetric_roots():
         product_shifted_linear({(1, 0): 1, (0, 1): -2}, Packing(2, 2, 2))
     # the map is checked, so the order of its forms does not matter
     ring = Packing(2, 2, 2)
-    assert product_shifted_linear({(0, 1): 1, (1, 0): 1}, ring) == product_shifted_linear({(1, 0): 1, (0, 1): 1}, ring)
+    forward, backward = ({(0, 1): 1, (1, 0): 1}, {(1, 0): 1, (0, 1): 1})
+    assert product_shifted_linear(forward, ring).terms == product_shifted_linear(backward, ring).terms
 
 
 def test_product_shifted_linear_empty_needs_nvars():
-    assert product_shifted_linear({}, Packing(2, 3, 3)) == TruncatedPoly.one(Packing(2, 3, 3))
+    assert product_shifted_linear({}, Packing(2, 3, 3)).terms == {0: 1}
     with pytest.raises(TypeError):
         product_shifted_linear({})
     with pytest.raises(ValueError):
@@ -373,12 +356,8 @@ def signed_roots(draw):
     nvars = draw(st.integers(1, 3))
     cap = draw(st.integers(0, 7))
     box = draw(st.integers(0, cap))
-    roots = {}
-    for form in draw(st.lists(st.tuples(*[coeffs] * nvars), max_size=4)):
-        m = draw(st.integers(-3, 3).filter(bool))
-        for image in set(permutations(form)):
-            roots[image] = roots.get(image, 0) + m
-    return nvars, cap, box, roots
+    forms = draw(st.lists(st.tuples(*[coeffs] * nvars), max_size=4))
+    return nvars, cap, box, symmetrize({form: draw(st.integers(-3, 3).filter(bool)) for form in forms})
 
 
 @given(signed_roots())
@@ -391,7 +370,7 @@ def test_product_shifted_linear_of_signed_roots(case):
     num = TruncatedPoly(Packing(nvars, cap, box), _one_factor_at_a_time(positive, nvars, cap))
     den = TruncatedPoly(Packing(nvars, cap, box), _one_factor_at_a_time(negative, nvars, cap))
     got = product_shifted_linear(roots, Packing(nvars, cap, box))
-    assert got == num * inverse_unit_series(den)
+    assert got.terms == (num * inverse_unit_series(den)).terms
     assert all(type(c) is int for _, c in got.sorted_terms())
 
 
@@ -503,8 +482,8 @@ def test_elementary_symmetric_explicit():
     assert dict(e1.sorted_terms()) == {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
     e3 = elementary_symmetric(Packing(3, 3, 3), 3)
     assert dict(e3.sorted_terms()) == {(1, 1, 1): 1}
-    assert elementary_symmetric(Packing(3, 3, 3), 4).is_zero
-    assert elementary_symmetric(Packing(3, 2, 2), 3).is_zero
-    assert elementary_symmetric(Packing(3, 3, 3), 0) == TruncatedPoly.one(Packing(3, 3, 3))
+    assert elementary_symmetric(Packing(3, 3, 3), 4).terms == {}
+    assert elementary_symmetric(Packing(3, 2, 2), 3).terms == {}
+    assert elementary_symmetric(Packing(3, 3, 3), 0).terms == {0: 1}
     with pytest.raises(ValueError):
         elementary_symmetric(Packing(3, 3, 3), -1)

@@ -1,89 +1,222 @@
-"""Every function, method and class of the package has a caller outside the tests.
+"""Every def of the package runs on the command line's traffic, or is listed here.
 
-A stdlib ``ast`` scan: a function, method or class defined in ``src/lpbdeg``
-(dunders aside) counts as called when its name is read anywhere in ``src/``
-or ``perfbench/`` outside its own definition, as a name or an attribute, or
-when it is listed in ``lpbdeg.__all__``.  A name that only the tests read is
-public API carried for the tests alone; it goes, or it is listed below with
-its reason.
+The scan measures calls; it does not match names.  A fresh interpreter
+sets ``sys.setprofile`` before it imports ``lpbdeg``, so no ``lru_cache``
+hit left by another test hides a function body, and it writes no bytecode
+and keeps its degree cache under the test's temporary directory.  It then
+runs ``cli.main`` over the traffic of :func:`_traffic`: the benchmark's
+three workloads at seed 0, ``selftest``, ``degree`` with each method,
+``table`` and ``closed-form`` in every format, ``verify-paper --n 3``, one
+usage error and ``--version``.
+
+A def that never ran is public API carried for the tests alone, or dead
+code; it goes, or it is listed in ``NEVER_RUN`` with its reason.  A def is
+keyed by (file, first line, name), the first line of a decorated def being
+its first decorator's, as in ``co_firstlineno``, so two methods of one name
+are told apart.  The methods of the classes that ``lpbdeg.__all__`` exports
+are exempt: library users call them, and the command line does not show
+that traffic.
 """
 
 import ast
-from collections import Counter
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lpbdeg
+from perfbench_loader import load_perfbench
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = sorted((ROOT / "src" / "lpbdeg").glob("*.py"))
-CALLERS = [*PACKAGE, *sorted((ROOT / "perfbench").glob("*.py"))]
+SRC = ROOT / "src"
 
-TEST_ONLY = {
-    # sparse.diff: the partial derivative the forms tests build their curl
-    # oracle from, against the derivative gathers of the integrability table
-    "diff",
-    # Packing.pack_terms: packs exponent-tuple dicts, the kernel tests' operands
-    "pack_terms",
-    # TruncatedPoly.is_zero and ProjectiveOneForm.is_zero: what the tests assert
-    "is_zero",
+NEVER_RUN = {
+    "polyring.TruncatedPoly.sorted_terms": "the exponent-tuple view the tests and the display read",
+    "polyring.TruncatedPoly.__repr__": "the display of a class, for a reader at the prompt",
+    "sparse.Packing.__repr__": "the ring in the display of a class",
+    "polyring.TruncatedPoly.__setattr__": "the immutability guard, run only by a write attempt",
+    "bundles.RootSet.positive": "read by the `_roots` hook of perfbench/spans.py",
+    "bundles.RootSet.negative": "read by the `_roots` hook of perfbench/spans.py",
+    "symfunc.partitions": "the set-up warm-up of perfbench/worker.py, and the tests' oracles",
+    "symfunc._descending_parts": "the recursion of symfunc.partitions",
+    "cli.entrypoint": "the console script and `python -m lpbdeg`, around the main the scan runs",
 }
 
+# profiles a fresh interpreter while it imports a module and runs its main
+# over the command lines read from stdin; prints the codes and the defs that ran
+_CHILD = r"""
+import contextlib, importlib, io, json, sys
 
-def _read(node):
-    """Every name read in the subtree, as a name or as an attribute."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-
-
-def _definitions(tree):
-    """(name, line, node) of every function, method and class, dunders aside."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield node.name, node.lineno, node
+module_name, argvs = json.load(sys.stdin)
+ran = set()
 
 
-def _uncalled(package, callers, exported):
-    """``name (label:line)`` of each definition in ``package`` that no caller reads.
+def record(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        ran.add((code.co_filename, code.co_firstlineno, code.co_name))
 
-    ``package`` and ``callers`` map a label to a parsed module; the modules
-    of ``package`` are callers too.
+
+sys.setprofile(record)
+main = importlib.import_module(module_name).main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in argvs]
+sys.setprofile(None)
+json.dump({"codes": codes, "ran": sorted(ran)}, sys.stdout)
+"""
+
+
+def _run_profiled(module_name, argvs, path, cwd):
+    """Exit codes of ``main`` over ``argvs`` and the set of (file, line, name) that ran."""
+    paths = [str(path), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "LPB_CACHE": str(cwd / "degree-cache.jsonl")}
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", _CHILD],
+        input=json.dumps([module_name, argvs]),
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        check=True,
+    )
+    result = json.loads(done.stdout)
+    return result["codes"], {(str(Path(f).resolve()), line, name) for f, line, name in result["ran"]}
+
+
+def _defs(tree, exempt, prefix=""):
+    """(first line, name, qualified name) of every def under ``tree``.
+
+    The defs of a top-level class named in ``exempt`` are skipped.
     """
-    reads = Counter(name for tree in callers.values() for name in _read(tree))
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            if prefix or node.name not in exempt:
+                yield from _defs(node, exempt, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            yield first, node.name, prefix + node.name
+            yield from _defs(node, exempt, f"{prefix}{node.name}.")
+        else:
+            yield from _defs(node, exempt, prefix)
+
+
+def _never_ran(modules, ran, exempt):
+    """``module.qualname`` of each def of ``modules`` that is not in ``ran``.
+
+    ``modules`` maps a module name to its file, and ``exempt`` maps a module
+    name to the names of its classes whose methods are not checked.
+    """
     return [
-        f"{name} ({label}:{line})"
-        for label, tree in package.items()
-        for name, line, node in _definitions(tree)
-        # reads inside the definition itself, a recursive call say, do not count
-        if name not in exported and reads[name] == Counter(_read(node))[name]
+        f"{module}.{qualname}"
+        for module, path in modules.items()
+        for line, name, qualname in _defs(ast.parse(path.read_text()), exempt.get(module, set()))
+        if (str(path.resolve()), line, name) not in ran
     ]
 
 
-def _parse(paths):
-    return {str(p.relative_to(ROOT)): ast.parse(p.read_text(), filename=str(p)) for p in paths}
+def _exported_classes():
+    """Module name to the names of the classes ``lpbdeg.__all__`` exports from it."""
+    exempt = {}
+    for name in lpbdeg.__all__:
+        obj = getattr(lpbdeg, name)
+        if isinstance(obj, type):
+            exempt.setdefault(obj.__module__.rpartition(".")[2], set()).add(obj.__name__)
+    return exempt
 
 
-def test_every_definition_has_a_caller_outside_the_tests():
-    uncalled = _uncalled(_parse(PACKAGE), _parse(CALLERS), set(lpbdeg.__all__))
-    assert [u for u in uncalled if u.split()[0] not in TEST_ONLY] == []
-    # and the allowlist names only definitions that still have no caller
-    assert {u.split()[0] for u in uncalled} == TEST_ONLY
+def _traffic():
+    """The command lines of the scan, and the exit code each must give."""
+    workloads = load_perfbench("workloads")
+    argvs = [argv for workload in workloads.WORKLOADS for argv in workloads.ops(workload, 0)]
+    argvs += [["selftest"], ["verify-paper", "--n", "3"]]
+    argvs += [["degree", "--n", "4", "--d", "2", "--method", m] for m in ("quotient", "chchar", "both")]
+    table = ["table", "--n", "3", "--d-min", "0", "--d-max", "3", "--format"]
+    argvs += [[*table, f] for f in ("plain", "json", "csv", "latex")]
+    argvs += [["closed-form", "--n", "3", "--format", f] for f in ("plain", "json", "latex")]
+    argvs += [["--version"]]
+    # a command line the parser refuses
+    return [*argvs, ["degree", "--n", "4"]], [0] * len(argvs) + [1]
 
 
-def test_the_scan_sees_an_uncalled_definition():
-    package = {
-        "m": ast.parse(
-            "def used(): return 1\n"
-            "def recursive(n): return recursive(n - 1) if n else 0\n"
-            "def exported(): pass\n"
-            "class Box:\n"
-            "    def __init__(self): self.x = used()\n"
-            "    def method(self): pass\n"
-            "    def called(self): pass\n"
-        )
-    }
-    callers = {**package, "bench": ast.parse("Box().called()\n")}
-    assert _uncalled(package, callers, {"exported"}) == ["recursive (m:2)", "method (m:6)"]
+def test_every_definition_has_a_caller_outside_the_tests(tmp_path):
+    argvs, expected = _traffic()
+    codes, ran = _run_profiled("lpbdeg.cli", argvs, SRC, tmp_path)
+    assert codes == expected
+    modules = {p.stem: p for p in sorted((SRC / "lpbdeg").glob("*.py"))}
+    never_ran = _never_ran(modules, ran, _exported_classes())
+    assert [d for d in never_ran if d not in NEVER_RUN] == []
+    # each listed def still exists and still does not run
+    assert sorted(NEVER_RUN) == sorted(d for d in never_ran if d in NEVER_RUN)
+    assert all(NEVER_RUN.values())
+
+
+SYNTHETIC = """\
+from functools import lru_cache
+
+
+def main(argv):
+    return Box().called() + Exported().used() + cached(len(argv))
+
+
+@lru_cache(maxsize=None)
+def cached(n):
+    return n
+
+
+def helper():
+    pass
+
+
+@staticmethod
+def decorated():
+    pass
+
+
+class Box:
+    def called(self):
+        return 0
+
+    def method(self):
+        pass
+
+    def __repr__(self):
+        return "Box()"
+
+
+class Other:
+    def called(self):
+        pass
+
+
+class Exported:
+    def used(self):
+        return 1
+
+    def unused(self):
+        pass
+
+
+def outer():
+    def inner():
+        pass
+"""
+
+
+def test_the_scan_sees_an_uncalled_definition(tmp_path):
+    path = tmp_path / "synthetic.py"
+    path.write_text(SYNTHETIC)
+    codes, ran = _run_profiled("synthetic", [[], ["x"]], tmp_path, tmp_path)
+    assert codes == [1, 2]
+    # the decorated cached function ran (its key is its decorator's line),
+    # the methods of an exempt class are not checked, and a method that
+    # shares the name of one that ran is reported
+    assert _never_ran({"synthetic": path}, ran, {"synthetic": {"Exported"}}) == [
+        "synthetic.helper",
+        "synthetic.decorated",
+        "synthetic.Box.method",
+        "synthetic.Box.__repr__",
+        "synthetic.Other.called",
+        "synthetic.outer",
+        "synthetic.outer.inner",
+    ]
