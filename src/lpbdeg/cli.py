@@ -18,12 +18,12 @@ one ``degree --d MAX_D`` costs (d = 0 .. 141 is the longest table from
 d = 0).
 ``degree``, ``table`` and ``closed-form`` accept ``--n`` up to ``MAX_N`` = 8.
 ``closed-form`` evaluates floor(9(n-2)/2) + 2 degrees of growing cost:
-``closed_form(n)`` took 0.17, 0.41, 0.67, 1.6, 3.3 and 5.4 s at n = 6 .. 11
+``closed_form(n)`` took 0.10, 0.25, 0.45, 0.81, 2.0 and 3.5 s at n = 6 .. 11
 (single in-process runs, about x2 per step; ``closed-form --n 8`` peaked at
-18 MB; 2-vCPU host).  The costlier corner is ``degree`` at
-(``MAX_N``, ``MAX_D``): at n = 8 it took 0.02 s for d = 2, 1.8 s for
-d = 200 and 47 s and 229 MB for d = ``MAX_D`` on the same host, where
-root enumeration is nearly all of the time.
+18 MB; shared 2-vCPU host).  The costlier corner is ``degree`` at
+(``MAX_N``, ``MAX_D``): at n = 8 it took 0.01 s for d = 2, 0.4-0.7 s for
+d = 200 and 12-16 s and 230 MB for d = ``MAX_D`` on the same host, where
+root enumeration and the power sums are nearly all of the time.
 ``verify-paper`` interpolates on all 3g + 1 nodes d = 2 .. 3g + 2, g = 3(n-2),
 so its check does not rest on the reciprocity ``closed-form`` uses.
 ``forms check-pullback`` accepts ``--n`` up to ``MAX_FORMS_N`` = 20,
@@ -111,9 +111,9 @@ MAX_D = 1000
 
 # the largest projective dimension the degree commands accept: closed-form
 # evaluates floor(9(n-2)/2) + 2 degrees, and its time grows about x2 per
-# step in n (0.67 s at n = 8, 1.6 s at n = 9, single runs), but degree at
-# (MAX_N, MAX_D) is the costlier corner (47 s and 229 MB at n = 8), which
-# n = 9 would raise
+# step in n (0.45 s at n = 8, 0.81 s at n = 9, single runs), but degree at
+# (MAX_N, MAX_D) is the costlier corner (12-16 s and 230 MB at n = 8),
+# which n = 9 would raise
 MAX_N = 8
 
 # the bounds of forms check-pullback: a trial costs about C(n+d+1, n) terms

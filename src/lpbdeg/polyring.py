@@ -14,13 +14,17 @@ Every class the degree engine forms is symmetric in the Chern roots, and a
 :class:`TruncatedPoly` holds only such classes: its constructor raises
 ``ValueError`` on terms that some permutation of the variables moves.  Sums,
 scalar multiples, graded parts and products of symmetric polynomials are
-symmetric, so every truncated product runs on
-:func:`~lpbdeg.sparse.mul_symmetric`, one coefficient per orbit of the
-variables.  The invariant is checked where terms enter from outside: the
-constructor checks the terms, and :func:`power_sums` checks the signed
-roots, a map that some adjacent transposition of the coordinates moves
-raising ``ValueError``.  Symmetric roots have symmetric power sums, so
-neither :func:`product_shifted_linear` nor
+symmetric, so every truncated product is formed one coefficient per orbit
+of the variables.  ``*`` of two classes is the one caller of
+:func:`~lpbdeg.sparse.mul_symmetric`.  The two recurrences of the quotient
+route, the Newton step of :func:`product_shifted_linear` and
+:func:`inverse_unit_series`, run on :func:`~lpbdeg.sparse.recurrence`,
+which forms each grade from every pair of lower grades at once.  The
+invariant is checked where terms enter from outside: the constructor
+checks the terms, and :func:`power_sums` checks the signed roots, a map
+that some adjacent transposition of the coordinates moves raising
+``ValueError``.  Symmetric roots have symmetric power sums, so neither
+:func:`product_shifted_linear` nor
 :func:`~lpbdeg.bundles.chern_character_graded` checks again.
 
 The ring is a :class:`~lpbdeg.sparse.Packing` with a box, and every
@@ -214,8 +218,9 @@ def power_sums(roots: Mapping[Exponent, int], ring: Packing, top: int) -> list[s
     tuple with ``ring.nvars`` entries, to its signed multiplicity m; ``p_0``
     is the virtual rank.  The map must be symmetric: invariant under each
     adjacent transposition of the coordinates, which generate the
-    symmetric group.  Forms of another length, non-integer coefficients and
-    an asymmetric map raise ``ValueError`` before any work.  This is the one
+    symmetric group.  Forms of another length, a coefficient or a
+    multiplicity that is not an ``int`` (a ``bool`` included) and an
+    asymmetric map raise ``ValueError`` before any work.  This is the one
     symmetry check on roots, and it makes every power sum symmetric.
 
     ``p_j = sum_{|alpha| = j} (j; alpha) M_alpha x^alpha`` over the moment
@@ -232,8 +237,10 @@ def power_sums(roots: Mapping[Exponent, int], ring: Packing, top: int) -> list[s
         raise ValueError("power sum degree outside [0, bound]")
     if any(len(f) != ring.nvars for f in roots):
         raise ValueError(f"a form does not have {ring.nvars} coefficients")
-    if not all(isinstance(c, int) for f in roots for c in f):
+    if not all(type(c) is int for f in roots for c in f):
         raise ValueError("linear form coefficients must be integers")
+    if not all(type(m) is int for m in roots.values()):
+        raise ValueError("root multiplicities must be integers")
     for i in range(ring.nvars - 1):
         if any(roots.get(f[:i] + (f[i + 1], f[i]) + f[i + 2 :], 0) != m for f, m in roots.items()):
             raise ValueError("the roots are not symmetric in the variables")
@@ -260,8 +267,9 @@ def product_shifted_linear(roots: Mapping[Exponent, int], ring: Packing) -> Trun
     ``roots`` maps each distinct linear form, an integer coefficient tuple
     with ``ring.nvars`` entries, to its multiplicity m of either sign, so
     this is the total Chern class ``c(E - F) = c(E) / c(F)`` of a virtual
-    bundle; an empty map yields 1.  Forms of another length or with
-    non-integer coefficients raise ``ValueError`` in :func:`power_sums`.
+    bundle; an empty map yields 1.  Forms of another length, and
+    coefficients or multiplicities that are not ``int``, raise
+    ``ValueError`` in :func:`power_sums`.
     The result lives in ``ring``, a packing with a box, and only monomials
     in the box are ever formed.
 
@@ -269,32 +277,18 @@ def product_shifted_linear(roots: Mapping[Exponent, int], ring: Packing) -> Trun
     additive power sums p_i of the signed roots from one moment pass, and
     Newton's identities ``k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i`` give
     the graded pieces e_k of the product (Fulton, *Intersection Theory*,
-    Ch. 3), a step whose cost depends on the ring alone.  The division by k
-    is exact on integers; a remainder raises ``ArithmeticError``.  A map not
+    Ch. 3), a step whose cost depends on the ring alone: one
+    :func:`~lpbdeg.sparse.recurrence` with division.  The division by k is
+    exact on integers; a remainder raises ``ArithmeticError``.  A map not
     symmetric in the variables raises ``ValueError`` in :func:`power_sums`.
     """
     if ring.box is None:
         raise ValueError("a truncated ring needs a packing with a box")
-    cap = ring.bound
-    # symmetric roots make every p_i and e_k symmetric, so products run orbit by orbit
-    sums = power_sums(roots, ring, cap)
-    # signed[i] = (-1)^(i-1) p_i, so each Newton step is a plain sum
-    signed = [p if i % 2 else {k: -c for k, c in p.items()} for i, p in enumerate(sums)]
-    elementary: list[sparse.Poly] = [{0: 1}]
-    terms: sparse.Poly = {0: 1}
-    for k in range(1, cap + 1):
-        acc: sparse.Poly = {}
-        for i in range(1, k + 1):
-            sparse.add(acc, sparse.mul_symmetric(elementary[k - i], signed[i], ring))
-        grade: sparse.Poly = {}
-        for key, c in acc.items():
-            q, r = divmod(c, k)
-            if r:
-                raise ArithmeticError(f"Newton step {k} leaves a remainder {r}")
-            grade[key] = q
-        elementary.append(grade)
-        terms.update(grade)
-    return TruncatedPoly._raw(ring, terms)
+    # symmetric roots make every p_i and e_k symmetric, so the recurrence runs orbit by orbit
+    sums = power_sums(roots, ring, ring.bound)
+    # the grades (-1)^(i-1) p_i, i >= 1, so that k e_k = sum_i signed_i e_{k-i}
+    signed = {key: c if i % 2 else -c for i, p in enumerate(sums[1:], 1) for key, c in p.items()}
+    return TruncatedPoly._raw(ring, sparse.recurrence(signed, ring, divide=True))
 
 
 def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
@@ -302,27 +296,14 @@ def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
 
     Writing ``p = 1 + p_1 + p_2 + ...`` by total degree, the inverse ``q``
     satisfies the grade-by-grade recurrence
-    ``q_k = -(p_1 q_{k-1} + ... + p_k q_0)``, which is what gets evaluated
-    here.  Raises ``ValueError`` unless the constant term is exactly 1.
+    ``q_k = -(p_1 q_{k-1} + ... + p_k q_0)``, one
+    :func:`~lpbdeg.sparse.recurrence` without division.  Raises
+    ``ValueError`` unless the constant term is exactly 1.
     """
     if p.constant_term() != 1:
         raise ValueError("inverse_unit_series needs constant term 1")
-    ring, cap = p.ring, p.cap
-    # the grades of -p, so that each step of the recurrence is a plain sum
-    p_grades: list[sparse.Poly] = [{} for _ in range(cap + 1)]
-    for k, c in p.terms.items():
-        p_grades[ring.degree(k)][k] = -c
-    q_grades: list[sparse.Poly] = [{0: 1}]
-    for k in range(1, cap + 1):
-        acc: sparse.Poly = {}
-        for j in range(1, k + 1):
-            if p_grades[j]:
-                sparse.add(acc, sparse.mul_symmetric(p_grades[j], q_grades[k - j], ring))
-        q_grades.append(acc)
-    out: sparse.Poly = {}
-    for grade in q_grades:
-        out.update(grade)
-    return TruncatedPoly._raw(ring, out)
+    # the grades of -p, so that q_k = sum_j (-p_j) q_{k-j}; the kernel skips the constant
+    return TruncatedPoly._raw(p.ring, sparse.recurrence(sparse.scale(p.terms, -1), p.ring, divide=False))
 
 
 def elementary_symmetric(ring: Packing, index: int) -> TruncatedPoly:

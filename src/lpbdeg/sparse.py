@@ -1,4 +1,4 @@
-"""Sparse polynomials over packed exponents: the multiplication kernels.
+"""Sparse polynomials over packed exponents: the multiplication and recurrence kernels.
 
 A polynomial is a dict from packed exponents to nonzero exact scalars.  A
 packed exponent is a single nonnegative ``int``: every variable owns a
@@ -39,12 +39,16 @@ every product it forms.
 
 :func:`mul` visits every pair of terms; it serves the forms side and the
 Vandermonde of the Grassmann integral, and it is the reference the tests
-hold :func:`mul_symmetric` to.  :func:`mul_symmetric` is the product for
-operands invariant under every permutation of the variables, in a packing
-with a box, and the product of every
-:class:`~lpbdeg.polyring.TruncatedPoly`.  That type holds only symmetric
-classes, and :func:`is_symmetric` is checked where terms enter it, in the
-polyring constructor; the signed Chern roots are checked once, by
+hold :func:`mul_symmetric` to, and through it :func:`recurrence`.  Both of
+those take operands invariant under every permutation of the variables, in
+a packing with a box.  :func:`mul_symmetric` is the product ``*`` of two
+:class:`~lpbdeg.polyring.TruncatedPoly` classes.  :func:`recurrence` is the
+convolution recurrence of the quotient route, run by the Newton step of
+:func:`~lpbdeg.polyring.product_shifted_linear` and by
+:func:`~lpbdeg.polyring.inverse_unit_series`; the two share only the orbit
+table.  The truncated type holds only symmetric classes, and
+:func:`is_symmetric` is checked where terms enter it, in the polyring
+constructor; the signed Chern roots are checked once, by
 :func:`~lpbdeg.polyring.power_sums`, and symmetric roots have symmetric
 power sums.
 
@@ -66,6 +70,33 @@ packing.keep)``:
   no field carries and beta's exponents are nu's less alpha's, entry by
   entry.  The sum thus reads exactly the pairs of terms whose product
   monomial is nu.
+
+:func:`recurrence` forms the series f with f_0 = 1 and
+``f_k = sum over i = 1 .. k of a_i f_{k-i}``, divided by k when asked, grade
+by grade and one coefficient per orbit of ``keep``.  For each pair
+(i, k - i) it iterates over the smaller of the grades a_i and f_{k-i}.  The
+chosen grades of a are concatenated, and each ``nu - alpha`` is looked up
+in one dict that holds every grade of f formed so far; the chosen grades of
+f likewise look up ``nu - beta`` in the one dict of a.  So the coefficient
+at nu is two sums, and it is exactly that of ``sum_i mul(a_i, f_{k-i},
+packing.keep)``:
+
+* a borrowed lookup gives an invalid key, which no dict holds: by the
+  argument above, a hit beta of ``nu - alpha`` is a valid key with
+  ``nu = alpha + beta`` and no carry, so beta's exponents are nu's less
+  alpha's, entry by entry;
+* a degree field fixes which grade a key of the merged dict belongs to:
+  the hit beta has degree k - i when alpha has degree i, so a lookup from
+  a_i reads f_{k-i} and no other grade of f, and one from f_{k-i} reads
+  a_i alone.  The grade-k terms of f that are written while grade k is
+  formed are never read at grade k, since every alpha has degree at least
+  1, and a constant term of a is never read;
+* every pair (alpha, beta) with ``alpha + beta = nu`` is read once, from
+  the side its pair of grades chose.
+
+Sums of products of symmetric polynomials are symmetric, so by induction
+on k every f_k is, and one coefficient per orbit, divided by k if asked,
+is the whole grade.
 
 The orbits are tabulated once per packing by :func:`_orbits`, from the
 one tree: its representatives, the smallest key of each orbit, are the
@@ -151,12 +182,14 @@ class Packing:
         return (key >> self.offset(var)) & self.mask
 
     def pack(self, expo: Iterable[int]) -> int:
-        """The key of an exponent tuple; each entry must fit its field."""
+        """The key of an exponent tuple; each entry must be an ``int`` (not a ``bool``) that fits its field."""
         expo = tuple(expo)
         if len(expo) != self.nvars:
             raise ValueError(f"exponent has {len(expo)} entries, expected {self.nvars}")
         key = 0
         for e in expo:
+            if type(e) is not int:
+                raise ValueError(f"exponent {e!r} is not an int")
             if not 0 <= e <= self.mask:
                 raise ValueError(f"exponent {e} does not fit a {self.width}-bit field")
             key = (key << self.width) | e
@@ -319,6 +352,62 @@ def mul_symmetric(p: Poly, q: Poly, packing: Packing) -> Poly:
             if r:
                 for key in orbit:
                     out[key] = r
+    return out
+
+
+def recurrence(a: Poly, packing: Packing, divide: bool) -> Poly:
+    """The series f with f_0 = 1 and f_k = sum_{i = 1..k} a_i f_{k-i}, truncated to ``packing.keep``.
+
+    ``a`` holds its grades a_1, a_2, ... in one dict (a constant term is
+    never read); it must be symmetric in the variables, with its keys in
+    ``keep``, and the packing must have a box.  With ``divide`` each f_k is
+    that sum divided by k, which must be exact: a remainder raises
+    ``ArithmeticError``.  Each coefficient at a representative of grade k
+    is at most two C-level passes, one over the chosen grades of a and one
+    over those of f (see the module docstring).
+    """
+    if packing.keep is None:
+        raise ValueError("the recurrence needs a packing with a box")
+    shift, bound = packing.shift, packing.bound
+    # the terms of a by degree, as parallel lists of keys and coefficients
+    a_grades: list[tuple[list[int], list[Scalar]]] = [([], []) for _ in range(bound + 1)]
+    for key, c in a.items():
+        if key:
+            keys, coeffs = a_grades[key >> shift]
+            keys.append(key)
+            coeffs.append(c)
+    table = _orbits(packing)
+    f_grades: list[tuple[list[int], list[Scalar]]] = [([0], [1])]
+    out: Poly = {0: 1}
+    get_a, get_f, sub, times = a.get, out.get, operator.sub, operator.mul
+    for k in range(1, bound + 1):
+        # each pair (i, k - i) iterates over its smaller grade
+        a_keys, a_coeffs, f_keys, f_coeffs = [], [], [], []
+        for i in range(1, k + 1):
+            (ak, ac), (fk, fc) = a_grades[i], f_grades[k - i]
+            if not ak or not fk:
+                continue
+            if len(ak) <= len(fk):
+                a_keys += ak
+                a_coeffs += ac
+            else:
+                f_keys += fk
+                f_coeffs += fc
+        keys, coeffs = [], []
+        for orbit in table[k][1]:
+            nu = orbit[0]
+            r = sum(map(times, a_coeffs, map(get_f, map(sub, repeat(nu), a_keys), repeat(0))))
+            r += sum(map(times, f_coeffs, map(get_a, map(sub, repeat(nu), f_keys), repeat(0))))
+            if divide:
+                r, rem = divmod(r, k)
+                if rem:
+                    raise ArithmeticError(f"Newton step {k} leaves a remainder {rem}")
+            if r:
+                for key in orbit:
+                    out[key] = r
+                keys += orbit
+                coeffs += repeat(r, len(orbit))
+        f_grades.append((keys, coeffs))
     return out
 
 

@@ -14,9 +14,11 @@ division by j is exact on every coefficient and the recurrence stays on
 ints; pieces with other rational coefficients divide into Fractions.
 
 This route shares the Chern roots and their power sums with the Chern
-class quotient route, and none of its Newton step for the Chern classes,
-its series inversion or its products, which makes it a cross-check of the
-engine.
+class quotient route, and no product code.  Its recurrence is the same
+convolution as the quotient route's Newton step and series inversion, yet
+it runs on ``*`` of classes, :func:`~lpbdeg.sparse.mul_symmetric`, while
+those two run on :func:`~lpbdeg.sparse.recurrence`.  So the two routes are
+a cross-check of each other's products as well as of the engine.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 The package keeps the arithmetic its commands run.  The tests build their
 operands and oracles with these: packed polynomials from exponent-tuple
-dicts, the partial derivative the forms tests take curls with, and the sum
-of two truncated classes.
+dicts, the partial derivative the forms tests take curls with, the sum
+of two truncated classes, and the convolution recurrence as one product
+per pair of grades.
 """
 
 from __future__ import annotations
@@ -38,3 +39,32 @@ def plus(p, q, c=1):
 def unit_series(p):
     """``p`` with its constant term replaced by 1, a series that inverts."""
     return plus(p, TruncatedPoly.constant(p.ring, 1 - p.constant_term()))
+
+
+def recurrence_by_products(a, packing, divide):
+    """The oracle of ``sparse.recurrence``: each grade as a sum of ``mul_symmetric`` products.
+
+    f_0 = 1 and f_k = sum_{i = 1..k} a_i f_{k-i}, divided by k when
+    ``divide`` is set, one product per pair of grades added into the
+    grade, the loops the Newton step and the series inversion ran before
+    the kernel.
+    """
+    grades = [{} for _ in range(packing.bound + 1)]
+    for key, c in a.items():
+        if key:
+            grades[packing.degree(key)][key] = c
+    f = [{0: 1}]
+    out = {0: 1}
+    for k in range(1, packing.bound + 1):
+        acc = {}
+        for i in range(1, k + 1):
+            sparse.add(acc, sparse.mul_symmetric(f[k - i], grades[i], packing))
+        if divide:
+            for key, c in acc.items():
+                q, r = divmod(c, k)
+                if r:
+                    raise ArithmeticError(f"Newton step {k} leaves a remainder {r}")
+                acc[key] = q
+        f.append(acc)
+        out.update(acc)
+    return out

@@ -13,13 +13,14 @@ belongs, so it is refused as a scalar and as an exponent too.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from lpbdeg.exact import UniPoly, lagrange_interpolate, normalize
 from lpbdeg.forms import ProjectiveOneForm
-from lpbdeg.polyring import TruncatedPoly
+from lpbdeg.polyring import TruncatedPoly, power_sums, product_shifted_linear
 from lpbdeg.sparse import Packing
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,3 +84,27 @@ def test_a_bool_is_not_an_exponent():
     # an int exponent beside a bad one in the same coefficient
     with pytest.raises(ValueError, match=r"bad exponent \(0, 1, False\)"):
         ProjectiveOneForm(2, 0, ({(1, 0, 0): 1, (0, 1, False): 1}, {}, {}))
+    # (True, 0) would pack to the key of (1, 0)
+    for expo in ((True, 0), (0, False), (1.0, 0)):
+        with pytest.raises(ValueError, match="is not an int"):
+            Packing(2, 3).pack(expo)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        {(1, 0): 1.5, (0, 1): 1.5},
+        {(1, 0): Fraction(3, 2), (0, 1): Fraction(3, 2)},
+        {(1, 0): True, (0, 1): True},
+        {(True, False): 1, (False, True): 1},
+        {(True, False): True, (False, True): True},
+        {(1.0, 0): 1, (0, 1.0): 1},
+    ],
+    ids=["float-multiplicity", "fraction-multiplicity", "bool-multiplicity", "bool-form", "bool-both", "float-form"],
+)
+def test_roots_are_int_forms_with_int_multiplicities(roots):
+    ring = Packing(2, 2, 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        power_sums(roots, ring, 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        product_shifted_linear(roots, ring)

@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpbdeg import sparse
 from lpbdeg.bundles import _signed_roots, chern_roots
 from lpbdeg.exact import lagrange_interpolate
 from lpbdeg.foliation import (
@@ -94,6 +97,34 @@ def test_methods_agree_small_grid():
 
 def test_character_route_n4():
     assert degree_lpb(2, 4, method=METHOD_CH_PARTITION) == 739000
+
+
+def _stored_degree(d, n):
+    """The degree from the published P_4 or the committed P_5 of ``closed_forms.json``."""
+    if n == 4:
+        return reference_formula(4, d)
+    coeffs = json.loads((Path(__file__).parent / "closed_forms.json").read_text())["coefficients"][str(n)]
+    return sum(Fraction(c) * d**i for i, c in enumerate(coeffs))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this kernel belongs to the other route")
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (5, 3)])
+def test_routes_share_no_product_kernel(monkeypatch, n, d):
+    expected = _stored_degree(d, n)
+    with monkeypatch.context() as patch:
+        patch.setattr(sparse, "mul_symmetric", _refuse)
+        assert degree_lpb(d, n, method=METHOD_CHERN_QUOTIENT) == expected
+        # the patch is seen: the character route needs the product
+        with pytest.raises(AssertionError, match="other route"):
+            degree_lpb(d, n, method=METHOD_CH_PARTITION)
+    with monkeypatch.context() as patch:
+        patch.setattr(sparse, "recurrence", _refuse)
+        assert degree_lpb(d, n, method=METHOD_CH_PARTITION) == expected
+        with pytest.raises(AssertionError, match="other route"):
+            degree_lpb(d, n, method=METHOD_CHERN_QUOTIENT)
 
 
 def test_bundle_rank_matches_closed_count():

@@ -12,10 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpbdeg import sparse
-from lpbdeg.polyring import TruncatedPoly
+from lpbdeg.polyring import TruncatedPoly, power_sums
 from lpbdeg.sparse import Packing, _orbits
 from permutation_helpers import symmetrize
-from ring_helpers import diff, pack_terms
+from ring_helpers import diff, pack_terms, recurrence_by_products
 
 coeffs = st.integers(min_value=-6, max_value=6).filter(bool)
 # caps just below and at powers of two, where a field is exactly full
@@ -223,6 +223,65 @@ def test_symmetric_mul_matches_generic_mul(case, box):
 def test_symmetric_mul_needs_a_box():
     with pytest.raises(ValueError, match="box"):
         sparse.mul_symmetric({0: 1}, {0: 1}, Packing(2, 3))
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or ``ArithmeticError`` when the division leaves a remainder."""
+    try:
+        return fn(*args)
+    except ArithmeticError:
+        return ArithmeticError
+
+
+@given(rings(), st.integers(0, 8))
+def test_recurrence_matches_one_product_per_pair_of_grades(case, box):
+    nvars, cap, p, _ = case
+    p = symmetrize(p)
+    # a box below the cap, and one at the cap, which truncates by degree alone
+    for ring in (Packing(nvars, cap, min(box, cap)), Packing(nvars, cap, cap)):
+        a = {k: c for k, c in pack_terms(ring, p).items() if k in ring.keep}
+        got = sparse.recurrence(a, ring, divide=False)
+        assert got == recurrence_by_products(a, ring, False)
+        assert sparse.is_symmetric(got, ring)
+        # most inputs leave a remainder; kernel and oracle must then both refuse
+        assert _outcome(sparse.recurrence, a, ring, True) == _outcome(recurrence_by_products, a, ring, True)
+
+
+@st.composite
+def symmetric_roots(draw):
+    """(nvars, cap, roots): a symmetric map from integer forms to signed multiplicities."""
+    nvars = draw(st.integers(1, 4))
+    cap = draw(caps)
+    forms = draw(st.dictionaries(st.tuples(*[st.integers(-3, 3)] * nvars), coeffs, max_size=4))
+    return nvars, cap, symmetrize(forms)
+
+
+@given(symmetric_roots(), st.integers(0, 8))
+def test_divided_recurrence_of_power_sums_matches_one_product_per_pair_of_grades(case, box):
+    nvars, cap, roots = case
+    for ring in (Packing(nvars, cap, min(box, cap)), Packing(nvars, cap, cap)):
+        # the signed power sums of integer roots divide exactly: the Newton step
+        sums = power_sums(roots, ring, cap)
+        a = {k: c if i % 2 else -c for i, p in enumerate(sums[1:], 1) for k, c in p.items()}
+        got = sparse.recurrence(a, ring, divide=True)
+        assert got == recurrence_by_products(a, ring, True)
+        assert sparse.is_symmetric(got, ring)
+
+
+def test_recurrence_refuses_a_remainder():
+    ring = Packing(2, 2, 2)
+    # f_2 = (x + y)^2 / 2 leaves 1/2 on x^2, the first orbit of grade 2
+    a = pack_terms(ring, {(1, 0): 1, (0, 1): 1})
+    assert sparse.recurrence(a, ring, divide=False) == pack_terms(
+        ring, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (2, 0): 1, (1, 1): 2, (0, 2): 1}
+    )
+    with pytest.raises(ArithmeticError, match="^Newton step 2 leaves a remainder 1$"):
+        sparse.recurrence(a, ring, divide=True)
+
+
+def test_recurrence_needs_a_box():
+    with pytest.raises(ValueError, match="box"):
+        sparse.recurrence({}, Packing(2, 3), divide=False)
 
 
 def test_symmetry_check_sees_every_transposition():
