@@ -13,7 +13,12 @@ A virtual bundle's roots are one map from form to signed multiplicity,
 computed bottom-up over the expression tree: a difference subtracts
 multiplicities and a form whose multiplicity reaches zero is dropped, so a
 virtual difference whose negative part divides the positive part is
-recognized as an honest bundle.  The map is the one root format: power
+recognized as an honest bundle.  Each node is formed by C-level passes
+over whole coefficient columns, not root by root: a dual negates the
+columns, a tensor product shifts the columns of its larger operand by each
+root of the other, and a symmetric power walks the multisets of all base
+roots but the last two, along which its roots are arithmetic progressions
+in every coordinate.  The map is the one root format: power
 sums are additive, so the Chern class and character of a virtual bundle
 take the same pass over it as those of an honest one.  The map is
 symmetric under permuting the x_i, since the roots of the tautological
@@ -33,19 +38,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from operator import add, mul
+from itertools import compress, islice, repeat
+from math import comb, factorial
+from operator import add, mul, neg, not_, sub
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .exact import normalize
-from .polyring import TruncatedPoly, exponents_of_degree, inverse_unit_series, power_sums, product_shifted_linear
+from .polyring import TruncatedPoly, inverse_unit_series, power_sums, product_shifted_linear
 
 if TYPE_CHECKING:
     from .grassmann import GrassContext
 
 # a Chern root: the integer coefficients of a linear form in x_1..x_k
 Root = tuple[int, ...]
+
+# the forms one C-level merge into a root map holds at once
+_CHUNK = 4096
 
 
 class VirtualBundleExpr:
@@ -138,42 +147,107 @@ def chern_roots(expr: VirtualBundleExpr, ctx: GrassContext) -> RootSet:
 
 
 def _signed_roots(expr: VirtualBundleExpr, k: int) -> dict[Root, int]:
-    """Map from each Chern root form to its nonzero signed multiplicity."""
+    """Map from each Chern root form to its nonzero signed multiplicity.
+
+    Every node is formed by C-level passes over whole coefficient columns,
+    with no Python-level step per root or pair of roots it forms.
+    """
     if isinstance(expr, TautologicalSub):
         return {tuple(-1 if j == i else 0 for j in range(k)): 1 for i in range(k)}
     if isinstance(expr, Dual):
-        return {tuple(-c for c in f): m for f, m in _signed_roots(expr.operand, k).items()}
+        inner = _signed_roots(expr.operand, k)
+        return dict(zip(zip(*[map(neg, column) for column in zip(*inner)]), inner.values()))
     if isinstance(expr, Sym):
         inner = _signed_roots(expr.operand, k)
-        if any(m < 0 for m in inner.values()):
+        if min(inner.values(), default=0) < 0:
             raise ValueError("symmetric power of a properly virtual bundle")
-        base = [f for f, m in inner.items() for _ in range(m)]
-        if not base:
-            # Sym^0 of the zero bundle is the trivial line bundle
-            return {(0,) * k: 1} if expr.power == 0 else {}
-        # a multiset of roots is its vector of counts, one entry per root of
-        # the base, and its form is the counts dotted with each column
-        columns = list(zip(*base))
-        out: dict[Root, int] = {}
-        for counts in exponents_of_degree(len(base), expr.power):
-            form = tuple([sum(map(mul, counts, column)) for column in columns])
-            out[form] = out.get(form, 0) + 1
-        return out
+        return _symmetric_power(inner, expr.power, k)
     if isinstance(expr, Tensor):
-        right = _signed_roots(expr.right, k).items()
-        out = {}
-        for a, ma in _signed_roots(expr.left, k).items():
-            for b, mb in right:
-                form = tuple(map(add, a, b))
-                out[form] = out.get(form, 0) + ma * mb
-        return {f: m for f, m in out.items() if m}
+        left, right = _signed_roots(expr.left, k), _signed_roots(expr.right, k)
+        if len(left) < len(right):
+            left, right = right, left
+        # the larger map as columns, shifted by each form of the smaller one
+        columns, mults = list(zip(*left)), list(left.values())
+        del left
+        out: dict[Root, int] = {}
+        for b, mb in right.items():
+            forms = zip(*[map(add, column, repeat(c)) for column, c in zip(columns, b)])
+            _add_into(out, forms, mults if mb == 1 else map(mul, mults, repeat(mb)))
+        return _nonzero(out)
     if isinstance(expr, (Plus, Minus)):
-        sign = 1 if isinstance(expr, Plus) else -1
-        out = dict(_signed_roots(expr.left, k))
-        for f, m in _signed_roots(expr.right, k).items():
-            out[f] = out.get(f, 0) + sign * m
-        return {f: m for f, m in out.items() if m}
+        out = _signed_roots(expr.left, k)
+        right = _signed_roots(expr.right, k)
+        _add_into(out, right, right.values() if isinstance(expr, Plus) else map(neg, right.values()))
+        return _nonzero(out)
     raise TypeError(f"not a bundle expression: {expr!r}")
+
+
+def _symmetric_power(inner: dict[Root, int], power: int, k: int) -> dict[Root, int]:
+    """The roots of ``Sym^power`` of the honest bundle with roots ``inner``.
+
+    A multiset of ``power`` base roots, each form listed as often as its
+    multiplicity, is a vector of counts, and its root is the counts dotted
+    with the base.  Two distinct forms u and v are put last.  For the
+    counts c of the other base roots, with r = power - |c| left over, the
+    roots ``c.head + r v + t (u - v)``, t = 0 .. r, are an arithmetic
+    progression in each coordinate: one ``range`` per coordinate, or a
+    ``repeat`` where u and v agree, zipped into r + 1 distinct forms.
+    """
+    if not inner:
+        # Sym^0 of the zero bundle is the trivial line bundle
+        return {(0,) * k: 1} if power == 0 else {}
+    if len(inner) == 1:
+        # m copies of one form u: each of the C(power + m - 1, m - 1) multisets has the root power * u
+        ((u, m),) = inner.items()
+        return {tuple(power * c for c in u): comb(power + m - 1, m - 1)}
+    u, v = next(iter(inner)), next(reversed(inner))
+    head = [f for f, m in inner.items() for _ in range(m - (f in (u, v)))]
+    step = tuple(map(sub, u, v))
+    out: dict[Root, int] = {}
+    for partial, r in _partial_sums(head, power, (0,) * k):
+        starts = map(add, partial, map(mul, v, repeat(r)))
+        progressions = [range(s, s + (r + 1) * dt, dt) if dt else repeat(s, r + 1) for s, dt in zip(starts, step)]
+        _add_into(out, zip(*progressions), repeat(1))
+    return out
+
+
+def _partial_sums(forms: list[Root], budget: int, partial: Root) -> Iterator[tuple[Root, int]]:
+    """``partial`` plus the counts dotted with ``forms``, and what the counts leave of ``budget``.
+
+    One pair per count vector of ``forms`` with entries summing to at most
+    ``budget``; each sum is its parent's plus one form.
+    """
+    if not forms:
+        yield partial, budget
+        return
+    first, rest = forms[0], forms[1:]
+    for left in range(budget, -1, -1):
+        yield from _partial_sums(rest, left, partial)
+        partial = tuple(map(add, partial, first))
+
+
+def _add_into(out: dict[Root, int], forms: Iterable[Root], mults: Iterable[int]) -> None:
+    """Add each multiplicity into ``out`` at its form; ``forms`` are distinct.
+
+    Three C-level passes: the forms already present are read with
+    ``out.get``, their sums written back with one ``update``.
+    """
+    if not out:
+        out.update(zip(forms, mults))
+        return
+    # a chunk at a time, so the new forms of a whole pass never coexist;
+    # zip stops on the spent chunk before it draws a multiplicity
+    forms, mults = iter(forms), iter(mults)
+    while chunk := list(islice(forms, _CHUNK)):
+        out.update(zip(chunk, map(add, map(out.get, chunk, repeat(0)), mults)))
+
+
+def _nonzero(out: dict[Root, int]) -> dict[Root, int]:
+    """``out`` without its zero multiplicities, dropped in place."""
+    if 0 in out.values():
+        for f in list(compress(out, map(not_, out.values()))):
+            del out[f]
+    return out
 
 
 def total_chern(expr: VirtualBundleExpr, ctx: GrassContext) -> TruncatedPoly:

@@ -21,9 +21,9 @@ d = 0).
 ``closed_form(n)`` took 0.10, 0.25, 0.45, 0.81, 2.0 and 3.5 s at n = 6 .. 11
 (single in-process runs, about x2 per step; ``closed-form --n 8`` peaked at
 18 MB; shared 2-vCPU host).  The costlier corner is ``degree`` at
-(``MAX_N``, ``MAX_D``): at n = 8 it took 0.01 s for d = 2, 0.4-0.7 s for
-d = 200 and 12-16 s and 230 MB for d = ``MAX_D`` on the same host, where
-root enumeration and the power sums are nearly all of the time.
+(``MAX_N``, ``MAX_D``): at n = 8 it took 0.02 s for d = 2, 0.45-0.5 s for
+d = 200 and 12-14 s and 230 MB for d = ``MAX_D`` on the same host, where
+the power sums are most of the time and root enumeration about a seventh.
 ``verify-paper`` interpolates on all 3g + 1 nodes d = 2 .. 3g + 2, g = 3(n-2),
 so its check does not rest on the reciprocity ``closed-form`` uses.
 ``forms check-pullback`` accepts ``--n`` up to ``MAX_FORMS_N`` = 20,
@@ -72,6 +72,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
@@ -112,7 +113,7 @@ MAX_D = 1000
 # the largest projective dimension the degree commands accept: closed-form
 # evaluates floor(9(n-2)/2) + 2 degrees, and its time grows about x2 per
 # step in n (0.45 s at n = 8, 0.81 s at n = 9, single runs), but degree at
-# (MAX_N, MAX_D) is the costlier corner (12-16 s and 230 MB at n = 8),
+# (MAX_N, MAX_D) is the costlier corner (12-14 s and 230 MB at n = 8),
 # which n = 9 would raise
 MAX_N = 8
 
@@ -505,6 +506,9 @@ def _cmd_selftest(_: argparse.Namespace) -> int:
     return 0 if failures == 0 else 2
 
 
+# built once per process: parsing leaves no state in the parser, and the
+# handlers read the module's names when they run
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="lpbdeg",

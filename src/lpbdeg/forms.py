@@ -54,8 +54,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb
-from operator import itemgetter, mul, neg, sub
+from math import comb, lcm
+from operator import attrgetter, itemgetter, mul, neg, sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import sparse
@@ -301,12 +301,21 @@ def integrability_defect(form: ProjectiveOneForm) -> dict[tuple[int, int, int], 
     Otherwise every triple is computed, so the dict is exact for any form.
     An integrable form in the radial kernel costs 1, 3 and 6 triples for
     n = 3, 4 and 5, against C(n+1, 3) = 4, 10 and 20.
+
+    A form with ``Fraction`` coefficients is gathered on integers: the
+    defects are quadratic in the form, so those of the form times the
+    common denominator D of its coefficients, divided exactly by D^2, are
+    its own.
     """
     n, d, nv = form.n, form.d, form.n + 1
+    scale = lcm(*map(attrgetter("denominator"), chain.from_iterable(map(dict.values, form.coeffs))))
+    coeffs = form.coeffs
+    if scale != 1:
+        coeffs = tuple({e: c.numerator * (scale // c.denominator) for e, c in a.items()} for a in coeffs)
 
     @lru_cache(maxsize=None)
     def vector(i: int) -> list[Scalar]:
-        return [form.coeffs[i].get(e, 0) for e in _defect_table(n, d).top]
+        return [coeffs[i].get(e, 0) for e in _defect_table(n, d).top]
 
     @lru_cache(maxsize=None)
     def curl(j: int, k: int) -> list[Scalar]:
@@ -318,7 +327,8 @@ def integrability_defect(form: ProjectiveOneForm) -> dict[tuple[int, int, int], 
     def defect(i: int, j: int, k: int) -> Poly:
         a = vector(i) + vector(j) + vector(k)
         b = curl(j, k) + list(map(neg, curl(i, k))) + curl(i, j)
-        return _defect_table(n, d).defect(a, b)
+        omega = _defect_table(n, d).defect(a, b)
+        return omega if scale == 1 else {e: normalize(Fraction(c, scale * scale)) for e, c in omega.items()}
 
     triples = list(combinations(range(1, nv), 3))
     pivot = next((p for p in range(1, nv) if form.coeffs[p]), None)

@@ -59,7 +59,7 @@ graded Chern character.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterator, Mapping
 
 from . import sparse
@@ -241,8 +241,11 @@ def power_sums(roots: Mapping[Exponent, int], ring: Packing, top: int) -> list[s
         raise ValueError("linear form coefficients must be integers")
     if not all(type(m) is int for m in roots.values()):
         raise ValueError("root multiplicities must be integers")
+    # a missing form has multiplicity 0, so only the nonzero part must be invariant
+    nonzero = roots if 0 not in roots.values() else {f: m for f, m in roots.items() if m}
     for i in range(ring.nvars - 1):
-        if any(roots.get(f[:i] + (f[i + 1], f[i]) + f[i + 2 :], 0) != m for f, m in roots.items()):
+        swap = itemgetter(*range(i), i + 1, i, *range(i + 2, ring.nvars))
+        if dict(zip(map(swap, nonzero), nonzero.values())) != nonzero:
             raise ValueError("the roots are not symmetric in the variables")
     table = sparse._orbits(ring)[: top + 1]
     moments = [[sum(roots.values())], *([0] * len(orbits) for _, orbits, _ in table[1:])]

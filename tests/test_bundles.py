@@ -1,14 +1,15 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpbdeg import bundles, sparse
 from lpbdeg.bundles import (
+    Dual,
     Minus,
     Plus,
     RootSet,
@@ -25,6 +26,7 @@ from lpbdeg.foliation import pullback_forms_bundle
 from lpbdeg.grassmann import GrassContext
 from lpbdeg.polyring import TruncatedPoly, elementary_symmetric, exponents_of_degree, inverse_unit_series
 from ring_helpers import plus
+from root_oracle import signed_roots_by_pairs
 
 CTX = GrassContext(3, 6)
 
@@ -86,6 +88,79 @@ def _sym_reference(base, power):
 def test_sym_roots_match_summed_picks(operand, power):
     base = chern_roots(operand, CTX).positive
     assert chern_roots(Sym(power, operand), CTX) == _sym_reference(base, power)
+
+
+# the oracle walks at most this many multisets or pairs of roots per node
+_ORACLE_BUDGET = 600
+
+
+def _oracle_work(expr, k):
+    """An upper bound on the total |multiplicity| of the roots of ``expr``."""
+    if expr == TAUT:
+        return k
+    if isinstance(expr, Dual):
+        return _oracle_work(expr.operand, k)
+    if isinstance(expr, Sym):
+        return comb(_oracle_work(expr.operand, k) + expr.power - 1, expr.power)
+    if isinstance(expr, Tensor):
+        return _oracle_work(expr.left, k) * _oracle_work(expr.right, k)
+    return _oracle_work(expr.left, k) + _oracle_work(expr.right, k)
+
+
+@st.composite
+def _expressions(draw, k, depth):
+    """A tree of depth at most ``depth`` that the oracle walks within its budget.
+
+    Its leaves are ``TAUT`` and its dual, so that a difference one level
+    up can be properly virtual.  A symmetric power takes a power in 0 .. 6
+    that keeps the budget, and a tensor product over the budget is drawn
+    as a sum.
+    """
+    kind = draw(st.sampled_from(["dual", "sym", "tensor", "plus", "minus"] if depth else ["leaf"]))
+    if kind == "leaf":
+        return draw(st.sampled_from([TAUT, dual(TAUT)]))
+    left = draw(_expressions(k, depth - 1))
+    if kind == "dual":
+        return Dual(left)
+    if kind == "sym":
+        top = max(p for p in range(7) if _oracle_work(Sym(p, left), k) <= _ORACLE_BUDGET)
+        return Sym(draw(st.integers(0, top)), left)
+    right = draw(_expressions(k, depth - 1))
+    if kind == "tensor" and _oracle_work(left, k) * _oracle_work(right, k) <= _ORACLE_BUDGET:
+        return Tensor(left, right)
+    return Minus(left, right) if kind == "minus" else Plus(left, right)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), _expressions(k, 3))))
+def test_signed_roots_match_the_root_by_root_oracle(case):
+    k, expr = case
+    try:
+        want = signed_roots_by_pairs(expr, k)
+    except ValueError:
+        with pytest.raises(ValueError, match="properly virtual"):
+            bundles._signed_roots(expr, k)
+        return
+    got = bundles._signed_roots(expr, k)
+    assert type(got) is dict
+    assert 0 not in got.values()
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        Tensor(pullback_forms_bundle(100), TAUT),
+        Minus(Tensor(dual(TAUT), pullback_forms_bundle(100)), pullback_forms_bundle(100)),
+    ],
+    ids=["tensor", "minus"],
+)
+def test_signed_roots_match_the_oracle_past_one_chunk(expr):
+    # merges of more than one chunk of forms, with unequal multiplicities
+    got = bundles._signed_roots(expr, 3)
+    assert len(got) > bundles._CHUNK
+    assert len(set(got.values())) > 2
+    assert got == signed_roots_by_pairs(expr, 3)
 
 
 def test_sym_of_virtual_rejected():

@@ -493,6 +493,26 @@ def test_module_entry_point_prints_version():
     assert __version__ == "0.1.0"
 
 
+def test_one_parser_answers_every_command_line_as_a_fresh_one(tmp_cache, capsys):
+    # main() builds its parser once per process; the parser must keep no
+    # state from one command line to the next
+    lines = [
+        ["degree", "--n", "3", "--d", "2"],
+        ["degree", "--n", "3"],
+        ["--version"],
+        ["degree", "--n", "4", "--d", "2"],
+    ]
+    cli.build_parser.cache_clear()
+    warm = []
+    for argv in lines:
+        warm.append((main(argv), *capsys.readouterr()))
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in warm] == [0, 1, 0, 0]
+    for argv, seen in zip(lines, warm):
+        cli.build_parser.cache_clear()
+        assert (main(argv), *capsys.readouterr()) == seen
+
+
 @pytest.mark.parametrize(
     "argv, usage",
     [

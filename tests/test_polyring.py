@@ -467,6 +467,55 @@ def test_power_sums_rejects_asymmetric_roots():
         power_sums({(1, 1, Fraction(1)): 1}, ring, 4)
 
 
+def _symmetric_form_by_form(roots, nvars):
+    # the check read one form at a time: each form's mirror under each
+    # adjacent transposition has its multiplicity, a missing form counting 0
+    return all(
+        roots.get(f[:i] + (f[i + 1], f[i]) + f[i + 2 :], 0) == m
+        for i in range(nvars - 1)
+        for f, m in roots.items()
+    )
+
+
+@st.composite
+def _maybe_symmetric_roots(draw):
+    # small forms with multiplicities of both signs and zero, as drawn or
+    # closed under permuting the variables
+    nvars = draw(st.integers(2, 4))
+    forms = st.tuples(*[st.integers(-1, 1)] * nvars)
+    roots = draw(st.dictionaries(forms, st.integers(-2, 2), max_size=6))
+    if draw(st.booleans()):
+        roots = {image: m for form, m in roots.items() for image in orbits_of([form])}
+    return nvars, roots
+
+
+@given(_maybe_symmetric_roots())
+def test_power_sums_symmetry_verdict_matches_the_form_by_form_check(case):
+    nvars, roots = case
+    ring = Packing(nvars, 2, 2)
+    if _symmetric_form_by_form(roots, nvars):
+        power_sums(roots, ring, 2)
+    else:
+        with pytest.raises(ValueError, match="not symmetric"):
+            power_sums(roots, ring, 2)
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_power_sums_symmetry_reads_a_zero_multiplicity_as_a_missing_form(nvars):
+    ring = Packing(nvars, 2, 2)
+    form = (1,) + (0,) * (nvars - 1)
+    closed = {image: 3 for image in orbits_of([form])}
+    zero = (2,) + (0,) * (nvars - 2) + (-1,)
+    # a zero whose mirrors are absent is accepted, and adds nothing
+    assert power_sums({**closed, zero: 0}, ring, 2) == power_sums(closed, ring, 2)
+    # a zero whose mirror holds a nonzero multiplicity is not
+    with pytest.raises(ValueError, match="not symmetric"):
+        power_sums({**closed, form: 0}, ring, 2)
+    # an orbit with one multiplicity changed is not symmetric either
+    with pytest.raises(ValueError, match="not symmetric"):
+        power_sums({**closed, form: 2}, ring, 2)
+
+
 def test_power_sums_degree_range():
     ring = sparse.Packing(2, 3, 3)
     assert power_sums({}, ring, 0) == [{}]
