@@ -164,12 +164,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 class DegreeCache:
-    """Append-only newline-delimited JSON cache of degrees keyed by (n, d)."""
+    """Append-only newline-delimited JSON cache of degrees keyed by (n, d), at the path ``LPB_CACHE`` names."""
 
-    def __init__(self, path: str | None = None) -> None:
-        if path is None:
-            path = os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_PATH)
-        self.path = path
+    def __init__(self) -> None:
+        self.path = os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_PATH)
         self._entries: dict[tuple[int, int], int] = {}
         # keys with a record written by this engine version
         self._current: set[tuple[int, int]] = set()

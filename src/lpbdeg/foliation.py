@@ -62,6 +62,24 @@ METHOD_BOTH = "both"
 _METHODS = (METHOD_CHERN_QUOTIENT, METHOD_CH_PARTITION, METHOD_BOTH)
 
 
+def _require(value: int, name: str, least: int, message: str) -> None:
+    """Refuse ``value`` unless it is a plain ``int`` of at least ``least``.
+
+    The test is ``type(value) is int``, as in :func:`~lpbdeg.exact.normalize`,
+    so a ``bool``, a float or an integral ``Fraction`` raises ``ValueError``,
+    and so does a value below ``least``, with ``message``, before any work.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < least:
+        raise ValueError(message)
+
+
+# (name, least value, message) of the two arguments of the degree functions
+_D = ("d", 0, "foliation degree must be nonnegative")
+_N = ("n", 3, "ambient projective dimension must be at least 3")
+
+
 class InternalInconsistencyError(RuntimeError):
     """Two computations that must agree exactly produced different values.
 
@@ -81,8 +99,7 @@ def pullback_forms_bundle(d: int) -> VirtualBundleExpr:
     T the tautological subbundle.  The returned difference of honest
     bundles cancels to that kernel, of rank (d+1)(d+3).
     """
-    if d < 0:
-        raise ValueError("foliation degree must be nonnegative")
+    _require(d, *_D)
     return Minus(Tensor(Sym(d + 1, TAUT), TAUT), Sym(d + 2, TAUT))
 
 
@@ -98,10 +115,8 @@ def degree_lpb(d: int, n: int, method: str = METHOD_CHERN_QUOTIENT) -> int:
     Values with d < 2 are formal: the Segre integral is defined there, but
     the geometric component interpretation needs d >= 2.
     """
-    if d < 0:
-        raise ValueError("foliation degree must be nonnegative")
-    if n < 3:
-        raise ValueError("ambient projective dimension must be at least 3")
+    _require(d, *_D)
+    _require(n, *_N)
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     ctx = GrassContext(3, n + 1)
@@ -147,10 +162,8 @@ class LpbInvariants:
 
 def lpb_invariants(d: int, n: int) -> LpbInvariants:
     """Rank, Grassmannian dimension and component dimension, by substitution."""
-    if d < 0:
-        raise ValueError("foliation degree must be nonnegative")
-    if n < 3:
-        raise ValueError("ambient projective dimension must be at least 3")
+    _require(d, *_D)
+    _require(n, *_N)
     rank = (d + 1) * (d + 3)
     g = 3 * (n - 2)
     return LpbInvariants(d=d, n=n, bundle_rank=rank, grassmannian_dim=g, dimension=g + rank - 1)
@@ -222,8 +235,7 @@ def closed_form_full_nodes(n: int, degree_fn: Callable[[int], int] | None = None
 
 
 def _node_evaluator(n: int, degree_fn: Callable[[int], int] | None) -> Callable[[int], int]:
-    if n < 3:
-        raise ValueError("ambient projective dimension must be at least 3")
+    _require(n, *_N)
     if degree_fn is None:
         return lambda d: degree_lpb(d, n)
     return degree_fn
@@ -270,8 +282,8 @@ def reference_formula(n: int, d: int) -> int:
     For n = 4 the published display quotients factorials, so d >= 1 is
     required there; n = 3 accepts any d >= 0.
     """
-    if n == 3 and d < 0:
-        raise ValueError("foliation degree must be nonnegative")
+    _require(n, *_N)
+    _require(d, *_D)
     if n == 4 and d < 1:
         raise ValueError("the published n = 4 form divides by (d-1)!, so d >= 1")
     value = reference_polynomial(n)(d)

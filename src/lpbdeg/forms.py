@@ -50,6 +50,7 @@ rescale.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -129,10 +130,10 @@ class ProjectiveOneForm:
     ``n`` is the ambient projective dimension and d the foliation degree,
     so each A_i is homogeneous of degree d+1 in the n+1 variables.  The
     radial-contraction identity is not enforced here; use
-    :func:`contract_radial` to test membership in the form space.  A
-    coefficient that is not an ``int`` or a ``Fraction``, or an exponent
-    that is not a nonnegative ``int`` (a ``bool`` included), raises
-    ``ValueError``.
+    :func:`contract_radial` to test membership in the form space.  An
+    ``n`` or ``d`` that is not an ``int``, a coefficient that is not an
+    ``int`` or a ``Fraction``, or an exponent key that is not a sequence of
+    nonnegative ``int`` (a ``bool`` included), raises ``ValueError``.
     """
 
     n: int
@@ -140,6 +141,8 @@ class ProjectiveOneForm:
     coeffs: tuple[Poly, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.d) is not int:
+            raise ValueError(f"n and d must be ints, not {self.n!r} and {self.d!r}")
         if self.n < 2:
             raise ValueError("ambient projective dimension must be at least 2")
         if self.d < 0:
@@ -153,7 +156,11 @@ class ProjectiveOneForm:
             # a bool, float or Fraction entry is not an exponent; one C-level
             # pass clears the usual coefficient, and a key is looked at alone
             # only to name the bad one
-            exact = set(map(type, chain.from_iterable(a))) <= {int}
+            try:
+                exact = set(map(type, chain.from_iterable(a))) <= {int}
+            except TypeError:  # a key that is not a sequence
+                bad = next(e for e in a if not isinstance(e, Iterable))
+                raise ValueError(f"bad exponent {bad!r} for ambient dimension {self.n}") from None
             for e, c in a.items():
                 key = tuple(e)
                 if len(key) != nv or min(key) < 0 or not exact and set(map(type, key)) != {int}:

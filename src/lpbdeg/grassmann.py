@@ -10,7 +10,9 @@ the coefficient of the top Schubert class, i.e. the integral.
 
 The normalization is pinned by the Pluecker degree of G(k, m) in its
 Pluecker embedding, ``integrate(e_1^g)``, which must come out to the
-classical values (1, 5 and 42 for 3-planes in dimensions 4, 5, 6).
+classical values (1, 5 and 42 for 3-planes in dimensions 4, 5, 6).  The
+class e_1^g is the g-th power sum of the single root x_1 + ... + x_k, so
+:func:`~lpbdeg.polyring.power_sums` forms it in :attr:`GrassContext.ring`.
 
 The Vandermonde has every exponent below k, and the target monomial every
 exponent at most m - 1, so the integral reads only class coefficients whose
@@ -35,7 +37,7 @@ from functools import cached_property
 
 from . import sparse
 from .exact import Scalar, normalize
-from .polyring import TruncatedPoly, elementary_symmetric
+from .polyring import TruncatedPoly, power_sums
 from .sparse import Packing
 
 
@@ -106,10 +108,12 @@ class GrassContext:
         """Degree of the Grassmannian in its Pluecker embedding.
 
         This integrates ``e_1^g`` in :attr:`ring` and doubles as the
-        calibration check for the integration normalization.
+        calibration check for the integration normalization.  The class is
+        the g-th power sum of the one root ``x_1 + ... + x_k`` of
+        multiplicity 1, which is symmetric.
         """
-        e1 = elementary_symmetric(self.ring, 1)
-        value = self.integrate(e1**self.g)
+        e1_power = power_sums({(1,) * self.k: 1}, self.ring, self.g)[self.g]
+        value = self.integrate(TruncatedPoly._raw(self.ring, e1_power))
         if not isinstance(value, int):
             raise ArithmeticError("Pluecker degree came out non-integral")
         return value

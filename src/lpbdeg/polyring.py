@@ -7,8 +7,7 @@ for working on a variety whose cohomology vanishes above its dimension, and
 so is every monomial with an exponent above ``box``.  Terms are stored
 sparsely in the packed-exponent format of :mod:`lpbdeg.sparse`, in the
 ring's packing, with bound ``cap`` and exponent box ``box``, and every
-product keeps exactly the keys in that packing's ``keep`` set, the one
-truncation rule.
+product is formed only at the in-box monomials of degree at most the cap.
 
 Every class the degree engine forms is symmetric in the Chern roots, and a
 :class:`TruncatedPoly` holds only such classes: its constructor raises
@@ -20,11 +19,12 @@ of the variables.  ``*`` of two classes is the one caller of
 route, the Newton step of :func:`product_shifted_linear` and
 :func:`inverse_unit_series`, run on :func:`~lpbdeg.sparse.recurrence`,
 which forms each grade from every pair of lower grades at once.  The
-invariant is checked where terms enter from outside: the constructor
-checks the terms, and :func:`power_sums` checks the signed roots, a map
-that some adjacent transposition of the coordinates moves raising
-``ValueError``.  Symmetric roots have symmetric power sums, so neither
-:func:`product_shifted_linear` nor
+invariant is checked where terms enter from outside, by the one check
+:func:`is_symmetric` on maps keyed by exponent tuples: the constructor
+checks its terms before packing them, and :func:`power_sums` checks the
+signed roots, a map that some adjacent transposition of the coordinates
+moves raising ``ValueError``.  Symmetric roots have symmetric power sums,
+so neither :func:`product_shifted_linear` nor
 :func:`~lpbdeg.bundles.chern_character_graded` checks again.
 
 The ring is a :class:`~lpbdeg.sparse.Packing` with a box, and every
@@ -49,7 +49,9 @@ sub-tree of :func:`~lpbdeg.sparse.monomial_tree` whose exponents do not
 decrease, grade by grade, and gathers integer moment sums a column at a
 time over fixed blocks of distinct forms, so its cost is one C-level
 ``map`` and one ``sum`` per orbit in the box and per block.  Both degree
-routes start from it.
+routes start from it, and so does the Pluecker class e_1^g of
+:meth:`~lpbdeg.grassmann.GrassContext.plucker_degree`, the g-th power sum
+of the single root x_1 + ... + x_k.
 :func:`product_shifted_linear` turns the power sums into a total Chern
 class by Newton's identities, for honest and virtual bundles alike, and
 :func:`~lpbdeg.bundles.chern_character_graded` divides them into the
@@ -58,8 +60,8 @@ graded Chern character.
 
 from __future__ import annotations
 
-from itertools import combinations
-from operator import add, itemgetter, mul
+from itertools import islice
+from operator import add, eq, itemgetter, mul
 from typing import Iterator, Mapping
 
 from . import sparse
@@ -110,7 +112,7 @@ class TruncatedPoly:
         if ring.box is None:
             raise ValueError("a truncated ring needs a packing with a box")
         nvars = ring.nvars
-        clean: dict[int, Scalar] = {}
+        clean: dict[Exponent, Scalar] = {}
         for expo, c in (terms or {}).items():
             e = tuple(expo)
             if len(e) != nvars:
@@ -122,13 +124,12 @@ class TruncatedPoly:
             c = normalize(c)
             if c == 0 or sum(e) > ring.bound or max(e) > ring.box:
                 continue
-            key = ring.pack(e)
-            clean[key] = clean.get(key, 0) + c
-        terms = {k: c for k, c in clean.items() if c != 0}
-        if not sparse.is_symmetric(terms, ring):
+            clean[e] = clean.get(e, 0) + c
+        clean = {e: c for e, c in clean.items() if c != 0}
+        if not is_symmetric(clean, nvars):
             raise ValueError("terms are not symmetric in the variables")
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", {ring.pack(e): c for e, c in clean.items()})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TruncatedPoly is immutable")
@@ -194,21 +195,27 @@ class TruncatedPoly:
             raise ValueError("operands live in different truncated rings")
         return TruncatedPoly._raw(self.ring, sparse.mul_symmetric(self.terms, other.terms, self.ring))
 
-    def __pow__(self, exp: int) -> TruncatedPoly:
-        if exp < 0:
-            raise ValueError("negative power in a truncated ring")
-        out = TruncatedPoly.one(self.ring)
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
-
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*x^{list(e)}" for e, c in self.sorted_terms()) or "0"
         return f"TruncatedPoly({self.ring!r}, {body})"
+
+
+def is_symmetric(terms: Mapping[Exponent, Scalar], nvars: int) -> bool:
+    """True when ``terms``, a dict keyed by exponent tuples of ``nvars`` entries, is symmetric.
+
+    Symmetric means invariant under every permutation of the entries; the
+    adjacent transpositions generate the symmetric group, so one comparison
+    per transposition decides it: each key's image holds the key's value.
+    The image is looked up, one C-level pass over the keys, so no swapped
+    copy of the map is built.  A zero value counts as a term, so a caller
+    for whom a zero means a missing key drops its zeros first.
+    """
+    get = terms.get
+    for i in range(nvars - 1):
+        swap = itemgetter(*range(i), i + 1, i, *range(i + 2, nvars))
+        if not all(map(eq, map(get, map(swap, terms)), terms.values())):
+            return False
+    return True
 
 
 def power_sums(roots: Mapping[Exponent, int], ring: Packing, top: int) -> list[sparse.Poly]:
@@ -243,15 +250,12 @@ def power_sums(roots: Mapping[Exponent, int], ring: Packing, top: int) -> list[s
         raise ValueError("root multiplicities must be integers")
     # a missing form has multiplicity 0, so only the nonzero part must be invariant
     nonzero = roots if 0 not in roots.values() else {f: m for f, m in roots.items() if m}
-    for i in range(ring.nvars - 1):
-        swap = itemgetter(*range(i), i + 1, i, *range(i + 2, ring.nvars))
-        if dict(zip(map(swap, nonzero), nonzero.values())) != nonzero:
-            raise ValueError("the roots are not symmetric in the variables")
+    if not is_symmetric(nonzero, ring.nvars):
+        raise ValueError("the roots are not symmetric in the variables")
     table = sparse._orbits(ring)[: top + 1]
     moments = [[sum(roots.values())], *([0] * len(orbits) for _, orbits, _ in table[1:])]
-    distinct = list(roots.items())
-    for start in range(0, len(distinct), _BLOCK):
-        block = distinct[start : start + _BLOCK]
+    items = iter(roots.items())
+    while block := list(islice(items, _BLOCK)):
         columns = list(zip(*[form for form, _ in block]))
         # level[i] holds m * a^alpha over the block for representative i of a grade
         level = [[mult for _, mult in block]]
@@ -307,11 +311,3 @@ def inverse_unit_series(p: TruncatedPoly) -> TruncatedPoly:
         raise ValueError("inverse_unit_series needs constant term 1")
     # the grades of -p, so that q_k = sum_j (-p_j) q_{k-j}; the kernel skips the constant
     return TruncatedPoly._raw(p.ring, sparse.recurrence(sparse.scale(p.terms, -1), p.ring, divide=False))
-
-
-def elementary_symmetric(ring: Packing, index: int) -> TruncatedPoly:
-    """The elementary symmetric polynomial ``e_index`` in the variables of ``ring``."""
-    if index < 0:
-        raise ValueError("negative elementary symmetric index")
-    subsets = combinations(range(ring.nvars), index)
-    return TruncatedPoly(ring, {tuple(int(i in subset) for i in range(ring.nvars)): 1 for subset in subsets})

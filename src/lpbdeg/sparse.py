@@ -24,45 +24,46 @@ a *box*, a bound on every single exponent, clamped to the degree bound.
 grade, each monomial up to the bound (in the box, when there is one) with
 a parent that drops one factor of its lowest-index variable.  The linear
 substitution of :mod:`lpbdeg.forms` walks it, and the power sums of
-:mod:`lpbdeg.polyring` walk its orbit representatives (below).  A boxed
-packing's ``keep`` set is the key 0 of the monomial 1 with the tree's
-keys: the keys of ``Q[x] / (deg > bound, x_i^(box + 1))``, the valid keys
-of degree at most the bound with every exponent in the box.  The
-monomials outside the box span an ideal, so dropping them after each
-product is a ring homomorphism, and :func:`mul` keeps a product key
-exactly when it is in ``keep``.  That one membership test is the whole truncation rule, and it
-is exact although a product need not fit the fields: a variable field that
-overflows forces the total degree above the bound, and the carry it leaves
-makes the key invalid, so it is never in ``keep``.  A packing without a box
-truncates nothing; the forms side builds one with fields wide enough for
-every product it forms.
+:mod:`lpbdeg.polyring` walk its orbit representatives (below).
 
-:func:`mul` visits every pair of terms; it serves the forms side and the
-Vandermonde of the Grassmann integral, and it is the reference the tests
-hold :func:`mul_symmetric` to, and through it :func:`recurrence`.  Both of
-those take operands invariant under every permutation of the variables, in
-a packing with a box.  :func:`mul_symmetric` is the product ``*`` of two
+A boxed packing is the ring ``Q[x] / (deg > bound, x_i^(box + 1))``, whose
+monomials are the in-box monomials of degree at most the bound: 1 and the
+monomials of the tree.  The monomials outside the box span an ideal, so
+dropping them after each product is a ring homomorphism.  The two
+truncated kernels, :func:`mul_symmetric` and :func:`recurrence`, form a
+coefficient only at the in-box monomials of degree at most the bound, one
+per orbit of the orbit table :func:`_orbits` reads off the tree, and they
+refuse a packing without a box.  The box and the orbit table are the whole
+truncation rule.  :func:`mul` truncates nothing: it visits every pair of
+terms, so its caller's packing must have room for the degree of the
+product.  It serves the forms side, whose packing has fields wide enough
+for every product it forms, and the Vandermonde of the Grassmann integral.
+
+The truncated kernels take operands invariant under every permutation of
+the variables.  :func:`mul_symmetric` is the product ``*`` of two
 :class:`~lpbdeg.polyring.TruncatedPoly` classes.  :func:`recurrence` is the
 convolution recurrence of the quotient route, run by the Newton step of
 :func:`~lpbdeg.polyring.product_shifted_linear` and by
 :func:`~lpbdeg.polyring.inverse_unit_series`; the two share only the orbit
-table.  The truncated type holds only symmetric classes, and
-:func:`is_symmetric` is checked where terms enter it, in the polyring
-constructor; the signed Chern roots are checked once, by
-:func:`~lpbdeg.polyring.power_sums`, and symmetric roots have symmetric
-power sums.
+table.  The truncated type holds only symmetric classes:
+:func:`~lpbdeg.polyring.is_symmetric` checks the exponent tuples where
+terms enter it, in the polyring constructor, and the signed Chern roots
+once, in :func:`~lpbdeg.polyring.power_sums`; symmetric roots have
+symmetric power sums.
 
-:func:`mul_symmetric` computes one coefficient per orbit of ``keep``, at
-the representative nu whose exponents do not decrease from variable 0, as
+:func:`mul_symmetric` computes one coefficient per orbit of the in-box
+monomials of degree at most the bound, at the representative nu whose
+exponents do not decrease from variable 0, as
 ``sum over alpha in p of p[alpha] * q[nu - alpha]``, and writes it to
-every key of the orbit.  The result is exactly ``mul(p, q,
-packing.keep)``:
+every key of the orbit.  The result is exactly the truncated product, the
+product ``p * q`` with every monomial of degree above the bound or with an
+exponent above the box dropped:
 
 * a product of symmetric polynomials is symmetric, so the untruncated
   product has one coefficient on each orbit;
-* ``keep`` is invariant under permuting the variables, so truncating to it
-  commutes with the permutations, and the orbits of ``keep`` are whole
-  orbits of monomials;
+* the in-box monomials of degree at most the bound are invariant under
+  permuting the variables, so truncating to them commutes with the
+  permutations, and their orbits are whole orbits of monomials;
 * a lookup ``nu - alpha`` that borrows between fields gives an invalid
   key, and every key of q is valid.  For if ``beta = nu - alpha`` is a key
   of q, then ``nu = alpha + beta`` adds two valid keys, and a field that
@@ -73,13 +74,13 @@ packing.keep)``:
 
 :func:`recurrence` forms the series f with f_0 = 1 and
 ``f_k = sum over i = 1 .. k of a_i f_{k-i}``, divided by k when asked, grade
-by grade and one coefficient per orbit of ``keep``.  For each pair
-(i, k - i) it iterates over the smaller of the grades a_i and f_{k-i}.  The
-chosen grades of a are concatenated, and each ``nu - alpha`` is looked up
-in one dict that holds every grade of f formed so far; the chosen grades of
-f likewise look up ``nu - beta`` in the one dict of a.  So the coefficient
-at nu is two sums, and it is exactly that of ``sum_i mul(a_i, f_{k-i},
-packing.keep)``:
+by grade and one coefficient per orbit of the in-box monomials of degree k.
+For each pair (i, k - i) it iterates over the smaller of the grades a_i and
+f_{k-i}.  The chosen grades of a are concatenated, and each ``nu - alpha``
+is looked up in one dict that holds every grade of f formed so far; the
+chosen grades of f likewise look up ``nu - beta`` in the one dict of a.  So
+the coefficient at nu is two sums, and it is exactly that of the truncated
+``sum_i a_i f_{k-i}``:
 
 * a borrowed lookup gives an invalid key, which no dict holds: by the
   argument above, a hit beta of ``nu - alpha`` is a valid key with
@@ -129,15 +130,14 @@ class Packing:
     """Bit layout of packed exponents in ``nvars`` variables.
 
     Fields are wide enough for any exponent up to ``bound``.  A ``box``
-    bounds every exponent as well; it is clamped to ``bound``, and ``keep``
-    is then the frozen set of keys of the ring
-    ``Q[x] / (deg > bound, x_i^(box + 1))``, 0 and the keys of
-    :func:`monomial_tree`, so a box equal to the bound truncates by degree
-    alone.  Without a box, ``box`` and ``keep`` are ``None`` and nothing is
-    truncated.  The box does not change the layout.
+    bounds every exponent as well; it is clamped to ``bound``, and the
+    packing is then the ring ``Q[x] / (deg > bound, x_i^(box + 1))`` of the
+    truncated kernels, so a box equal to the bound truncates by degree
+    alone.  Without a box, ``box`` is ``None`` and nothing is truncated.
+    The box does not change the layout.
     """
 
-    __slots__ = ("nvars", "bound", "box", "keep", "width", "shift", "mask")
+    __slots__ = ("nvars", "bound", "box", "width", "shift", "mask")
 
     def __init__(self, nvars: int, bound: int, box: int | None = None) -> None:
         if nvars < 1:
@@ -152,7 +152,6 @@ class Packing:
         self.shift = nvars * self.width
         self.mask = (1 << self.width) - 1
         self.box = None if box is None else min(box, bound)
-        self.keep = None if box is None else frozenset({0}).union(*(keys for _, keys, _ in monomial_tree(self)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Packing):
@@ -260,28 +259,20 @@ def scale(p: dict, c: Scalar) -> dict:
     return {k: v * c for k, v in p.items()}
 
 
-def mul(p: Poly, q: Poly, keep: frozenset[int] | None = None) -> Poly:
-    """The product ``p * q``, keeping only keys in ``keep`` when given.
+def mul(p: Poly, q: Poly) -> Poly:
+    """The untruncated product ``p * q``.
 
-    With ``keep = packing.keep`` the result is the product truncated to the
-    packing's degree bound and box.  Without it nothing is dropped, so the
-    caller's packing must have room for the degree of the product.
+    Nothing is dropped, so the caller's packing must have room for the
+    degree of the product.
     """
     if len(q) < len(p):
         p, q = q, p
     out: Poly = {}
     get = out.get
-    if keep is None:
-        for k1, c1 in p.items():
-            for k2, c2 in q.items():
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-    else:
-        for k1, c1 in p.items():
-            for k2, c2 in q.items():
-                k = k1 + k2
-                if k in keep:
-                    out[k] = get(k, 0) + c1 * c2
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
     return {k: c for k, c in out.items() if c}
 
 
@@ -315,14 +306,15 @@ def _orbits(packing: Packing) -> tuple[tuple[tuple, tuple, tuple], ...]:
 
 
 def mul_symmetric(p: Poly, q: Poly, packing: Packing) -> Poly:
-    """The product ``p * q`` truncated to ``packing.keep``, orbit by orbit.
+    """The product ``p * q`` truncated to the packing's bound and box, orbit by orbit.
 
     Both operands must be symmetric in the variables and the packing must
-    have a box; the result equals ``mul(p, q, packing.keep)`` (see the
-    module docstring).  Each coefficient at a representative is one C-level
-    pass over the terms of the smaller operand.
+    have a box; the result is the product with every monomial outside the
+    box or above the bound dropped (see the module docstring).  Each
+    coefficient at a representative is one C-level pass over the terms of
+    the smaller operand.
     """
-    if packing.keep is None:
+    if packing.box is None:
         raise ValueError("the symmetric product needs a packing with a box")
     if len(q) < len(p):
         p, q = q, p
@@ -356,17 +348,18 @@ def mul_symmetric(p: Poly, q: Poly, packing: Packing) -> Poly:
 
 
 def recurrence(a: Poly, packing: Packing, divide: bool) -> Poly:
-    """The series f with f_0 = 1 and f_k = sum_{i = 1..k} a_i f_{k-i}, truncated to ``packing.keep``.
+    """The series f with f_0 = 1 and f_k = sum_{i = 1..k} a_i f_{k-i}, truncated to the packing's bound and box.
 
     ``a`` holds its grades a_1, a_2, ... in one dict (a constant term is
     never read); it must be symmetric in the variables, with its keys in
-    ``keep``, and the packing must have a box.  With ``divide`` each f_k is
+    the box and of degree at most the bound, and the packing must have a
+    box.  With ``divide`` each f_k is
     that sum divided by k, which must be exact: a remainder raises
     ``ArithmeticError``.  Each coefficient at a representative of grade k
     is at most two C-level passes, one over the chosen grades of a and one
     over those of f (see the module docstring).
     """
-    if packing.keep is None:
+    if packing.box is None:
         raise ValueError("the recurrence needs a packing with a box")
     shift, bound = packing.shift, packing.bound
     # the terms of a by degree, as parallel lists of keys and coefficients
@@ -409,22 +402,3 @@ def recurrence(a: Poly, packing: Packing, divide: bool) -> Poly:
                 coeffs += repeat(r, len(orbit))
         f_grades.append((keys, coeffs))
     return out
-
-
-def is_symmetric(p: Poly, packing: Packing) -> bool:
-    """True when ``p`` is invariant under every permutation of the variables.
-
-    Checking adjacent transpositions suffices since they generate the
-    symmetric group.
-    """
-    get, mask = p.get, packing.mask
-    for i in range(packing.nvars - 1):
-        low = packing.offset(i + 1)
-        high = low + packing.width
-        # adding (b - a) * step to a key moves b into field i, a into i + 1
-        step = (1 << high) - (1 << low)
-        for k, c in p.items():
-            a, b = (k >> high) & mask, (k >> low) & mask
-            if a != b and get(k + (b - a) * step, 0) != c:
-                return False
-    return True

@@ -2,12 +2,16 @@
 
 The package keeps the arithmetic its commands run.  The tests build their
 operands and oracles with these: packed polynomials from exponent-tuple
-dicts, the partial derivative the forms tests take curls with, the sum
-of two truncated classes, and the convolution recurrence as one product
-per pair of grades.
+dicts, the product of two tuple-dict polynomials truncated by degree and
+box, the partial derivative the forms tests take curls with, the sum of
+two truncated classes, the classes e_k and e_1^g, and the convolution
+recurrence as one product per pair of grades.
 """
 
 from __future__ import annotations
+
+from itertools import combinations, product
+from math import factorial, prod
 
 from lpbdeg import sparse
 from lpbdeg.polyring import TruncatedPoly
@@ -16,6 +20,27 @@ from lpbdeg.polyring import TruncatedPoly
 def pack_terms(packing, terms):
     """The packed polynomial of a dict from exponent tuples to scalars."""
     return {packing.pack(e): c for e, c in terms.items()}
+
+
+def ref_mul(p, q, cap=None, box=None):
+    """The product of two dicts from exponent tuples to scalars, pair by pair.
+
+    A term of degree above ``cap`` or with an exponent above ``box`` is
+    dropped when that bound is given.
+    """
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if (cap is None or sum(e) <= cap) and (box is None or max(e) <= box):
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def truncated_mul(p, q, packing):
+    """The product of two packed polynomials truncated to the bound and box of ``packing``, by :func:`ref_mul`."""
+    terms = ref_mul(packing.unpack_terms(p), packing.unpack_terms(q), packing.bound, packing.box)
+    return pack_terms(packing, terms)
 
 
 def diff(p, packing, var):
@@ -34,6 +59,18 @@ def plus(p, q, c=1):
     """The class ``p + c * q`` of two classes in one ring, through the checking constructor."""
     assert p.ring == q.ring
     return TruncatedPoly(p.ring, p.ring.unpack_terms(sparse.add(dict(p.terms), q.terms, c)))
+
+
+def elementary(ring, index):
+    """The elementary symmetric class e_index of ``ring``, through the checking constructor."""
+    subsets = combinations(range(ring.nvars), index)
+    return TruncatedPoly(ring, {tuple(int(i in subset) for i in range(ring.nvars)): 1 for subset in subsets})
+
+
+def e1_power(ring, g):
+    """The class e_1^g of ``ring`` from its multinomial coefficients g! / prod alpha_i!."""
+    expos = (e for e in product(range(g + 1), repeat=ring.nvars) if sum(e) == g)
+    return TruncatedPoly(ring, {e: factorial(g) // prod(map(factorial, e)) for e in expos})
 
 
 def unit_series(p):

@@ -24,8 +24,8 @@ from lpbdeg.bundles import (
 )
 from lpbdeg.foliation import pullback_forms_bundle
 from lpbdeg.grassmann import GrassContext
-from lpbdeg.polyring import TruncatedPoly, elementary_symmetric, exponents_of_degree, inverse_unit_series
-from ring_helpers import plus
+from lpbdeg.polyring import TruncatedPoly, exponents_of_degree, inverse_unit_series
+from ring_helpers import elementary, plus
 from root_oracle import signed_roots_by_pairs
 
 CTX = GrassContext(3, 6)
@@ -196,7 +196,7 @@ def test_minus_keeps_uncancelled_negative_part():
 def test_total_chern_of_taut_and_dual():
     expected_dual, expected = {}, {}
     for i in range(4):
-        e = elementary_symmetric(CTX.ring, i).terms
+        e = elementary(CTX.ring, i).terms
         sparse.add(expected_dual, e)
         sparse.add(expected, e, (-1) ** i)
     assert total_chern(dual(TAUT), CTX).terms == expected_dual
@@ -241,8 +241,8 @@ def test_character_additive_on_sums(left, right, j):
 
 
 def test_character_low_degrees_explicit():
-    e1 = elementary_symmetric(CTX.ring, 1)
-    e2 = elementary_symmetric(CTX.ring, 2)
+    e1 = elementary(CTX.ring, 1)
+    e2 = elementary(CTX.ring, 2)
     ch0, ch1, ch2 = chern_character_graded(dual(TAUT), CTX, 2)
     assert ch0.terms == {0: 3}
     assert ch1.terms == e1.terms

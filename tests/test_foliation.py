@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpbdeg import sparse
+from lpbdeg import foliation, sparse
 from lpbdeg.bundles import _signed_roots, chern_roots
 from lpbdeg.exact import lagrange_interpolate
 from lpbdeg.foliation import (
@@ -85,6 +85,26 @@ def test_degree_validation():
         degree_lpb(2, 2)
     with pytest.raises(ValueError):
         degree_lpb(2, 3, method="fastest")
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (lpb_invariants, (2.5, 3)),
+        (reference_formula, (3.0, 2)),
+        (degree_lpb, (True, 3)),
+        (degree_lpb, (2, 3.0)),
+        (degree_lpb, (2.0, 3)),
+        (closed_form, (3.0,)),
+        (pullback_forms_bundle, (Fraction(2),)),
+    ],
+)
+def test_degree_functions_refuse_an_n_or_d_that_is_not_an_int(monkeypatch, call, args):
+    # before any work: neither engine nor published form is reached
+    monkeypatch.setattr(foliation, "GrassContext", _refuse)
+    monkeypatch.setattr(foliation, "reference_polynomial", _refuse)
+    with pytest.raises(ValueError, match="must be an int"):
+        call(*args)
 
 
 def test_methods_agree_small_grid():

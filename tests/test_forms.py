@@ -69,6 +69,12 @@ def test_form_validation():
     # homogeneous of degree 2, but not integral
     with pytest.raises(ValueError, match=r"bad exponent \(0.5, 0.5, 1\) for ambient dimension 2"):
         _form(2, 1, {(0.5, 0.5, 1): 1}, {}, {})
+    # a key that is not a sequence, and a degree or dimension that is not an int
+    with pytest.raises(ValueError, match="bad exponent 5 for ambient dimension 2"):
+        _form(2, 0, {5: 1}, {}, {})
+    for n, d in ((2, 0.5), (2.0, 0), (2, True)):
+        with pytest.raises(ValueError, match="must be ints"):
+            _form(n, d, {}, {}, {})
 
 
 @pytest.mark.parametrize("c", [0.5, -0.5, 1.0, 0.0, Decimal(1), Decimal("0.5")])

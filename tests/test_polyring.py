@@ -11,15 +11,15 @@ from lpbdeg import sparse
 from lpbdeg.polyring import (
     _BLOCK,
     TruncatedPoly,
-    elementary_symmetric,
     exponents_of_degree,
     inverse_unit_series,
+    is_symmetric,
     power_sums,
     product_shifted_linear,
 )
 from lpbdeg.sparse import Packing
 from permutation_helpers import orbits_of, symmetrize
-from ring_helpers import plus, unit_series
+from ring_helpers import elementary, pack_terms, plus, truncated_mul, unit_series
 
 NVARS = 3
 CAP = 4
@@ -125,16 +125,17 @@ def test_construction_and_queries_respect_the_box():
     assert repr(q) == "TruncatedPoly(Packing(2, 4, 4), 1*x^[0, 0] + 3*x^[1, 2] + 3*x^[2, 1])"
     zero = "TruncatedPoly(Packing(2, 4, 4), 0)"
     assert repr(TruncatedPoly(Packing(2, 4, 4))) == repr(TruncatedPoly(Packing(2, 4, 7))) == zero
-    # every ring truncates through its key set
+    # every ring truncates through its box
     assert TruncatedPoly.one(Packing(2, 4, 4)).box == 4
-    classes = (p, TruncatedPoly.one(Packing(2, 4, 4)), elementary_symmetric(Packing(3, 3, 3), 1))
-    assert all(q.ring.keep is not None for q in classes)
+    classes = (p, TruncatedPoly.one(Packing(2, 4, 4)), elementary(Packing(3, 3, 3), 1))
+    assert all(q.ring.box is not None for q in classes)
     with pytest.raises(ValueError):
         p * TruncatedPoly.one(Packing(2, 4, 4))
 
 
 def test_truncation_in_products():
-    p = TruncatedPoly(Packing(1, 2, 2), {(0,): 1, (1,): 1}) ** 5
+    base = TruncatedPoly(Packing(1, 2, 2), {(0,): 1, (1,): 1})
+    p = base * base * base * base * base
     assert dict(p.sorted_terms()) == {(0,): 1, (1,): 5, (2,): 10}
 
 
@@ -171,7 +172,8 @@ def test_graded_part_and_queries():
 
 def test_symmetry_detection():
     ring = Packing(3, 3, 3)
-    assert TruncatedPoly(ring, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}).terms == elementary_symmetric(ring, 1).terms
+    e1 = {ring.var(0): 1, ring.var(1): 1, ring.var(2): 1}
+    assert TruncatedPoly(ring, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}).terms == e1
     with pytest.raises(ValueError, match="symmetric"):
         TruncatedPoly(ring, {(1, 0, 0): 1})
     with pytest.raises(ValueError, match="symmetric"):
@@ -185,8 +187,8 @@ def test_product_of_symmetric_classes_matches_generic_product(pair):
     p, q = pair
     ring = p.ring
     product = p * q
-    assert product.terms == sparse.mul(p.terms, q.terms, ring.keep)
-    assert sparse.is_symmetric(product.terms, ring)
+    assert product.terms == truncated_mul(p.terms, q.terms, ring)
+    assert is_symmetric(ring.unpack_terms(product.terms), NVARS)
 
 
 def test_graded_part_of_an_asymmetric_class_may_be_symmetric():
@@ -195,14 +197,14 @@ def test_graded_part_of_an_asymmetric_class_may_be_symmetric():
     with pytest.raises(ValueError, match="symmetric"):
         TruncatedPoly(Packing(3, 3, 3), terms)
     linear = {e: c for e, c in terms.items() if sum(e) == 1}
-    assert TruncatedPoly(Packing(3, 3, 3), linear).terms == elementary_symmetric(Packing(3, 3, 3), 1).terms
+    assert TruncatedPoly(Packing(3, 3, 3), linear).terms == pack_terms(Packing(3, 3, 3), linear)
 
 
 @given(symmetric_polys(), st.integers(0, CAP), st.integers(-3, 3))
 def test_graded_parts_and_multiples_of_a_symmetric_class_are_symmetric(p, degree, c):
     # the trusted constructor takes these results unchecked
     for q in (p.graded_part(degree), p.scale(c), p.scale(Fraction(c, 2))):
-        assert sparse.is_symmetric(q.terms, q.ring)
+        assert is_symmetric(q.ring.unpack_terms(q.terms), NVARS)
 
 
 def test_boxed_constants():
@@ -246,8 +248,8 @@ def test_inverse_unit_series_roundtrip(p):
 def test_inverse_of_a_symmetric_unit_series(p):
     unit = unit_series(p)
     inv = inverse_unit_series(unit)
-    assert sparse.is_symmetric(inv.terms, inv.ring)
-    assert sparse.mul(unit.terms, inv.terms, unit.ring.keep) == {0: 1}
+    assert is_symmetric(inv.ring.unpack_terms(inv.terms), NVARS)
+    assert truncated_mul(unit.terms, inv.terms, unit.ring) == {0: 1}
 
 
 def test_inverse_needs_unit_constant_term():
@@ -294,7 +296,7 @@ def test_product_shifted_linear_matches_naive(form_coeffs):
     ring = fast.ring
     slow = {0: 1}
     for form in forms:
-        slow = sparse.mul(slow, {0: 1, **_linear(form, ring)}, ring.keep)
+        slow = truncated_mul(slow, {0: 1, **_linear(form, ring)}, ring)
     assert fast.terms == slow
 
 
@@ -345,7 +347,7 @@ def test_product_shifted_linear_of_symmetric_roots(case, box):
     nvars, cap, forms = case
     closed = Counter(image for form in forms for image in permutations(form))
     got = product_shifted_linear(closed, Packing(nvars, cap, box))
-    assert sparse.is_symmetric(got.terms, got.ring)
+    assert is_symmetric(got.ring.unpack_terms(got.terms), nvars)
     expected = _one_factor_at_a_time(closed, nvars, cap)
     assert dict(got.sorted_terms()) == {e: c for e, c in expected.items() if max(e) <= got.box}
 
@@ -381,7 +383,7 @@ def _literal_power_sums(roots, ring):
         power = {0: m}
         for p in sums:
             sparse.add(p, power)
-            power = sparse.mul(power, _linear(form, ring), ring.keep)
+            power = truncated_mul(power, _linear(form, ring), ring)
     return sums
 
 
@@ -493,11 +495,28 @@ def _maybe_symmetric_roots(draw):
 def test_power_sums_symmetry_verdict_matches_the_form_by_form_check(case):
     nvars, roots = case
     ring = Packing(nvars, 2, 2)
+    # the constructor reads the map as terms, each form shifted into the
+    # exponents 0 .. 2, which commutes with permuting the variables; its
+    # ring keeps every such term, and drops a zero coefficient
+    terms = {tuple(a + 1 for a in form): m for form, m in roots.items()}
+    whole = Packing(nvars, 2 * nvars, 2)
     if _symmetric_form_by_form(roots, nvars):
         power_sums(roots, ring, 2)
+        TruncatedPoly(whole, terms)
     else:
         with pytest.raises(ValueError, match="not symmetric"):
             power_sums(roots, ring, 2)
+        with pytest.raises(ValueError, match="not symmetric"):
+            TruncatedPoly(whole, terms)
+
+
+def test_symmetry_check_sees_every_transposition():
+    e = symmetrize({(2, 1, 0): 1})
+    assert is_symmetric(e, 3)
+    # dropping any one image, or changing one coefficient, breaks the symmetry
+    for image in e:
+        assert not is_symmetric({x: c for x, c in e.items() if x != image}, 3)
+    assert not is_symmetric({**e, (2, 1, 0): 2}, 3)
 
 
 @pytest.mark.parametrize("nvars", [2, 3, 4])
@@ -524,15 +543,3 @@ def test_power_sums_degree_range():
         power_sums({}, ring, 4)
     with pytest.raises(ValueError):
         power_sums({}, ring, -1)
-
-
-def test_elementary_symmetric_explicit():
-    e1 = elementary_symmetric(Packing(3, 3, 3), 1)
-    assert dict(e1.sorted_terms()) == {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
-    e3 = elementary_symmetric(Packing(3, 3, 3), 3)
-    assert dict(e3.sorted_terms()) == {(1, 1, 1): 1}
-    assert elementary_symmetric(Packing(3, 3, 3), 4).terms == {}
-    assert elementary_symmetric(Packing(3, 2, 2), 3).terms == {}
-    assert elementary_symmetric(Packing(3, 3, 3), 0).terms == {0: 1}
-    with pytest.raises(ValueError):
-        elementary_symmetric(Packing(3, 3, 3), -1)

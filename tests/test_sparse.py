@@ -1,7 +1,8 @@
 """Property tests of the packed-exponent kernel against tuple-dict references.
 
-The reference operations below work on dicts from exponent tuples, the
-representation the kernel replaced; they are the oracle and live only here.
+The reference operations work on dicts from exponent tuples, the
+representation the kernel replaced; they are the oracle and live only in
+the tests, the product in ``ring_helpers``, shared with the polyring tests.
 """
 
 from itertools import product
@@ -12,24 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpbdeg import sparse
-from lpbdeg.polyring import TruncatedPoly, power_sums
+from lpbdeg.polyring import TruncatedPoly, exponents_of_degree, is_symmetric, power_sums
 from lpbdeg.sparse import Packing, _orbits
 from permutation_helpers import symmetrize
-from ring_helpers import diff, pack_terms, recurrence_by_products
+from ring_helpers import diff, pack_terms, recurrence_by_products, ref_mul, truncated_mul
 
 coeffs = st.integers(min_value=-6, max_value=6).filter(bool)
 # caps just below and at powers of two, where a field is exactly full
 caps = st.sampled_from([0, 1, 2, 3, 4, 6, 7, 8])
-
-
-def ref_mul(p, q, cap=None):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            if cap is None or sum(e) <= cap:
-                out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
 
 
 def ref_diff(p, var):
@@ -98,21 +89,6 @@ def test_key_order_is_graded_lex(case):
     assert [e for e, _ in poly.sorted_terms()] == sorted(sym, key=lambda e: (sum(e), e))
 
 
-@given(rings(), st.integers(0, 8))
-def test_truncated_mul_matches_reference(case, box):
-    nvars, cap, p, q = case
-    # a box at or above the cap truncates by degree alone
-    ring = Packing(nvars, cap, max(box, cap))
-    got = sparse.mul(pack_terms(ring, p), pack_terms(ring, q), ring.keep)
-    assert ring.unpack_terms(got) == ref_mul(p, q, cap)
-    # the boxed ring forms only products with every exponent in the box
-    boxed = Packing(nvars, cap, box)
-    p_in, q_in = ({e: c for e, c in f.items() if max(e) <= box} for f in (p, q))
-    got = sparse.mul(pack_terms(boxed, p_in), pack_terms(boxed, q_in), boxed.keep)
-    expected = ref_mul(p_in, q_in, cap)
-    assert boxed.unpack_terms(got) == {e: c for e, c in expected.items() if max(e) <= box}
-
-
 @given(rings())
 def test_untruncated_mul_matches_reference(case):
     nvars, cap, p, q = case
@@ -168,16 +144,20 @@ def test_packing_validation():
 
 
 def test_packing_box():
-    # a box above the bound is clamped to it; without a box nothing is kept back
+    # a box above the bound is clamped to it
     assert Packing(2, 3, 3) == Packing(2, 3, 7) != Packing(2, 3)
-    assert Packing(2, 3, 7).box == 3 and Packing(2, 3, 7).keep is not None
-    assert Packing(2, 3).box is None and Packing(2, 3).keep is None
+    assert Packing(2, 3, 7).box == 3
+    assert Packing(2, 3).box is None
     boxed = Packing(2, 3, 1)
     assert boxed != Packing(2, 3, 3) and boxed == Packing(2, 3, 1)
     assert hash(boxed) == hash(Packing(2, 3, 1))
-    assert sorted(map(boxed.unpack, boxed.keep)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # the box leaves the layout alone
     assert (boxed.width, boxed.shift) == (Packing(2, 3).width, Packing(2, 3).shift)
+
+
+def _in_box_keys(packing):
+    """The key 0 of the monomial 1 and the keys of the boxed tree of ``packing``."""
+    return {0}.union(*(keys for _, keys, _ in sparse.monomial_tree(packing)))
 
 
 def test_box_keys_at_the_bound_are_every_valid_key():
@@ -185,10 +165,10 @@ def test_box_keys_at_the_bound_are_every_valid_key():
         for bound in (0, 1, 3, 4, 7, 8):
             ring = Packing(nvars, bound)
             every = {ring.pack(e) for e in product(range(bound + 1), repeat=nvars) if sum(e) <= bound}
-            assert Packing(nvars, bound, bound).keep == every
-            # a smaller box keeps the valid keys with every exponent in it
+            assert _in_box_keys(Packing(nvars, bound, bound)) == every
+            # a smaller box lists the valid keys with every exponent in it
             box = bound // 2
-            assert Packing(nvars, bound, box).keep == {k for k in every if max(ring.unpack(k)) <= box}
+            assert _in_box_keys(Packing(nvars, bound, box)) == {k for k in every if max(ring.unpack(k)) <= box}
 
 
 def test_monomial_tree_without_a_box_lists_every_monomial_once():
@@ -207,17 +187,21 @@ def test_monomial_tree_without_a_box_lists_every_monomial_once():
             below = keys
 
 
+def _in_box(terms, box):
+    """The terms of a tuple-dict polynomial with every exponent at most ``box``."""
+    return {e: c for e, c in terms.items() if max(e) <= box}
+
+
 @given(rings(), st.integers(0, 8))
 def test_symmetric_mul_matches_generic_mul(case, box):
     nvars, cap, p, q = case
     p, q = symmetrize(p), symmetrize(q)
     # a box below the cap, and one at the cap, which truncates by degree alone
     for ring in (Packing(nvars, cap, min(box, cap)), Packing(nvars, cap, cap)):
-        pp, qq = ({k: c for k, c in pack_terms(ring, f).items() if k in ring.keep} for f in (p, q))
-        assert sparse.is_symmetric(pp, ring) and sparse.is_symmetric(qq, ring)
+        pp, qq = (pack_terms(ring, _in_box(f, ring.box)) for f in (p, q))
         got = sparse.mul_symmetric(pp, qq, ring)
-        assert got == sparse.mul(pp, qq, ring.keep)
-        assert sparse.is_symmetric(got, ring)
+        assert got == truncated_mul(pp, qq, ring)
+        assert is_symmetric(ring.unpack_terms(got), nvars)
 
 
 def test_symmetric_mul_needs_a_box():
@@ -239,10 +223,10 @@ def test_recurrence_matches_one_product_per_pair_of_grades(case, box):
     p = symmetrize(p)
     # a box below the cap, and one at the cap, which truncates by degree alone
     for ring in (Packing(nvars, cap, min(box, cap)), Packing(nvars, cap, cap)):
-        a = {k: c for k, c in pack_terms(ring, p).items() if k in ring.keep}
+        a = pack_terms(ring, _in_box(p, ring.box))
         got = sparse.recurrence(a, ring, divide=False)
         assert got == recurrence_by_products(a, ring, False)
-        assert sparse.is_symmetric(got, ring)
+        assert is_symmetric(ring.unpack_terms(got), nvars)
         # most inputs leave a remainder; kernel and oracle must then both refuse
         assert _outcome(sparse.recurrence, a, ring, True) == _outcome(recurrence_by_products, a, ring, True)
 
@@ -265,7 +249,7 @@ def test_divided_recurrence_of_power_sums_matches_one_product_per_pair_of_grades
         a = {k: c if i % 2 else -c for i, p in enumerate(sums[1:], 1) for k, c in p.items()}
         got = sparse.recurrence(a, ring, divide=True)
         assert got == recurrence_by_products(a, ring, True)
-        assert sparse.is_symmetric(got, ring)
+        assert is_symmetric(ring.unpack_terms(got), nvars)
 
 
 def test_recurrence_refuses_a_remainder():
@@ -284,18 +268,7 @@ def test_recurrence_needs_a_box():
         sparse.recurrence({}, Packing(2, 3), divide=False)
 
 
-def test_symmetry_check_sees_every_transposition():
-    ring = Packing(3, 4, 4)
-    e = symmetrize({(2, 1, 0): 1})
-    assert sparse.is_symmetric(pack_terms(ring, e), ring)
-    # dropping any one image, or changing one coefficient, breaks the symmetry
-    for image in e:
-        broken = {x: c for x, c in e.items() if x != image}
-        assert not sparse.is_symmetric(pack_terms(ring, broken), ring)
-    assert not sparse.is_symmetric(pack_terms(ring, {**e, (2, 1, 0): 2}), ring)
-
-
-def test_orbits_partition_keep_in_one_pass():
+def test_orbits_partition_the_in_box_keys_in_one_pass():
     unpacked = []
 
     class Counting(Packing):
@@ -305,8 +278,11 @@ def test_orbits_partition_keep_in_one_pass():
 
     # 12,870 keys: enumerating the 8! permutations of each would not finish
     ring = Counting(8, 8, 8)
+    in_box = {
+        Packing.pack(ring, e) for j in range(ring.bound + 1) for e in exponents_of_degree(8, j) if max(e) <= ring.box
+    }
     table = _orbits.__wrapped__(ring)
-    assert sorted(unpacked) == sorted(ring.keep)
+    assert sorted(unpacked) == sorted(in_box)
     assert len(table) == ring.bound + 1
     sizes = 0
     seen = set()
@@ -327,5 +303,5 @@ def test_orbits_partition_keep_in_one_pass():
             sizes += len(orbit)
             seen.update(orbit)
         below = reps
-    assert sizes == len(seen) == len(ring.keep)
-    assert seen == ring.keep
+    assert sizes == len(seen) == len(in_box)
+    assert seen == in_box

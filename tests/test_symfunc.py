@@ -12,7 +12,6 @@ from lpbdeg.foliation import pullback_forms_bundle
 from lpbdeg.grassmann import GrassContext
 from lpbdeg.polyring import (
     TruncatedPoly,
-    elementary_symmetric,
     exponents_of_degree,
     inverse_unit_series,
     product_shifted_linear,
@@ -20,7 +19,7 @@ from lpbdeg.polyring import (
 from lpbdeg.sparse import Packing
 from lpbdeg.symfunc import partitions, segre_via_characters
 from permutation_helpers import orbits_of, symmetrize
-from ring_helpers import plus
+from ring_helpers import elementary, plus, truncated_mul
 
 
 def weight_w(lam):
@@ -84,7 +83,7 @@ def _graded_characters_of_dual(forms, cap, upto):
         power = {0: 1}
         for p in sums:
             sparse.add(p, power)
-            power = sparse.mul(power, negated, ring.keep)
+            power = truncated_mul(power, negated, ring)
     return [TruncatedPoly(ring, ring.unpack_terms(p)).scale(Fraction(1, factorial(j))) for j, p in enumerate(sums)]
 
 
@@ -166,7 +165,7 @@ def test_character_sum_validation():
     one = TruncatedPoly.one(Packing(3, 2, 2))
     with pytest.raises(ValueError):
         segre_via_characters([one], 1)
-    inhomogeneous = plus(elementary_symmetric(Packing(3, 2, 2), 1), one)
+    inhomogeneous = plus(elementary(Packing(3, 2, 2), 1), one)
     with pytest.raises(ValueError):
         segre_via_characters([one, inhomogeneous], 1)
     other_ring = TruncatedPoly.one(Packing(3, 3, 3))
