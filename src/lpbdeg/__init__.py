@@ -11,7 +11,8 @@ The package is organized bottom-up:
   characteristic classes in Chern roots.
 * :mod:`lpbdeg.symfunc` -- partitions and the character-sum route to Segre
   classes.
-* :mod:`lpbdeg.bundles` -- virtual bundle expressions and their Chern roots,
+* :mod:`lpbdeg.bundles` -- bundle expressions, among them the pulled-back
+  forms with their Chern roots in closed form, and their Chern roots,
   classes and characters.
 * :mod:`lpbdeg.grassmann` -- integration of symmetric classes over G(k, m).
 * :mod:`lpbdeg.foliation` -- the degree engine for linear pullback components

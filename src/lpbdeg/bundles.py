@@ -1,30 +1,37 @@
-"""Virtual bundle expressions and their Chern roots over a Grassmannian.
+"""Bundle expressions and their Chern roots over a Grassmannian.
 
-Bundles are built from the tautological subbundle of a Grassmannian of
-k-planes by duals, symmetric powers, tensor products, sums and differences.
-By the splitting principle every such expression has a formal multiset of
-Chern roots, each an integer linear form in the k Chern roots x_1..x_k of
-the *dual* tautological subbundle, written as its coefficient tuple.  That
-convention makes the elementary symmetric polynomials of the x_i the
-Schubert hyperplane classes with the usual signs: the roots of the
-tautological subbundle itself are the -x_i.
+Bundles are built from the tautological subbundle T of a Grassmannian of
+k-planes by duals and symmetric powers, and one more node, the bundle of
+pulled-back 1-forms.  By the splitting principle every such expression
+has a formal multiset of Chern roots, each an integer linear form in the k
+Chern roots x_1..x_k of the *dual* tautological subbundle, written as its
+coefficient tuple.  That convention makes the elementary symmetric
+polynomials of the x_i the Schubert hyperplane classes with the usual
+signs: the roots of T itself are the -x_i.
 
-A virtual bundle's roots are one map from form to signed multiplicity,
-computed bottom-up over the expression tree: a difference subtracts
-multiplicities and a form whose multiplicity reaches zero is dropped, so a
-virtual difference whose negative part divides the positive part is
-recognized as an honest bundle.  Each node is formed by C-level passes
-over whole coefficient columns, not root by root: a dual negates the
-columns, a tensor product shifts the columns of its larger operand by each
-root of the other, and a symmetric power walks the multisets of all base
-roots but the last two, along which its roots are arithmetic progressions
-in every coordinate.  The map is the one root format: power
-sums are additive, so the Chern class and character of a virtual bundle
-take the same pass over it as those of an honest one.  The map is
-symmetric under permuting the x_i, since the roots of the tautological
-subbundle are and every operation commutes with the permutations;
-:func:`~lpbdeg.polyring.power_sums` checks this once, for the Chern class
-and the character alike.
+The roots are one map from form to multiplicity, computed bottom-up over
+the expression tree by C-level passes over whole coefficient columns, not
+root by root: a dual negates the columns, and a symmetric power walks the
+multisets of all base roots but the last two, along which its roots are
+arithmetic progressions in every coordinate.
+
+The pulled-back-forms bundle of degree d is the kernel K of the
+contraction Sym^{d+1}T (x) T -> Sym^{d+2}T, and its roots are in closed
+form: the -gamma.x over gamma in Z>=0^k with |gamma| = d + 2, each with
+multiplicity nnz(gamma) - 1, where nnz counts the nonzero entries.  Proof:
+the contraction is multiplication, which is onto, so K = Sym^{d+1}T (x) T -
+Sym^{d+2}T in K-theory (Fulton, *Intersection Theory*, ch. 3).  The roots
+of the tensor product are the -(beta + e_i).x over |beta| = d + 1 and i =
+1..k, and -gamma.x arises there once for each i with gamma_i > 0, so
+nnz(gamma) times; Sym^{d+2}T has it once.  So K's roots are those of
+Sym^{d+2}T, reweighted in place, less the k vertices gamma = (d + 2) e_i,
+of multiplicity 0; at k = 1 that leaves the zero bundle.
+
+The map is the one root format: the Chern class and the character take one
+pass over it, and both accept signed multiplicities.  The map is symmetric
+under permuting the x_i, since the roots of T are and every operation
+commutes with the permutations; :func:`~lpbdeg.polyring.power_sums` checks
+this once, for the Chern class and the character alike.
 
 Classes are built in the one ring of the Grassmannian,
 :attr:`~lpbdeg.grassmann.GrassContext.ring`, ``Q[x] / (deg > g, x_i^m)``
@@ -38,11 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import repeat
 from math import comb, factorial
-from operator import add, mul, neg, not_, sub
+from operator import add, mul, neg, sub
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .exact import normalize
 from .polyring import TruncatedPoly, inverse_unit_series, power_sums, product_shifted_linear
@@ -52,9 +59,6 @@ if TYPE_CHECKING:
 
 # a Chern root: the integer coefficients of a linear form in x_1..x_k
 Root = tuple[int, ...]
-
-# the forms one C-level merge into a root map holds at once
-_CHUNK = 4096
 
 
 class VirtualBundleExpr:
@@ -77,7 +81,7 @@ class Dual(VirtualBundleExpr):
 
 @dataclass(frozen=True)
 class Sym(VirtualBundleExpr):
-    """Symmetric power; only defined for honest (non-virtual) operands."""
+    """Symmetric power."""
 
     power: int
     operand: VirtualBundleExpr
@@ -88,21 +92,15 @@ class Sym(VirtualBundleExpr):
 
 
 @dataclass(frozen=True)
-class Tensor(VirtualBundleExpr):
-    left: VirtualBundleExpr
-    right: VirtualBundleExpr
+class PullbackForms(VirtualBundleExpr):
+    """The kernel of the contraction Sym^{d+1}T (x) T -> Sym^{d+2}T, T tautological.
 
+    Its roots are the closed form of the module docstring.  ``d`` is a
+    foliation degree, at least 0, as
+    :func:`~lpbdeg.foliation.pullback_forms_bundle` checks.
+    """
 
-@dataclass(frozen=True)
-class Plus(VirtualBundleExpr):
-    left: VirtualBundleExpr
-    right: VirtualBundleExpr
-
-
-@dataclass(frozen=True)
-class Minus(VirtualBundleExpr):
-    left: VirtualBundleExpr
-    right: VirtualBundleExpr
+    d: int
 
 
 TAUT = TautologicalSub()
@@ -114,11 +112,11 @@ def dual(expr: VirtualBundleExpr) -> VirtualBundleExpr:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Formal Chern roots of a virtual bundle.
+    """Formal Chern roots of a bundle.
 
     ``signed`` maps each distinct form, an integer coefficient tuple, to
-    its nonzero multiplicity; the bundle is (recognizably) an honest bundle
-    exactly when no multiplicity is negative.
+    its nonzero multiplicity.  Every expression here is an honest bundle,
+    so no multiplicity is negative, but the classes read the map as signed.
     """
 
     signed: Mapping[Root, int]
@@ -138,19 +136,15 @@ class RootSet:
 
 
 def chern_roots(expr: VirtualBundleExpr, ctx: GrassContext) -> RootSet:
-    """Chern roots of a bundle expression over the given Grassmannian.
-
-    Raises ``ValueError`` for a symmetric power of a properly virtual
-    operand, which has no splitting-principle expansion of this shape.
-    """
+    """Chern roots of a bundle expression over the given Grassmannian."""
     return RootSet(_signed_roots(expr, ctx.k))
 
 
 def _signed_roots(expr: VirtualBundleExpr, k: int) -> dict[Root, int]:
-    """Map from each Chern root form to its nonzero signed multiplicity.
+    """Map from each Chern root form to its nonzero multiplicity.
 
     Every node is formed by C-level passes over whole coefficient columns,
-    with no Python-level step per root or pair of roots it forms.
+    with no Python-level step per root it forms.
     """
     if isinstance(expr, TautologicalSub):
         return {tuple(-1 if j == i else 0 for j in range(k)): 1 for i in range(k)}
@@ -158,32 +152,21 @@ def _signed_roots(expr: VirtualBundleExpr, k: int) -> dict[Root, int]:
         inner = _signed_roots(expr.operand, k)
         return dict(zip(zip(*[map(neg, column) for column in zip(*inner)]), inner.values()))
     if isinstance(expr, Sym):
-        inner = _signed_roots(expr.operand, k)
-        if min(inner.values(), default=0) < 0:
-            raise ValueError("symmetric power of a properly virtual bundle")
-        return _symmetric_power(inner, expr.power, k)
-    if isinstance(expr, Tensor):
-        left, right = _signed_roots(expr.left, k), _signed_roots(expr.right, k)
-        if len(left) < len(right):
-            left, right = right, left
-        # the larger map as columns, shifted by each form of the smaller one
-        columns, mults = list(zip(*left)), list(left.values())
-        del left
-        out: dict[Root, int] = {}
-        for b, mb in right.items():
-            forms = zip(*[map(add, column, repeat(c)) for column, c in zip(columns, b)])
-            _add_into(out, forms, mults if mb == 1 else map(mul, mults, repeat(mb)))
-        return _nonzero(out)
-    if isinstance(expr, (Plus, Minus)):
-        out = _signed_roots(expr.left, k)
-        right = _signed_roots(expr.right, k)
-        _add_into(out, right, right.values() if isinstance(expr, Plus) else map(neg, right.values()))
-        return _nonzero(out)
+        return _symmetric_power(_signed_roots(expr.operand, k), expr.power, k)
+    if isinstance(expr, PullbackForms):
+        # the roots -gamma.x of Sym^{d+2}T, each set to nnz(gamma) - 1 in
+        # place, and the k vertices, set to 0, dropped
+        out = _signed_roots(Sym(expr.d + 2, TAUT), k)
+        forms = list(out)
+        out.update(zip(forms, map(sub, repeat(k - 1), map(tuple.count, forms, repeat(0)))))
+        for i in range(k):
+            del out[tuple(-2 - expr.d if j == i else 0 for j in range(k))]
+        return out
     raise TypeError(f"not a bundle expression: {expr!r}")
 
 
 def _symmetric_power(inner: dict[Root, int], power: int, k: int) -> dict[Root, int]:
-    """The roots of ``Sym^power`` of the honest bundle with roots ``inner``.
+    """The roots of ``Sym^power`` of the bundle with roots ``inner``.
 
     A multiset of ``power`` base roots, each form listed as often as its
     multiplicity, is a vector of counts, and its root is the counts dotted
@@ -191,7 +174,8 @@ def _symmetric_power(inner: dict[Root, int], power: int, k: int) -> dict[Root, i
     counts c of the other base roots, with r = power - |c| left over, the
     roots ``c.head + r v + t (u - v)``, t = 0 .. r, are an arithmetic
     progression in each coordinate: one ``range`` per coordinate, or a
-    ``repeat`` where u and v agree, zipped into r + 1 distinct forms.
+    ``repeat`` where u and v agree, zipped into r + 1 distinct forms, each
+    added once into the map by three C-level passes.
     """
     if not inner:
         # Sym^0 of the zero bundle is the trivial line bundle
@@ -207,7 +191,8 @@ def _symmetric_power(inner: dict[Root, int], power: int, k: int) -> dict[Root, i
     for partial, r in _partial_sums(head, power, (0,) * k):
         starts = map(add, partial, map(mul, v, repeat(r)))
         progressions = [range(s, s + (r + 1) * dt, dt) if dt else repeat(s, r + 1) for s, dt in zip(starts, step)]
-        _add_into(out, zip(*progressions), repeat(1))
+        forms = list(zip(*progressions))
+        out.update(zip(forms, map(add, map(out.get, forms, repeat(0)), repeat(1))))
     return out
 
 
@@ -226,36 +211,8 @@ def _partial_sums(forms: list[Root], budget: int, partial: Root) -> Iterator[tup
         partial = tuple(map(add, partial, first))
 
 
-def _add_into(out: dict[Root, int], forms: Iterable[Root], mults: Iterable[int]) -> None:
-    """Add each multiplicity into ``out`` at its form; ``forms`` are distinct.
-
-    Three C-level passes: the forms already present are read with
-    ``out.get``, their sums written back with one ``update``.
-    """
-    if not out:
-        out.update(zip(forms, mults))
-        return
-    # a chunk at a time, so the new forms of a whole pass never coexist;
-    # zip stops on the spent chunk before it draws a multiplicity
-    forms, mults = iter(forms), iter(mults)
-    while chunk := list(islice(forms, _CHUNK)):
-        out.update(zip(chunk, map(add, map(out.get, chunk, repeat(0)), mults)))
-
-
-def _nonzero(out: dict[Root, int]) -> dict[Root, int]:
-    """``out`` without its zero multiplicities, dropped in place."""
-    if 0 in out.values():
-        for f in list(compress(out, map(not_, out.values()))):
-            del out[f]
-    return out
-
-
 def total_chern(expr: VirtualBundleExpr, ctx: GrassContext) -> TruncatedPoly:
-    """Total Chern class ``prod (1 + r)^m`` over the signed roots of ``expr``.
-
-    A virtual ``E - F`` gets ``c(E) / c(F)`` from the same pass, in
-    ``ctx.ring``.
-    """
+    """Total Chern class ``prod (1 + r)^m`` over the roots of ``expr``, in ``ctx.ring``."""
     return product_shifted_linear(chern_roots(expr, ctx).signed, ctx.ring)
 
 
@@ -267,12 +224,12 @@ def total_segre(expr: VirtualBundleExpr, ctx: GrassContext) -> TruncatedPoly:
 def chern_character_graded(expr: VirtualBundleExpr, ctx: GrassContext, degree: int) -> list[TruncatedPoly]:
     """Graded pieces ch_0 .. ch_degree of the Chern character.
 
-    Entry j of the list is, for roots r minus roots s,
-    ``(sum r^j - sum s^j) / j!``: the power sums of the signed roots, from
-    the moment pass :func:`~lpbdeg.polyring.power_sums`, each divided by
-    j!.  The pieces live in ``ctx.ring``, and no monomial outside its box
-    is formed.  A degree outside [0, ``ctx.g``] and roots not symmetric in
-    x_1..x_k raise ``ValueError`` in :func:`~lpbdeg.polyring.power_sums`.
+    Entry j of the list is ``sum m r^j / j!`` over the roots r of
+    multiplicity m: the power sums of the roots, from the moment pass
+    :func:`~lpbdeg.polyring.power_sums`, each divided by j!.  The pieces
+    live in ``ctx.ring``, and no monomial outside its box is formed.  A
+    degree outside [0, ``ctx.g``] and roots not symmetric in x_1..x_k raise
+    ``ValueError`` in :func:`~lpbdeg.polyring.power_sums`.
     """
     ring = ctx.ring
     sums = power_sums(_signed_roots(expr, ctx.k), ring, degree)

@@ -21,9 +21,9 @@ d = 0).
 ``closed_form(n)`` took 0.10, 0.25, 0.45, 0.81, 2.0 and 3.5 s at n = 6 .. 11
 (single in-process runs, about x2 per step; ``closed-form --n 8`` peaked at
 18 MB; shared 2-vCPU host).  The costlier corner is ``degree`` at
-(``MAX_N``, ``MAX_D``): at n = 8 it took 0.02 s for d = 2, 0.45-0.5 s for
-d = 200 and 12-14 s and 230 MB for d = ``MAX_D`` on the same host, where
-the power sums are most of the time and root enumeration about a seventh.
+(``MAX_N``, ``MAX_D``): at n = 8 it took 0.02 s for d = 2, 0.35-0.55 s for
+d = 200 and 11-12 s and 102 MB for d = ``MAX_D`` on the same host, where
+the power sums are most of the time and root enumeration about a twentieth.
 ``verify-paper`` interpolates on all 3g + 1 nodes d = 2 .. 3g + 2, g = 3(n-2),
 so its check does not rest on the reciprocity ``closed-form`` uses.
 ``forms check-pullback`` accepts ``--n`` up to ``MAX_FORMS_N`` = 20,
@@ -106,14 +106,14 @@ DEFAULT_CACHE_PATH = "./lpb-cache.jsonl"
 CACHE_ENV_VAR = "LPB_CACHE"
 
 # the largest foliation degree the degree commands accept: the quotient
-# route enumerates about 1.5 d^2 Chern roots per degree, and its time grows
-# about as d^2 (d = 400 takes about a second and 50 MB at n = 3)
+# route enumerates about 0.5 d^2 Chern roots per degree, and its time grows
+# about as d^2 (d = 400 takes about 0.3 s and 30 MB at n = 3)
 MAX_D = 1000
 
 # the largest projective dimension the degree commands accept: closed-form
 # evaluates floor(9(n-2)/2) + 2 degrees, and its time grows about x2 per
 # step in n (0.45 s at n = 8, 0.81 s at n = 9, single runs), but degree at
-# (MAX_N, MAX_D) is the costlier corner (12-14 s and 230 MB at n = 8),
+# (MAX_N, MAX_D) is the costlier corner (11-12 s and 102 MB at n = 8),
 # which n = 9 would raise
 MAX_N = 8
 

@@ -5,6 +5,8 @@ Scalars throughout the package are Python integers and
 normalized (lowest terms, positive denominator), so equality of scalars is
 plain ``==`` and no tolerance is involved anywhere.  :func:`normalize` is the
 one check on incoming scalars; an integral value leaves it as an ``int``.
+:func:`require` is the one check on integer arguments: a plain ``int`` in
+range.
 """
 
 from __future__ import annotations
@@ -30,6 +32,21 @@ def normalize(c: Scalar) -> Scalar:
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise ValueError(f"{c!r} is not an exact scalar (int or Fraction)")
+
+
+def require(value: int, name: str, least: int, message: str) -> None:
+    """Refuse ``value`` unless it is a plain ``int`` of at least ``least``.
+
+    The test is ``type(value) is int``, as in :func:`normalize`, so a
+    ``bool``, a float or an integral ``Fraction`` raises ``ValueError``, and
+    so does a value below ``least``, with ``message``, before any work.
+    This is the one check on the integer arguments (dimensions and degrees)
+    of the package's entry points.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < least:
+        raise ValueError(message)
 
 
 class UniPoly:

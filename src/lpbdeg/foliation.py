@@ -42,17 +42,14 @@ from fractions import Fraction
 from typing import Callable
 
 from .bundles import (
-    Minus,
-    Sym,
-    TAUT,
-    Tensor,
+    PullbackForms,
     VirtualBundleExpr,
     chern_character_graded,
     chern_roots,
     dual,
     total_segre,
 )
-from .exact import Scalar, UniPoly, lagrange_interpolate
+from .exact import Scalar, UniPoly, lagrange_interpolate, require
 from .grassmann import GrassContext
 from .symfunc import segre_via_characters
 
@@ -60,19 +57,6 @@ METHOD_CHERN_QUOTIENT = "chern_quotient"
 METHOD_CH_PARTITION = "ch_partition"
 METHOD_BOTH = "both"
 _METHODS = (METHOD_CHERN_QUOTIENT, METHOD_CH_PARTITION, METHOD_BOTH)
-
-
-def _require(value: int, name: str, least: int, message: str) -> None:
-    """Refuse ``value`` unless it is a plain ``int`` of at least ``least``.
-
-    The test is ``type(value) is int``, as in :func:`~lpbdeg.exact.normalize`,
-    so a ``bool``, a float or an integral ``Fraction`` raises ``ValueError``,
-    and so does a value below ``least``, with ``message``, before any work.
-    """
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, not {value!r}")
-    if value < least:
-        raise ValueError(message)
 
 
 # (name, least value, message) of the two arguments of the degree functions
@@ -91,16 +75,16 @@ class InternalInconsistencyError(RuntimeError):
 
 
 def pullback_forms_bundle(d: int) -> VirtualBundleExpr:
-    """Virtual bundle of pulled-back 1-form coefficient vectors.
+    """Bundle of pulled-back 1-form coefficient vectors.
 
     Over the Grassmannian of 3-planes, pulling a plane 1-form of foliation
     degree d back along the projection defined by a 3-plane lands in the
     kernel of the contraction map from Sym^{d+1}T (x) T to Sym^{d+2}T, with
-    T the tautological subbundle.  The returned difference of honest
-    bundles cancels to that kernel, of rank (d+1)(d+3).
+    T the tautological subbundle.  That kernel, of rank (d+1)(d+3), is the
+    returned node, whose roots :mod:`lpbdeg.bundles` gives in closed form.
     """
-    _require(d, *_D)
-    return Minus(Tensor(Sym(d + 1, TAUT), TAUT), Sym(d + 2, TAUT))
+    require(d, *_D)
+    return PullbackForms(d)
 
 
 def degree_lpb(d: int, n: int, method: str = METHOD_CHERN_QUOTIENT) -> int:
@@ -115,8 +99,8 @@ def degree_lpb(d: int, n: int, method: str = METHOD_CHERN_QUOTIENT) -> int:
     Values with d < 2 are formal: the Segre integral is defined there, but
     the geometric component interpretation needs d >= 2.
     """
-    _require(d, *_D)
-    _require(n, *_N)
+    require(d, *_D)
+    require(n, *_N)
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     ctx = GrassContext(3, n + 1)
@@ -162,8 +146,8 @@ class LpbInvariants:
 
 def lpb_invariants(d: int, n: int) -> LpbInvariants:
     """Rank, Grassmannian dimension and component dimension, by substitution."""
-    _require(d, *_D)
-    _require(n, *_N)
+    require(d, *_D)
+    require(n, *_N)
     rank = (d + 1) * (d + 3)
     g = 3 * (n - 2)
     return LpbInvariants(d=d, n=n, bundle_rank=rank, grassmannian_dim=g, dimension=g + rank - 1)
@@ -235,7 +219,7 @@ def closed_form_full_nodes(n: int, degree_fn: Callable[[int], int] | None = None
 
 
 def _node_evaluator(n: int, degree_fn: Callable[[int], int] | None) -> Callable[[int], int]:
-    _require(n, *_N)
+    require(n, *_N)
     if degree_fn is None:
         return lambda d: degree_lpb(d, n)
     return degree_fn
@@ -282,8 +266,8 @@ def reference_formula(n: int, d: int) -> int:
     For n = 4 the published display quotients factorials, so d >= 1 is
     required there; n = 3 accepts any d >= 0.
     """
-    _require(n, *_N)
-    _require(d, *_D)
+    require(n, *_N)
+    require(d, *_D)
     if n == 4 and d < 1:
         raise ValueError("the published n = 4 form divides by (d-1)!, so d >= 1")
     value = reference_polynomial(n)(d)

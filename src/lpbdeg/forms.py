@@ -60,12 +60,16 @@ from operator import attrgetter, itemgetter, mul, neg, sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import sparse
-from .exact import Scalar, normalize
+from .exact import Scalar, normalize, require
 from .polyring import exponents_of_degree
 from .sparse import Packing
 
 Exponent = tuple[int, ...]
 Poly = dict[Exponent, Scalar]
+
+# (name, least value, message) of the dimension and the degree of a form
+_N = ("n", 2, "ambient projective dimension must be at least 2")
+_D = ("d", 0, "foliation degree must be nonnegative")
 
 
 def poly_mul(p: sparse.Poly, q: sparse.Poly) -> sparse.Poly:
@@ -141,12 +145,8 @@ class ProjectiveOneForm:
     coeffs: tuple[Poly, ...]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or type(self.d) is not int:
-            raise ValueError(f"n and d must be ints, not {self.n!r} and {self.d!r}")
-        if self.n < 2:
-            raise ValueError("ambient projective dimension must be at least 2")
-        if self.d < 0:
-            raise ValueError("foliation degree must be nonnegative")
+        require(self.n, *_N)
+        require(self.d, *_D)
         if len(self.coeffs) != self.n + 1:
             raise ValueError(f"need {self.n + 1} coefficient polynomials, got {len(self.coeffs)}")
         nv, degree = self.n + 1, self.d + 1
@@ -424,14 +424,11 @@ def dimension_vdn(n: int, d: int) -> int:
     space onto the degree-(d+2) monomial space is surjective, so the
     dimension is ``(n+1)*C(n+d+1, n) - C(n+d+2, n)``.
     """
-    if n < 2:
-        raise ValueError("ambient projective dimension must be at least 2")
-    if d < 0:
-        raise ValueError("foliation degree must be nonnegative")
+    require(n, *_N)
+    require(d, *_D)
     return (n + 1) * comb(n + d + 1, n) - comb(n + d + 2, n)
 
 
-@lru_cache(maxsize=None)
 def form_space_basis(n: int, d: int) -> tuple[ProjectiveOneForm, ...]:
     """A basis of the form space, written down in closed form.
 
@@ -449,7 +446,16 @@ def form_space_basis(n: int, d: int) -> tuple[ProjectiveOneForm, ...]:
     normalized kernel basis that exact elimination returns for the 0/1
     contraction matrix with columns ordered by coefficient index and then by
     monomial.  The result is cached; treat the returned forms as read-only.
+    The arguments are checked before the cache is read, since ``True``,
+    ``1.0`` and ``1`` are one key to it.
     """
+    require(n, *_N)
+    require(d, *_D)
+    return _form_space_basis(n, d)
+
+
+@lru_cache(maxsize=None)
+def _form_space_basis(n: int, d: int) -> tuple[ProjectiveOneForm, ...]:
     nv = n + 1
     basis = []
     for j in range(1, nv):
@@ -493,8 +499,7 @@ def random_projection(n: int, seed: int) -> LinearProjection:
 
     The source is P^n with n >= 2, since the rank must be 3.
     """
-    if n < 2:
-        raise ValueError("ambient projective dimension must be at least 2")
+    require(n, *_N)
     rng = random.Random(seed)
     for _ in range(1000):
         rows = tuple(tuple(rng.randint(-9, 9) for _ in range(n + 1)) for _ in range(3))

@@ -1,16 +1,18 @@
 """The Chern-root enumeration read root by root, the oracle of ``bundles._signed_roots``.
 
 A symmetric power takes one count vector per multiset of base roots and
-dots it with each coefficient column; a tensor product adds every pair of
-roots; a sum and a difference add signed multiplicities.  The package
-forms the same map by whole-column passes.
+dots it with each coefficient column.  The pulled-back-forms bundle is
+expanded from its defining difference Sym^{d+1}T (x) T - Sym^{d+2}T: a
+tensor product adds every pair of roots and a difference subtracts
+multiplicities.  The package forms the same map by whole-column passes,
+and the pulled-back forms from a closed form that this oracle never uses.
 """
 
 from __future__ import annotations
 
 from operator import add, mul
 
-from lpbdeg.bundles import Dual, Minus, Plus, Sym, Tensor, TautologicalSub
+from lpbdeg.bundles import TAUT, Dual, PullbackForms, Sym, TautologicalSub
 from lpbdeg.polyring import exponents_of_degree
 
 
@@ -22,8 +24,6 @@ def signed_roots_by_pairs(expr, k):
         return {tuple(-c for c in f): m for f, m in signed_roots_by_pairs(expr.operand, k).items()}
     if isinstance(expr, Sym):
         inner = signed_roots_by_pairs(expr.operand, k)
-        if any(m < 0 for m in inner.values()):
-            raise ValueError("symmetric power of a properly virtual bundle")
         base = [f for f, m in inner.items() for _ in range(m)]
         if not base:
             # Sym^0 of the zero bundle is the trivial line bundle
@@ -36,18 +36,25 @@ def signed_roots_by_pairs(expr, k):
             form = tuple([sum(map(mul, counts, column)) for column in columns])
             out[form] = out.get(form, 0) + 1
         return out
-    if isinstance(expr, Tensor):
-        right = signed_roots_by_pairs(expr.right, k).items()
-        out = {}
-        for a, ma in signed_roots_by_pairs(expr.left, k).items():
-            for b, mb in right:
-                form = tuple(map(add, a, b))
-                out[form] = out.get(form, 0) + ma * mb
-        return {f: m for f, m in out.items() if m}
-    if isinstance(expr, (Plus, Minus)):
-        sign = 1 if isinstance(expr, Plus) else -1
-        out = dict(signed_roots_by_pairs(expr.left, k))
-        for f, m in signed_roots_by_pairs(expr.right, k).items():
-            out[f] = out.get(f, 0) + sign * m
-        return {f: m for f, m in out.items() if m}
+    if isinstance(expr, PullbackForms):
+        tensor = tensor_roots(signed_roots_by_pairs(Sym(expr.d + 1, TAUT), k), signed_roots_by_pairs(TAUT, k))
+        return _difference(tensor, signed_roots_by_pairs(Sym(expr.d + 2, TAUT), k))
     raise TypeError(f"not a bundle expression: {expr!r}")
+
+
+def tensor_roots(left, right):
+    """The roots of a tensor product: every pair of roots added, multiplicities multiplied."""
+    out = {}
+    for a, ma in left.items():
+        for b, mb in right.items():
+            form = tuple(map(add, a, b))
+            out[form] = out.get(form, 0) + ma * mb
+    return out
+
+
+def _difference(left, right):
+    """The roots of a difference: multiplicities subtracted, zeros dropped."""
+    out = dict(left)
+    for f, m in right.items():
+        out[f] = out.get(f, 0) - m
+    return {f: m for f, m in out.items() if m}

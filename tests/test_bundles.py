@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -10,12 +11,10 @@ from hypothesis import strategies as st
 from lpbdeg import bundles, sparse
 from lpbdeg.bundles import (
     Dual,
-    Minus,
-    Plus,
+    PullbackForms,
     RootSet,
     Sym,
     TAUT,
-    Tensor,
     chern_character_graded,
     chern_roots,
     dual,
@@ -24,9 +23,9 @@ from lpbdeg.bundles import (
 )
 from lpbdeg.foliation import pullback_forms_bundle
 from lpbdeg.grassmann import GrassContext
-from lpbdeg.polyring import TruncatedPoly, exponents_of_degree, inverse_unit_series
+from lpbdeg.polyring import TruncatedPoly, exponents_of_degree, inverse_unit_series, product_shifted_linear
 from ring_helpers import elementary, plus
-from root_oracle import signed_roots_by_pairs
+from root_oracle import signed_roots_by_pairs, tensor_roots
 
 CTX = GrassContext(3, 6)
 
@@ -53,10 +52,11 @@ def test_sym_power_counts():
 
 
 def test_sym_respects_multiplicity():
-    doubled = Plus(dual(TAUT), dual(TAUT))
-    roots = chern_roots(Sym(2, doubled), CTX)
-    assert roots.virtual_rank == 21  # multisets of size 2 from 6 roots
-    assert roots.signed[(1, 1, 0)] == 4
+    # PullbackForms(1) has rank 8, with the root -(1, 1, 1) twice
+    roots = chern_roots(Sym(2, PullbackForms(1)), CTX)
+    assert roots.virtual_rank == 36  # multisets of size 2 from 8 roots
+    # 3 multisets of the double root and 3 pairs of simple roots
+    assert roots.signed[(-2, -2, -2)] == 6
 
 
 def _sym_reference(base, power):
@@ -77,10 +77,10 @@ def _sym_reference(base, power):
         [
             TAUT,
             dual(TAUT),
-            Plus(TAUT, dual(TAUT)),
-            Plus(TAUT, TAUT),
-            Tensor(TAUT, dual(TAUT)),
-            Minus(TAUT, TAUT),
+            Sym(2, TAUT),
+            PullbackForms(0),
+            PullbackForms(1),
+            Dual(PullbackForms(1)),
         ]
     ),
     st.integers(0, 8),
@@ -95,102 +95,83 @@ _ORACLE_BUDGET = 600
 
 
 def _oracle_work(expr, k):
-    """An upper bound on the total |multiplicity| of the roots of ``expr``."""
+    """An upper bound on the total multiplicity of the roots of ``expr``."""
     if expr == TAUT:
         return k
     if isinstance(expr, Dual):
         return _oracle_work(expr.operand, k)
     if isinstance(expr, Sym):
         return comb(_oracle_work(expr.operand, k) + expr.power - 1, expr.power)
-    if isinstance(expr, Tensor):
-        return _oracle_work(expr.left, k) * _oracle_work(expr.right, k)
-    return _oracle_work(expr.left, k) + _oracle_work(expr.right, k)
+    # the pairs of the tensor product and the multisets of Sym^{d+2}T
+    return k * comb(k + expr.d, expr.d + 1) + comb(k + expr.d + 1, expr.d + 2)
 
 
 @st.composite
 def _expressions(draw, k, depth):
     """A tree of depth at most ``depth`` that the oracle walks within its budget.
 
-    Its leaves are ``TAUT`` and its dual, so that a difference one level
-    up can be properly virtual.  A symmetric power takes a power in 0 .. 6
-    that keeps the budget, and a tensor product over the budget is drawn
-    as a sum.
+    Its leaves are ``TAUT``, its dual and ``PullbackForms(d)`` for d in
+    0 .. 3, whose roots of multiplicity 2 or more (from d = 1 at k >= 3)
+    give a symmetric power above them repeated base roots, and whose
+    roots at k = 1 are none.  A symmetric power takes a power in 0 .. 6
+    that keeps the budget.
     """
-    kind = draw(st.sampled_from(["dual", "sym", "tensor", "plus", "minus"] if depth else ["leaf"]))
+    kind = draw(st.sampled_from(["dual", "sym"] if depth else ["leaf"]))
     if kind == "leaf":
-        return draw(st.sampled_from([TAUT, dual(TAUT)]))
-    left = draw(_expressions(k, depth - 1))
+        return draw(st.sampled_from([TAUT, dual(TAUT), *map(PullbackForms, range(4))]))
+    operand = draw(_expressions(k, depth - 1))
     if kind == "dual":
-        return Dual(left)
-    if kind == "sym":
-        top = max(p for p in range(7) if _oracle_work(Sym(p, left), k) <= _ORACLE_BUDGET)
-        return Sym(draw(st.integers(0, top)), left)
-    right = draw(_expressions(k, depth - 1))
-    if kind == "tensor" and _oracle_work(left, k) * _oracle_work(right, k) <= _ORACLE_BUDGET:
-        return Tensor(left, right)
-    return Minus(left, right) if kind == "minus" else Plus(left, right)
+        return Dual(operand)
+    top = max(p for p in range(7) if _oracle_work(Sym(p, operand), k) <= _ORACLE_BUDGET)
+    return Sym(draw(st.integers(0, top)), operand)
 
 
 @settings(max_examples=200)
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), _expressions(k, 3))))
 def test_signed_roots_match_the_root_by_root_oracle(case):
     k, expr = case
-    try:
-        want = signed_roots_by_pairs(expr, k)
-    except ValueError:
-        with pytest.raises(ValueError, match="properly virtual"):
-            bundles._signed_roots(expr, k)
-        return
     got = bundles._signed_roots(expr, k)
     assert type(got) is dict
-    assert 0 not in got.values()
-    assert got == want
+    assert min(got.values(), default=1) > 0
+    assert got == signed_roots_by_pairs(expr, k)
 
 
-@pytest.mark.parametrize(
-    "expr",
-    [
-        Tensor(pullback_forms_bundle(100), TAUT),
-        Minus(Tensor(dual(TAUT), pullback_forms_bundle(100)), pullback_forms_bundle(100)),
-    ],
-    ids=["tensor", "minus"],
-)
-def test_signed_roots_match_the_oracle_past_one_chunk(expr):
-    # merges of more than one chunk of forms, with unequal multiplicities
-    got = bundles._signed_roots(expr, 3)
-    assert len(got) > bundles._CHUNK
-    assert len(set(got.values())) > 2
-    assert got == signed_roots_by_pairs(expr, 3)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [*range(13), 40])
+def test_pullback_forms_match_the_expanded_difference(k, d):
+    # the closed form against Sym^{d+1}T (x) T - Sym^{d+2}T expanded root by root
+    want = signed_roots_by_pairs(PullbackForms(d), k)
+    assert bundles._signed_roots(PullbackForms(d), k) == want
+    assert bundles._signed_roots(Dual(PullbackForms(d)), k) == signed_roots_by_pairs(Dual(PullbackForms(d)), k)
+    # rank k C(d + k, k - 1) - C(d + k + 1, k - 1): (d + 1)(d + 3) at k = 3, 0 at k = 1
+    assert sum(want.values()) == k * comb(d + k, k - 1) - comb(d + k + 1, k - 1)
 
 
-def test_sym_of_virtual_rejected():
-    virtual = Minus(TAUT, Sym(1, dual(TAUT)))
-    with pytest.raises(ValueError):
-        chern_roots(Sym(2, virtual), CTX)
-    with pytest.raises(ValueError):
+def test_signed_roots_peak_near_the_map_they_return():
+    # the map of Sym^{d+2}T is reweighted in place, and no second map of
+    # that size is ever built beside it
+    tracemalloc.start()
+    try:
+        got = bundles._signed_roots(pullback_forms_bundle(200), 3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == comb(204, 2) - 3
+    assert peak <= 1.5 * held
+
+
+def test_negative_symmetric_power_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
         Sym(-1, TAUT)
 
 
-def test_tensor_roots_add():
-    roots = chern_roots(Tensor(dual(TAUT), dual(TAUT)), CTX)
-    assert roots.virtual_rank == 9
-    assert roots.signed[(1, 1, 0)] == 2
-    assert roots.signed[(2, 0, 0)] == 1
-
-
 def test_minus_cancels_to_honest_bundle():
-    expr = Minus(Plus(TAUT, dual(TAUT)), dual(TAUT))
-    roots = chern_roots(expr, CTX)
-    assert not roots.negative
-    assert roots == chern_roots(TAUT, CTX)
-    assert roots.virtual_rank == 3
-
-
-def test_minus_keeps_uncancelled_negative_part():
-    roots = chern_roots(Minus(TAUT, Sym(2, dual(TAUT))), CTX)
-    assert roots.negative == chern_roots(Sym(2, dual(TAUT)), CTX).signed
-    assert roots.positive == chern_roots(TAUT, CTX).signed
-    assert roots.virtual_rank == 3 - 6
+    # Sym^{d+1}T (x) T - Sym^{d+2}T leaves no negative multiplicity
+    for d in range(4):
+        roots = chern_roots(PullbackForms(d), CTX)
+        assert not roots.negative
+        assert roots.positive == roots.signed
+        assert roots.virtual_rank == (d + 1) * (d + 3)
 
 
 def test_total_chern_of_taut_and_dual():
@@ -204,10 +185,13 @@ def test_total_chern_of_taut_and_dual():
 
 
 def test_total_chern_of_virtual_is_quotient():
-    expr = Minus(dual(TAUT), TAUT)
-    got = total_chern(expr, CTX)
-    expected = total_chern(dual(TAUT), CTX) * inverse_unit_series(total_chern(TAUT, CTX))
-    assert got.terms == expected.terms
+    # c(Sym^{d+1}T (x) T - Sym^{d+2}T) = c(Sym^{d+1}T (x) T) / c(Sym^{d+2}T)
+    for d in range(3):
+        got = total_chern(PullbackForms(d), CTX)
+        tensor = tensor_roots(signed_roots_by_pairs(Sym(d + 1, TAUT), 3), signed_roots_by_pairs(TAUT, 3))
+        numerator = product_shifted_linear(tensor, CTX.ring)
+        expected = numerator * inverse_unit_series(total_chern(Sym(d + 2, TAUT), CTX))
+        assert got.terms == expected.terms
 
 
 exprs = st.sampled_from(
@@ -216,10 +200,10 @@ exprs = st.sampled_from(
         dual(TAUT),
         Sym(2, TAUT),
         Sym(2, dual(TAUT)),
-        Tensor(dual(TAUT), dual(TAUT)),
-        Plus(TAUT, dual(TAUT)),
-        Minus(Sym(2, dual(TAUT)), TAUT),
-        Minus(Tensor(Sym(2, TAUT), TAUT), Sym(3, TAUT)),
+        PullbackForms(0),
+        PullbackForms(1),
+        Dual(PullbackForms(1)),
+        Sym(2, PullbackForms(0)),
     ]
 )
 
@@ -230,14 +214,6 @@ def test_segre_inverts_chern(expr, m):
     c = total_chern(expr, ctx)
     s = total_segre(expr, ctx)
     assert (c * s).terms == {0: 1}
-
-
-@given(exprs, exprs, st.integers(0, 3))
-def test_character_additive_on_sums(left, right, j):
-    combined = chern_character_graded(Plus(left, right), CTX, j)
-    pairs = zip(chern_character_graded(left, CTX, j), chern_character_graded(right, CTX, j))
-    assert [p.terms for p in combined] == [plus(a, b).terms for a, b in pairs]
-    assert len(combined) == j + 1
 
 
 def test_character_low_degrees_explicit():
@@ -253,8 +229,18 @@ def test_character_low_degrees_explicit():
 
 
 def test_character_of_virtual_subtracts():
-    expr = Minus(dual(TAUT), dual(TAUT))
-    assert all(piece.terms == {} for piece in chern_character_graded(expr, CTX, 2))
+    # ch(Sym^{d+1}T (x) T - Sym^{d+2}T) = ch(Sym^{d+1}T) ch(T) - ch(Sym^{d+2}T), grade by grade
+    g = CTX.g
+    for d in range(3):
+        got = chern_character_graded(PullbackForms(d), CTX, g)
+        left = chern_character_graded(Sym(d + 1, TAUT), CTX, g)
+        right = chern_character_graded(TAUT, CTX, g)
+        minus = chern_character_graded(Sym(d + 2, TAUT), CTX, g)
+        for j in range(g + 1):
+            product = TruncatedPoly(CTX.ring, {})
+            for i in range(j + 1):
+                product = plus(product, left[i] * right[j - i])
+            assert got[j].terms == plus(product, minus[j], -1).terms, (d, j)
 
 
 def _character_by_multinomials(expr, ctx, degree):

@@ -72,8 +72,12 @@ def test_form_validation():
     # a key that is not a sequence, and a degree or dimension that is not an int
     with pytest.raises(ValueError, match="bad exponent 5 for ambient dimension 2"):
         _form(2, 0, {5: 1}, {}, {})
-    for n, d in ((2, 0.5), (2.0, 0), (2, True)):
-        with pytest.raises(ValueError, match="must be ints"):
+    for n, d, message in (
+        (2, 0.5, "d must be an int, not 0.5"),
+        (2.0, 0, "n must be an int, not 2.0"),
+        (2, True, "d must be an int, not True"),
+    ):
+        with pytest.raises(ValueError, match=message):
             _form(n, d, {}, {}, {})
 
 
@@ -360,12 +364,30 @@ def test_form_space_basis_size_check_survives_optimization(monkeypatch):
     # a basis one form short is an internal fault, raised even under -O
     full = forms.dimension_vdn
     monkeypatch.setattr(forms, "dimension_vdn", lambda n, d: full(n, d) + 1)
-    form_space_basis.cache_clear()
+    forms._form_space_basis.cache_clear()
     try:
         with pytest.raises(RuntimeError):
             form_space_basis(2, 1)
     finally:
-        form_space_basis.cache_clear()
+        forms._form_space_basis.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (form_space_basis, (2, True), "d must be an int, not True"),
+        (form_space_basis, (2, 1.0), "d must be an int, not 1.0"),
+        (form_space_basis, (2.0, 1), "n must be an int, not 2.0"),
+        (dimension_vdn, (3, True), "d must be an int, not True"),
+        (dimension_vdn, (2.5, 1), "n must be an int, not 2.5"),
+        (random_projection, (3.0, 0), "n must be an int, not 3.0"),
+    ],
+)
+def test_form_helpers_refuse_an_n_or_d_that_is_not_an_int(call, args, message):
+    # whatever the basis cache holds: (2, True) and (2, 1.0) are its key (2, 1)
+    form_space_basis(2, 1)
+    with pytest.raises(ValueError, match=message):
+        call(*args)
 
 
 def _elimination_basis(n, d):
