@@ -120,10 +120,10 @@ MAX_N = 8
 # the bounds of forms check-pullback: a trial costs about C(n+d+1, n) terms
 # per coefficient, and its integrability check walks about n^2/2 triples
 # over a table of C(n+d+1, n) * C(n+d, n) monomial pairs, built once per
-# (n, d) (one trial takes about 0.7 s at (n, d) = (8, 3), 0.5 s at (20, 1),
-# 0.4 s and 30 MB at (4, 7), 0.35 s and 34 MB at (3, 11), the largest table
-# allowed, and 3.6 s and 76 MB at (2, 29), the largest d allowed, where a
-# pullback forms no triple; 2-vCPU host)
+# (n, d) (one trial takes about 0.5 s at (n, d) = (8, 3), 0.3 s at (20, 1),
+# 0.3 s and 30 MB at (4, 7), 0.25 s and 29 MB at (3, 11), the largest table
+# allowed, and 2.8-3.1 s and 76 MB at (2, 29), the largest d allowed, where a
+# pullback forms no triple; fresh interpreters, 3 runs each, 2-vCPU host)
 MAX_FORMS_N = 20
 MAX_FORM_TERMS = 500
 MAX_TRIALS = 1000

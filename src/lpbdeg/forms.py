@@ -38,13 +38,16 @@ defect monomial, and a defect coefficient is one C-level dot product of
 dense vectors.
 
 Linear pullback along a rank-3 matrix F sends a plane form to a form on
-P^n, and :func:`recover` inverts that map exactly: the section G of F built
-from an invertible column triple has ``F o G = det * identity``, so the
-candidate ``G^* mu`` is accepted only when ``F^*(G^* mu) = det^(d+2) mu``.
-All three pullbacks run through one routine, a substitution followed by a
-weighting, and every sum accumulates in place with :func:`sparse.add`.  All
-hot paths stay in integer arithmetic; rationals appear only in the final
-rescale.
+P^n, and :func:`recover` inverts that map exactly.  A form is a pullback
+exactly when every vector of ker F annihilates it, ``i_v mu = 0`` and
+``L_v mu = 0``, which it checks on dense coefficient vectors with the
+derivative gathers of the integrability check; then the section G of F
+built from an invertible column triple has ``F o G = det * identity``, and
+``G^* mu`` is ``det^(d+2)`` times the plane source.  Both pullbacks, along F
+and along G, run through one routine, a substitution followed by a
+weighting, and every sum accumulates in place with :func:`sparse.add`.
+All hot paths stay in integer arithmetic; rationals appear only in the
+final rescale.
 """
 
 from __future__ import annotations
@@ -53,10 +56,10 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations
 from math import comb, lcm
-from operator import attrgetter, itemgetter, mul, neg, sub
+from operator import add, attrgetter, itemgetter, mul, neg, sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import sparse
@@ -66,6 +69,8 @@ from .sparse import Packing
 
 Exponent = tuple[int, ...]
 Poly = dict[Exponent, Scalar]
+# a gather over a dense coefficient vector and its weights: one partial derivative
+_Derivative = tuple[Callable[[Sequence[Scalar]], tuple], tuple[int, ...]]
 
 # (name, least value, message) of the dimension and the degree of a form
 _N = ("n", 2, "ambient projective dimension must be at least 2")
@@ -163,7 +168,8 @@ class ProjectiveOneForm:
                 raise ValueError(f"bad exponent {bad!r} for ambient dimension {self.n}") from None
             for e, c in a.items():
                 key = tuple(e)
-                if len(key) != nv or min(key) < 0 or not exact and set(map(type, key)) != {int}:
+                # the entry types first, so that min never compares a str with an int
+                if len(key) != nv or not exact and set(map(type, key)) != {int} or min(key) < 0:
                     raise ValueError(f"bad exponent {key} for ambient dimension {self.n}")
                 c = normalize(c)
                 if c:
@@ -208,18 +214,16 @@ class _DefectTable(NamedTuple):
 
     ``top`` and ``out`` list the monomials of degree d+1 (the coefficients)
     and 2d+1 (the defects) in the order of :func:`exponents_of_degree`, and
-    the derivatives live on the degree-d monomials in that order too.
-    ``derivatives[v]`` is a gather and its weights over the degree-d
-    monomials beta: ``d_v A[beta] = (beta_v + 1) A[beta + e_v]``, read from a
-    dense vector of A over ``top``.  ``products[nu]`` is a pair of gathers
-    into ``a = A_i || A_j || A_k`` and ``b = curl(j, k) || -curl(i, k) ||
-    curl(i, j)``: for every coefficient monomial and derivative monomial
-    whose product is ``out[nu]``, their indices in each of the three blocks,
-    so that ``Omega_ijk[nu]`` is the dot product of the two gathers.
+    ``derivatives`` are those of :func:`_derivatives`.  ``products[nu]`` is
+    a pair of gathers into ``a = A_i || A_j || A_k`` and ``b = curl(j, k) ||
+    -curl(i, k) || curl(i, j)``: for every coefficient monomial and
+    derivative monomial whose product is ``out[nu]``, their indices in each
+    of the three blocks, so that ``Omega_ijk[nu]`` is the dot product of the
+    two gathers.
     """
 
     top: tuple[Exponent, ...]
-    derivatives: tuple[tuple[Callable[[Sequence[Scalar]], tuple], tuple[int, ...]], ...]
+    derivatives: tuple[_Derivative, ...]
     out: tuple[Exponent, ...]
     products: tuple[tuple[itemgetter, itemgetter], ...]
 
@@ -237,6 +241,31 @@ def _gather(indices: Sequence[int]) -> Callable[[Sequence[Scalar]], tuple]:
 
 
 @lru_cache(maxsize=1)
+def _derivatives(n: int, d: int) -> tuple[tuple[Exponent, ...], tuple[_Derivative, ...]]:
+    """The monomials of degree d+1 on P^n and the partial derivatives over them.
+
+    A coefficient is a dense vector over the first, ``top``, in the order of
+    :func:`exponents_of_degree`.  ``derivatives[v]`` is a gather and its
+    weights over the degree-d monomials beta, in that order too:
+    ``d_v A[beta] = (beta_v + 1) A[beta + e_v]``.  Only the latest (n, d)
+    stays cached, as for :func:`_defect_table`, which reads it.
+    """
+    nv = n + 1
+    ring = Packing(nv, d + 1)
+    top, low = tuple(exponents_of_degree(nv, d + 1)), exponents_of_degree(nv, d)
+    top_index = {ring.pack(e): i for i, e in enumerate(top)}
+    low_keys = [ring.pack(e) for e in low]
+    derivatives = tuple(
+        (
+            _gather([top_index[k + ring.var(v)] for k in low_keys]),
+            tuple(ring.exponent(k, v) + 1 for k in low_keys),
+        )
+        for v in range(nv)
+    )
+    return top, derivatives
+
+
+@lru_cache(maxsize=1)
 def _defect_table(n: int, d: int) -> _DefectTable:
     """The :class:`_DefectTable` of degree-d forms on P^n, built once.
 
@@ -246,16 +275,9 @@ def _defect_table(n: int, d: int) -> _DefectTable:
     """
     nv = n + 1
     ring = Packing(nv, 2 * d + 1)
-    top, low, out = (tuple(exponents_of_degree(nv, t)) for t in (d + 1, d, 2 * d + 1))
+    top, derivatives = _derivatives(n, d)
+    low, out = (tuple(exponents_of_degree(nv, t)) for t in (d, 2 * d + 1))
     top_keys, low_keys = [ring.pack(e) for e in top], [ring.pack(e) for e in low]
-    top_index = {k: i for i, k in enumerate(top_keys)}
-    derivatives = tuple(
-        (
-            _gather([top_index[k + ring.var(v)] for k in low_keys]),
-            tuple(ring.exponent(k, v) + 1 for k in low_keys),
-        )
-        for v in range(nv)
-    )
     out_index = {ring.pack(e): i for i, e in enumerate(out)}
     # the three blocks of a (of b) start at multiples of size_a (size_b); a
     # pair of monomials gives the two gathers of its product one index triple
@@ -548,30 +570,93 @@ def _invertible_block(
     return None
 
 
+def _annihilated_by_kernel(
+    rows: Sequence[Sequence[Scalar]],
+    mu: ProjectiveOneForm,
+    block: tuple[tuple[int, ...], list[list[Scalar]], Scalar],
+) -> bool:
+    """Whether ``mu = F^* omega`` for some plane 1-form omega, F the matrix ``rows``.
+
+    ``block`` is ``(cols, adj, det)`` of :func:`_invertible_block`, with
+    ``F_cols adj = det * identity``.  For each column c outside the triple
+    let ``w = adj F[:, c]``; then ``v_c = det e_c - sum_t w_t e_cols[t]``
+    lies in ker F, and these n - 2 vectors are a basis of it.  The test is
+    that each v_c annihilates mu:
+
+    (i) ``i_{v_c} mu = det A_c - sum_t w_t A_cols[t] = 0``, and
+    (ii) ``L_{v_c} mu = 0``, that is ``det d_c A_k = sum_t w_t d_cols[t] A_k``
+    for each k in the triple.  By (i) every other A_c is a constant
+    combination of the three A_cols[t], so (ii) holds for it as well.
+
+    Proof that this is exact.  If ``mu = F^* omega = sum_i B_i(F Z) dF_i``,
+    then ``i_v mu = sum_i B_i(F Z) (F v)_i = 0`` and ``A_k(Z + s v) =
+    A_k(Z)`` for v in ker F, so (i) and (ii) hold.  Conversely, let ``b =
+    adj^T A_cols / det``, so that ``sum_i b_i F[i][k] = A_k`` for k in the
+    triple; by (i) ``sum_i b_i F[i][c] = (adj F[:, c]) . A_cols / det =
+    A_c`` for c outside it, so ``mu = sum_i b_i(Z) dF_i``.  By (ii) each b_i
+    is constant along ker F.  The section G, with the rows of adj at the
+    triple and zero rows elsewhere, has ``F G = det * identity``, so
+    ``Z - G F Z / det`` lies in ker F and ``b_i(Z) = b_i(G F Z / det) =
+    B_i(F Z)`` with ``B_i(Y) = b_i(G Y / det)`` of degree d+1: mu is
+    ``F^*(sum_i B_i dY_i)``.  At n = 2 the kernel is zero and there is
+    nothing to test.
+
+    Both conditions are checked on dense vectors over the degree-(d+1)
+    monomials, the derivatives with the gathers of :func:`_derivatives`,
+    which are read only when some column lies outside the triple.
+    """
+    cols, adj, det = block
+    others = [c for c in range(len(rows[0])) if c not in cols]
+    if not others:
+        return True
+    kernel = [[sum(adj[t][i] * rows[i][c] for i in range(3)) for t in range(3)] for c in others]
+    top, derivatives = _derivatives(mu.n, mu.d)
+
+    def annihilated(x: list[list[Scalar]]) -> bool:
+        # det x[c] == sum_t w_t x[cols[t]] entry by entry, for every v_c;
+        # x holds one vector per variable
+        x0, x1, x2 = (x[k] for k in cols)
+        for c, (w0, w1, w2) in zip(others, kernel):
+            rhs = map(add, map(partial(mul, w0), x0), map(partial(mul, w1), x1))
+            rhs = map(add, rhs, map(partial(mul, w2), x2))
+            if list(map(partial(mul, det), x[c])) != list(rhs):
+                return False
+        return True
+
+    coeffs = [[a.get(e, 0) for e in top] for a in mu.coeffs]
+    if not annihilated(coeffs):
+        return False
+    return all(
+        annihilated([list(map(mul, weights, gather(coeffs[k]))) for gather, weights in derivatives])
+        for k in cols
+    )
+
+
 def recover(proj: LinearProjection, mu: ProjectiveOneForm) -> ProjectiveOneForm | None:
     """Invert the linear pullback: find the plane form with the given image.
 
     Takes the first column triple of the projection matrix F whose 3 x 3
-    block is invertible.  The section G of F with the adjugate's rows at the
-    triple and zero rows elsewhere has ``F o G = det * identity``, so the
-    linear pullback ``G^* mu`` is ``det^(d+2)`` times the only possible
-    plane source.  The candidate is accepted only if it has zero radial
-    contraction and ``F^*(G^* mu) = det^(d+2) mu`` exactly; otherwise the
-    input was not a pullback and the result is ``None``.  Both pullbacks
-    take the path of :func:`pullback_linear`, and the substitution along G
-    forms no product for a monomial through a variable outside the triple.
+    block is invertible.  The input is a pullback ``F^* omega`` exactly when
+    every vector of ker F annihilates it (:func:`_annihilated_by_kernel`);
+    when it is not, the result is ``None`` and no substitution runs.  The
+    section G of F with the adjugate's rows at the triple and zero rows
+    elsewhere has ``F o G = det * identity``, so ``G^* mu = (F o G)^* omega
+    = det^(d+2) omega``: one pullback along G, on the path of
+    :func:`pullback_linear`, gives omega.  It is returned only when its
+    radial contraction is zero, that is when omega lies in the plane's form
+    space; otherwise the result is ``None``.  The substitution along G forms
+    no product for a monomial through a variable outside the triple.
     """
     if mu.n != proj.n:
         raise ValueError("form and projection have different ambient dimensions")
     found = _invertible_block(proj.rows)
     if found is None:  # rank 3 guarantees an invertible column triple
         raise RuntimeError("projection of rank 3 has no invertible column triple")
+    if not _annihilated_by_kernel(proj.rows, mu, found):
+        return None
     cols, adj, det = found
     section = [adj[cols.index(v)] if v in cols else [0, 0, 0] for v in range(proj.n + 1)]
     raw = _pull_back(section, mu)
     if contract_radial(raw):
         return None
-    factor = det ** (mu.d + 2)
-    if _pull_back(proj.rows, raw).coeffs != mu.scale(factor).coeffs:
-        return None
-    return raw.scale(Fraction(1) / factor)
+    return raw.scale(Fraction(1, det ** (mu.d + 2)))

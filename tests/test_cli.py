@@ -10,6 +10,7 @@ import pytest
 
 import lpbdeg.cli as cli
 import lpbdeg.foliation as foliation
+import lpbdeg.forms as forms
 from lpbdeg import UniPoly, __version__
 from lpbdeg.cli import CACHE_ENV_VAR, DegreeCache, main
 
@@ -326,6 +327,23 @@ def test_check_pullback_runs_clean(capsys):
     assert main(argv) == 0
     second, _ = _lines(capsys)
     assert second == first
+
+
+def test_check_pullback_trial_runs_two_substitutions(monkeypatch, capsys):
+    # the pullback along F to P^4 and the one along the section G back to
+    # the plane; recover proves the form a pullback without a third
+    widths = []
+    full = forms.substitute_linear
+
+    def spied(polys, rows, nvars_out):
+        widths.append(nvars_out)
+        return full(polys, rows, nvars_out)
+
+    monkeypatch.setattr(forms, "substitute_linear", spied)
+    assert main(["forms", "check-pullback", "--n", "4", "--d", "2", "--trials", "1", "--seed", "3"]) == 0
+    out, _ = _lines(capsys)
+    assert out == ["check-pullback n=4 d=2: 1/1 trials passed"]
+    assert widths == [5, 3]
 
 
 def test_check_pullback_reports_failures(monkeypatch, capsys):

@@ -11,7 +11,7 @@ positive values on a range of d.
 
 import json
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -85,3 +85,34 @@ def test_stored_form_is_a_positive_integer_on_d_2_to_40(n):
     for d in range(2, 41):
         value = poly(d)
         assert value.denominator == 1 and value > 0, d
+
+
+def _h_vector(poly: UniPoly, g: int) -> list[Fraction]:
+    """h_0 .. h_D of ``sum_d P(d) z^d = h(z) / (1 - z)^(D+1)``, D = 3g.
+
+    ``h_t = sum_j (-1)^j C(D+1, j) P(t - j)``, the sum stopping at j = t
+    since the series starts at d = 0 (Stanley, *Enumerative Combinatorics*
+    I, section 4.3).
+    """
+    top = 3 * g
+    return [sum((-1) ** j * comb(top + 1, j) * poly(t - j) for j in range(t + 1)) for t in range(top + 1)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_h_vector_is_integral_palindromic_and_supported_on_1_to_3g_minus_4(n):
+    g = 3 * (n - 2)
+    poly = _stored(n)
+    h = _h_vector(poly, g)
+    assert all(c.denominator == 1 for c in h)
+    # support and palindrome: the zeros at d = 0 .. -4 and the reciprocity
+    # P(-4 - d) = (-1)^n P(d)
+    assert h[0] == 0
+    assert all(c == 0 for c in h[3 * g - 3 :])
+    assert all(h[t] == h[3 * g - 3 - t] for t in range(3 * g - 2))
+    assert sum(h) == factorial(3 * g) * poly.coeffs[3 * g]
+    # observed on the stored data, not proved
+    assert all(c > 0 for c in h[1 : 3 * g - 3])
+
+
+def test_h_vector_of_p3():
+    assert _h_vector(_stored(3), 3)[1:6] == [40 * c for c in (2, 13, 26, 13, 2)]

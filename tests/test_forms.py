@@ -1,4 +1,5 @@
 import gc
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -79,6 +80,15 @@ def test_form_validation():
     ):
         with pytest.raises(ValueError, match=message):
             _form(n, d, {}, {}, {})
+
+
+@pytest.mark.parametrize("key", [("1", 0, 0), (None, 0, 0), "abc", (0, "1", 0), (True, 0, 0)])
+def test_form_rejects_exponent_entries_that_are_not_ints(key):
+    # the entry types are tested before the sign, which a str or None cannot
+    # be compared for
+    shown = tuple(key)
+    with pytest.raises(ValueError, match=rf"bad exponent {re.escape(repr(shown))} for ambient dimension 2"):
+        _form(2, 0, {key: 1}, {}, {})
 
 
 @pytest.mark.parametrize("c", [0.5, -0.5, 1.0, 0.0, Decimal(1), Decimal("0.5")])
@@ -325,16 +335,16 @@ def test_pullback_builds_each_monomial_image_once(d, expected, monkeypatch):
     assert len(calls) == expected == comb(d + 4, 3) - 1
 
 
-@pytest.mark.parametrize("d, expected", [(1, 18), (2, 38), (3, 68)])
+@pytest.mark.parametrize("d, expected", [(1, 9), (2, 19), (3, 34)])
 def test_recover_builds_each_plane_monomial_image_once_per_pullback(d, expected, monkeypatch):
-    # the substitution along the section forms products only for monomials
-    # in the three variables of the chosen column triple; one through a
-    # variable with a zero row maps to zero without a product
+    # recover runs one substitution, along the section, which forms products
+    # only for monomials in the three variables of the chosen column triple;
+    # one through a variable with a zero row maps to zero without a product
     omega, proj = random_form(2, d, 40 + d), random_projection(4, 50 + d)
     mu = pullback_linear(proj, omega)
     calls = _count_products(monkeypatch)
     assert recover(proj, mu) == omega
-    assert len(calls) == expected == 2 * (comb(d + 4, 3) - 1)
+    assert len(calls) == expected == comb(d + 4, 3) - 1
 
 
 def test_integrability_of_logarithmic_type_form():
@@ -674,6 +684,139 @@ def test_recover_round_trip_through_a_later_column_triple(d):
     proj = LinearProjection(((1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     mu = pullback_linear(proj, omega)
     assert recover(proj, mu) == omega
+
+
+def _round_trip_recover(proj, mu):
+    # the acceptance rule recover had before the kernel test: pull back along
+    # the section, require zero radial contraction, then require
+    # F^*(G^* mu) = det^(d+2) mu exactly
+    cols, adj, det = forms._invertible_block(proj.rows)
+    section = [adj[cols.index(v)] if v in cols else [0, 0, 0] for v in range(proj.n + 1)]
+    raw = forms._pull_back(section, mu)
+    if contract_radial(raw):
+        return None
+    factor = det ** (mu.d + 2)
+    if forms._pull_back(proj.rows, raw).coeffs != mu.scale(factor).coeffs:
+        return None
+    return raw.scale(Fraction(1) / factor)
+
+
+def _rational_projection(n, seed):
+    # a full-rank projection with Fraction entries: an integer one with row i
+    # scaled by 1/(i+2) and column j by (j+2)/3, which keeps the rank
+    rows = random_projection(n, seed).rows
+    return LinearProjection(
+        tuple(tuple(Fraction(c * (j + 2), 3 * (i + 2)) for j, c in enumerate(row)) for i, row in enumerate(rows))
+    )
+
+
+def _perturbed(mu, seed, zero):
+    # one coefficient of mu bumped by 1, or set to 0 (None when mu has none)
+    terms = sorted((i, e) for i, a in enumerate(mu.coeffs) for e in a)
+    if not terms:
+        return None
+    i, e = terms[seed % len(terms)]
+    coeffs = [dict(a) for a in mu.coeffs]
+    coeffs[i][e] = 0 if zero else coeffs[i][e] + 1
+    return ProjectiveOneForm(mu.n, mu.d, tuple(coeffs))
+
+
+def _along_rows(proj, n, d, seed):
+    # sum_i b_i(Z) dF_i with each b_i of degree d+1 in all of Z: i_v vanishes
+    # on ker F, but b_i is not constant along it
+    bs = random_form(n, d, seed).coeffs[:3]
+    coeffs = [{} for _ in range(n + 1)]
+    for b, row in zip(bs, proj.rows):
+        for k, f in enumerate(row):
+            sparse.add(coeffs[k], b, f)
+    return ProjectiveOneForm(n, d, tuple(coeffs))
+
+
+def _radial_plane_form(d, seed):
+    # a plane form with nonzero radial contraction: Z_0^(d+1) dZ_0 added
+    omega = random_form(2, d, seed)
+    return omega + _form(2, d, {(d + 1, 0, 0): 1}, {}, {})
+
+
+RECOVER_KINDS = (
+    "pullback",
+    "other projection",
+    "bumped",
+    "zeroed",
+    "sum",
+    "generic",
+    "along rows",
+    "radial",
+    "rational",
+    "rational generic",
+)
+
+
+def _recover_input(kind, n, d, seed):
+    """(projection, form) of one kind of input to recover; the form may be None."""
+    make = _rational_projection if kind.startswith("rational") else random_projection
+    proj = make(n, seed + 1)
+    if kind.endswith("generic"):
+        return proj, random_form(n, d, seed)
+    if kind == "along rows":
+        return proj, _along_rows(proj, n, d, seed)
+    if kind == "radial":
+        # F^* omega for an omega outside the form space: the kernel test
+        # passes, and the radial check refuses it
+        return proj, forms._pull_back(proj.rows, _radial_plane_form(d, seed))
+    source = random_projection(n, seed + 2) if kind == "other projection" else proj
+    mu = pullback_linear(source, random_form(2, d, seed))
+    if kind == "sum":
+        mu = mu + pullback_linear(random_projection(n, seed + 2), random_form(2, d, seed + 3))
+    if kind in ("bumped", "zeroed"):
+        mu = _perturbed(mu, seed, kind == "zeroed")
+    return proj, mu
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 5), st.integers(0, 3), st.sampled_from(RECOVER_KINDS), st.integers(0, 10**6))
+def test_recover_equals_the_round_trip(n, d, kind, seed):
+    # the kernel test accepts exactly the forms the second pullback accepted,
+    # and returns the same plane form
+    proj, mu = _recover_input(kind, n, d, seed)
+    if mu is not None:
+        assert recover(proj, mu) == _round_trip_recover(proj, mu)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_recover_inputs_reach_every_branch(n):
+    # the equivalence test is not vacuous: among its inputs the kernel test
+    # passes and fails, and a form that passes it is recovered or refused by
+    # the radial check; at n = 2 every form passes it
+    kernel, recovered = {}, {}
+    for kind in RECOVER_KINDS:
+        proj, mu = _recover_input(kind, n, 1, 5)
+        kernel[kind] = forms._annihilated_by_kernel(proj.rows, mu, forms._invertible_block(proj.rows))
+        recovered[kind] = recover(proj, mu) is not None
+    pullbacks = {"pullback", "radial", "rational"}
+    assert kernel == {kind: n == 2 or kind in pullbacks for kind in RECOVER_KINDS}
+    plane = {"other projection", "sum", "generic", "rational generic"} if n == 2 else set()
+    assert recovered == {kind: kind in plane | {"pullback", "rational"} for kind in RECOVER_KINDS}
+
+
+def test_recover_rejects_a_non_pullback_without_a_substitution(monkeypatch):
+    calls = []
+    monkeypatch.setattr(forms, "substitute_linear", lambda *args: calls.append(args))
+    assert recover(random_projection(3, 8), random_form(3, 1, 42)) is None
+    assert calls == []
+
+
+def test_recover_in_the_plane_builds_no_table():
+    # at n = 2 the kernel of F is zero, so no derivative is read and the
+    # pair table of the integrability check is not built either; both caches
+    # hold another (n, d) first, so that a lookup would miss
+    omega, proj = random_form(2, 3, 17), random_projection(2, 18)
+    mu = pullback_linear(proj, omega)
+    integrability_defect(random_form(3, 1, 7))
+    table, gathers = forms._defect_table.cache_info().misses, forms._derivatives.cache_info().misses
+    assert recover(proj, mu) == omega
+    assert forms._defect_table.cache_info().misses == table
+    assert forms._derivatives.cache_info().misses == gathers
 
 
 def test_recover_rejects_generic_forms():
