@@ -11,9 +11,9 @@ The package is organized bottom-up:
   characteristic classes in Chern roots.
 * :mod:`lpbdeg.symfunc` -- partitions and the character-sum route to Segre
   classes.
-* :mod:`lpbdeg.bundles` -- bundle expressions, among them the pulled-back
-  forms with their Chern roots in closed form, and their Chern roots,
-  classes and characters.
+* :mod:`lpbdeg.bundles` -- the Chern roots of the pulled-back-forms bundle
+  in closed form, as one map from linear form to multiplicity, and the
+  Chern character of a root map.
 * :mod:`lpbdeg.grassmann` -- integration of symmetric classes over G(k, m).
 * :mod:`lpbdeg.foliation` -- the degree engine for linear pullback components
   and the interpolated closed forms.

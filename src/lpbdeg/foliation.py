@@ -14,7 +14,8 @@ Segre class from graded Chern characters of the dual bundle, scaled to
 power sums, by Newton's identity for the complete homogeneous symmetric
 functions.  It keeps the name ``ch_partition``: it evaluates the
 partition-weighted character sum, without walking the partitions.  The
-routes share the enumeration of Chern roots, the ring they compute in,
+routes share one map of Chern roots, enumerated once per degree (the
+character route reads it negated, as the dual's), the ring they compute in,
 :attr:`~lpbdeg.grassmann.GrassContext.ring`, ``Q[x] / (deg > g,
 x_i^(n+1))``, whose exponent box is the largest exponent the integral
 reads, and the pass from the roots to their power sums,
@@ -41,16 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .bundles import (
-    PullbackForms,
-    VirtualBundleExpr,
-    chern_character_graded,
-    chern_roots,
-    dual,
-    total_segre,
-)
+from .bundles import chern_character_graded, chern_roots, dual
 from .exact import Scalar, UniPoly, lagrange_interpolate, require
 from .grassmann import GrassContext
+from .polyring import inverse_unit_series, product_shifted_linear
 from .symfunc import segre_via_characters
 
 METHOD_CHERN_QUOTIENT = "chern_quotient"
@@ -74,19 +69,6 @@ class InternalInconsistencyError(RuntimeError):
     """
 
 
-def pullback_forms_bundle(d: int) -> VirtualBundleExpr:
-    """Bundle of pulled-back 1-form coefficient vectors.
-
-    Over the Grassmannian of 3-planes, pulling a plane 1-form of foliation
-    degree d back along the projection defined by a 3-plane lands in the
-    kernel of the contraction map from Sym^{d+1}T (x) T to Sym^{d+2}T, with
-    T the tautological subbundle.  That kernel, of rank (d+1)(d+3), is the
-    returned node, whose roots :mod:`lpbdeg.bundles` gives in closed form.
-    """
-    require(d, *_D)
-    return PullbackForms(d)
-
-
 def degree_lpb(d: int, n: int, method: str = METHOD_CHERN_QUOTIENT) -> int:
     """Degree of the linear pullback component for foliation degree d on P^n.
 
@@ -104,14 +86,14 @@ def degree_lpb(d: int, n: int, method: str = METHOD_CHERN_QUOTIENT) -> int:
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     ctx = GrassContext(3, n + 1)
-    expr = pullback_forms_bundle(d)
+    roots = chern_roots(d, ctx).signed
     g = ctx.g
     results: dict[str, Scalar] = {}
     if method in (METHOD_CHERN_QUOTIENT, METHOD_BOTH):
-        cls = total_segre(expr, ctx).graded_part(g)
+        cls = inverse_unit_series(product_shifted_linear(roots, ctx.ring)).graded_part(g)
         results[METHOD_CHERN_QUOTIENT] = ctx.integrate(cls)
     if method in (METHOD_CH_PARTITION, METHOD_BOTH):
-        pieces = chern_character_graded(dual(expr), ctx, g)
+        pieces = chern_character_graded(dual(roots), ctx, g)
         cls = segre_via_characters(pieces, g)
         results[METHOD_CH_PARTITION] = ctx.integrate(cls)
     if len(results) == 2:
@@ -155,8 +137,9 @@ def lpb_invariants(d: int, n: int) -> LpbInvariants:
 
 def virtual_rank_check(d: int, n: int) -> int:
     """Virtual rank of the pulled-back-forms bundle, from its root sets."""
-    ctx = GrassContext(3, n + 1)
-    return chern_roots(pullback_forms_bundle(d), ctx).virtual_rank
+    require(d, *_D)
+    require(n, *_N)
+    return chern_roots(d, GrassContext(3, n + 1)).virtual_rank
 
 
 def closed_form(n: int, degree_fn: Callable[[int], int] | None = None) -> UniPoly:

@@ -1,24 +1,47 @@
-"""The Chern-root enumeration read root by root, the oracle of ``bundles._signed_roots``.
+"""Chern roots read root by root: the oracle of ``bundles._signed_roots``.
 
-A symmetric power takes one count vector per multiset of base roots and
-dots it with each coefficient column.  The pulled-back-forms bundle is
-expanded from its defining difference Sym^{d+1}T (x) T - Sym^{d+2}T: a
-tensor product adds every pair of roots and a difference subtracts
-multiplicities.  The package forms the same map by whole-column passes,
-and the pulled-back forms from a closed form that this oracle never uses.
+The package knows one bundle, the pulled-back forms, and takes its roots
+in closed form.  The tests also take classes of other bundles, so this
+module has its own tiny expressions over the tautological subbundle T of
+the Grassmannian of k-planes: ``TAUT``, ``Dual``, ``Sym`` and
+``PullbackForms``.  A symmetric power takes one count vector per multiset
+of base roots and dots it with each coefficient column.  The
+pulled-back-forms bundle is expanded from its defining difference
+Sym^{d+1}T (x) T - Sym^{d+2}T: a tensor product adds every pair of roots
+and a difference subtracts multiplicities.  The package forms the same
+map by whole-column passes, from a closed form that this oracle never
+uses.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import add, mul
 
-from lpbdeg.bundles import TAUT, Dual, PullbackForms, Sym, TautologicalSub
 from lpbdeg.polyring import exponents_of_degree
+
+TAUT = "T"
+
+
+@dataclass(frozen=True)
+class Dual:
+    operand: object
+
+
+@dataclass(frozen=True)
+class Sym:
+    power: int
+    operand: object
+
+
+@dataclass(frozen=True)
+class PullbackForms:
+    d: int
 
 
 def signed_roots_by_pairs(expr, k):
     """Map from each Chern root form of ``expr`` to its nonzero signed multiplicity."""
-    if isinstance(expr, TautologicalSub):
+    if expr == TAUT:
         return {tuple(-1 if j == i else 0 for j in range(k)): 1 for i in range(k)}
     if isinstance(expr, Dual):
         return {tuple(-c for c in f): m for f, m in signed_roots_by_pairs(expr.operand, k).items()}

@@ -8,6 +8,7 @@ the suite.  These tests read `perfbench/` and never write there.
 
 import importlib
 import json
+from math import comb
 
 import pytest
 
@@ -64,3 +65,20 @@ def test_traced_command_passes_self_test(workload, argv, tmp_cache, capsys):
     stats = recorder.snapshot()
     silent = [name for name in workloads.EXPECTED_CALLS[workload] if stats[name]["calls"] == 0]
     assert not silent, f"spans with no calls: {silent}"
+
+
+def test_route_check_op_counts_each_root_once(tmp_cache, capsys):
+    # the per-layer root count the benchmark reads: one enumeration per
+    # degree, shared by both routes, of C(d + 4, 2) - 3 roots
+    spans = load_perfbench("spans")
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        code = main(["degree", "--n", "5", "--d", "2", "--method", "both"])
+    finally:
+        recorder.restore()
+    assert code == 0
+    capsys.readouterr()
+    stats = recorder.snapshot()["bundles.chern_roots"]
+    assert stats["calls"] == 1
+    assert stats["roots"] == comb(2 + 4, 2) - 3 == 12

@@ -15,27 +15,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpbdeg import sparse
-from lpbdeg.bundles import (
-    PullbackForms,
-    Sym,
-    TAUT,
-    chern_character_graded,
-    chern_roots,
-    dual,
-    total_segre,
-)
-from lpbdeg.foliation import (
-    METHOD_BOTH,
-    METHOD_CH_PARTITION,
-    METHOD_CHERN_QUOTIENT,
-    degree_lpb,
-    pullback_forms_bundle,
-)
+from lpbdeg.bundles import chern_character_graded, chern_roots, dual
+from lpbdeg.foliation import METHOD_BOTH, METHOD_CH_PARTITION, METHOD_CHERN_QUOTIENT, degree_lpb
 from lpbdeg.grassmann import GrassContext
 from lpbdeg.polyring import TruncatedPoly, inverse_unit_series, product_shifted_linear
 from lpbdeg.sparse import Packing
 from permutation_helpers import orbits_of, symmetrize
 from ring_helpers import e1_power, truncated_mul, unit_series
+from root_oracle import TAUT, Dual, PullbackForms, Sym, signed_roots_by_pairs
 
 coeffs = st.integers(min_value=-6, max_value=6)
 
@@ -97,23 +84,24 @@ def test_moment_table_lists_only_monomials_in_the_box():
     assert all(max(Packing(3, ctx.g).unpack(k)) <= ctx.box for _, keys, _ in boxed for k in keys)
 
 
-exprs = st.sampled_from(
+# the root maps of these bundles over the 3-planes, from the oracle
+root_maps = st.sampled_from(
     [
         TAUT,
-        dual(TAUT),
-        Sym(2, dual(TAUT)),
-        dual(PullbackForms(0)),
+        Dual(TAUT),
+        Sym(2, Dual(TAUT)),
+        Dual(PullbackForms(0)),
         Sym(2, PullbackForms(0)),
         PullbackForms(1),
     ]
-)
+).map(lambda expr: signed_roots_by_pairs(expr, 3))
 
 
-def _character_unboxed(expr, ctx, degree):
+def _character_unboxed(roots, ctx, degree):
     """Sum of signed powers of the roots over degree!, multiplied out."""
     ring = Packing(3, ctx.g, ctx.g)
     total = {}
-    for form, m in chern_roots(expr, ctx).signed.items():
+    for form, m in roots.items():
         linear = {ring.var(v): a for v, a in enumerate(form) if a}
         power = {0: m}
         for _ in range(degree):
@@ -122,29 +110,30 @@ def _character_unboxed(expr, ctx, degree):
     return TruncatedPoly(ring, ring.unpack_terms(total)).scale(Fraction(1, factorial(degree)))
 
 
-@given(exprs, grassmannians, st.data())
-def test_boxed_character_drops_only_out_of_box_terms(expr, ctx, data):
+@given(root_maps, grassmannians, st.data())
+def test_boxed_character_drops_only_out_of_box_terms(roots, ctx, data):
     degree = data.draw(st.integers(0, ctx.g))
-    got = chern_character_graded(expr, ctx, degree)
-    expected = [_in_box(_character_unboxed(expr, ctx, j), ctx.box) for j in range(degree + 1)]
+    got = chern_character_graded(roots, ctx, degree)
+    expected = [_in_box(_character_unboxed(roots, ctx, j), ctx.box) for j in range(degree + 1)]
     assert [p.terms for p in got] == [p.terms for p in expected]
 
 
-def _total_chern_unboxed(expr, ctx):
-    return product_shifted_linear(chern_roots(expr, ctx).signed, Packing(3, ctx.g, ctx.g))
+def _segre(roots, ring):
+    """The total Segre class of the bundle with ``roots``, in ``ring``."""
+    return inverse_unit_series(product_shifted_linear(roots, ring))
 
 
-@given(exprs, grassmannians)
-def test_boxed_segre_drops_only_out_of_box_terms(expr, ctx):
-    unboxed = inverse_unit_series(_total_chern_unboxed(expr, ctx))
-    assert total_segre(expr, ctx).terms == _in_box(unboxed, ctx.box).terms
+@given(root_maps, grassmannians)
+def test_boxed_segre_drops_only_out_of_box_terms(roots, ctx):
+    unboxed = _segre(roots, Packing(3, ctx.g, ctx.g))
+    assert _segre(roots, ctx.ring).terms == _in_box(unboxed, ctx.box).terms
 
 
 def _degree_unboxed(d, n):
     """The quotient route of ``degree_lpb`` with no exponent box."""
     ctx = GrassContext(3, n + 1)
-    chern = _total_chern_unboxed(pullback_forms_bundle(d), ctx)
-    return ctx.integrate(inverse_unit_series(chern).graded_part(ctx.g))
+    segre = _segre(chern_roots(d, ctx).signed, Packing(3, ctx.g, ctx.g))
+    return ctx.integrate(segre.graded_part(ctx.g))
 
 
 def test_degrees_match_the_unboxed_ring():
@@ -159,9 +148,9 @@ def test_the_ring_of_a_grassmannian_is_one_value():
     ctx = GrassContext(3, 6)
     assert ctx.ring == Packing(3, ctx.g, ctx.box) == Packing(3, 9, 5)
     assert ctx.ring is ctx.ring and GrassContext(3, 6).ring == ctx.ring
-    expr = pullback_forms_bundle(2)
-    assert total_segre(expr, ctx).ring is ctx.ring
-    assert all(piece.ring is ctx.ring for piece in chern_character_graded(dual(expr), ctx, ctx.g))
+    roots = chern_roots(2, ctx).signed
+    assert _segre(roots, ctx.ring).ring is ctx.ring
+    assert all(piece.ring is ctx.ring for piece in chern_character_graded(dual(roots), ctx, ctx.g))
 
 
 def test_every_integrated_class_lives_in_the_ring_of_its_grassmannian(monkeypatch):

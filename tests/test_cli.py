@@ -187,8 +187,8 @@ def test_cache_record_of_another_version_is_confirmed_once(tmp_cache, monkeypatc
 def test_degree_route_fault_detected(tmp_cache, monkeypatch, capsys):
     real = foliation.chern_character_graded
 
-    def skewed(expr, ctx, degree):
-        pieces = real(expr, ctx, degree)
+    def skewed(roots, ctx, degree):
+        pieces = real(roots, ctx, degree)
         pieces[1] = pieces[1].scale(2)
         return pieces
 

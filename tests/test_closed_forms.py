@@ -5,8 +5,9 @@ against both degree routes at sample nodes, against the reciprocity
 P(-4-d) = (-1)^n P(d) as a polynomial identity, and against the factor
 d(d+1)(d+2)(d+3)(d+4) that both published forms have.  The stored forms,
 with the published P_3 and P_4, are also checked without recomputing any
-degree: the leading coefficient against the Pluecker degree, and integer
-positive values on a range of d.
+degree: the leading coefficient against the Pluecker degree, the next
+two coefficients in N = d + 2 against the Schubert ratio (n - 1)/(3n - 7),
+and integer positive values on a range of d.
 """
 
 import json
@@ -19,6 +20,7 @@ import pytest
 from lpbdeg.exact import UniPoly
 from lpbdeg.foliation import METHOD_BOTH, closed_form, degree_lpb, reference_polynomial
 from lpbdeg.grassmann import GrassContext
+from ring_helpers import e1_power, elementary
 
 DATA = json.loads((Path(__file__).parent / "closed_forms.json").read_text())["coefficients"]
 
@@ -32,13 +34,17 @@ def _stored(n: int) -> UniPoly:
     return reference_polynomial(n) if n < 5 else _poly(n)
 
 
-def _mirrored(poly: UniPoly) -> UniPoly:
-    """``poly(-4 - d)`` as a polynomial in d."""
-    arg = UniPoly((-4, -1))
+def _composed(poly: UniPoly, arg: UniPoly) -> UniPoly:
+    """``poly(arg)`` as a polynomial, by Horner's rule."""
     out = UniPoly()
     for c in reversed(poly.coeffs):
         out = out * arg + UniPoly.constant(c)
     return out
+
+
+def _mirrored(poly: UniPoly) -> UniPoly:
+    """``poly(-4 - d)`` as a polynomial in d."""
+    return _composed(poly, UniPoly((-4, -1)))
 
 
 def test_data_covers_n_5_to_8():
@@ -85,6 +91,27 @@ def test_stored_form_is_a_positive_integer_on_d_2_to_40(n):
     for d in range(2, 41):
         value = poly(d)
         assert value.denominator == 1 and value > 0, d
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_stored_form_in_n_has_no_second_term_and_a_known_third(n):
+    # in N = d + 2 the reciprocity makes P_n even or odd, so N^(3g - 1) is
+    # absent, and the N^(3g - 2) term is g (3n - 11) / 2 times the leading one
+    g = 3 * (n - 2)
+    in_n = _composed(_stored(n), UniPoly((-2, 1)))
+    lead = in_n.coeffs[3 * g]
+    assert in_n.coeffs[3 * g - 1] == 0
+    assert in_n.coeffs[3 * g - 2] == Fraction(g * (3 * n - 11), 2) * lead
+    assert in_n.coeffs[3 * g - 2] / lead == [-3, 3, 18, 42, 75, 117][n - 3]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_schubert_ratio_behind_the_third_term(n):
+    # the ratio that collapses the N^(3g - 2) coefficient to g (3n - 11) / 2
+    ctx = GrassContext(3, n + 1)
+    g = ctx.g
+    e2_e1 = ctx.integrate(elementary(ctx.ring, 2) * e1_power(ctx.ring, g - 2))
+    assert Fraction(e2_e1, ctx.integrate(e1_power(ctx.ring, g))) == Fraction(n - 1, 3 * n - 7)
 
 
 def _h_vector(poly: UniPoly, g: int) -> list[Fraction]:

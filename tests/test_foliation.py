@@ -19,7 +19,6 @@ from lpbdeg.foliation import (
     closed_form_full_nodes,
     degree_lpb,
     lpb_invariants,
-    pullback_forms_bundle,
     reference_formula,
     reference_polynomial,
     virtual_rank_check,
@@ -85,6 +84,10 @@ def test_degree_validation():
         degree_lpb(2, 2)
     with pytest.raises(ValueError):
         degree_lpb(2, 3, method="fastest")
+    with pytest.raises(ValueError, match="ambient projective dimension must be at least 3"):
+        virtual_rank_check(2, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        virtual_rank_check(-1, 3)
 
 
 @pytest.mark.parametrize(
@@ -96,7 +99,9 @@ def test_degree_validation():
         (degree_lpb, (2, 3.0)),
         (degree_lpb, (2.0, 3)),
         (closed_form, (3.0,)),
-        (pullback_forms_bundle, (Fraction(2),)),
+        (virtual_rank_check, (Fraction(2), 3)),
+        (virtual_rank_check, (2, 2.5)),
+        (virtual_rank_check, (2, 3.0)),
     ],
 )
 def test_degree_functions_refuse_an_n_or_d_that_is_not_an_int(monkeypatch, call, args):
@@ -150,13 +155,10 @@ def test_routes_share_no_product_kernel(monkeypatch, n, d):
 def test_bundle_rank_matches_closed_count():
     ctx = GrassContext(3, 4)
     for d in range(0, 11):
-        expr = pullback_forms_bundle(d)
-        roots = chern_roots(expr, ctx)
+        roots = chern_roots(d, ctx)
         assert not roots.negative
         assert roots.virtual_rank == (d + 1) * (d + 3)
         assert virtual_rank_check(d, 3) == (d + 1) * (d + 3)
-    with pytest.raises(ValueError):
-        pullback_forms_bundle(-1)
 
 
 @pytest.mark.parametrize("d", [*range(8), 100])
@@ -169,7 +171,7 @@ def test_pullback_bundle_roots_are_negated_exponents(d):
         for gamma in exponents_of_degree(3, d + 2)
         if sum(1 for g in gamma if g) >= 2
     }
-    assert _signed_roots(pullback_forms_bundle(d), 3) == expected
+    assert _signed_roots(d, 3) == expected
 
 
 def test_moment_sums_are_reciprocal_in_n():
@@ -178,7 +180,7 @@ def test_moment_sums_are_reciprocal_in_n():
     # M_a(-N) = (-1)^|a| M_a(N)
     top = 6
     nodes = range(2, top + 6)
-    roots = {N: _signed_roots(pullback_forms_bundle(N - 2), 3).items() for N in nodes}
+    roots = {N: _signed_roots(N - 2, 3).items() for N in nodes}
     for size in range(top + 1):
         for alpha in exponents_of_degree(3, size):
             moments = [

@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpbdeg import sparse
-from lpbdeg.bundles import chern_character_graded, dual
-from lpbdeg.foliation import pullback_forms_bundle
+from lpbdeg.bundles import chern_character_graded, chern_roots, dual
 from lpbdeg.grassmann import GrassContext
 from lpbdeg.polyring import (
     TruncatedPoly,
@@ -147,7 +146,7 @@ def test_character_sum_matches_literal_partition_sum_on_the_grassmannian():
     # only the k <= 6 the random pieces reach; the roots are integers, so
     # every h_k is an integer polynomial and the class holds ints only
     ctx = GrassContext(3, 7)
-    pieces = chern_character_graded(dual(pullback_forms_bundle(2)), ctx, ctx.g)
+    pieces = chern_character_graded(dual(chern_roots(2, ctx).signed), ctx, ctx.g)
     for k in range(ctx.g + 1):
         segre = segre_via_characters(pieces, k)
         assert segre.terms == _segre_reference(pieces, k), k
