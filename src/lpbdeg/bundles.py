@@ -22,10 +22,10 @@ at k = 1 K is the zero bundle.
 
 The roots are one map from form to multiplicity, computed by C-level
 passes over whole coefficient columns, not root by root, and the Chern
-character takes one pass over it; the dual bundle's map is the same map
-with every column negated.  The map is symmetric under permuting the x_i;
-:func:`~lpbdeg.polyring.power_sums` checks this once, for the Chern class
-and the character alike.
+character takes one pass over it; both degree routes read the map as it
+is, with no negated copy for the dual (see :mod:`lpbdeg.symfunc`).  The
+map is symmetric under permuting the x_i; :func:`~lpbdeg.polyring.power_sums`
+checks this once, for the Chern class and the character alike.
 
 Classes are built in the one ring of the Grassmannian,
 :attr:`~lpbdeg.grassmann.GrassContext.ring`, ``Q[x] / (deg > g, x_i^m)``
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import factorial
-from operator import neg
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Mapping
 
@@ -119,11 +118,6 @@ def _heads(width: int, budget: int) -> Iterator[tuple[Root, int]]:
     for first in range(budget + 1):
         for rest, left in _heads(width - 1, budget - first):
             yield (-first, *rest), left
-
-
-def dual(roots: Mapping[Root, int]) -> dict[Root, int]:
-    """The roots of the dual bundle: every coefficient column negated in one C-level pass."""
-    return dict(zip(zip(*[map(neg, column) for column in zip(*roots)]), roots.values()))
 
 
 def chern_character_graded(roots: Mapping[Root, int], ctx: GrassContext, degree: int) -> list[TruncatedPoly]:

@@ -22,8 +22,9 @@ d = 0).
 (single in-process runs, about x2 per step; ``closed-form --n 8`` peaked at
 18 MB; shared 2-vCPU host).  The costlier corner is ``degree`` at
 (``MAX_N``, ``MAX_D``): at n = 8 it took 0.02 s for d = 2, 0.35-0.55 s for
-d = 200 and 11-12 s and 102 MB for d = ``MAX_D`` on the same host, where
-the power sums are most of the time and root enumeration about a twentieth.
+d = 200 and 11-12 s and 102 MB for d = ``MAX_D`` on the same host (power
+sums most of the time, root enumeration a twentieth); ``--method both``
+took 21 s there at the same peak, since both routes read one root map.
 ``verify-paper`` interpolates on all 3g + 1 nodes d = 2 .. 3g + 2, g = 3(n-2),
 so its check does not rest on the reciprocity ``closed-form`` uses.
 ``forms check-pullback`` accepts ``--n`` up to ``MAX_FORMS_N`` = 20,

@@ -10,12 +10,12 @@ the projectivized fiber dimension.
 
 Two evaluation routes are implemented for the degree.  The default
 inverts the total Chern class of the bundle; the second assembles the
-Segre class from graded Chern characters of the dual bundle, scaled to
-power sums, by Newton's identity for the complete homogeneous symmetric
-functions.  It keeps the name ``ch_partition``: it evaluates the
-partition-weighted character sum, without walking the partitions.  The
-routes share one map of Chern roots, enumerated once per degree (the
-character route reads it negated, as the dual's), the ring they compute in,
+Segre class from the graded Chern characters of the bundle, scaled by
+(-1)^j j! to the power sums of the dual's roots, by Newton's identity for
+the complete homogeneous symmetric functions.  It keeps the name
+``ch_partition``: it evaluates the partition-weighted character sum,
+without walking the partitions.  The routes share one map of Chern roots,
+enumerated once per degree and never copied, the ring they compute in,
 :attr:`~lpbdeg.grassmann.GrassContext.ring`, ``Q[x] / (deg > g,
 x_i^(n+1))``, whose exponent box is the largest exponent the integral
 reads, and the pass from the roots to their power sums,
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .bundles import chern_character_graded, chern_roots, dual
+from .bundles import chern_character_graded, chern_roots
 from .exact import Scalar, UniPoly, lagrange_interpolate, require
 from .grassmann import GrassContext
 from .polyring import inverse_unit_series, product_shifted_linear
@@ -93,7 +93,7 @@ def degree_lpb(d: int, n: int, method: str = METHOD_CHERN_QUOTIENT) -> int:
         cls = inverse_unit_series(product_shifted_linear(roots, ctx.ring)).graded_part(g)
         results[METHOD_CHERN_QUOTIENT] = ctx.integrate(cls)
     if method in (METHOD_CH_PARTITION, METHOD_BOTH):
-        pieces = chern_character_graded(dual(roots), ctx, g)
+        pieces = chern_character_graded(roots, ctx, g)
         cls = segre_via_characters(pieces, g)
         results[METHOD_CH_PARTITION] = ctx.integrate(cls)
     if len(results) == 2:
@@ -261,6 +261,8 @@ def reference_formula(n: int, d: int) -> int:
 
 def reference_polynomial(n: int) -> UniPoly:
     """Symbolic expansion of the published closed form as a polynomial in d."""
+    message = "published closed forms exist only for n = 3 and n = 4"
+    require(n, "n", 3, message)
     x = UniPoly.variable()
     falling = UniPoly.constant(1)
     for i in range(5):
@@ -271,4 +273,4 @@ def reference_polynomial(n: int) -> UniPoly:
     if n == 4:
         cofactor = UniPoly(tuple(reversed(_N4_COFACTOR_DESC)))
         return falling * cofactor * UniPoly((2, 1)) * Fraction(1, 839808)
-    raise ValueError("published closed forms exist only for n = 3 and n = 4")
+    raise ValueError(message)

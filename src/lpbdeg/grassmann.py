@@ -36,10 +36,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import sparse
-from .exact import Scalar, normalize
+from .exact import Scalar, normalize, require
 from .polyring import TruncatedPoly, power_sums
 from .sparse import Packing
-
 
 @dataclass(frozen=True)
 class GrassContext:
@@ -55,8 +54,9 @@ class GrassContext:
     m: int
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.m <= self.k:
-            raise ValueError("need m > k >= 1 for a positive-dimensional ambient space")
+        message = "need m > k >= 1 for a positive-dimensional ambient space"
+        require(self.k, "k", 1, message)
+        require(self.m, "m", self.k + 1, message)
 
     @property
     def g(self) -> int:

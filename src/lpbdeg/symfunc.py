@@ -1,10 +1,11 @@
 """Integer partitions and the character-sum expression for Segre classes.
 
 The degree-k Segre class of a bundle F is the complete homogeneous
-symmetric function h_k of the Chern roots of the dual bundle F*, and
-scaling each graded Chern character piece to the power sum
-p_j = j! ch_j(F*) of those roots gives h_k by Newton's identity
-(Macdonald, *Symmetric Functions and Hall Polynomials*, I (2.11))
+symmetric function h_k of the roots -r of the dual F*, as 1 / prod (1 + r)
+= prod 1 / (1 - (-r)) over the roots r of F, and scaling each graded Chern
+character piece of F to p_j = (-1)^j j! ch_j(F), the power sum of the -r,
+gives h_k by Newton's identity (Macdonald, *Symmetric Functions and Hall
+Polynomials*, I (2.11))
 
     k h_k = sum over i = 1 .. k of p_i h_{k-i},    h_0 = 1,
 
@@ -59,9 +60,9 @@ def partitions(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> TruncatedPoly:
-    """Degree-k Segre class from graded Chern characters of the dual bundle.
+    """Degree-k Segre class s_k(F) from the graded Chern characters of F.
 
-    ``graded_characters[j]`` must be the degree-j graded piece of ch(F*) for
+    ``graded_characters[j]`` must be the degree-j graded piece of ch(F) for
     every j up to k.  The pieces must all live in the same truncated ring and
     be homogeneous of their index.
     """
@@ -75,7 +76,7 @@ def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> 
             raise ValueError("graded characters live in different rings")
         if not piece.is_homogeneous(j):
             raise ValueError(f"graded piece {j} is not homogeneous of degree {j}")
-    powers = [graded_characters[j].scale(factorial(j)) for j in range(k + 1)]
+    powers = [graded_characters[j].scale((-1) ** j * factorial(j)) for j in range(k + 1)]
     complete = [TruncatedPoly.one(head.ring)]
     for j in range(1, k + 1):
         acc = dict(powers[j].terms)

@@ -82,3 +82,22 @@ def test_route_check_op_counts_each_root_once(tmp_cache, capsys):
     stats = recorder.snapshot()["bundles.chern_roots"]
     assert stats["calls"] == 1
     assert stats["roots"] == comb(2 + 4, 2) - 3 == 12
+
+
+@pytest.mark.parametrize("argv", [["verify-paper", "--n", "3"], ["closed-form", "--n", "5", "--format", "json"]])
+def test_closed_form_ops_never_reach_the_character_route(argv, tmp_cache, capsys):
+    # the closed-form workload runs the quotient route alone, so a change
+    # to the character route cannot move its numbers
+    spans = load_perfbench("spans")
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        code = main(argv)
+    finally:
+        recorder.restore()
+    assert code == 0
+    capsys.readouterr()
+    stats = recorder.snapshot()
+    assert stats["foliation.degree_lpb"]["calls"] > 0
+    assert stats["bundles.chern_character_graded"]["calls"] == 0
+    assert stats["symfunc.segre_via_characters"]["calls"] == 0

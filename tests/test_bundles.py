@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpbdeg import bundles, sparse
-from lpbdeg.bundles import RootSet, chern_character_graded, chern_roots, dual
+from lpbdeg.bundles import RootSet, chern_character_graded, chern_roots
 from lpbdeg.foliation import METHOD_BOTH, degree_lpb
 from lpbdeg.grassmann import GrassContext
 from lpbdeg.polyring import TruncatedPoly, exponents_of_degree, inverse_unit_series, product_shifted_linear
@@ -30,8 +30,9 @@ def test_taut_roots_are_negated_variables():
 
 
 def test_dual_negates_roots():
-    assert dual(_roots(TAUT)) == {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}
-    assert dual({}) == {}
+    assert _roots(Dual(TAUT)) == {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}
+    # at k = 1 the pulled-back forms are the zero bundle, and so is its dual
+    assert signed_roots_by_pairs(Dual(PullbackForms(0)), 1) == {}
 
 
 def test_sym_power_counts():
@@ -59,21 +60,34 @@ def test_pullback_forms_match_the_expanded_difference(k, d):
     got = bundles._signed_roots(d, k)
     assert type(got) is dict
     assert got == want
-    assert dual(got) == signed_roots_by_pairs(Dual(PullbackForms(d)), k)
     # rank k C(d + k, k - 1) - C(d + k + 1, k - 1): (d + 1)(d + 3) at k = 3, 0 at k = 1
     assert sum(want.values()) == k * comb(d + k, k - 1) - comb(d + k + 1, k - 1)
+
+
+def _traced(call):
+    """``call()``, with the memory it holds afterwards and its peak, both under tracemalloc."""
+    tracemalloc.start()
+    try:
+        value = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, held, peak
 
 
 def test_signed_roots_peak_near_the_map_they_return():
     # each run of forms is written straight into the map, and no second
     # map of that size is ever built beside it
-    tracemalloc.start()
-    try:
-        got = bundles._signed_roots(200, 3)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    got, held, peak = _traced(lambda: bundles._signed_roots(200, 3))
     assert len(got) == comb(204, 2) - 3
+    assert peak <= 1.5 * held
+
+
+def test_both_routes_peak_near_the_one_root_map():
+    # the character route reads the quotient route's map as it is, so no
+    # negated copy of it for the dual bundle is ever built beside it
+    _, held, _ = _traced(lambda: bundles._signed_roots(200, 3))
+    _, _, peak = _traced(lambda: degree_lpb(200, 3, METHOD_BOTH))
     assert peak <= 1.5 * held
 
 
@@ -173,10 +187,19 @@ def _character_by_multinomials(roots, ctx, degree):
 def test_character_at_degree_shape_matches_multinomial_expansion(n, d):
     # the pieces the character route integrates: grade g over G(3, n + 1)
     ctx = GrassContext(3, n + 1)
-    roots = dual(chern_roots(d, ctx).signed)
+    roots = chern_roots(d, ctx).signed
     got = chern_character_graded(roots, ctx, ctx.g)
     assert [p.terms for p in got] == [p.terms for p in _character_by_multinomials(roots, ctx, ctx.g)]
     assert got[0].terms == {0: (d + 1) * (d + 3)}
+
+
+@pytest.mark.parametrize("expr", [TAUT, Sym(2, TAUT), *map(PullbackForms, range(5))])
+def test_character_of_the_dual_flips_the_sign_of_odd_grades(expr):
+    # the dual's roots are the negated roots, so ch_j(X*) = (-1)^j ch_j(X):
+    # the sign the character route folds into its j! scale
+    dual = chern_character_graded(_roots(Dual(expr)), CTX, CTX.g)
+    pieces = chern_character_graded(_roots(expr), CTX, CTX.g)
+    assert [p.terms for p in dual] == [p.scale((-1) ** j).terms for j, p in enumerate(pieces)]
 
 
 def test_character_rejects_asymmetric_roots():
@@ -193,8 +216,8 @@ def test_character_degree_validation():
 
 
 def test_both_routes_read_one_enumeration_of_the_roots(monkeypatch):
-    # the two routes of one degree share the map, the character route
-    # reading it negated; count the outermost enumerations
+    # the two routes of one degree share the map, each reading it as it
+    # is; count the outermost enumerations
     real, depth, calls = bundles._signed_roots, [0], []
 
     def counted(*args):

@@ -102,6 +102,7 @@ def test_degree_validation():
         (virtual_rank_check, (Fraction(2), 3)),
         (virtual_rank_check, (2, 2.5)),
         (virtual_rank_check, (2, 3.0)),
+        (reference_polynomial, (3.0,)),
     ],
 )
 def test_degree_functions_refuse_an_n_or_d_that_is_not_an_int(monkeypatch, call, args):

@@ -14,6 +14,10 @@ def test_context_validation():
         GrassContext(3, 3)
     with pytest.raises(ValueError):
         GrassContext(4, 2)
+    with pytest.raises(ValueError, match="m must be an int"):
+        GrassContext(3, 5.0)
+    with pytest.raises(ValueError, match="k must be an int"):
+        GrassContext(True, 4)
 
 
 def test_dimension_and_box():

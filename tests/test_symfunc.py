@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpbdeg import sparse
-from lpbdeg.bundles import chern_character_graded, chern_roots, dual
+from lpbdeg.bundles import chern_character_graded, chern_roots
 from lpbdeg.grassmann import GrassContext
 from lpbdeg.polyring import (
     TruncatedPoly,
@@ -73,16 +73,16 @@ def test_weight_values():
     assert weight_w(()) == 1
 
 
-def _graded_characters_of_dual(forms, cap, upto):
-    """ch pieces of the dual of the bundle with the given roots, each power multiplied out."""
+def _graded_characters(forms, cap, upto):
+    """ch pieces of the bundle with the given roots, each power multiplied out."""
     ring = Packing(3, cap, cap)
     sums = [{} for _ in range(upto + 1)]
     for f in forms:
-        negated = {ring.var(v): -a for v, a in enumerate(f) if a}
+        linear = {ring.var(v): a for v, a in enumerate(f) if a}
         power = {0: 1}
         for p in sums:
             sparse.add(p, power)
-            power = truncated_mul(power, negated, ring)
+            power = truncated_mul(power, linear, ring)
     return [TruncatedPoly(ring, ring.unpack_terms(p)).scale(Fraction(1, factorial(j))) for j, p in enumerate(sums)]
 
 
@@ -100,14 +100,16 @@ def test_character_sum_matches_inverted_chern_series(form_coeffs, k):
     form_coeffs = orbits_of(form_coeffs)
     total_chern = product_shifted_linear(Counter(form_coeffs), Packing(3, k, k))
     expected = inverse_unit_series(total_chern).graded_part(k)
-    pieces = _graded_characters_of_dual(form_coeffs, k, k)
+    pieces = _graded_characters(form_coeffs, k, k)
     assert segre_via_characters(pieces, k).terms == expected.terms
 
 
 def _segre_reference(pieces, k):
     # the partition-weighted sum read literally, on the unscaled pieces
     # in the pieces' own ring, whose exponent box may be below the cap;
-    # the packed terms of the sum
+    # the packed terms of the sum.  It takes characters of the dual F*,
+    # and the pieces are those of F: each product has parts summing to k,
+    # so ch_j(F*) = (-1)^j ch_j(F) makes it (-1)^k times the sum on F
     total = {}
     for lam in partitions(k):
         product = TruncatedPoly.one(pieces[0].ring)
@@ -115,6 +117,11 @@ def _segre_reference(pieces, k):
             product = product * pieces[part]
         sparse.add(total, product.scale(weight_w(lam)).terms)
     return total
+
+
+def _signed(terms, k):
+    """``terms`` times (-1)^k."""
+    return {key: (-1) ** k * c for key, c in terms.items()}
 
 
 @st.composite
@@ -137,7 +144,7 @@ def test_character_sum_matches_literal_partition_sum(case):
     # arbitrary Fraction pieces, so j! * c is often not integral and the
     # integer sum has to fall back to Fractions without changing the value
     pieces, k = case
-    assert segre_via_characters(pieces, k).terms == _segre_reference(pieces, k)
+    assert segre_via_characters(pieces, k).terms == _signed(_segre_reference(pieces, k), k)
 
 
 def test_character_sum_matches_literal_partition_sum_on_the_grassmannian():
@@ -146,10 +153,10 @@ def test_character_sum_matches_literal_partition_sum_on_the_grassmannian():
     # only the k <= 6 the random pieces reach; the roots are integers, so
     # every h_k is an integer polynomial and the class holds ints only
     ctx = GrassContext(3, 7)
-    pieces = chern_character_graded(dual(chern_roots(2, ctx).signed), ctx, ctx.g)
+    pieces = chern_character_graded(chern_roots(2, ctx).signed, ctx, ctx.g)
     for k in range(ctx.g + 1):
         segre = segre_via_characters(pieces, k)
-        assert segre.terms == _segre_reference(pieces, k), k
+        assert segre.terms == _signed(_segre_reference(pieces, k), k), k
         assert all(type(c) is int for c in segre.terms.values()), k
 
 
