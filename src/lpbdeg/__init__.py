@@ -13,7 +13,7 @@ The package is organized bottom-up:
   classes.
 * :mod:`lpbdeg.bundles` -- the Chern roots of the pulled-back-forms bundle
   in closed form, as one map from linear form to multiplicity, and the
-  Chern character of a root map.
+  Chern character of a root map in its integral form, the power sums.
 * :mod:`lpbdeg.grassmann` -- integration of symmetric classes over G(k, m).
 * :mod:`lpbdeg.foliation` -- the degree engine for linear pullback components
   and the interpolated closed forms.

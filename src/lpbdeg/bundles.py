@@ -22,8 +22,9 @@ at k = 1 K is the zero bundle.
 
 The roots are one map from form to multiplicity, computed by C-level
 passes over whole coefficient columns, not root by root, and the Chern
-character takes one pass over it; both degree routes read the map as it
-is, with no negated copy for the dual (see :mod:`lpbdeg.symfunc`).  The
+character, in its integral form j! ch_j, the power sums of the roots,
+takes one pass over it; both degree routes read the map as it is, with
+no negated copy for the dual and no Fraction (see :mod:`lpbdeg.symfunc`).  The
 map is symmetric under permuting the x_i; :func:`~lpbdeg.polyring.power_sums`
 checks this once, for the Chern class and the character alike.
 
@@ -38,13 +39,10 @@ form only monomials in the box and the integral is unchanged (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, repeat
-from math import factorial
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Mapping
 
-from .exact import normalize
 from .polyring import TruncatedPoly, power_sums
 
 if TYPE_CHECKING:
@@ -121,19 +119,15 @@ def _heads(width: int, budget: int) -> Iterator[tuple[Root, int]]:
 
 
 def chern_character_graded(roots: Mapping[Root, int], ctx: GrassContext, degree: int) -> list[TruncatedPoly]:
-    """Graded pieces ch_0 .. ch_degree of the Chern character of the bundle with ``roots``.
+    """Graded Chern character j! ch_j, j = 0 .. ``degree``, of the bundle with ``roots``, in integral form.
 
     ``roots`` maps each form to its signed multiplicity, as
-    :attr:`RootSet.signed` does.  Entry j of the list is ``sum m r^j / j!``
-    over the roots r of multiplicity m: the power sums of the roots, from
-    the moment pass :func:`~lpbdeg.polyring.power_sums`, each divided by
-    j!.  The pieces live in ``ctx.ring``, and no monomial outside its box
-    is formed.  A degree outside [0, ``ctx.g``] and roots not symmetric in
+    :attr:`RootSet.signed` does.  Entry j of the list is ``sum m r^j`` over
+    the roots r of multiplicity m, the power sum p_j = j! ch_j from the
+    moment pass :func:`~lpbdeg.polyring.power_sums`, an integer class: the
+    character route needs no division by j! (see :mod:`lpbdeg.symfunc`).
+    The pieces live in ``ctx.ring``, and no monomial outside its box is
+    formed.  A degree outside [0, ``ctx.g``] and roots not symmetric in
     x_1..x_k raise ``ValueError`` in :func:`~lpbdeg.polyring.power_sums`.
     """
-    ring = ctx.ring
-    sums = power_sums(roots, ring, degree)
-    return [
-        TruncatedPoly._raw(ring, {key: normalize(Fraction(c, factorial(j))) for key, c in p.items()})
-        for j, p in enumerate(sums)
-    ]
+    return [TruncatedPoly._raw(ctx.ring, p) for p in power_sums(roots, ctx.ring, degree)]

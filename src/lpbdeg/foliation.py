@@ -10,9 +10,9 @@ the projectivized fiber dimension.
 
 Two evaluation routes are implemented for the degree.  The default
 inverts the total Chern class of the bundle; the second assembles the
-Segre class from the graded Chern characters of the bundle, scaled by
-(-1)^j j! to the power sums of the dual's roots, by Newton's identity for
-the complete homogeneous symmetric functions.  It keeps the name
+Segre class from the graded Chern character of the bundle in its integral
+form j! ch_j, the power sums of its roots, by Newton's identity for the
+complete homogeneous symmetric functions.  It keeps the name
 ``ch_partition``: it evaluates the partition-weighted character sum,
 without walking the partitions.  The routes share one map of Chern roots,
 enumerated once per degree and never copied, the ring they compute in,

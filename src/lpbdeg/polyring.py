@@ -54,8 +54,8 @@ routes start from it, and so does the Pluecker class e_1^g of
 of the single root x_1 + ... + x_k.
 :func:`product_shifted_linear` turns the power sums into a total Chern
 class by Newton's identities, for honest and virtual bundles alike, and
-:func:`~lpbdeg.bundles.chern_character_graded` divides them into the
-graded Chern character.
+:func:`~lpbdeg.bundles.chern_character_graded` returns them as they are,
+the graded Chern character in its integral form j! ch_j.
 """
 
 from __future__ import annotations

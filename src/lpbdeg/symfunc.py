@@ -2,17 +2,21 @@
 
 The degree-k Segre class of a bundle F is the complete homogeneous
 symmetric function h_k of the roots -r of the dual F*, as 1 / prod (1 + r)
-= prod 1 / (1 - (-r)) over the roots r of F, and scaling each graded Chern
-character piece of F to p_j = (-1)^j j! ch_j(F), the power sum of the -r,
-gives h_k by Newton's identity (Macdonald, *Symmetric Functions and Hall
-Polynomials*, I (2.11))
+= prod 1 / (1 - (-r)) over the roots r of F.  The route takes the graded
+Chern character of F in its integral form, the power sums p_j(F) = j!
+ch_j(F) of the roots r, and runs Newton's identity (Macdonald, *Symmetric
+Functions and Hall Polynomials*, I (2.11)) on them as they are:
 
-    k h_k = sum over i = 1 .. k of p_i h_{k-i},    h_0 = 1,
+    k u_k = sum over i = 1 .. k of p_i(F) u_{k-i},    u_0 = 1,
 
 one recurrence over the grades, never a walk over the partitions of k.
-For integer Chern roots every h_j is an integer polynomial, so the
-division by j is exact on every coefficient and the recurrence stays on
-ints; pieces with other rational coefficients divide into Fractions.
+Its u_k is h_k(F), the h_k of the r, and s_k(F) = (-1)^k u_k.  Proof:
+p_i(F*) = (-1)^i p_i(F), as the roots of F* are the -r, and h_k is
+homogeneous of degree k, so s_k(F) = h_k(F*) = (-1)^k h_k(F), one scale
+of the last class.
+For integer Chern roots every p_j and h_j is an integer polynomial, so
+the division by j is exact on every coefficient and the recurrence stays
+on ints; pieces with other rational coefficients divide into Fractions.
 
 This route shares the Chern roots and their power sums with the Chern
 class quotient route, and no product code.  Its recurrence is the same
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import Iterator, Sequence
 
 from . import sparse
@@ -60,11 +63,12 @@ def partitions(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> TruncatedPoly:
-    """Degree-k Segre class s_k(F) from the graded Chern characters of F.
+    """Degree-k Segre class s_k(F) from the integral graded Chern character of F.
 
-    ``graded_characters[j]`` must be the degree-j graded piece of ch(F) for
-    every j up to k.  The pieces must all live in the same truncated ring and
-    be homogeneous of their index.
+    ``graded_characters[j]`` must be p_j(F) = j! ch_j(F) for every j up to
+    k, as :func:`~lpbdeg.bundles.chern_character_graded` returns it.  The
+    pieces must all live in the same truncated ring and be homogeneous of
+    their index.
     """
     if k < 0:
         raise ValueError("negative Segre degree")
@@ -76,12 +80,11 @@ def segre_via_characters(graded_characters: Sequence[TruncatedPoly], k: int) -> 
             raise ValueError("graded characters live in different rings")
         if not piece.is_homogeneous(j):
             raise ValueError(f"graded piece {j} is not homogeneous of degree {j}")
-    powers = [graded_characters[j].scale((-1) ** j * factorial(j)) for j in range(k + 1)]
     complete = [TruncatedPoly.one(head.ring)]
     for j in range(1, k + 1):
-        acc = dict(powers[j].terms)
+        acc = dict(graded_characters[j].terms)
         for i in range(1, j):
-            sparse.add(acc, (powers[i] * complete[j - i]).terms)
+            sparse.add(acc, (graded_characters[i] * complete[j - i]).terms)
         grade = {key: c // j if c % j == 0 else Fraction(c, j) for key, c in acc.items()}
         complete.append(TruncatedPoly._raw(head.ring, grade))
-    return complete[k]
+    return complete[k].scale((-1) ** k)

@@ -98,7 +98,7 @@ root_maps = st.sampled_from(
 
 
 def _character_unboxed(roots, ctx, degree):
-    """Sum of signed powers of the roots over degree!, multiplied out."""
+    """Sum of signed powers of the roots over degree!, multiplied out: ch_degree."""
     ring = Packing(3, ctx.g, ctx.g)
     total = {}
     for form, m in roots.items():
@@ -114,7 +114,8 @@ def _character_unboxed(roots, ctx, degree):
 def test_boxed_character_drops_only_out_of_box_terms(roots, ctx, data):
     degree = data.draw(st.integers(0, ctx.g))
     got = chern_character_graded(roots, ctx, degree)
-    expected = [_in_box(_character_unboxed(roots, ctx, j), ctx.box) for j in range(degree + 1)]
+    # piece j is j! ch_j, the integer power sum
+    expected = [_in_box(_character_unboxed(roots, ctx, j).scale(factorial(j)), ctx.box) for j in range(degree + 1)]
     assert [p.terms for p in got] == [p.terms for p in expected]
 
 

@@ -11,6 +11,7 @@ from lpbdeg.bundles import RootSet, chern_character_graded, chern_roots
 from lpbdeg.foliation import METHOD_BOTH, degree_lpb
 from lpbdeg.grassmann import GrassContext
 from lpbdeg.polyring import TruncatedPoly, exponents_of_degree, inverse_unit_series, product_shifted_linear
+from lpbdeg.symfunc import segre_via_characters
 from ring_helpers import elementary, plus
 from root_oracle import TAUT, Dual, PullbackForms, Sym, signed_roots_by_pairs, tensor_roots
 
@@ -144,17 +145,19 @@ def test_segre_inverts_chern(expr, m):
 def test_character_low_degrees_explicit():
     e1 = elementary(CTX.ring, 1)
     e2 = elementary(CTX.ring, 2)
+    # piece j is j! ch_j, the power sum p_j
     ch0, ch1, ch2 = chern_character_graded(_roots(Dual(TAUT)), CTX, 2)
     assert ch0.terms == {0: 3}
     assert ch1.terms == e1.terms
     assert chern_character_graded(_roots(TAUT), CTX, 1)[1].terms == e1.scale(-1).terms
-    # ch_2 = (power sum p_2) / 2 = (e1^2 - 2 e2) / 2
-    assert ch2.terms == plus(e1 * e1, e2, -2).scale(Fraction(1, 2)).terms
+    # 2! ch_2 = power sum p_2 = e1^2 - 2 e2
+    assert ch2.terms == plus(e1 * e1, e2, -2).terms
     assert [p.terms for p in chern_character_graded(_roots(Dual(TAUT)), CTX, 0)] == [ch0.terms]
 
 
 def test_character_of_virtual_subtracts():
-    # ch(Sym^{d+1}T (x) T - Sym^{d+2}T) = ch(Sym^{d+1}T) ch(T) - ch(Sym^{d+2}T), grade by grade
+    # ch(Sym^{d+1}T (x) T - Sym^{d+2}T) = ch(Sym^{d+1}T) ch(T) - ch(Sym^{d+2}T), grade by grade;
+    # on the pieces j! ch_j the product grade j is the binomial sum of C(j, i) p_i p_{j-i}
     g = CTX.g
     for d in range(3):
         got = chern_character_graded(chern_roots(d, CTX).signed, CTX, g)
@@ -164,7 +167,7 @@ def test_character_of_virtual_subtracts():
         for j in range(g + 1):
             product = TruncatedPoly(CTX.ring, {})
             for i in range(j + 1):
-                product = plus(product, left[i] * right[j - i])
+                product = plus(product, (left[i] * right[j - i]).scale(comb(j, i)))
             assert got[j].terms == plus(product, minus[j], -1).terms, (d, j)
 
 
@@ -183,14 +186,21 @@ def _character_by_multinomials(roots, ctx, degree):
     return pieces
 
 
-@pytest.mark.parametrize("n, d", [(5, 2), (6, 3)])
+@pytest.mark.parametrize("n, d", [(n, d) for n in (5, 6, 7) for d in (2, 3, 4, 5)])
 def test_character_at_degree_shape_matches_multinomial_expansion(n, d):
-    # the pieces the character route integrates: grade g over G(3, n + 1)
+    # the pieces the character route integrates: grade g over G(3, n + 1),
+    # at the cells of the benchmark's route-check workload.  Piece j is
+    # j! ch_j, the integer power sum, and the Segre class built from the
+    # pieces holds ints only
     ctx = GrassContext(3, n + 1)
     roots = chern_roots(d, ctx).signed
     got = chern_character_graded(roots, ctx, ctx.g)
-    assert [p.terms for p in got] == [p.terms for p in _character_by_multinomials(roots, ctx, ctx.g)]
+    want = _character_by_multinomials(roots, ctx, ctx.g)
+    assert [p.terms for p in got] == [p.scale(factorial(j)).terms for j, p in enumerate(want)]
     assert got[0].terms == {0: (d + 1) * (d + 3)}
+    assert all(type(c) is int for p in got for c in p.terms.values())
+    segre = segre_via_characters(got, ctx.g)
+    assert segre.terms and all(type(c) is int for c in segre.terms.values())
 
 
 @pytest.mark.parametrize("expr", [TAUT, Sym(2, TAUT), *map(PullbackForms, range(5))])

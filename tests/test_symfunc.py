@@ -74,7 +74,7 @@ def test_weight_values():
 
 
 def _graded_characters(forms, cap, upto):
-    """ch pieces of the bundle with the given roots, each power multiplied out."""
+    """Pieces j! ch_j, the power sums, of the bundle with the given roots, each power multiplied out."""
     ring = Packing(3, cap, cap)
     sums = [{} for _ in range(upto + 1)]
     for f in forms:
@@ -83,7 +83,7 @@ def _graded_characters(forms, cap, upto):
         for p in sums:
             sparse.add(p, power)
             power = truncated_mul(power, linear, ring)
-    return [TruncatedPoly(ring, ring.unpack_terms(p)).scale(Fraction(1, factorial(j))) for j, p in enumerate(sums)]
+    return [TruncatedPoly(ring, ring.unpack_terms(p)) for p in sums]
 
 
 small = st.integers(min_value=-2, max_value=2)
@@ -105,17 +105,19 @@ def test_character_sum_matches_inverted_chern_series(form_coeffs, k):
 
 
 def _segre_reference(pieces, k):
-    # the partition-weighted sum read literally, on the unscaled pieces
-    # in the pieces' own ring, whose exponent box may be below the cap;
-    # the packed terms of the sum.  It takes characters of the dual F*,
-    # and the pieces are those of F: each product has parts summing to k,
-    # so ch_j(F*) = (-1)^j ch_j(F) makes it (-1)^k times the sum on F
+    # the partition-weighted sum read literally, in the pieces' own ring,
+    # whose exponent box may be below the cap; the packed terms of the sum.
+    # The pieces are j! ch_j, so the weight w(lam) of the product of the
+    # ch_{lam_i} is divided exactly by the prod lam_i! the pieces carry.
+    # It takes characters of the dual F*, and the pieces are those of F:
+    # each product has parts summing to k, so ch_j(F*) = (-1)^j ch_j(F)
+    # makes it (-1)^k times the sum on F
     total = {}
     for lam in partitions(k):
         product = TruncatedPoly.one(pieces[0].ring)
         for part in lam:
             product = product * pieces[part]
-        sparse.add(total, product.scale(weight_w(lam)).terms)
+        sparse.add(total, product.scale(weight_w(lam) / prod(map(factorial, lam))).terms)
     return total
 
 
@@ -141,8 +143,8 @@ def graded_pieces(draw):
 
 @given(graded_pieces())
 def test_character_sum_matches_literal_partition_sum(case):
-    # arbitrary Fraction pieces, so j! * c is often not integral and the
-    # integer sum has to fall back to Fractions without changing the value
+    # arbitrary Fraction pieces, so the division by j in the recurrence is
+    # often not exact and has to fall back to Fractions without changing the value
     pieces, k = case
     assert segre_via_characters(pieces, k).terms == _signed(_segre_reference(pieces, k), k)
 
